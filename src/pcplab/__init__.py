@@ -12,6 +12,7 @@ from .field import Field, FieldElement
 from .linalg import IncrementalRank, Matrix, NoSolutionError
 from .poly import (
     DegreeCapError,
+    FactoredPoly,
     Line,
     MultiPoly,
     UniPoly,
@@ -30,6 +31,7 @@ from .variety import (
     SpecError,
     Variety,
     ball1_variety,
+    certificate_factors,
     certificate_poly,
     cube_variety,
     evaluation_matrix,

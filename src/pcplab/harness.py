@@ -16,7 +16,9 @@ true P(alpha); Rejects there are the benign outcome the bound permits).
 
 Randomness accounting: CountingRng charges ceil(log2 size) bits per draw, and
 the drivers assert after every sampled trial that the bits actually drawn
-equal the closed-form randomness_budget value for the config.
+equal the closed-form budget, computed once per run from the dimensions of
+the instance the run built (randomness_budget gives the same number for a
+bare config).
 """
 
 from __future__ import annotations
@@ -208,9 +210,9 @@ def _bits_for_nonzero(q: int) -> int:
     return (q - 2).bit_length()          # ceil(log2 (q-1))
 
 
-def randomness_budget(cfg: ExperimentConfig) -> int:
-    """Exact verifier bits per trial (closed formula; reps multiply)."""
-    _validate(cfg)
+def _budget(cfg: ExperimentConfig, m: int = 0, k: int = 0, kp: int = 0) -> int:
+    """Closed-form verifier bits per trial from the instance dimensions:
+    m and k of the variety (zerotest, pcp) and k' of V×V (pcp)."""
     B = _bits_per_element(cfg.q)
     T = _bits_for_nonzero(cfg.q)
     if cfg.experiment == "ldt":
@@ -218,14 +220,22 @@ def randomness_budget(cfg: ExperimentConfig) -> int:
     elif cfg.experiment == "lc":
         per = cfg.nvars * B + T          # alpha is an input, not a verifier coin
     elif cfg.experiment == "zerotest":
-        _, gset = _variety_for(cfg)
-        m, k = gset.variety.m, gset.complexity
         per = (2 * (m + k) + m) * B + T
     else:
-        inst = _pcp_instance(cfg)
-        m, k, kp = inst.m, inst.k, inst.kprime
         per = (12 * m + 2 * k + 2 * kp) * B + T
     return cfg.reps * per
+
+
+def randomness_budget(cfg: ExperimentConfig) -> int:
+    """Exact verifier bits per trial (closed formula; reps multiply)."""
+    _validate(cfg)
+    if cfg.experiment == "zerotest":
+        _, gset = _variety_for(cfg)
+        return _budget(cfg, gset.variety.m, gset.complexity)
+    if cfg.experiment == "pcp":
+        inst = _pcp_instance(cfg)
+        return _budget(cfg, inst.m, inst.k, inst.kprime)
+    return _budget(cfg)
 
 
 # -- instance construction ---------------------------------------------------
@@ -356,6 +366,11 @@ def _improper_proof(inst: PcpInstance, rng) -> PcpProof:
     that cannot exist (conflict polynomial not vanishing) are replaced by the
     all-zero certificate, so the conflict zero test carries the rejection."""
     colors = best_effort_coloring(inst.graph, inst.field)
+    if not inst.graph.conflicts(colors, inst.field.q):
+        raise ConfigError(
+            "graph is 3-colorable, so the improper-coloring adversaries would "
+            "build an honest proof; soundness mode needs a graph with no proper "
+            "3-coloring")
     chi, validity, conflict = claim_polynomials(inst, colors)
     d = inst.d
     try:
@@ -423,9 +438,13 @@ def _run_trials(
     exhaustive_space: Iterable | None,
     space_size: int,
     queries_per_rep: int,
-) -> tuple[int, int, int]:
-    """Shared loop: returns (trials, rejects, queries_per_trial)."""
-    expected_bits = randomness_budget(cfg)
+    expected_bits: int,
+) -> tuple[int, int, int, int]:
+    """Shared loop: returns (trials, rejects, queries_per_trial, bits_per_trial).
+
+    ``expected_bits`` is the closed-form budget for the run's instance;
+    every sampled trial must draw exactly that many bits.
+    """
     expected_queries = queries_per_rep * cfg.reps
     rejects = 0
     if cfg.sampling == "exhaustive":
@@ -442,7 +461,7 @@ def _run_trials(
             trials += 1
         if trials != space_size:
             raise AssertionError("enumeration produced the wrong space size")
-        return trials, rejects, expected_queries
+        return trials, rejects, expected_queries, expected_bits
     for i in range(cfg.trials):
         rng = CountingRng(trial_seed(cfg.seed, i))
         before = _total_queries(counted)
@@ -459,7 +478,7 @@ def _run_trials(
             raise AssertionError(
                 f"randomness accounting drift: drew {rng.bits} bits, "
                 f"formula says {expected_bits}")
-    return cfg.trials, rejects, expected_queries
+    return cfg.trials, rejects, expected_queries, expected_bits
 
 
 def _maybe_materialize(cfg: ExperimentConfig, point: PointOracle, lines: LinesOracle):
@@ -470,7 +489,7 @@ def _maybe_materialize(cfg: ExperimentConfig, point: PointOracle, lines: LinesOr
         return point, lines
 
 
-def _run_ldt(cfg: ExperimentConfig) -> tuple[int, int, int]:
+def _run_ldt(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
     field = Field(cfg.q)
     rng0 = _instance_rng(cfg)
     p = random_poly(field, cfg.nvars, cfg.degree, rng0)
@@ -497,7 +516,7 @@ def _run_ldt(cfg: ExperimentConfig) -> tuple[int, int, int]:
         return not ldt_check(cfg.degree, f, flines, a, b, t).accepted
 
     if cfg.sampling == "sampled":
-        return _run_trials(cfg, counted, sampled_trial, None, 0, 2)
+        return _run_trials(cfg, counted, sampled_trial, None, 0, 2, _budget(cfg))
     pts = list(itertools.product(range(q), repeat=m))
     space = ((a, b, t) for a in pts for b in pts for t in range(1, q))
 
@@ -505,10 +524,11 @@ def _run_ldt(cfg: ExperimentConfig) -> tuple[int, int, int]:
         a, b, t = r
         return not ldt_check(cfg.degree, f, flines, a, b, t).accepted
 
-    return _run_trials(cfg, counted, enum_trial, space, len(pts) ** 2 * (q - 1), 2)
+    return _run_trials(cfg, counted, enum_trial, space, len(pts) ** 2 * (q - 1), 2,
+                       _budget(cfg))
 
 
-def _run_lc(cfg: ExperimentConfig) -> tuple[int, int, int]:
+def _run_lc(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
     field = Field(cfg.q)
     rng0 = _instance_rng(cfg)
     p = random_poly(field, cfg.nvars, cfg.degree, rng0)
@@ -545,17 +565,18 @@ def _run_lc(cfg: ExperimentConfig) -> tuple[int, int, int]:
         return check(alpha, b, t)
 
     if cfg.sampling == "sampled":
-        return _run_trials(cfg, counted, sampled_trial, None, 0, 2)
+        return _run_trials(cfg, counted, sampled_trial, None, 0, 2, _budget(cfg))
     pts = list(itertools.product(range(q), repeat=m))
     space = ((al, b, t) for al in pts for b in pts for t in range(1, q))
 
     def enum_trial(r) -> bool:
         return check(*r)
 
-    return _run_trials(cfg, counted, enum_trial, space, len(pts) ** 2 * (q - 1), 2)
+    return _run_trials(cfg, counted, enum_trial, space, len(pts) ** 2 * (q - 1), 2,
+                       _budget(cfg))
 
 
-def _run_zerotest(cfg: ExperimentConfig) -> tuple[int, int, int]:
+def _run_zerotest(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
     _, gset = _variety_for(cfg)
     rng0 = _instance_rng(cfg)
     if cfg.mode == "completeness":
@@ -568,13 +589,14 @@ def _run_zerotest(cfg: ExperimentConfig) -> tuple[int, int, int]:
         proof = ZEROTEST_ADVERSARIES[cfg.adversary](gset, cfg.degree, cfg.delta, rng0)
     f = honest_oracles(p, cfg.degree)[0]
     counted = [f, proof.point, proof.lines]
+    bits = _budget(cfg, gset.variety.m, gset.complexity)
 
     def trial_sampled(rng: CountingRng) -> bool:
         r = ZeroRandomness.sample(gset, rng)
         return not zero_verify(gset, cfg.degree, f, proof, r).accepted
 
     if cfg.sampling == "sampled":
-        return _run_trials(cfg, counted, trial_sampled, None, 0, 7)
+        return _run_trials(cfg, counted, trial_sampled, None, 0, 7, bits)
 
     from .zerotest import enumerate_randomness
 
@@ -582,10 +604,10 @@ def _run_zerotest(cfg: ExperimentConfig) -> tuple[int, int, int]:
         return not zero_verify(gset, cfg.degree, f, proof, r).accepted
 
     return _run_trials(cfg, counted, trial_enum, enumerate_randomness(gset),
-                       randomness_space_size(gset), 7)
+                       randomness_space_size(gset), 7, bits)
 
 
-def _run_pcp(cfg: ExperimentConfig) -> tuple[int, int, int]:
+def _run_pcp(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
     inst = _pcp_instance(cfg)
     rng0 = _instance_rng(cfg)
     if cfg.mode == "completeness":
@@ -611,11 +633,11 @@ def _run_pcp(cfg: ExperimentConfig) -> tuple[int, int, int]:
         r = PcpRandomness.sample(inst, rng)
         return not pcp_verify(inst, proof, r).accepted
 
+    bits = _budget(cfg, inst.m, inst.k, inst.kprime)
     if cfg.sampling == "exhaustive":
-        size = randomness_budget(cfg)
         raise ConfigError(
-            f"pcp randomness space of about 2^{size} tuples cannot be enumerated")
-    return _run_trials(cfg, counted, trial, None, 0, 24)
+            f"pcp randomness space of about 2^{bits} tuples cannot be enumerated")
+    return _run_trials(cfg, counted, trial, None, 0, 24, bits)
 
 
 _DISPATCH = {
@@ -633,7 +655,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | Path | None = None
     """Execute cfg; optionally write the JSON report to ``out``."""
     _validate(cfg)
     start = time.perf_counter()
-    trials, rejects, queries = _DISPATCH[cfg.experiment](cfg)
+    trials, rejects, queries, bits = _DISPATCH[cfg.experiment](cfg)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     est = RateEstimate(
         trials=trials,
@@ -642,7 +664,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | Path | None = None
         ci95=wilson(rejects, trials, Z95),
         ci99=wilson(rejects, trials, Z99),
         queries_per_trial=queries,
-        randomness_bits_per_trial=randomness_budget(cfg),
+        randomness_bits_per_trial=bits,
         elapsed_ms=elapsed_ms,
     )
     report = {

@@ -5,6 +5,10 @@ oracle maps a pair (a, b) to the d+1 coefficients of the restriction along
 the line a + t b.  Honest implementations are polynomial-backed and lazy —
 materializing a lines table over F_q^{2s} is hopeless even at desk scale —
 while small domains can be materialized into real tables for exhaustive work.
+The backing is a ``FactoredPoly``: honest oracles answer factor by factor,
+evaluating or restricting each factor and combining the results, so a
+product such as the PCP's conflict polynomial or a sum such as a
+zero-on-variety certificate is never multiplied out to be queried.
 
 Corruption wrappers flip a keyed pseudorandom δ-fraction of entries by adding
 a nonzero offset, so the corrupted set is exactly the disagreement set and is
@@ -26,7 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .field import Field
-from .poly import MultiPoly, UniPoly
+from .poly import FactoredPoly, MultiPoly, UniPoly
 
 
 class OracleBudgetError(ValueError):
@@ -94,29 +98,41 @@ class LinesOracle(_Counted):
 # -- honest (polynomial-backed) oracles --------------------------------------
 
 class PolyPointOracle(PointOracle):
-    def __init__(self, poly: MultiPoly, degree: int):
-        super().__init__(poly.field, poly.nvars, degree)
-        self.poly = poly
+    def __init__(self, backing: FactoredPoly, degree: int):
+        super().__init__(backing.field, backing.nvars, degree)
+        self.backing = backing
+
+    @property
+    def poly(self) -> MultiPoly:
+        """The expanded polynomial, multiplied out on each read."""
+        return self.backing.expand()
 
     def _answer(self, point):
-        return self.poly.eval(point)
+        return self.backing.eval(point)
 
 
 class PolyLinesOracle(LinesOracle):
-    def __init__(self, poly: MultiPoly, degree: int):
-        super().__init__(poly.field, poly.nvars, degree)
-        self.poly = poly
+    def __init__(self, backing: FactoredPoly, degree: int):
+        super().__init__(backing.field, backing.nvars, degree)
+        self.backing = backing
 
     def _answer(self, a, b):
-        return self.poly.restrict(a, b)
+        return self.backing.restrict(a, b)
 
 
-def honest_oracles(poly: MultiPoly, degree: int) -> tuple[PointOracle, LinesOracle]:
-    """Lazy point + lines oracles for a polynomial of degree <= ``degree``."""
-    if poly.degree() > degree:
-        raise ValueError(f"polynomial degree {poly.degree()} exceeds declared bound {degree}")
-    capped = poly if poly.cap == degree else poly.with_cap(degree)
-    return PolyPointOracle(capped, degree), PolyLinesOracle(capped, degree)
+def honest_oracles(poly: MultiPoly | FactoredPoly, degree: int
+                   ) -> tuple[PointOracle, LinesOracle]:
+    """Lazy point + lines oracles for a polynomial of degree <= ``degree``.
+
+    A ``FactoredPoly`` is answered factor by factor; a ``MultiPoly`` is its
+    one-factor case.
+    """
+    backing = FactoredPoly.of(poly)
+    if backing.degree() > degree:
+        raise ValueError(f"polynomial degree {backing.degree()} exceeds declared bound {degree}")
+    if backing.cap != degree:
+        backing = backing.with_cap(degree)
+    return PolyPointOracle(backing, degree), PolyLinesOracle(backing, degree)
 
 
 # -- table-backed oracles ----------------------------------------------------
@@ -185,9 +201,12 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption mode {self.mode!r}")
 
 
-def _digest(key: int, payload: tuple[int, ...]) -> bytes:
+def _digest(key: int, payload: tuple[int, ...], q: int) -> bytes:
+    """Keyed hash of residues mod q, each packed little-endian in
+    max(4, ceil(bits(q-1)/8)) bytes (so 4 bytes, uint32, for every q <= 2^32)."""
+    width = max(4, ((q - 1).bit_length() + 7) // 8)
     h = hashlib.blake2b(digest_size=16, key=key.to_bytes(8, "little", signed=False))
-    h.update(struct.pack(f"<{len(payload)}I", *payload))
+    h.update(b"".join(x.to_bytes(width, "little") for x in payload))
     return h.digest()
 
 
@@ -206,7 +225,7 @@ class CorruptPointOracle(PointOracle):
 
     def _answer(self, point):
         value = self.base._answer(point)
-        d = _digest(self.spec.key, point)
+        d = _digest(self.spec.key, point, self.field.q)
         if _hit(d, self.spec.delta):
             offset = 1 + int.from_bytes(d[8:16], "little") % (self.field.q - 1)
             value = (value + offset) % self.field.q
@@ -223,7 +242,7 @@ class CorruptLinesOracle(LinesOracle):
 
     def _answer(self, a, b):
         entry = self.base._answer(a, b)
-        d = _digest(self.spec.key, a + b)
+        d = _digest(self.spec.key, a + b, self.field.q)
         if _hit(d, self.spec.delta):
             raw = int.from_bytes(d[8:16], "little")
             idx = raw % (self.degree + 1)

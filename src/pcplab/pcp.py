@@ -13,7 +13,10 @@ polynomials carry the claim:
   symmetric 0/1 edge indicator).
 
 The honest proof is ten oracles: point+lines pairs for χ̂, A, B, and
-zero-on-variety certificate pairs for A on V and for B on V×V.  The verifier
+zero-on-variety certificate pairs for A on V and for B on V×V.  A and B are
+kept as their factors and the certificates as their products h_g(x)·y_g, so
+the honest oracles answer factor by factor; A and B are multiplied out only
+for the certificate solves.  The verifier
 spends 24 queries: 4 direct reads, 3 low-degree tests (6), and two 7-query
 zero tests, plus two local identity checks that cost no extra queries.  All
 queries are issued unconditionally so the count is constant per invocation.
@@ -29,7 +32,7 @@ from typing import Sequence
 from .field import Field
 from .ldt import ldt_check, Verdict
 from .oracles import honest_oracles, LinesOracle, PointOracle
-from .poly import MultiPoly
+from .poly import FactoredPoly, MultiPoly
 from .variety import GrobnerSet, product
 from .zerotest import ZeroProof, ZeroRandomness, zero_prove, zero_verify
 
@@ -243,11 +246,12 @@ class PcpRandomness:
 
 def claim_polynomials(
     inst: PcpInstance, colors: Sequence[int]
-) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+) -> tuple[MultiPoly, FactoredPoly, FactoredPoly]:
     """(χ̂, validity, conflict) for a coloring with legal residues.
 
-    The coloring need not be proper; the conflict polynomial then simply fails
-    to vanish on V×V, which is exactly what soundness experiments want.
+    Validity and conflict are returned as their factors.  The coloring need
+    not be proper; the conflict polynomial then simply fails to vanish on
+    V×V, which is exactly what soundness experiments want.
     """
     variety = inst.gset.variety
     field = inst.field
@@ -255,15 +259,12 @@ def claim_polynomials(
     chi_values += [0] * (len(variety.points) - inst.graph.n)
 
     chi = variety.low_degree_extension(chi_values)
-    validity = chi.mul(chi.add_constant(-1)).mul(chi.add_constant(1))
+    validity = FactoredPoly.product([chi, chi.add_constant(-1), chi.add_constant(1)])
 
     m2 = 2 * inst.m
-    chi_x = chi.shift_vars(m2, 0)
-    chi_y = chi.shift_vars(m2, inst.m)
-    diff = chi_x.sub(chi_y)
-    conflict = inst.edge_poly
-    for c in CONFLICT_OFFSETS:
-        conflict = conflict.mul(diff.add_constant(-c))
+    diff = chi.shift_vars(m2, 0).sub(chi.shift_vars(m2, inst.m))
+    conflict = FactoredPoly.product(
+        [inst.edge_poly] + [diff.add_constant(-c) for c in CONFLICT_OFFSETS])
     return chi, validity, conflict
 
 

@@ -1,8 +1,10 @@
 """Dense multivariate and univariate polynomials over a prime field.
 
 ``MultiPoly`` keeps a map from exponent vectors to nonzero residues plus a
-declared degree cap; ``UniPoly`` is a fixed-length coefficient vector (index =
-power of t, trailing zeros retained) as handed out by lines tables.
+declared degree cap; ``FactoredPoly`` is a sum of products of ``MultiPoly``
+factors that evaluates and restricts factor by factor without multiplying
+out; ``UniPoly`` is a fixed-length coefficient vector (index = power of t,
+trailing zeros retained) as handed out by lines tables.
 
 The canonical monomial order used for matrix columns, coefficient vectors and
 text output is graded lexicographic: monomials grouped by total degree, and
@@ -11,6 +13,7 @@ within a degree block ordered by descending exponent tuple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -41,6 +44,20 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     for k in range(degree + 1):
         out.extend(monomials_exact(nvars, k))
     return out
+
+
+def _powers(point: Sequence[int], maxes: Sequence[int], q: int) -> list[list[int]]:
+    """pows[i][e] = point_i^e mod q for e <= maxes[i]."""
+    pows = []
+    for x, mx in zip(point, maxes):
+        lst = [1] * (mx + 1)
+        x %= q
+        cur = 1
+        for e in range(1, mx + 1):
+            cur = cur * x % q
+            lst[e] = cur
+        pows.append(lst)
+    return pows
 
 
 class DegreeCapError(ValueError):
@@ -193,21 +210,16 @@ class MultiPoly:
             m = self._var_maxes = tuple(acc)
         return m
 
-    def eval(self, point: Sequence[int]) -> int:
+    def eval(self, point: Sequence[int], pows: list[list[int]] | None = None) -> int:
+        """P(point).  ``pows`` is an optional shared table of the point's
+        powers (``_powers``) covering this polynomial's exponents."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
         if not self.terms:
             return 0
         q = self.field.q
-        pows: list[list[int]] = []
-        for i, mx in enumerate(self._maxes()):
-            lst = [1] * (mx + 1)
-            x = point[i] % q
-            cur = 1
-            for e in range(1, mx + 1):
-                cur = cur * x % q
-                lst[e] = cur
-            pows.append(lst)
+        if pows is None:
+            pows = _powers(point, self._maxes(), q)
         total = 0
         for exps, coeff in self.terms.items():
             v = coeff
@@ -217,12 +229,15 @@ class MultiPoly:
             total += v
         return total % q
 
-    def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
+    def restrict(self, a: Sequence[int], b: Sequence[int],
+                 cache: list | None = None) -> "UniPoly":
         """Formal composition P(a + t b), expanded in t.
 
         Purely symbolic — each coordinate of the line is the linear polynomial
         a_i + b_i t and powers are expanded by convolution — so the result is
         exact even when the cap is >= q.  Returns exactly cap+1 coefficients.
+        ``cache`` is an optional per-line table of those powers, initially
+        ``[None] * nvars``, shared by polynomials restricted to the same line.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
@@ -230,7 +245,7 @@ class MultiPoly:
         acc = [0] * (self.cap + 1)
         if not self.terms:
             return UniPoly(self.field, acc)
-        pow_cache: list[list[list[int]] | None] = [None] * self.nvars
+        pow_cache = [None] * self.nvars if cache is None else cache
         for exps, coeff in self.terms.items():
             prod = [coeff]
             for i, e in enumerate(exps):
@@ -260,7 +275,7 @@ class MultiPoly:
             for j, v in enumerate(prod):
                 if v:
                     acc[j] += v
-        return UniPoly(self.field, [x % q for x in acc])
+        return UniPoly(self.field, acc)
 
     # -- text form ----------------------------------------------------------
 
@@ -284,6 +299,119 @@ class MultiPoly:
             else:
                 parts.append(f"{c}*" + "*".join(factors))
         return " + ".join(parts)
+
+
+def _convolve(u: list[int], v: list[int], q: int) -> list[int]:
+    """Coefficients of the product of two univariate coefficient lists."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+    return [c % q for c in out]
+
+
+class FactoredPoly:
+    """Σ_i Π_j f_ij over F_q[x_1..x_m], kept as its ``MultiPoly`` factors.
+
+    ``eval`` and ``restrict`` work factor by factor and combine the results,
+    so a product of a few small factors is never multiplied out.  Restriction
+    along a line is a ring homomorphism F_q[x] -> F_q[t] (a formal
+    composition, see ``MultiPoly.restrict``), so the combined restriction has
+    exactly the coefficients of the expanded polynomial's, also when the cap
+    is >= q.  ``cap`` is the declared degree bound, as for ``MultiPoly``.
+    A lone factor with the same cap answers for the whole directly.
+    """
+
+    __slots__ = ("field", "nvars", "cap", "products", "_lone", "_var_maxes")
+
+    def __init__(self, field: Field, nvars: int,
+                 products: Iterable[Sequence[MultiPoly]], cap: int):
+        self.field = field
+        self.nvars = nvars
+        self.cap = cap
+        self.products = tuple(tuple(factors) for factors in products)
+        for factors in self.products:
+            if not factors:
+                raise ValueError("empty product")
+            for f in factors:
+                if f.field != field or f.nvars != nvars:
+                    raise ValueError("mixed polynomial rings")
+        if self.degree() > cap:
+            raise DegreeCapError(f"degree bound {self.degree()} exceeds cap {cap}")
+        lone = len(self.products) == 1 and len(self.products[0]) == 1
+        self._lone = self.products[0][0] if lone and self.products[0][0].cap == cap else None
+        self._var_maxes = tuple(
+            max((f._maxes()[i] for factors in self.products for f in factors), default=0)
+            for i in range(nvars))
+
+    @classmethod
+    def of(cls, poly: "MultiPoly | FactoredPoly") -> "FactoredPoly":
+        """``poly`` itself if already factored, else its one-factor form."""
+        if isinstance(poly, FactoredPoly):
+            return poly
+        return cls(poly.field, poly.nvars, [(poly,)], poly.cap)
+
+    @classmethod
+    def product(cls, factors: Sequence[MultiPoly]) -> "FactoredPoly":
+        """Π factors, with the cap a multiplication would give it."""
+        return cls(factors[0].field, factors[0].nvars, [factors], sum(f.cap for f in factors))
+
+    def degree(self) -> int:
+        """Degree bound: the largest sum of factor degrees over the products.
+
+        Exact for a single product, since F_q[x] has no zero divisors.
+        """
+        return max((sum(f.degree() for f in factors) for factors in self.products), default=0)
+
+    def with_cap(self, cap: int) -> "FactoredPoly":
+        if self._lone is not None:
+            return FactoredPoly.of(self._lone.with_cap(cap))
+        return FactoredPoly(self.field, self.nvars, self.products, cap)
+
+    def expand(self) -> MultiPoly:
+        """The multiplied-out polynomial, capped at ``cap``."""
+        if self._lone is not None:
+            return self._lone
+        total = MultiPoly.zero(self.field, self.nvars, self.cap)
+        for factors in self.products:
+            total = total.add(functools.reduce(MultiPoly.mul, factors))
+        return total.with_cap(self.cap)
+
+    def eval(self, point: Sequence[int]) -> int:
+        """Σ_i Π_j f_ij(point), the factors sharing one table of powers."""
+        if self._lone is not None:
+            return self._lone.eval(point)
+        if len(point) != self.nvars:
+            raise ValueError(f"point arity {len(point)} != {self.nvars}")
+        q = self.field.q
+        pows = _powers(point, self._var_maxes, q)
+        total = 0
+        for factors in self.products:
+            v = 1
+            for f in factors:
+                v = v * f.eval(point, pows) % q
+            total += v
+        return total % q
+
+    def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
+        """Σ_i Π_j f_ij(a + t b): the factors' restrictions, sharing one
+        table of powers of the line, multiplied and summed.  Returns exactly
+        cap+1 coefficients."""
+        if self._lone is not None:
+            return self._lone.restrict(a, b)
+        q = self.field.q
+        cache = [None] * self.nvars
+        acc = [0] * (self.cap + 1)
+        for factors in self.products:
+            coeffs = factors[0].restrict(a, b, cache).coeffs
+            for f in factors[1:]:
+                coeffs = _convolve(coeffs, f.restrict(a, b, cache).coeffs, q)
+            # coefficients past the product's degree are exactly zero
+            for j, c in enumerate(coeffs):
+                if c:
+                    acc[j] += c
+        return UniPoly(self.field, acc)
 
 
 class UniPoly:

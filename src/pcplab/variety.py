@@ -18,7 +18,9 @@ generating sets directly, which keeps cube- and power-shaped families cheap.
 
 Certificates Σ h_g·g = P are extracted by one exact linear solve over the
 cofactor coefficients, and packaged as the structured polynomial
-M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety verifier.
+M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety verifier, kept as its
+products h_g(x)·y_g (``certificate_factors``) or multiplied out
+(``certificate_poly``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 
 from .field import Field
 from .linalg import IncrementalRank, Matrix, NoSolutionError
-from .poly import MultiPoly, monomials_exact, monomials_upto
+from .poly import FactoredPoly, MultiPoly, monomials_exact, monomials_upto
 
 
 class SpecError(ValueError):
@@ -168,7 +170,7 @@ def phi(gset: GrobnerSet, z: Sequence[int]) -> tuple[int, ...]:
     return gset.phi(z)
 
 
-def vanishes_on(poly: MultiPoly, variety: Variety) -> bool:
+def vanishes_on(poly: MultiPoly | FactoredPoly, variety: Variety) -> bool:
     if poly.nvars != variety.m:
         raise ValueError("polynomial/variety dimension mismatch")
     return all(poly.eval(p) == 0 for p in variety.points)
@@ -415,12 +417,13 @@ def vanishing_certificate(poly: MultiPoly, gens: GrobnerSet | Sequence[MultiPoly
     return Certificate(cofactors, bound)
 
 
-def certificate_poly(cert: Certificate, gens: GrobnerSet | Sequence[MultiPoly],
-                     cap: int | None = None) -> CertificatePoly:
-    """Package a certificate as M(x,y) = Σ h_g(x)·y_g in m+k variables.
+def certificate_factors(cert: Certificate, gens: GrobnerSet | Sequence[MultiPoly],
+                        cap: int | None = None) -> FactoredPoly:
+    """M(x,y) = Σ h_g(x)·y_g in m+k variables, as the products h_g(x)·y_g.
 
-    Every term carries exactly one y variable, so M(x, 0) = 0 structurally,
-    and substituting y_g = g(x) recovers the certified polynomial.
+    Zero cofactors contribute no product.  Every product carries exactly one
+    y variable, so M(x, 0) = 0 structurally, and substituting y_g = g(x)
+    recovers the certified polynomial.
     """
     if isinstance(gens, GrobnerSet):
         gen_list = gens.gens
@@ -434,13 +437,16 @@ def certificate_poly(cert: Certificate, gens: GrobnerSet | Sequence[MultiPoly],
     field = gen_list[0].field
     m = gen_list[0].nvars
     nvars = m + k
-    if cap is None:
-        cap = cert.bound
-    terms: dict[tuple[int, ...], int] = {}
-    for gi, h in enumerate(cert.cofactors):
-        for e, c in h.terms.items():
-            y = [0] * k
-            y[gi] = 1
-            terms[e + tuple(y)] = c
-    poly = MultiPoly(field, nvars, terms, cap)
-    return CertificatePoly(poly, cert.cofactors, m, k)
+    products = [
+        (h.shift_vars(nvars, 0), MultiPoly.variable(field, nvars, m + gi))
+        for gi, h in enumerate(cert.cofactors) if not h.is_zero()
+    ]
+    return FactoredPoly(field, nvars, products, cert.bound if cap is None else cap)
+
+
+def certificate_poly(cert: Certificate, gens: GrobnerSet | Sequence[MultiPoly],
+                     cap: int | None = None) -> CertificatePoly:
+    """``certificate_factors`` multiplied out into one ``MultiPoly``."""
+    factored = certificate_factors(cert, gens, cap)
+    k = len(cert.cofactors)
+    return CertificatePoly(factored.expand(), cert.cofactors, factored.nvars - k, k)

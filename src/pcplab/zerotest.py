@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from .ldt import ldt_check, local_correct, Verdict
 from .oracles import honest_oracles, LinesOracle, PointOracle
-from .poly import MultiPoly
+from .poly import FactoredPoly, MultiPoly
 from .variety import (
     GrobnerSet,
     NoCertificateError,
-    certificate_poly,
+    certificate_factors,
     vanishes_on,
     vanishing_certificate,
 )
@@ -58,13 +58,15 @@ class ZeroRandomness:
         return cls(a, b, alpha, t)
 
 
-def zero_prove(poly: MultiPoly, gset: GrobnerSet, degree: int) -> ZeroProof:
+def zero_prove(poly: MultiPoly | FactoredPoly, gset: GrobnerSet, degree: int) -> ZeroProof:
     """Honest proof that ``poly`` (degree <= ``degree``) vanishes on the variety.
 
-    Builds the certificate, packages it as M, sanity-checks the structural
-    identities symbolically, and exposes lazy honest oracles for M.
+    Checks vanishing on the factors, multiplies ``poly`` out only for the
+    certificate solve, re-checks the certificate identity, and exposes lazy
+    honest oracles that answer M factor by factor.
     """
     variety = gset.variety
+    poly = FactoredPoly.of(poly)
     if poly.nvars != variety.m:
         raise ValueError("polynomial/variety dimension mismatch")
     if poly.degree() > degree:
@@ -72,20 +74,18 @@ def zero_prove(poly: MultiPoly, gset: GrobnerSet, degree: int) -> ZeroProof:
     if not vanishes_on(poly, variety):
         raise NoCertificateError("no certificate: polynomial does not vanish on the variety")
 
-    cert = vanishing_certificate(poly, gset)
-    mpoly = certificate_poly(cert, gset, cap=degree)
+    expanded = poly.expand()
+    cert = vanishing_certificate(expanded, gset)
 
-    # Structural identities. Every term of M carries exactly one y variable,
-    # so M(x, 0) = 0 holds by construction; the substitution identity
-    # M(x, φ(x)) = P is equivalent to the certificate residual, re-checked here.
-    assert all(any(e[variety.m:]) for e in mpoly.poly.terms)
+    # Every product of M carries exactly one y variable, so M(x, 0) = 0 holds
+    # by construction; the substitution identity M(x, φ(x)) = P is equivalent
+    # to the certificate residual, re-checked here.
     recombined = MultiPoly.zero(poly.field, variety.m)
-    for h, g in zip(mpoly.cofactors, gset.gens):
+    for h, g in zip(cert.cofactors, gset.gens):
         recombined = recombined.add(h.mul(g))
-    assert recombined == poly
-    assert mpoly.poly.degree() <= degree
+    assert recombined == expanded
 
-    point, lines = honest_oracles(mpoly.poly, degree)
+    point, lines = honest_oracles(certificate_factors(cert, gset, cap=degree), degree)
     return ZeroProof(point, lines)
 
 

@@ -120,3 +120,15 @@ def test_missing_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_pcp_soundness_on_colorable_graph_exit_2(capsys):
+    # K3 has a proper 3-coloring: the improper-coloring adversaries would
+    # build an honest proof, so the measurement would mean nothing
+    code, _, err = run(capsys, "pcp", "run", "--q", "17",
+                       "--variety", "cube:H=0,1,2;m=1", "--graph", "complete:3",
+                       "--mode", "soundness", "--adversary", "improper-pipeline",
+                       "--trials", "5")
+    assert code == 2
+    assert "config error" in err
+    assert "3-colorable" in err

@@ -1,6 +1,7 @@
 """Field construction, canonical residues, and the arithmetic axioms."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -112,3 +113,27 @@ def test_sampling_uniform_and_nonzero():
     assert 0 not in nz
     pt = f.sample_point(rng, 3)
     assert len(pt) == 3 and all(0 <= x < 5 for x in pt)
+
+
+def test_large_prime_modulus_is_fast():
+    # 2^61 - 1 is prime; trial division would run for minutes
+    start = time.perf_counter()
+    assert Field(2 ** 61 - 1).q == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("composite", [
+    2 ** 61 + 1,
+    3825123056546413051,              # strong pseudoprime to bases 2..23
+    318665857834031151167461,         # strong pseudoprime to bases 2..37
+])
+def test_rejects_strong_pseudoprimes(composite):
+    with pytest.raises(ValueError, match="prime"):
+        Field(composite)
+
+
+def test_rejects_moduli_beyond_exact_primality():
+    with pytest.raises(ValueError, match="too large"):
+        Field(3317044064679887385961981)
+    with pytest.raises(ValueError, match="too large"):
+        Field(2 ** 127 - 1)

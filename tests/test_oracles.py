@@ -1,7 +1,9 @@
 """Point/lines oracles: honesty, corruption wrappers, tables, dumps, counters."""
 
+import hashlib
 import itertools
 import random
+import struct
 import threading
 from fractions import Fraction
 
@@ -234,3 +236,22 @@ def test_dump_rejects_wide_fields(tmp_path):
     table = materialize(honest_oracles(MultiPoly.zero(Field(65537), 1, cap=1), 1)[0])
     with pytest.raises(ValueError):
         dump_table(table, tmp_path / "wide.bin")
+
+
+def test_corruption_digest_wide_field():
+    # q > 2^32: coordinates no longer fit in uint32 and get wider cells
+    field = Field(4294967311)
+    f, lines = honest_oracles(MultiPoly.zero(field, 1, cap=1), 1)
+    spec = CorruptionSpec(delta=0.5, key=77)
+    point = corrupt(f, spec)
+    assert point.query((2 ** 32 + 3,)) in range(field.q)
+    assert len(corrupt(lines, spec).query((2 ** 32 + 3,), (field.q - 1,)).coeffs) == 2
+
+
+def test_corruption_digest_bytes_unchanged_up_to_2_32():
+    from pcplab.oracles import _digest
+
+    for q, payload in ((5, (0, 4, 3)), (257, (256, 1)), (4294967291, (4294967290, 7))):
+        packed = struct.pack(f"<{len(payload)}I", *payload)
+        want = hashlib.blake2b(packed, digest_size=16, key=(99).to_bytes(8, "little")).digest()
+        assert _digest(99, payload, q) == want
