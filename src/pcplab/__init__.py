@@ -8,39 +8,30 @@ low-degree test and local corrector; the 7-query zero-on-variety verifier;
 the 24-query 3-coloring PCP; and an experiment harness with a CLI.
 """
 
-from .field import Field, FieldElement
+from .field import Field
 from .linalg import IncrementalRank, Matrix, NoSolutionError
 from .poly import (
     DegreeCapError,
     FactoredPoly,
-    Line,
     MultiPoly,
     UniPoly,
     distance,
-    interpolate,
-    line_restrict,
     monomials_exact,
     monomials_upto,
     random_poly,
 )
 from .variety import (
     Certificate,
-    CertificatePoly,
     GrobnerSet,
     NoCertificateError,
     SpecError,
     Variety,
     ball1_variety,
     certificate_factors,
-    certificate_poly,
     cube_variety,
-    evaluation_matrix,
     explicit_variety,
-    extension_degree,
     grobner_generating_set,
-    low_degree_extension,
     make_variety,
-    phi,
     power_variety,
     product,
     vanishes_on,
@@ -52,10 +43,7 @@ from .oracles import (
     OracleBudgetError,
     PointOracle,
     corrupt,
-    corrupt_exact,
-    dump_table,
     honest_oracles,
-    load_point_table,
     materialize,
 )
 from .ldt import REJECT, Verdict, ldt_check, local_correct
@@ -74,11 +62,9 @@ from .pcp import (
     PcpRandomness,
     best_effort_coloring,
     claim_polynomials,
-    edge_extension,
     implied_proof_size,
     pcp_prove,
     pcp_verify,
-    pcp_verify_amplified,
     proper_3_coloring,
     validate_coloring,
 )
@@ -100,5 +86,3 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,10 +15,11 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     PRESETS,
+    build_experiment,
+    execute,
     randomness_budget,
-    report_bytes,
-    run_experiment,
 )
+from .pcp import implied_proof_size
 from .variety import make_variety
 
 
@@ -84,17 +85,15 @@ def _cmd_run(args, experiment: str) -> int:
     if experiment == "ldt" and args.local_correct:
         experiment = "lc"
     cfg = _config_from(args, experiment)
-    est, report = run_experiment(cfg, out=args.out or None)
+    exp = build_experiment(cfg)
+    est, _ = execute(exp, out=args.out or None)
     print(f"{experiment} {cfg.mode}: {est.accepts}/{est.trials} accepts, "
           f"rate={est.rate:.6f} ci99=[{est.ci99[0]:.6f},{est.ci99[1]:.6f}] "
           f"queries/trial={est.queries_per_trial} "
           f"bits/trial={est.randomness_bits_per_trial} "
           f"elapsed={est.elapsed_ms}ms")
-    if experiment == "pcp":
-        from .harness import _pcp_instance
-        from .pcp import implied_proof_size
-
-        total = implied_proof_size(_pcp_instance(cfg))["total_bits"]
+    if exp.inst is not None:
+        total = implied_proof_size(exp.inst)["total_bits"]
         digits = len(str(total))
         print(f"implied proof length: {total} bits (~10^{digits - 1}), never materialized")
     if cfg.mode == "completeness" and est.rejects > 0:

@@ -1,10 +1,10 @@
 """Prime-field arithmetic.
 
 Everything downstream works over a fixed odd prime field F_q.  Elements are
-canonical residues in [0, q), stored as plain ints.  ``Field`` bundles the
-modulus with the arithmetic; hot paths (polynomial evaluation, elimination)
-call its int-level methods directly, while ``FieldElement`` is a thin
-operator-overloading wrapper used where infix notation reads better.
+canonical residues in [0, q), stored as plain ints, and callers reduce mod q
+inline.  ``Field`` carries the modulus, decides its primality exactly, and
+provides the two operations that need more than ``%``: inversion and uniform
+sampling of residues and points.
 """
 
 from __future__ import annotations
@@ -76,22 +76,7 @@ class Field:
     def __repr__(self) -> str:
         return f"Field({self.q})"
 
-    # -- residue arithmetic -------------------------------------------------
-
-    def reduce(self, x: int) -> int:
-        return x % self.q
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.q
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.q
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.q
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.q
+    # -- arithmetic and sampling ------------------------------------------
 
     def inv(self, x: int) -> int:
         x %= self.q
@@ -99,23 +84,6 @@ class Field:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
         # Fermat: x^(q-2) is the inverse in a prime field.
         return pow(x, self.q - 2, self.q)
-
-    def pow(self, x: int, k: int) -> int:
-        if k < 0:
-            return pow(self.inv(x), -k, self.q)
-        return pow(x, k, self.q)
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    # -- element construction ----------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
-    def elements(self) -> range:
-        """All residues, 0..q-1."""
-        return range(self.q)
 
     def sample(self, rng: random.Random, nonzero: bool = False) -> int:
         """Uniform residue from the given generator; F_q^x when ``nonzero``."""
@@ -126,86 +94,3 @@ class Field:
     def sample_point(self, rng: random.Random, s: int) -> tuple[int, ...]:
         return tuple(rng.randrange(self.q) for _ in range(s))
 
-
-class FieldElement:
-    """A residue with operator sugar.  ``value`` is always in [0, q)."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: Field):
-        object.__setattr__(self, "value", value % field.q)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed-field arithmetic")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - v, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v - self.value, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * self.field.inv(v), self.field)
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field.pow(self.value, k), self.field)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.q))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.q})"

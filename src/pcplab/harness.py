@@ -1,13 +1,17 @@
-"""Experiment orchestration: Monte Carlo / exhaustive drivers and reports.
+"""Experiment orchestration: one trial loop, adversary registries and reports.
 
 One ExperimentConfig describes a complete run — which verifier (ldt, lc,
 zerotest, pcp), honest vs. adversarial instance, sampled vs. exhaustive
 randomness — and run_experiment turns it into a RateEstimate plus a
-machine-readable report.  Everything downstream of the master seed is
-deterministic: per-trial seeds come from a keyed hash of (master seed, trial
-index), so execution order (or a future parallel driver) cannot change the
-outcome, and two runs with the same config produce byte-identical reports
-(modulo the elapsed_ms field, which is excluded from the canonical encoding).
+machine-readable report.  ``build_experiment`` reduces every experiment to
+one ``Experiment`` record: the counted oracles, how to draw one verifier
+randomness, how to enumerate all of them, and the check of one randomness.
+``execute`` runs any record, sampled or exhaustive, through the same loop.
+Everything downstream of the master seed is deterministic: per-trial seeds
+come from a keyed hash of (master seed, trial index), so execution order (or
+a future parallel driver) cannot change the outcome, and two runs with the
+same config produce byte-identical reports (modulo the elapsed_ms field,
+which is excluded from the canonical encoding).
 
 The reported rate is always the frequency of the *monitored failure event*:
 a verifier Reject, except for the local-correction soundness experiment where
@@ -15,7 +19,7 @@ the event is a silent miscorrection (Accept with a value different from the
 true P(alpha); Rejects there are the benign outcome the bound permits).
 
 Randomness accounting: CountingRng charges ceil(log2 size) bits per draw, and
-the drivers assert after every sampled trial that the bits actually drawn
+the loop asserts after every sampled trial that the bits actually drawn
 equal the closed-form budget, computed once per run from the dimensions of
 the instance the run built (randomness_budget gives the same number for a
 bare config).
@@ -34,13 +38,12 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
+from . import pcp
 from .field import Field
 from .ldt import ldt_check, local_correct
 from .oracles import (
     CorruptionSpec,
-    LinesOracle,
     OracleBudgetError,
-    PointOracle,
     corrupt,
     honest_oracles,
     materialize,
@@ -60,12 +63,12 @@ from .variety import (
     GrobnerSet,
     NoCertificateError,
     make_variety,
-    product,
     vanishes_on,
 )
 from .zerotest import (
     ZeroProof,
     ZeroRandomness,
+    enumerate_randomness,
     randomness_space_size,
     zero_prove,
     zero_verify,
@@ -166,7 +169,12 @@ class RateEstimate:
         return self.trials - self.rejects
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def _validate(cfg: ExperimentConfig) -> Callable | None:
+    """Reject configs whose measurement means nothing; resolve the adversary.
+
+    Returns the soundness adversary from the experiment's registry, or None
+    in completeness mode.
+    """
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.mode not in MODES:
@@ -188,16 +196,32 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment in ("ldt", "lc"):
         if cfg.nvars < 1:
             raise ConfigError(f"{cfg.experiment} experiments need nvars >= 1")
-        if cfg.degree < 0:
-            raise ConfigError("degree must be >= 0")
+        if not 0 <= cfg.degree < cfg.q:
+            raise ConfigError(f"{cfg.experiment} needs 0 <= degree < q = {cfg.q}, "
+                              f"got degree {cfg.degree}")
     if cfg.experiment in ("zerotest", "pcp") and not cfg.variety:
         raise ConfigError(f"{cfg.experiment} experiments need a variety spec")
-    if cfg.experiment == "pcp" and not cfg.graph:
-        raise ConfigError("pcp experiments need a graph")
-    if cfg.mode == "soundness" and cfg.experiment in ("zerotest", "pcp") and not cfg.adversary:
+    if cfg.experiment == "pcp":
+        if not cfg.graph:
+            raise ConfigError("pcp experiments need a graph")
+        if cfg.sampling == "exhaustive":
+            raise ConfigError("the pcp randomness space is far too large to enumerate")
+    registry = ADVERSARIES[cfg.experiment]
+    if cfg.mode == "completeness":
+        if cfg.adversary:
+            raise ConfigError(f"completeness mode runs the honest proof; "
+                              f"adversary {cfg.adversary!r} has no effect")
+        return None
+    # an ldt or lc soundness run that names no adversary corrupts points
+    name = cfg.adversary or ("corrupt-point" if cfg.experiment in ("ldt", "lc") else "")
+    if not name:
         raise ConfigError("soundness mode needs an adversary name")
-    if "corrupt" in cfg.adversary and cfg.delta == 0.0:
-        raise ConfigError(f"adversary {cfg.adversary!r} needs delta > 0")
+    if name not in registry:
+        raise ConfigError(f"unknown {cfg.experiment} adversary {name!r}; "
+                          f"choices: {sorted(registry)}")
+    if "corrupt" in name and cfg.delta == 0.0:
+        raise ConfigError(f"adversary {name!r} needs delta > 0")
+    return registry[name]
 
 
 # -- randomness budget -------------------------------------------------------
@@ -274,9 +298,17 @@ def _pcp_instance(cfg: ExperimentConfig) -> PcpInstance:
 
 
 def random_vanishing_poly(gset: GrobnerSet, degree: int, rng: random.Random) -> MultiPoly:
-    """Random element of the vanishing ideal with certified degree <= degree."""
+    """Random element of the vanishing ideal with certified degree <= degree.
+
+    Raises ConfigError when no generator has degree <= ``degree``: the only
+    such element is then 0, and a proof of it would measure nothing.
+    """
     field = gset.variety.field
     m = gset.variety.m
+    if all(g.degree() > degree for g in gset.gens):
+        raise ConfigError(
+            f"every generator of the vanishing ideal has degree above {degree}, so the "
+            f"only vanishing polynomial of that degree is 0; raise the degree")
     acc = MultiPoly.zero(field, m, cap=degree)
     for g in gset.gens:
         room = degree - g.degree()
@@ -301,6 +333,31 @@ def _zero_zero_proof(field: Field, s: int, degree: int) -> ZeroProof:
 
 # -- adversary registries ----------------------------------------------------
 #
+# ldt and lc adversaries receive the honest pair (f, flines), delta and the
+# instance rng, and return the pair the verifier queries: keyed corruption of
+# a delta-fraction of the point table, the lines table, or both (under keys
+# derived from one draw).
+
+def _corrupting(point: bool, lines: bool) -> Callable:
+    def adversary(f, flines, delta, rng):
+        key = rng.getrandbits(63)
+        if point:
+            f = corrupt(f, CorruptionSpec(delta=delta, key=key))
+        if lines:
+            flines = corrupt(flines, CorruptionSpec(delta=delta, key=key ^ 1))
+        return f, flines
+    return adversary
+
+
+LDT_ADVERSARIES: dict[str, Callable] = {
+    "corrupt-point": _corrupting(True, False),
+    "corrupt-lines": _corrupting(False, True),
+    "corrupt-both": _corrupting(True, True),
+}
+
+LC_ADVERSARIES: dict[str, Callable] = {"corrupt-point": LDT_ADVERSARIES["corrupt-point"]}
+
+
 # Each zerotest adversary receives (gset, degree, delta, rng) and returns the
 # certificate-side ZeroProof; the point function f stays honest for a fixed
 # non-vanishing P, matching the regime the soundness statement quantifies
@@ -336,7 +393,7 @@ def _zt_corrupt_cert(gset, degree, delta, rng) -> ZeroProof:
     table corrupted on a delta-fraction: attacks the low-degree test's
     tolerance as well as the value checks."""
     base = zero_prove(random_vanishing_poly(gset, degree, rng), gset, degree)
-    spec = CorruptionSpec(delta=delta, key=rng.getrandbits(63), mode="point")
+    spec = CorruptionSpec(delta=delta, key=rng.getrandbits(63))
     return ZeroProof(corrupt(base.point, spec), base.lines)
 
 
@@ -396,7 +453,7 @@ def _pcp_corrupt_color(inst, delta, rng) -> PcpProof:
     """Improper pipeline plus a delta-corrupted coloring table: attacks the
     color low-degree test and the validity identity simultaneously."""
     proof = _improper_proof(inst, rng)
-    spec = CorruptionSpec(delta=delta, key=rng.getrandbits(63), mode="point")
+    spec = CorruptionSpec(delta=delta, key=rng.getrandbits(63))
     return replace(proof, color=corrupt(proof.color, spec))
 
 
@@ -417,254 +474,201 @@ PCP_ADVERSARIES: dict[str, Callable] = {
     "zero-certs": _pcp_zero_certs,
 }
 
-
-# -- trial drivers -----------------------------------------------------------
-
-def _total_queries(counted) -> int:
-    return sum(o.queries for o in counted)
-
-
-def _check_space(cfg: ExperimentConfig, size: int) -> None:
-    if size > cfg.budget:
-        raise ConfigError(
-            f"exhaustive space has {size} tuples, above the budget of {cfg.budget}"
-        )
+ADVERSARIES: dict[str, dict[str, Callable]] = {
+    "ldt": LDT_ADVERSARIES,
+    "lc": LC_ADVERSARIES,
+    "zerotest": ZEROTEST_ADVERSARIES,
+    "pcp": PCP_ADVERSARIES,
+}
 
 
-def _run_trials(
-    cfg: ExperimentConfig,
-    counted,
-    trial: Callable[[CountingRng | None], bool],
-    exhaustive_space: Iterable | None,
-    space_size: int,
-    queries_per_rep: int,
-    expected_bits: int,
-) -> tuple[int, int, int, int]:
-    """Shared loop: returns (trials, rejects, queries_per_trial, bits_per_trial).
+# -- experiments -------------------------------------------------------------
 
-    ``expected_bits`` is the closed-form budget for the run's instance;
-    every sampled trial must draw exactly that many bits.
+@dataclass(frozen=True)
+class Experiment:
+    """A built experiment: what one trial draws, queries and decides.
+
+    ``check(r)`` is True on the monitored failure event for one verifier
+    randomness ``r``; ``sample(rng)`` draws one ``r``; ``space()`` enumerates
+    every ``r`` (``space_size`` of them) for exhaustive runs.  ``bits`` is the
+    closed-form verifier bits per trial, reps included.
     """
-    expected_queries = queries_per_rep * cfg.reps
-    rejects = 0
-    if cfg.sampling == "exhaustive":
-        _check_space(cfg, space_size)
-        trials = 0
-        for r in exhaustive_space:
-            before = _total_queries(counted)
-            if trial(r):
-                rejects += 1
-            used = _total_queries(counted) - before
-            if used != expected_queries:
-                raise AssertionError(
-                    f"query count drift: {used} != {expected_queries}")
-            trials += 1
-        if trials != space_size:
-            raise AssertionError("enumeration produced the wrong space size")
-        return trials, rejects, expected_queries, expected_bits
-    for i in range(cfg.trials):
-        rng = CountingRng(trial_seed(cfg.seed, i))
-        before = _total_queries(counted)
-        bad = False
-        for _ in range(cfg.reps):
-            if trial(rng):
-                bad = True
-        if bad:
-            rejects += 1
-        used = _total_queries(counted) - before
-        if used != expected_queries:
-            raise AssertionError(f"query count drift: {used} != {expected_queries}")
-        if rng.bits != expected_bits:
-            raise AssertionError(
-                f"randomness accounting drift: drew {rng.bits} bits, "
-                f"formula says {expected_bits}")
-    return cfg.trials, rejects, expected_queries, expected_bits
+
+    cfg: ExperimentConfig
+    started: float                      # perf_counter() when the build began
+    counted: tuple                      # the oracles a trial queries
+    sample: Callable
+    check: Callable
+    queries_per_rep: int
+    bits: int
+    space: Callable[[], Iterable] | None = None
+    space_size: int = 0
+    inst: PcpInstance | None = None
 
 
-def _maybe_materialize(cfg: ExperimentConfig, point: PointOracle, lines: LinesOracle):
-    """Table-backed copies for exhaustive loops when the domains fit."""
-    try:
-        return materialize(point, cfg.budget), materialize(lines, cfg.budget)
-    except OracleBudgetError:
-        return point, lines
-
-
-def _run_ldt(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
-    field = Field(cfg.q)
-    rng0 = _instance_rng(cfg)
-    p = random_poly(field, cfg.nvars, cfg.degree, rng0)
-    f, flines = honest_oracles(p, cfg.degree)
-    if cfg.mode == "soundness":
-        adv = cfg.adversary or "corrupt-point"
-        if adv not in ("corrupt-point", "corrupt-lines", "corrupt-both"):
-            raise ConfigError(f"unknown ldt adversary {adv!r}")
-        key = rng0.getrandbits(63)
-        if adv in ("corrupt-point", "corrupt-both"):
-            f = corrupt(f, CorruptionSpec(delta=cfg.delta, key=key, mode="point"))
-        if adv in ("corrupt-lines", "corrupt-both"):
-            spec = CorruptionSpec(delta=cfg.delta, key=key ^ 1, mode="lines")
-            flines = corrupt(flines, spec)
-    elif cfg.sampling == "exhaustive":
-        f, flines = _maybe_materialize(cfg, f, flines)
-    counted = [f, flines]
-    q, m = cfg.q, cfg.nvars
-
-    def sampled_trial(rng: CountingRng) -> bool:
-        a = field.sample_point(rng, m)
-        b = field.sample_point(rng, m)
-        t = field.sample(rng, nonzero=True)
-        return not ldt_check(cfg.degree, f, flines, a, b, t).accepted
-
-    if cfg.sampling == "sampled":
-        return _run_trials(cfg, counted, sampled_trial, None, 0, 2, _budget(cfg))
+def _lines_space(q: int, m: int):
+    """Every (a | alpha, b, t) of the ldt and lc verifiers, in lexicographic order."""
     pts = list(itertools.product(range(q), repeat=m))
-    space = ((a, b, t) for a in pts for b in pts for t in range(1, q))
-
-    def enum_trial(r) -> bool:
-        a, b, t = r
-        return not ldt_check(cfg.degree, f, flines, a, b, t).accepted
-
-    return _run_trials(cfg, counted, enum_trial, space, len(pts) ** 2 * (q - 1), 2,
-                       _budget(cfg))
+    for a in pts:
+        for b in pts:
+            for t in range(1, q):
+                yield a, b, t
 
 
-def _run_lc(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
+def _ldt_lc(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
+    """The line test and the local corrector share one randomness shape:
+    a point a (ldt) or alpha (lc), a direction b and a nonzero t."""
     field = Field(cfg.q)
-    rng0 = _instance_rng(cfg)
-    p = random_poly(field, cfg.nvars, cfg.degree, rng0)
-    f, flines = honest_oracles(p, cfg.degree)
-    fixed_alpha = field.sample_point(rng0, cfg.nvars)
-    if cfg.mode == "soundness":
-        adv = cfg.adversary or "corrupt-point"
-        if adv != "corrupt-point":
-            raise ConfigError(f"unknown lc adversary {adv!r}")
-        spec = CorruptionSpec(delta=cfg.delta, key=rng0.getrandbits(63), mode="point")
-        f = corrupt(f, spec)
-    elif cfg.sampling == "exhaustive":
-        f, flines = _maybe_materialize(cfg, f, flines)
-    counted = [f, flines]
-    q, m = cfg.q, cfg.nvars
+    q, m, degree = cfg.q, cfg.nvars, cfg.degree
+    lc = cfg.experiment == "lc"
     soundness = cfg.mode == "soundness"
+    rng0 = _instance_rng(cfg)
+    p = random_poly(field, m, degree, rng0)
+    f, flines = honest_oracles(p, degree)
+    fixed_alpha = field.sample_point(rng0, m) if lc else None
+    if adversary is not None:
+        f, flines = adversary(f, flines, cfg.delta, rng0)
+    elif cfg.sampling == "exhaustive":
+        try:        # table-backed copies, when the domains fit
+            f, flines = materialize(f, cfg.budget), materialize(flines, cfg.budget)
+        except OracleBudgetError:
+            pass
 
-    def check(alpha, b, t) -> bool:
-        v = local_correct(cfg.degree, f, flines, alpha, b, t)
-        truth = p.eval(alpha)
-        if soundness:
-            return v.accepted and v.value != truth      # silent miscorrection
-        return (not v.accepted) or v.value != truth
-
-    def sampled_trial(rng: CountingRng) -> bool:
+    def sample(rng: CountingRng):
         # alpha is the location being corrected — an input, not a coin — so
-        # it comes from an uncounted stream (fixed in soundness mode).
-        if soundness:
-            alpha = fixed_alpha
+        # it is fixed (soundness) or comes from the uncounted stream
+        if not lc:
+            first = field.sample_point(rng, m)
         else:
-            alpha = field.sample_point(rng._rng, m)
-        b = field.sample_point(rng, m)
-        t = field.sample(rng, nonzero=True)
-        return check(alpha, b, t)
+            first = fixed_alpha if soundness else field.sample_point(rng._rng, m)
+        return first, field.sample_point(rng, m), field.sample(rng, nonzero=True)
 
-    if cfg.sampling == "sampled":
-        return _run_trials(cfg, counted, sampled_trial, None, 0, 2, _budget(cfg))
-    pts = list(itertools.product(range(q), repeat=m))
-    space = ((al, b, t) for al in pts for b in pts for t in range(1, q))
+    def check_lc(r) -> bool:
+        alpha, b, t = r
+        v = local_correct(degree, f, flines, alpha, b, t)
+        wrong = v.value != p.eval(alpha)
+        if soundness:
+            return v.accepted and wrong         # silent miscorrection
+        return not v.accepted or wrong
 
-    def enum_trial(r) -> bool:
-        return check(*r)
+    def check_ldt(r) -> bool:
+        a, b, t = r
+        return not ldt_check(degree, f, flines, a, b, t).accepted
 
-    return _run_trials(cfg, counted, enum_trial, space, len(pts) ** 2 * (q - 1), 2,
-                       _budget(cfg))
+    return Experiment(cfg, started, (f, flines), sample, check_lc if lc else check_ldt, 2,
+                      _budget(cfg), lambda: _lines_space(q, m), q ** (2 * m) * (q - 1))
 
 
-def _run_zerotest(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
+def _zerotest(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
     _, gset = _variety_for(cfg)
+    degree = cfg.degree
     rng0 = _instance_rng(cfg)
-    if cfg.mode == "completeness":
-        p = random_vanishing_poly(gset, cfg.degree, rng0)
-        proof = zero_prove(p, gset, cfg.degree)
+    if adversary is None:
+        p = random_vanishing_poly(gset, degree, rng0)
+        proof = zero_prove(p, gset, degree)
     else:
-        if cfg.adversary not in ZEROTEST_ADVERSARIES:
-            raise ConfigError(f"unknown zerotest adversary {cfg.adversary!r}")
-        p = _nonvanishing_poly(gset, cfg.degree, rng0)
-        proof = ZEROTEST_ADVERSARIES[cfg.adversary](gset, cfg.degree, cfg.delta, rng0)
-    f = honest_oracles(p, cfg.degree)[0]
-    counted = [f, proof.point, proof.lines]
-    bits = _budget(cfg, gset.variety.m, gset.complexity)
-
-    def trial_sampled(rng: CountingRng) -> bool:
-        r = ZeroRandomness.sample(gset, rng)
-        return not zero_verify(gset, cfg.degree, f, proof, r).accepted
-
-    if cfg.sampling == "sampled":
-        return _run_trials(cfg, counted, trial_sampled, None, 0, 7, bits)
-
-    from .zerotest import enumerate_randomness
-
-    def trial_enum(r) -> bool:
-        return not zero_verify(gset, cfg.degree, f, proof, r).accepted
-
-    return _run_trials(cfg, counted, trial_enum, enumerate_randomness(gset),
-                       randomness_space_size(gset), 7, bits)
+        p = _nonvanishing_poly(gset, degree, rng0)
+        proof = adversary(gset, degree, cfg.delta, rng0)
+    f = honest_oracles(p, degree)[0]
+    return Experiment(cfg, started, (f, proof.point, proof.lines),
+                      lambda rng: ZeroRandomness.sample(gset, rng),
+                      lambda r: not zero_verify(gset, degree, f, proof, r).accepted, 7,
+                      _budget(cfg, gset.variety.m, gset.complexity),
+                      lambda: enumerate_randomness(gset), randomness_space_size(gset))
 
 
-def _run_pcp(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
+def _pcp(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
     inst = _pcp_instance(cfg)
-    rng0 = _instance_rng(cfg)
-    if cfg.mode == "completeness":
+    if adversary is None:
         colors = proper_3_coloring(inst.graph, inst.field)
         if colors is None:
             raise ConfigError(
                 "graph is not 3-colorable; completeness mode needs a proper coloring")
         proof = pcp_prove(inst, colors)
     else:
-        if cfg.adversary not in PCP_ADVERSARIES:
-            raise ConfigError(f"unknown pcp adversary {cfg.adversary!r}")
-        proof = PCP_ADVERSARIES[cfg.adversary](inst, cfg.delta, rng0)
-    counted = [
-        proof.color, proof.color_lines,
-        proof.validity, proof.validity_lines,
-        proof.validity_cert.point, proof.validity_cert.lines,
-        proof.conflict, proof.conflict_lines,
-        proof.conflict_cert.point, proof.conflict_cert.lines,
-    ]
-    from .pcp import pcp_verify
-
-    def trial(rng: CountingRng) -> bool:
-        r = PcpRandomness.sample(inst, rng)
-        return not pcp_verify(inst, proof, r).accepted
-
-    bits = _budget(cfg, inst.m, inst.k, inst.kprime)
-    if cfg.sampling == "exhaustive":
-        raise ConfigError(
-            f"pcp randomness space of about 2^{bits} tuples cannot be enumerated")
-    return _run_trials(cfg, counted, trial, None, 0, 24, bits)
+        proof = adversary(inst, cfg.delta, _instance_rng(cfg))
+    counted = (proof.color, proof.color_lines, proof.validity, proof.validity_lines,
+               proof.validity_cert.point, proof.validity_cert.lines,
+               proof.conflict, proof.conflict_lines,
+               proof.conflict_cert.point, proof.conflict_cert.lines)
+    verify = pcp.pcp_verify
+    return Experiment(cfg, started, counted, lambda rng: PcpRandomness.sample(inst, rng),
+                      lambda r: not verify(inst, proof, r).accepted, 24,
+                      _budget(cfg, inst.m, inst.k, inst.kprime), inst=inst)
 
 
-_DISPATCH = {
-    "ldt": _run_ldt,
-    "lc": _run_lc,
-    "zerotest": _run_zerotest,
-    "pcp": _run_pcp,
-}
+_BUILDERS = {"ldt": _ldt_lc, "lc": _ldt_lc, "zerotest": _zerotest, "pcp": _pcp}
 
 
-# -- reports -----------------------------------------------------------------
+def build_experiment(cfg: ExperimentConfig) -> Experiment:
+    """Validate cfg and build its instance, proof and trial functions."""
+    started = time.perf_counter()
+    adversary = _validate(cfg)
+    return _BUILDERS[cfg.experiment](cfg, adversary, started)
+
 
 def run_experiment(cfg: ExperimentConfig, out: str | Path | None = None
                    ) -> tuple[RateEstimate, dict]:
     """Execute cfg; optionally write the JSON report to ``out``."""
-    _validate(cfg)
-    start = time.perf_counter()
-    trials, rejects, queries, bits = _DISPATCH[cfg.experiment](cfg)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    return execute(build_experiment(cfg), out)
+
+
+def _total_queries(counted) -> int:
+    return sum(o.queries for o in counted)
+
+
+def execute(exp: Experiment, out: str | Path | None = None
+            ) -> tuple[RateEstimate, dict]:
+    """Run every trial of a built experiment; optionally write the JSON
+    report to ``out``.
+
+    Sampled trials draw from a per-trial CountingRng and must draw exactly
+    the closed-form bits; exhaustive runs enumerate the whole space once.
+    Every trial must spend exactly the queries the verifier promises.
+    """
+    cfg = exp.cfg
+    exhaustive = cfg.sampling == "exhaustive"
+    if exhaustive:
+        if exp.space_size > cfg.budget:
+            raise ConfigError(f"exhaustive space has {exp.space_size} tuples, "
+                              f"above the budget of {cfg.budget}")
+        inputs, size = exp.space(), exp.space_size
+    else:
+        inputs, size = range(cfg.trials), cfg.trials
+    sample, check, counted, reps = exp.sample, exp.check, exp.counted, cfg.reps
+    expected_queries = exp.queries_per_rep * reps
+    trials = rejects = 0
+    for x in inputs:
+        before = _total_queries(counted)
+        if exhaustive:
+            bad = check(x)
+        else:
+            rng = CountingRng(trial_seed(cfg.seed, x))
+            bad = False
+            for _ in range(reps):
+                if check(sample(rng)):
+                    bad = True
+            if rng.bits != exp.bits:
+                raise AssertionError(
+                    f"randomness accounting drift: drew {rng.bits} bits, "
+                    f"formula says {exp.bits}")
+        if bad:
+            rejects += 1
+        used = _total_queries(counted) - before
+        if used != expected_queries:
+            raise AssertionError(f"query count drift: {used} != {expected_queries}")
+        trials += 1
+    if trials != size:
+        raise AssertionError("enumeration produced the wrong space size")
+    elapsed_ms = int((time.perf_counter() - exp.started) * 1000)
     est = RateEstimate(
         trials=trials,
         rejects=rejects,
         rate=rejects / trials,
         ci95=wilson(rejects, trials, Z95),
         ci99=wilson(rejects, trials, Z99),
-        queries_per_trial=queries,
-        randomness_bits_per_trial=bits,
+        queries_per_trial=expected_queries,
+        randomness_bits_per_trial=exp.bits,
         elapsed_ms=elapsed_ms,
     )
     report = {
@@ -685,6 +689,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | Path | None = None
         Path(out).write_bytes(report_bytes(report, include_elapsed=True))
     return est, report
 
+
+# -- reports -----------------------------------------------------------------
 
 def report_bytes(report: dict, include_elapsed: bool = False) -> bytes:
     """Canonical JSON encoding; elapsed_ms is excluded by default so equal

@@ -40,10 +40,6 @@ class Matrix:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -104,10 +100,6 @@ class Matrix:
             if r == len(rows):
                 break
         return rows, pivots
-
-    def rref(self) -> tuple["Matrix", list[int]]:
-        rows, pivots = self._rref([row[:] for row in self.rows])
-        return Matrix(self.field, rows), pivots
 
     def rank(self) -> int:
         _, pivots = self._rref([row[:] for row in self.rows])

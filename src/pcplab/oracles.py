@@ -10,9 +10,11 @@ evaluating or restricting each factor and combining the results, so a
 product such as the PCP's conflict polynomial or a sum such as a
 zero-on-variety certificate is never multiplied out to be queried.
 
-Corruption wrappers flip a keyed pseudorandom δ-fraction of entries by adding
-a nonzero offset, so the corrupted set is exactly the disagreement set and is
-a pure function of (key, input), independent of query order.
+Three kinds of oracle sit behind one query interface: honest ones,
+table-backed copies made by ``materialize``, and corruption wrappers, which
+flip a keyed pseudorandom δ-fraction of entries by adding a nonzero offset, so
+the corrupted set is exactly the disagreement set and is a pure function of
+(key, input), independent of query order.
 
 Every oracle counts its queries (one increment per query, lock-protected);
 the verifiers' per-invocation totals are checked against these counters.
@@ -22,11 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import random
-import struct
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .field import Field
@@ -184,21 +183,14 @@ def materialize(oracle: PointOracle | LinesOracle, budget: int = 10 ** 6):
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """Keyed δ-fraction corruption.
-
-    ``mode`` records which half of an oracle pair a harness adversary touches;
-    ``corrupt`` itself always corrupts the oracle it is handed.
-    """
+    """Keyed δ-fraction corruption of whichever oracle ``corrupt`` is handed."""
 
     delta: float
     key: int
-    mode: str = "point"  # point | lines | both
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
-        if self.mode not in ("point", "lines", "both"):
-            raise ValueError(f"unknown corruption mode {self.mode!r}")
 
 
 def _digest(key: int, payload: tuple[int, ...], q: int) -> bytes:
@@ -259,59 +251,3 @@ def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
         return CorruptPointOracle(base, spec)
     return CorruptLinesOracle(base, spec)
 
-
-def corrupt_exact(base: PointOracle, count: int, key: int,
-                  budget: int = 10 ** 6) -> TablePointOracle:
-    """Materialized corruption of exactly ``count`` points (keyed choice).
-
-    Used when an experiment needs a known exact distance from the base.
-    """
-    table_oracle = materialize(base, budget)
-    domain = sorted(table_oracle.table)
-    if not 0 <= count <= len(domain):
-        raise ValueError("corruption count out of range")
-    rng = random.Random(key)
-    chosen = rng.sample(range(len(domain)), count)
-    q = base.field.q
-    table = dict(table_oracle.table)
-    for i in chosen:
-        p = domain[i]
-        offset = 1 + rng.randrange(q - 1)
-        table[p] = (table[p] + offset) % q
-    return TablePointOracle(base.field, base.s, base.degree, table)
-
-
-# -- debug dumps -------------------------------------------------------------
-
-_HEADER = struct.Struct("<HHH")  # (s, degree, q), 16-bit each
-
-
-def dump_table(oracle: TablePointOracle | TableLinesOracle, path: str | Path) -> None:
-    """Binary golden dump: header (s, d, q), then row-major 16-bit residues.
-
-    Point tables store one residue per domain point; lines tables store the
-    d+1 coefficients of each entry.  Domain enumeration is lexicographic.
-    """
-    q = oracle.field.q
-    if q >= 1 << 16:
-        raise ValueError("dump format is 16-bit per residue")
-    s = oracle.s
-    out = bytearray(_HEADER.pack(s, oracle.degree, q))
-    if isinstance(oracle, TablePointOracle):
-        for p in itertools.product(range(q), repeat=s):
-            out += struct.pack("<H", oracle.table[p])
-    else:
-        for a in itertools.product(range(q), repeat=s):
-            for b in itertools.product(range(q), repeat=s):
-                entry = oracle.table[(a, b)]
-                out += struct.pack(f"<{len(entry.coeffs)}H", *entry.coeffs)
-    Path(path).write_bytes(bytes(out))
-
-
-def load_point_table(path: str | Path) -> TablePointOracle:
-    blob = Path(path).read_bytes()
-    s, degree, q = _HEADER.unpack_from(blob)
-    field = Field(q)
-    values = struct.unpack_from(f"<{q ** s}H", blob, _HEADER.size)
-    table = dict(zip(itertools.product(range(q), repeat=s), values))
-    return TablePointOracle(field, s, degree, table)

@@ -180,6 +180,7 @@ class PcpInstance:
 
 
 def _edge_extension(gset2: GrobnerSet, variety, graph: Graph) -> MultiPoly:
+    """Low-degree extension over V×V of the symmetric 0/1 edge indicator."""
     m = variety.m
     values = []
     for pp in gset2.variety.points:
@@ -188,13 +189,6 @@ def _edge_extension(gset2: GrobnerSet, variety, graph: Graph) -> MultiPoly:
         inside = i < graph.n and j < graph.n
         values.append(1 if inside and graph.has_edge(i, j) else 0)
     return gset2.variety.low_degree_extension(values)
-
-
-def edge_extension(gset: GrobnerSet, graph: Graph) -> MultiPoly:
-    """Low-degree extension over V×V of the symmetric 0/1 edge indicator."""
-    variety = gset.variety
-    _, gset2 = product(variety, gset, variety, gset)
-    return _edge_extension(gset2, variety, graph)
 
 
 CONFLICT_OFFSETS = (1, -1, 2, -2)
@@ -322,18 +316,6 @@ def pcp_verify(inst: PcpInstance, proof: PcpProof, r: PcpRandomness) -> Verdict:
         and validity_ok and conflict_ok
         and z_validity.accepted and z_conflict.accepted
     )
-    return Verdict(ok)
-
-
-def pcp_verify_amplified(inst: PcpInstance, proof: PcpProof, reps: int, rng) -> Verdict:
-    """Reject iff any of ``reps`` independent invocations rejects."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    ok = True
-    for _ in range(reps):
-        r = PcpRandomness.sample(inst, rng)
-        if not pcp_verify(inst, proof, r).accepted:
-            ok = False
     return Verdict(ok)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -105,18 +104,11 @@ class MultiPoly:
 
     @classmethod
     def from_vector(cls, field: Field, nvars: int, degree: int, coeffs: Sequence[int]) -> "MultiPoly":
-        """Inverse of ``to_vector``: coefficients in graded-lex order up to ``degree``."""
+        """From coefficients in graded-lex order (``monomials_upto(nvars, degree)``)."""
         monos = monomials_upto(nvars, degree)
         if len(coeffs) != len(monos):
             raise ValueError(f"expected {len(monos)} coefficients, got {len(coeffs)}")
         return cls(field, nvars, dict(zip(monos, coeffs)), degree)
-
-    def to_vector(self, degree: int | None = None) -> list[int]:
-        d = self.cap if degree is None else degree
-        if self.degree() > d:
-            raise DegreeCapError(f"degree {self.degree()} does not fit vector bound {d}")
-        monos = monomials_upto(self.nvars, d)
-        return [self.terms.get(e, 0) for e in monos]
 
     # -- structure ----------------------------------------------------------
 
@@ -443,12 +435,6 @@ class UniPoly:
     def at_zero(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    def resized(self, bound: int) -> "UniPoly":
-        if bound + 1 < len(self.coeffs) and any(self.coeffs[bound + 1:]):
-            raise DegreeCapError("cannot truncate nonzero coefficients")
-        out = self.coeffs[: bound + 1] + [0] * (bound + 1 - len(self.coeffs))
-        return UniPoly(self.field, out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, UniPoly)
@@ -463,89 +449,10 @@ class UniPoly:
         return f"UniPoly({self.coeffs})"
 
 
-@dataclass(frozen=True)
-class Line:
-    """ℓ_{a,b}(t) = a + t b in F_q^s."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
-            raise ValueError("base and slope have different dimensions")
-
-    def at(self, t: int, field: Field) -> tuple[int, ...]:
-        q = field.q
-        return tuple((x + t * y) % q for x, y in zip(self.a, self.b))
-
-
-def line_restrict(poly: MultiPoly, line: Line) -> UniPoly:
-    """Lines-table entry for ``poly`` along ``line`` (symbolic composition)."""
-    return poly.restrict(line.a, line.b)
-
-
-def interpolate(field: Field, points: Iterable[tuple[int, int]], degree: int) -> UniPoly:
-    """Lagrange interpolation through ``points``, degree bound ``degree``.
-
-    Needs degree+1 distinct abscissae and degree < q.  If more points are
-    supplied, the extras must lie on the interpolant.
-    """
-    pts = [(x % field.q, y % field.q) for x, y in points]
-    if degree >= field.q:
-        raise ValueError(f"degree {degree} needs {degree + 1} distinct abscissae but q={field.q}")
-    seen = set()
-    for x, _ in pts:
-        if x in seen:
-            raise ValueError(f"duplicate abscissa {x}")
-        seen.add(x)
-    if len(pts) < degree + 1:
-        raise ValueError(f"need at least {degree + 1} points, got {len(pts)}")
-    q = field.q
-    nodes = pts[: degree + 1]
-    acc = [0] * (degree + 1)
-    for i, (xi, yi) in enumerate(nodes):
-        if yi == 0:
-            continue
-        # basis polynomial prod_{j != i} (t - x_j) / (x_i - x_j)
-        num = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(nodes):
-            if j == i:
-                continue
-            nxt = [0] * (len(num) + 1)
-            for k, v in enumerate(num):
-                nxt[k] = (nxt[k] - v * xj) % q
-                nxt[k + 1] = v
-            num = nxt
-            denom = denom * (xi - xj) % q
-        scale = yi * field.inv(denom) % q
-        for k, v in enumerate(num):
-            acc[k] = (acc[k] + v * scale) % q
-    result = UniPoly(field, acc)
-    for x, y in pts[degree + 1:]:
-        if result.eval(x) != y:
-            raise ValueError("points do not lie on a single degree-bounded polynomial")
-    return result
-
-
-def random_poly(
-    field: Field,
-    nvars: int,
-    degree: int,
-    rng: random.Random,
-    require_top: bool = False,
-) -> MultiPoly:
-    """Coefficient-uniform polynomial of degree <= ``degree``.
-
-    With ``require_top``, redraw until some degree-``degree`` coefficient is
-    nonzero (so the actual degree equals the bound).
-    """
-    monos = monomials_upto(nvars, degree)
-    top = [e for e in monos if sum(e) == degree]
-    while True:
-        terms = {e: field.sample(rng) for e in monos}
-        if not require_top or any(terms[e] for e in top):
-            return MultiPoly(field, nvars, terms, degree)
+def random_poly(field: Field, nvars: int, degree: int, rng: random.Random) -> MultiPoly:
+    """Coefficient-uniform polynomial of degree <= ``degree``."""
+    terms = {e: field.sample(rng) for e in monomials_upto(nvars, degree)}
+    return MultiPoly(field, nvars, terms, degree)
 
 
 def distance(f, g, mode: str = "exact", samples: int | None = None,

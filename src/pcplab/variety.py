@@ -19,8 +19,7 @@ generating sets directly, which keeps cube- and power-shaped families cheap.
 Certificates Σ h_g·g = P are extracted by one exact linear solve over the
 cofactor coefficients, and packaged as the structured polynomial
 M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety verifier, kept as its
-products h_g(x)·y_g (``certificate_factors``) or multiplied out
-(``certificate_poly``).
+products h_g(x)·y_g (``certificate_factors``; ``expand()`` multiplies it out).
 """
 
 from __future__ import annotations
@@ -134,18 +133,6 @@ class Variety:
         return MultiPoly.from_vector(self.field, self.m, self.extension_degree, coeffs)
 
 
-def evaluation_matrix(variety: Variety, degree: int) -> Matrix:
-    return variety.evaluation_matrix(degree)
-
-
-def extension_degree(variety: Variety) -> int:
-    return variety.extension_degree
-
-
-def low_degree_extension(variety: Variety, values: Sequence[int]) -> MultiPoly:
-    return variety.low_degree_extension(values)
-
-
 @dataclass(frozen=True)
 class GrobnerSet:
     """Generating set of the vanishing ideal, in a fixed order.
@@ -164,10 +151,6 @@ class GrobnerSet:
     def phi(self, z: Sequence[int]) -> tuple[int, ...]:
         """Generator-evaluation embedding z ↦ (g(z) : g ∈ 𝔊)."""
         return tuple(g.eval(z) for g in self.gens)
-
-
-def phi(gset: GrobnerSet, z: Sequence[int]) -> tuple[int, ...]:
-    return gset.phi(z)
 
 
 def vanishes_on(poly: MultiPoly | FactoredPoly, variety: Variety) -> bool:
@@ -341,16 +324,6 @@ class Certificate:
     bound: int  # deg(h_g · g) <= bound = deg(P)
 
 
-@dataclass(frozen=True)
-class CertificatePoly:
-    """M(x, y) = Σ h_g(x)·y_g over m+k variables, cofactors retained."""
-
-    poly: MultiPoly
-    cofactors: tuple[MultiPoly, ...]
-    m: int
-    k: int
-
-
 def vanishing_certificate(poly: MultiPoly, gens: GrobnerSet | Sequence[MultiPoly]
                           ) -> Certificate:
     """Solve for cofactors h_g with Σ h_g·g = P and deg(h_g·g) <= deg(P).
@@ -443,10 +416,3 @@ def certificate_factors(cert: Certificate, gens: GrobnerSet | Sequence[MultiPoly
     ]
     return FactoredPoly(field, nvars, products, cert.bound if cap is None else cap)
 
-
-def certificate_poly(cert: Certificate, gens: GrobnerSet | Sequence[MultiPoly],
-                     cap: int | None = None) -> CertificatePoly:
-    """``certificate_factors`` multiplied out into one ``MultiPoly``."""
-    factored = certificate_factors(cert, gens, cap)
-    k = len(cert.cofactors)
-    return CertificatePoly(factored.expand(), cert.cofactors, factored.nvars - k, k)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, printed summaries."""
 
 import json
+import signal
 
 import pytest
 
@@ -96,6 +97,55 @@ def test_exhaustive_budget_error_exit_2(capsys):
                        "--sampling", "exhaustive", "--enum-budget", "100")
     assert code == 2
     assert "config error" in err
+
+
+VACUOUS_ZEROTEST = ["zerotest", "run", "--q", "5", "--variety", "cube:H=0,1,2;m=1",
+                    "--degree", "1", "--trials", "20"]
+LDT_FLAGS = ["--q", "5", "--nvars", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the cube's only generator has degree 3 > 1: nothing nonzero to prove
+    VACUOUS_ZEROTEST,
+    VACUOUS_ZEROTEST + ["--mode", "soundness", "--adversary", "inconsistent-lines"],
+    # degree tag >= q
+    ["ldt", "run", *LDT_FLAGS, "--degree", "7"],
+    # the default corrupt-point adversary at delta = 0 measures honest oracles
+    ["ldt", "run", *LDT_FLAGS, "--degree", "2", "--mode", "soundness"],
+    ["ldt", "run", *LDT_FLAGS, "--degree", "2", "--mode", "soundness", "--local-correct"],
+    # an adversary that completeness mode would ignore
+    ["ldt", "run", *LDT_FLAGS, "--degree", "2", "--adversary", "bogus"],
+])
+def test_meaningless_runs_exit_2(capsys, argv):
+    def hang(signum, frame):
+        raise TimeoutError("run did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["ldt", *LDT_FLAGS, "--degree", "7"],
+    ["ldt", *LDT_FLAGS, "--degree", "2", "--mode", "soundness"],
+    ["ldt", *LDT_FLAGS, "--degree", "2", "--adversary", "bogus"],
+    ["pcp", "--q", "17", "--variety", "cube:H=0,1,2;m=1", "--graph", "complete:3",
+     "--sampling", "exhaustive"],
+])
+def test_budget_rejects_what_a_run_rejects(capsys, flags):
+    code, _, err = run(capsys, "budget", *flags)
+    assert code == 2
+    assert err.startswith("config error: ")
+    code, _, err = run(capsys, flags[0], "run", *flags[1:])
+    assert code == 2
+    assert err.startswith("config error: ")
 
 
 def test_budget_subcommand(capsys):

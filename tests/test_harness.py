@@ -1,6 +1,7 @@
 """Experiment harness: intervals, seeds, budgets, drivers, reports, presets."""
 
 import csv
+import hashlib
 import json
 import math
 import random
@@ -253,6 +254,23 @@ def test_reps_multiply_queries_and_bits():
     dict(experiment="pcp", q=5, variety="ball1:n=2"),
     dict(experiment="ldt", q=5, nvars=1, mode="soundness",
          adversary="corrupt-point", delta=0.0),
+    # degree tags >= q, where the line test's soundness bounds do not apply
+    dict(experiment="ldt", q=5, nvars=1, degree=7),
+    dict(experiment="lc", q=5, nvars=1, degree=5),
+    # soundness with the default corrupt-point adversary at delta = 0
+    dict(experiment="ldt", q=5, nvars=1, degree=2, mode="soundness"),
+    dict(experiment="lc", q=5, nvars=1, degree=2, mode="soundness"),
+    # an adversary named in completeness mode would be ignored
+    dict(experiment="ldt", q=5, nvars=1, degree=2, adversary="bogus"),
+    dict(experiment="zerotest", q=5, variety="cube:H=0,1;m=1", degree=2,
+         adversary="wrong-poly"),
+    # unknown adversaries are rejected before anything is built
+    dict(experiment="ldt", q=5, nvars=1, degree=2, mode="soundness",
+         adversary="bogus", delta=0.1),
+    dict(experiment="lc", q=5, nvars=1, degree=2, mode="soundness",
+         adversary="corrupt-lines", delta=0.1),
+    dict(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1", graph="complete:3",
+         sampling="exhaustive"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -359,6 +377,21 @@ def test_adversary_registries():
     assert set(PCP_ADVERSARIES) == {"improper-pipeline", "corrupt-color", "zero-certs"}
 
 
+def test_random_vanishing_poly_rejects_degree_below_every_generator():
+    # the cube's one generator x(x-1)(x-2) has degree 3: below that, the only
+    # vanishing polynomial is 0 and its proof would pass vacuously
+    _, gset = make_variety(Field(5), "cube:H=0,1,2;m=1")
+    with pytest.raises(ConfigError):
+        random_vanishing_poly(gset, 2, random.Random(0))
+    assert random_vanishing_poly(gset, 3, random.Random(0)).degree() == 3
+    for mode, adversary in (("completeness", ""), ("soundness", "inconsistent-lines"),
+                            ("soundness", "wrong-poly")):
+        cfg = ExperimentConfig(experiment="zerotest", q=5, variety="cube:H=0,1,2;m=1",
+                               degree=1, mode=mode, adversary=adversary, trials=5)
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
+
+
 def test_random_vanishing_poly_vanishes():
     _, gset = make_variety(Field(5), "ball1:n=2")
     rng = random.Random(17)
@@ -401,3 +434,99 @@ def test_presets_are_runnable():
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         preset("imaginary")
+
+
+# -- pinned report bytes ------------------------------------------------------
+#
+# One small run per experiment, mode and sampling the harness accepts, and one
+# per adversary (ldt 3, lc 1, zerotest 5, pcp 3), with the SHA-256 of each
+# canonical report.  The pins were taken before the four experiment drivers
+# were merged into one loop, so they prove that the loop draws, queries and
+# counts in the same order.
+
+_LDT = dict(experiment="ldt", q=5, nvars=2, degree=2, trials=40)
+_LDT_X = dict(experiment="ldt", q=5, nvars=1, degree=2, sampling="exhaustive")
+_LC = dict(_LDT, experiment="lc")
+_LC_X = dict(_LDT_X, experiment="lc")
+_ZT = dict(experiment="zerotest", q=5, variety="ball1:n=2", degree=2, trials=40)
+_ZT_X = dict(experiment="zerotest", q=3, variety="cube:H=0,1;m=1", degree=2,
+             sampling="exhaustive")
+_PCP = dict(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1", graph="complete:3",
+            trials=10)
+_PCP_BAD = dict(experiment="pcp", q=17, variety="cube:H=0,1,2,3;m=1",
+                graph="complete:4", mode="soundness", trials=10)
+_SOUND = dict(mode="soundness")
+
+PINNED_REPORTS = [
+    (dict(_LDT, seed=1, reps=2),
+     "ba2018c1a0bfdafdb67ef41403bbfc28fc6f8716f1ccf2e6a45c064f085e7b1a"),
+    (dict(_LDT_X, seed=2),
+     "f5376e8bbfcccecf9291110c3439ffde050c87fd0a68018cb1048a8549b6bba9"),
+    (dict(_LDT, **_SOUND, seed=3, delta=0.2),
+     "87ffabde45fa152db09bd38eace4810fc2003c15fbb9239d9712d3f8083cf854"),
+    (dict(_LDT, **_SOUND, seed=4, adversary="corrupt-point", delta=0.2),
+     "8ff7aaeb4d3c1c4159830d98e3c82e249ab505282e789e92b0b27a29cd2f87f9"),
+    (dict(_LDT, **_SOUND, seed=5, adversary="corrupt-lines", delta=0.2),
+     "c65975513cdac7e3b7b12b1ee009c0b4c09317c3520588c1a9a58a9aeb677725"),
+    (dict(_LDT, **_SOUND, seed=6, adversary="corrupt-both", delta=0.2),
+     "ac1a3caa05947cf33bf570543e474616fd84cafdcfd2d3b62e14ef73cda2c651"),
+    (dict(_LDT_X, **_SOUND, seed=7, adversary="corrupt-both", delta=0.3),
+     "d2003bfc0f14ee261322f443e9c39652a7d4cf1e8d7d4e4374537950bec97460"),
+    (dict(_LC, seed=8, reps=2),
+     "a1a599bc22cbdc8ed1aed9098ee2dbf88a45abbaed327bd78c07a207ede4ad4e"),
+    (dict(_LC_X, seed=9),
+     "7111e08eb811b480090e5de2718a340a4065dfee1bbd8fb045951ad093398ea2"),
+    (dict(_LC, **_SOUND, seed=10, adversary="corrupt-point", delta=0.3),
+     "b358f37093a02faabf8eb3caf5e26cf028a7a654ac1920b07ab4aa09a256faee"),
+    (dict(_LC_X, **_SOUND, seed=11, adversary="corrupt-point", delta=0.4),
+     "ee67faf521f9ac3f16f0948af2eacc880cce89593e8fb3736f3fe3cc7f513422"),
+    (dict(_LC, **_SOUND, seed=12, delta=0.3),
+     "9f9bcf29bc0052abc3c697fce3ca4346addf4ea3d002809f5dcdd8fb2a379242"),
+    (dict(_ZT, seed=13, reps=2),
+     "08c135aa1668d99f6616b4910bfdc3992516c19e6af099ef2822bff1f3a5ec23"),
+    (dict(_ZT_X, seed=14),
+     "19d585515618dbbd217854a6eacf2e2ebad81e194ae4cd89efdb2ceb1cd62788"),
+    (dict(_ZT, **_SOUND, seed=15, adversary="wrong-poly"),
+     "2044f3163ccade7a85b8f841cd2920ac16aab363b6e94c24a44f62581eab2e59"),
+    (dict(_ZT, **_SOUND, seed=16, adversary="zero-cert"),
+     "c3e6043722ebe5bab8a31834fceb98a54dfee6b6498f9bf47dd55526bebe46f4"),
+    (dict(_ZT, **_SOUND, seed=17, adversary="random-cert"),
+     "c3c4094d958d3e38c44056018849bd8aa5a91d545ba277a6ae61007d194c60c3"),
+    (dict(_ZT, **_SOUND, seed=18, adversary="corrupt-cert", delta=0.2),
+     "973113bfec15277cef025749ce6a8aea0e45e2c7b32369732b20efa8066aceb2"),
+    (dict(_ZT, **_SOUND, seed=19, adversary="inconsistent-lines"),
+     "9490f0534a4ac86de90b6c71e872ecdf8a6c657c57603852adcc36585a9b6f89"),
+    (dict(_ZT_X, **_SOUND, seed=20, adversary="corrupt-cert", delta=0.3),
+     "d072a0c49106f09969edba239795bc05ac7a18d1869e2da28a9ace4efa3f57f1"),
+    (dict(_PCP, seed=21, reps=2),
+     "45c15dd5587c1d094c6f62ca074161ee25578e0bbc1a5c9dde7203970dd0c214"),
+    (dict(_PCP_BAD, seed=22, adversary="improper-pipeline"),
+     "ef287ae3e430d8cd3d86074e82bad979fcd3bba3d898600e3288c65ec749fc36"),
+    (dict(_PCP_BAD, seed=23, adversary="corrupt-color", delta=0.1),
+     "88d8389e7436902fa8a40e41ba90456b48f10abd796fa6f6320580c972ff1246"),
+    (dict(_PCP_BAD, seed=24, adversary="zero-certs"),
+     "0b279ae6c50eda10682b4126ae922a1b0ec3e5da62d2f730f8f1157c29dbd030"),
+]
+
+
+def test_pinned_reports_cover_every_run_shape():
+    shapes = {(c["experiment"], c.get("mode", "completeness"),
+               c.get("sampling", "sampled")) for c, _ in PINNED_REPORTS}
+    for experiment in ("ldt", "lc", "zerotest"):
+        for mode in ("completeness", "soundness"):
+            for sampling in ("sampled", "exhaustive"):
+                assert (experiment, mode, sampling) in shapes
+    assert ("pcp", "completeness", "sampled") in shapes
+    assert ("pcp", "soundness", "sampled") in shapes
+    named = {(c["experiment"], c["adversary"]) for c, _ in PINNED_REPORTS if "adversary" in c}
+    assert {a for e, a in named if e == "ldt"} == {"corrupt-point", "corrupt-lines",
+                                                  "corrupt-both"}
+    assert {a for e, a in named if e == "lc"} == {"corrupt-point"}
+    assert {a for e, a in named if e == "zerotest"} == set(ZEROTEST_ADVERSARIES)
+    assert {a for e, a in named if e == "pcp"} == set(PCP_ADVERSARIES)
+
+
+def test_pinned_report_bytes():
+    for cfg, pin in PINNED_REPORTS:
+        _, report = run_experiment(ExperimentConfig(**cfg))
+        assert hashlib.sha256(report_bytes(report)).hexdigest() == pin, cfg

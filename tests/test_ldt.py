@@ -11,7 +11,6 @@ from pcplab.ldt import REJECT, Verdict, ldt_check, local_correct
 from pcplab.oracles import (
     CorruptionSpec,
     corrupt,
-    corrupt_exact,
     honest_oracles,
     materialize,
 )
@@ -75,6 +74,16 @@ def test_lines_table_for_wrong_polynomial_is_caught():
     assert rejections > 0
 
 
+def corrupt_table(f, count, key):
+    """Materialized copy of ``f`` with exactly ``count`` keyed points shifted."""
+    table = materialize(f)
+    q = f.field.q
+    rng = random.Random(key)
+    for x in rng.sample(sorted(table.table), count):
+        table.table[x] = (table.table[x] + 1 + rng.randrange(q - 1)) % q
+    return table
+
+
 def test_one_corrupted_point_rejection_rate_exact():
     # corrupt f at exactly one point z; the test rejects iff a + t b = z
     # (the lines table stays honest).  For each z there are q^m choices of a
@@ -83,7 +92,7 @@ def test_one_corrupted_point_rejection_rate_exact():
     # 1/q^m of all triples.
     p = random_poly(F7, 2, 2, random.Random(6))
     f, lines = honest_oracles(p, 2)
-    bad = corrupt_exact(f, 1, key=11)
+    bad = corrupt_table(f, 1, key=11)
     z = next(x for x in itertools.product(range(7), repeat=2)
              if bad.table[x] != p.eval(x))
     total = 0
@@ -107,7 +116,7 @@ def test_rejection_rate_tracks_distance_within_soundness_bound():
     p = random_poly(F7, 2, 2, random.Random(7))
     f, lines = honest_oracles(p, 2)
     for count in (5, 10):
-        bad = corrupt_exact(f, count, key=count)
+        bad = corrupt_table(f, count, key=count)
         rho = distance(honest_oracles(p, 2)[0], bad)
         assert rho == Fraction(count, 49)
         rejected = sum(

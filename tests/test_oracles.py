@@ -1,11 +1,10 @@
-"""Point/lines oracles: honesty, corruption wrappers, tables, dumps, counters."""
+"""Point/lines oracles: honesty, corruption wrappers, tables, counters."""
 
 import hashlib
 import itertools
 import random
 import struct
 import threading
-from fractions import Fraction
 
 import pytest
 
@@ -18,13 +17,10 @@ from pcplab.oracles import (
     TableLinesOracle,
     TablePointOracle,
     corrupt,
-    corrupt_exact,
-    dump_table,
     honest_oracles,
-    load_point_table,
     materialize,
 )
-from pcplab.poly import MultiPoly, distance, random_poly
+from pcplab.poly import MultiPoly, random_poly
 
 F3 = Field(3)
 F5 = Field(5)
@@ -101,7 +97,7 @@ def test_corruption_spec_validation():
     with pytest.raises(ValueError):
         CorruptionSpec(delta=1.5, key=0)
     with pytest.raises(ValueError):
-        CorruptionSpec(delta=0.1, key=0, mode="sideways")
+        CorruptionSpec(delta=-0.1, key=0)
 
 
 def test_corrupt_dispatches_on_kind():
@@ -166,18 +162,7 @@ def test_corruption_fraction_concentrates():
     assert 422 <= hits <= 598, hits
 
 
-def test_corrupt_exact_distance():
-    p = random_poly(F5, 2, 2, random.Random(5))
-    f, _ = honest_oracles(p, 2)
-    bad = corrupt_exact(f, 3, key=77)
-    assert distance(f, bad) == Fraction(3, 25)
-    none = corrupt_exact(f, 0, key=77)
-    assert distance(f, none) == 0
-    with pytest.raises(ValueError):
-        corrupt_exact(f, 26, key=77)
-
-
-# -- materialization and dumps -----------------------------------------------
+# -- materialization ---------------------------------------------------------
 
 def test_materialize_point_table_matches():
     p = random_poly(F5, 2, 2, random.Random(6))
@@ -209,33 +194,6 @@ def test_materialize_budget_boundary():
     _, huge_lines = honest_oracles(MultiPoly.zero(F5, 8, cap=1), 1)
     with pytest.raises(OracleBudgetError):
         materialize(huge_lines)  # lines domain squares the size
-
-
-def test_dump_and_load_point_table(tmp_path):
-    p = random_poly(F5, 2, 2, random.Random(8))
-    table = materialize(honest_oracles(p, 2)[0])
-    path = tmp_path / "table.bin"
-    dump_table(table, path)
-    blob = path.read_bytes()
-    assert blob[:6] == bytes([2, 0, 2, 0, 5, 0])  # (s=2, d=2, q=5) little-endian
-    assert len(blob) == 6 + 2 * 25
-    back = load_point_table(path)
-    assert back.table == table.table
-    assert (back.s, back.degree, back.field.q) == (2, 2, 5)
-
-
-def test_dump_lines_table(tmp_path):
-    p = random_poly(F3, 1, 1, random.Random(9))
-    table = materialize(honest_oracles(p, 1)[1])
-    path = tmp_path / "lines.bin"
-    dump_table(table, path)
-    assert len(path.read_bytes()) == 6 + 2 * 9 * 2  # 9 entries, 2 coeffs each
-
-
-def test_dump_rejects_wide_fields(tmp_path):
-    table = materialize(honest_oracles(MultiPoly.zero(Field(65537), 1, cap=1), 1)[0])
-    with pytest.raises(ValueError):
-        dump_table(table, tmp_path / "wide.bin")
 
 
 def test_corruption_digest_wide_field():

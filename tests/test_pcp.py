@@ -1,10 +1,12 @@
 """Graph 3-coloring PCP: graphs, claim polynomials, prover, 24-query verifier."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from pcplab.field import Field
+from pcplab.harness import ConfigError, ExperimentConfig, run_experiment
 from pcplab.pcp import (
     CONFLICT_OFFSETS,
     Graph,
@@ -14,11 +16,9 @@ from pcplab.pcp import (
     best_effort_coloring,
     claim_polynomials,
     color_residues,
-    edge_extension,
     implied_proof_size,
     pcp_prove,
     pcp_verify,
-    pcp_verify_amplified,
     proper_3_coloring,
     validate_coloring,
 )
@@ -111,13 +111,13 @@ def test_best_effort_coloring_k4():
 
 def test_edge_extension_empty_graph_is_zero():
     _, gset = explicit_variety(F5, [(0,), (1,)])
-    e = edge_extension(gset, Graph.from_edges(2, []))
+    e = PcpInstance(gset, Graph.from_edges(2, [])).edge_poly
     assert e.is_zero()
 
 
 def test_edge_extension_single_edge():
     _, gset = explicit_variety(F5, [(0,), (1,)])
-    e = edge_extension(gset, Graph.from_edges(2, [(0, 1)]))
+    e = PcpInstance(gset, Graph.from_edges(2, [(0, 1)])).edge_poly
     # x + y - 2xy: the symmetric indicator of {(0,1), (1,0)} on {0,1}^2
     assert e.terms == {(1, 0): 1, (0, 1): 1, (1, 1): 3}
     for x in range(2):
@@ -247,18 +247,22 @@ def test_zeroed_certificates_rejected_somewhere():
 
 
 def test_amplified_verifier():
-    inst = k3_instance()
-    proof = pcp_prove(inst, proper_3_coloring(inst.graph, F17))
-    assert pcp_verify_amplified(inst, proof, reps=5, rng=random.Random(2))
-    with pytest.raises(ValueError):
-        pcp_verify_amplified(inst, proof, reps=0, rng=random.Random(2))
-    # reps=1 consumes exactly one randomness tuple's worth of draws
-    r1 = random.Random(11)
-    r2 = random.Random(11)
-    v_single = pcp_verify(inst, proof, PcpRandomness.sample(inst, r1))
-    v_amp = pcp_verify_amplified(inst, proof, reps=1, rng=r2)
-    assert v_single.accepted == v_amp.accepted
-    assert r1.getstate() == r2.getstate()
+    # amplification is the harness's reps: a trial rejects iff any of its
+    # reps independent verifier invocations rejects
+    cfg = ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1",
+                           graph="complete:3", trials=5, seed=2)
+    one, _ = run_experiment(cfg)
+    five, _ = run_experiment(replace(cfg, reps=5))
+    assert one.rejects == five.rejects == 0
+    assert five.queries_per_trial == 5 * one.queries_per_trial == 120
+    assert five.randomness_bits_per_trial == 5 * one.randomness_bits_per_trial
+    with pytest.raises(ConfigError):
+        run_experiment(replace(cfg, reps=0))
+    bad = replace(cfg, graph="complete:4", variety="cube:H=0,1,2,3;m=1",
+                  mode="soundness", adversary="zero-certs", trials=20)
+    single, _ = run_experiment(bad)
+    amplified, _ = run_experiment(replace(bad, reps=3))
+    assert amplified.rejects >= single.rejects > 0
 
 
 def test_implied_proof_size():

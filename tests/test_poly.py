@@ -1,4 +1,4 @@
-"""MultiPoly/UniPoly arithmetic, line restriction, interpolation, distance."""
+"""MultiPoly/UniPoly arithmetic, line restriction, distance."""
 
 import itertools
 import random
@@ -11,12 +11,9 @@ from pcplab.field import Field
 from pcplab.oracles import honest_oracles
 from pcplab.poly import (
     DegreeCapError,
-    Line,
     MultiPoly,
     UniPoly,
     distance,
-    interpolate,
-    line_restrict,
     monomials_exact,
     monomials_upto,
     random_poly,
@@ -92,13 +89,6 @@ def test_restrict_constant_line():
     assert entry.coeffs == [p.eval((1, 2, 3)), 0, 0]
 
 
-def test_line_restrict_wrapper():
-    p = MultiPoly(F5, 2, {(1, 1): 1}, cap=2)
-    assert line_restrict(p, Line((0, 0), (1, 1))).coeffs == [0, 0, 1]
-    with pytest.raises(ValueError):
-        Line((0, 0), (1,))
-
-
 @settings(max_examples=40)
 @given(
     q=st.sampled_from([5, 7]),
@@ -139,37 +129,10 @@ def test_unipoly_shape_and_resize():
     u = UniPoly(F5, [1, 2, 0])
     assert u.bound() == 2
     assert u.at_zero() == 1
-    assert u.resized(4).coeffs == [1, 2, 0, 0, 0]
-    assert u.resized(1).coeffs == [1, 2]
-    with pytest.raises(DegreeCapError):
-        u.resized(0)
-
-
-def test_interpolate_frozen_cases():
-    assert interpolate(F5, [(0, 0), (1, 1)], 1).coeffs == [0, 1]
-    assert interpolate(F5, [(0, 1), (1, 0), (2, 0)], 2).coeffs == [1, 1, 3]
-    assert interpolate(F5, [(0, 4), (1, 4), (2, 4)], 2).coeffs == [4, 0, 0]
-
-
-def test_interpolate_errors():
-    with pytest.raises(ValueError):
-        interpolate(F5, [(0, 1), (0, 2)], 1)       # duplicate abscissa
-    with pytest.raises(ValueError):
-        interpolate(F5, [(0, 1)], 1)               # not enough points
-    with pytest.raises(ValueError):
-        interpolate(F5, [(i, 0) for i in range(5)], 5)  # degree >= q
-    with pytest.raises(ValueError):
-        interpolate(F5, [(0, 0), (1, 1), (2, 3)], 1)    # extra point off-curve
-
-
-@settings(max_examples=30)
-@given(q=st.sampled_from([5, 7]), d=st.integers(0, 3), seed=st.integers(0, 10 ** 6))
-def test_interpolate_round_trips_sampled_polynomials(q, d, seed):
-    field = Field(q)
-    coeffs = [random.Random(seed + i).randrange(q) for i in range(d + 1)]
-    u = UniPoly(field, coeffs)
-    back = interpolate(field, [(t, u.eval(t)) for t in range(d + 1)], d)
-    assert back.coeffs == coeffs
+    # an entry's width follows the polynomial's cap, trailing zeros kept
+    p = MultiPoly(F5, 1, {(1,): 2, (0,): 1}, cap=1)
+    assert p.restrict((0,), (1,)).coeffs == [1, 2]
+    assert p.with_cap(4).restrict((0,), (1,)).coeffs == [1, 2, 0, 0, 0]
 
 
 def test_distance_exact_and_frozen_fraction():
@@ -256,9 +219,11 @@ def test_text_canonical_form():
 
 def test_vector_round_trip():
     p = MultiPoly(F5, 2, {(2, 0): 3, (0, 1): 2}, cap=2)
-    vec = p.to_vector(2)
-    assert len(vec) == len(monomials_upto(2, 2))
+    vec = [p.terms.get(e, 0) for e in monomials_upto(2, 2)]
+    assert vec == [0, 0, 2, 3, 0, 0]
     assert MultiPoly.from_vector(F5, 2, 2, vec) == p
+    with pytest.raises(ValueError):
+        MultiPoly.from_vector(F5, 2, 2, vec[:-1])
 
 
 def test_shift_vars_embedding():

@@ -1,0 +1,50 @@
+"""The benchmark's span tracer still sees every layer of a run.
+
+``perfbench/spans.py`` wraps pcplab functions at the names their callers
+look up when they call them.  A refactor that binds one of those names once,
+at import time, would leave the wrapper unused and zero the per-layer
+metrics without any error; this test catches that.
+"""
+
+import sys
+from pathlib import Path
+
+from pcplab import harness, ldt, pcp
+from pcplab.harness import ExperimentConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import spans  # noqa: E402
+
+CONFIGS = [
+    ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2,3;m=1",
+                     graph="complete:4", mode="soundness", adversary="corrupt-color",
+                     delta=0.1, trials=20, seed=3),
+    ExperimentConfig(experiment="ldt", q=5, nvars=1, degree=2,
+                     sampling="exhaustive", seed=4),
+]
+
+
+def test_tracer_labels_every_query_and_counts_the_verifiers():
+    tracer = spans.Tracer()
+    estimates = []
+    tracer.install()
+    try:
+        for run_id, cfg in enumerate(CONFIGS):
+            tracer.begin_run(run_id)
+            estimates.append(harness.run_experiment(cfg)[0])
+    finally:
+        tracer.uninstall()
+    assert harness.ldt_check is ldt.ldt_check       # uninstalled
+    assert not hasattr(pcp.pcp_verify, "__wrapped__")
+    assert tracer.missing == []
+
+    stats = tracer.aggregate(0, len(tracer.start))
+    for run_id, est in enumerate(estimates):
+        labelled, unlabelled = spans.query_calls(stats[run_id])
+        assert unlabelled == 0
+        assert labelled == est.trials * est.queries_per_trial
+    pcp_est, ldt_est = estimates
+    assert pcp_est.trials == 20 and pcp_est.queries_per_trial == 24
+    assert stats[0]["pcp.pcp_verify"]["calls"] == pcp_est.trials
+    assert ldt_est.trials == 5 * 5 * 4
+    assert stats[1]["ldt.ldt_check"]["calls"] == ldt_est.trials

@@ -14,12 +14,11 @@ from pcplab.variety import (
     SpecError,
     Variety,
     ball1_variety,
-    certificate_poly,
+    certificate_factors,
     cube_variety,
     explicit_variety,
     grobner_generating_set,
     make_variety,
-    phi,
     power_variety,
     product,
     vanishes_on,
@@ -277,14 +276,14 @@ def test_random_ideal_members_certify(spec, tmp_path):
 def test_certificate_poly_structure():
     v, gset = ball1_variety(F5, 2)
     p = poly5(2, {(1, 1): 1}, 2)  # x1*x2 == the middle generator
-    cp = certificate_poly(vanishing_certificate(p, gset), gset)
-    assert (cp.m, cp.k) == (2, 3)
-    assert cp.poly.terms == {(0, 0, 0, 1, 0): 1}  # exactly y_2, the x1*x2 slot
+    cp = certificate_factors(vanishing_certificate(p, gset), gset).expand()
+    assert cp.nvars == 2 + 3
+    assert cp.terms == {(0, 0, 0, 1, 0): 1}  # exactly y_2, the x1*x2 slot
     rng = random.Random(3)
     for _ in range(20):
         x = F5.sample_point(rng, 2)
-        assert cp.poly.eval(tuple(x) + (0, 0, 0)) == 0
-        assert cp.poly.eval(tuple(x) + gset.phi(x)) == p.eval(x)
+        assert cp.eval(tuple(x) + (0, 0, 0)) == 0
+        assert cp.eval(tuple(x) + gset.phi(x)) == p.eval(x)
 
 
 def test_certificate_poly_two_generator_fixture():
@@ -292,25 +291,25 @@ def test_certificate_poly_two_generator_fixture():
     g2 = poly5(2, {(1, 1): 1, (0, 2): 4}, 2)
     p = poly5(2, {(0, 3): 1}, 3)
     cert = vanishing_certificate(p, [g1, g2])
-    cp = certificate_poly(cert, [g1, g2])
-    assert cp.poly.degree() <= 3
+    cp = certificate_factors(cert, [g1, g2]).expand()
+    assert cp.degree() <= 3
     for x in itertools.product(range(5), repeat=2):
         y = (g1.eval(x), g2.eval(x))
-        assert cp.poly.eval(x + y) == p.eval(x)
-        assert cp.poly.eval(x + (0, 0)) == 0
+        assert cp.eval(x + y) == p.eval(x)
+        assert cp.eval(x + (0, 0)) == 0
 
 
 def test_certificate_poly_zero():
     _, gset = ball1_variety(F5, 2)
-    cp = certificate_poly(vanishing_certificate(MultiPoly.zero(F5, 2), gset), gset)
-    assert cp.poly.is_zero()
+    cert = vanishing_certificate(MultiPoly.zero(F5, 2), gset)
+    assert certificate_factors(cert, gset).expand().is_zero()
 
 
 def test_certificate_poly_count_mismatch():
     _, gset = ball1_variety(F5, 2)
     cert = Certificate((MultiPoly.zero(F5, 2),), 0)
     with pytest.raises(ValueError):
-        certificate_poly(cert, gset)
+        certificate_factors(cert, gset)
 
 
 # -- generator-evaluation embedding ------------------------------------------
@@ -324,7 +323,7 @@ def test_phi_frozen_example():
         poly5(2, {(1, 1): 1}, 2),             # x1*x2
     )
     gset = GrobnerSet(v, gens)
-    assert phi(gset, (2, 3)) == (2, 1, 1)
+    assert gset.phi((2, 3)) == (2, 1, 1)
 
 
 def test_phi_vanishes_on_variety_points():

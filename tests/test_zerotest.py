@@ -72,7 +72,7 @@ def test_exhaustive_completeness_frozen_count():
     accepted = 0
     total = 0
     # random degree-2 member of the ideal: h * g for the single generator
-    h = random_poly(F5, 1, 0, rng, require_top=True)
+    h = MultiPoly.constant(F5, 1, F5.sample(rng, nonzero=True))
     p = h.mul(gset.gens[0])
     proof = zero_prove(p, gset, 2)
     f = honest_oracles(p, 2)[0]
