@@ -254,10 +254,10 @@ def randomness_budget(cfg: ExperimentConfig) -> int:
     """Exact verifier bits per trial (closed formula; reps multiply)."""
     _validate(cfg)
     if cfg.experiment == "zerotest":
-        _, gset = _variety_for(cfg)
+        gset = _zerotest_gset(cfg)
         return _budget(cfg, gset.variety.m, gset.complexity)
     if cfg.experiment == "pcp":
-        inst = _pcp_instance(cfg)
+        inst, _ = _pcp_instance(cfg)
         return _budget(cfg, inst.m, inst.k, inst.kprime)
     return _budget(cfg)
 
@@ -283,32 +283,53 @@ def load_graph(spec: str) -> Graph:
     return Graph.from_file(spec)
 
 
-def _pcp_instance(cfg: ExperimentConfig) -> PcpInstance:
+def _pcp_instance(cfg: ExperimentConfig) -> tuple[PcpInstance, list[int] | None]:
+    """The instance and the graph's first proper 3-coloring (None if it has
+    none), which completeness mode needs and soundness mode must not have."""
     _, gset = _variety_for(cfg)
     try:
         graph = load_graph(cfg.graph)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad graph {cfg.graph!r}: {exc}") from exc
+    colors = proper_3_coloring(graph, gset.variety.field)
+    if cfg.mode == "completeness" and colors is None:
+        raise ConfigError("graph is not 3-colorable; completeness mode needs a proper coloring")
+    if cfg.mode == "soundness" and colors is not None:
+        raise ConfigError(
+            "graph is 3-colorable, so the improper-coloring adversaries would "
+            "build an honest proof; soundness mode needs a graph with no proper "
+            "3-coloring")
     inst = PcpInstance(gset, graph)
     if cfg.degree not in (0, inst.d):
         raise ConfigError(
             f"degree {cfg.degree} contradicts the variety's degree bound {inst.d}"
         )
-    return inst
+    return inst, colors
+
+
+def _require_vanishing_room(gset: GrobnerSet, degree: int) -> None:
+    """Below every generator's degree the only vanishing polynomial is 0,
+    and a zero test at that degree would measure nothing."""
+    if all(g.degree() > degree for g in gset.gens):
+        raise ConfigError(
+            f"every generator of the vanishing ideal has degree above {degree}, so the "
+            f"only vanishing polynomial of that degree is 0; raise the degree")
+
+
+def _zerotest_gset(cfg: ExperimentConfig) -> GrobnerSet:
+    _, gset = _variety_for(cfg)
+    _require_vanishing_room(gset, cfg.degree)
+    return gset
 
 
 def random_vanishing_poly(gset: GrobnerSet, degree: int, rng: random.Random) -> MultiPoly:
     """Random element of the vanishing ideal with certified degree <= degree.
 
-    Raises ConfigError when no generator has degree <= ``degree``: the only
-    such element is then 0, and a proof of it would measure nothing.
+    Raises ConfigError when no generator has degree <= ``degree``.
     """
     field = gset.variety.field
     m = gset.variety.m
-    if all(g.degree() > degree for g in gset.gens):
-        raise ConfigError(
-            f"every generator of the vanishing ideal has degree above {degree}, so the "
-            f"only vanishing polynomial of that degree is 0; raise the degree")
+    _require_vanishing_room(gset, degree)
     acc = MultiPoly.zero(field, m, cap=degree)
     for g in gset.gens:
         room = degree - g.degree()
@@ -400,11 +421,14 @@ def _zt_corrupt_cert(gset, degree, delta, rng) -> ZeroProof:
 def _zt_inconsistent_lines(gset, degree, delta, rng) -> ZeroProof:
     """Point and lines tables honest for two different certificates: attacks
     the point-vs-line consistency checks directly."""
-    p1 = zero_prove(random_vanishing_poly(gset, degree, rng), gset, degree)
+    p1 = random_vanishing_poly(gset, degree, rng)
     while True:
-        p2 = zero_prove(random_vanishing_poly(gset, degree, rng), gset, degree)
-        if p2.point.poly != p1.point.poly:
-            return ZeroProof(p1.point, p2.lines)
+        # certificates are canonical and M(x, φ(x)) = P, so they differ
+        # exactly when the polynomials do
+        p2 = random_vanishing_poly(gset, degree, rng)
+        if p2 != p1:
+            return ZeroProof(zero_prove(p1, gset, degree).point,
+                             zero_prove(p2, gset, degree).lines)
 
 
 ZEROTEST_ADVERSARIES: dict[str, Callable] = {
@@ -423,11 +447,6 @@ def _improper_proof(inst: PcpInstance, rng) -> PcpProof:
     that cannot exist (conflict polynomial not vanishing) are replaced by the
     all-zero certificate, so the conflict zero test carries the rejection."""
     colors = best_effort_coloring(inst.graph, inst.field)
-    if not inst.graph.conflicts(colors, inst.field.q):
-        raise ConfigError(
-            "graph is 3-colorable, so the improper-coloring adversaries would "
-            "build an honest proof; soundness mode needs a graph with no proper "
-            "3-coloring")
     chi, validity, conflict = claim_polynomials(inst, colors)
     d = inst.d
     try:
@@ -560,7 +579,7 @@ def _ldt_lc(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
 
 
 def _zerotest(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
-    _, gset = _variety_for(cfg)
+    gset = _zerotest_gset(cfg)
     degree = cfg.degree
     rng0 = _instance_rng(cfg)
     if adversary is None:
@@ -578,12 +597,8 @@ def _zerotest(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
 
 
 def _pcp(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
-    inst = _pcp_instance(cfg)
+    inst, colors = _pcp_instance(cfg)
     if adversary is None:
-        colors = proper_3_coloring(inst.graph, inst.field)
-        if colors is None:
-            raise ConfigError(
-                "graph is not 3-colorable; completeness mode needs a proper coloring")
         proof = pcp_prove(inst, colors)
     else:
         proof = adversary(inst, cfg.delta, _instance_rng(cfg))

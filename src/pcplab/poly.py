@@ -312,10 +312,9 @@ class FactoredPoly:
     composition, see ``MultiPoly.restrict``), so the combined restriction has
     exactly the coefficients of the expanded polynomial's, also when the cap
     is >= q.  ``cap`` is the declared degree bound, as for ``MultiPoly``.
-    A lone factor with the same cap answers for the whole directly.
     """
 
-    __slots__ = ("field", "nvars", "cap", "products", "_lone", "_var_maxes")
+    __slots__ = ("field", "nvars", "cap", "products", "_var_maxes")
 
     def __init__(self, field: Field, nvars: int,
                  products: Iterable[Sequence[MultiPoly]], cap: int):
@@ -331,18 +330,9 @@ class FactoredPoly:
                     raise ValueError("mixed polynomial rings")
         if self.degree() > cap:
             raise DegreeCapError(f"degree bound {self.degree()} exceeds cap {cap}")
-        lone = len(self.products) == 1 and len(self.products[0]) == 1
-        self._lone = self.products[0][0] if lone and self.products[0][0].cap == cap else None
         self._var_maxes = tuple(
             max((f._maxes()[i] for factors in self.products for f in factors), default=0)
             for i in range(nvars))
-
-    @classmethod
-    def of(cls, poly: "MultiPoly | FactoredPoly") -> "FactoredPoly":
-        """``poly`` itself if already factored, else its one-factor form."""
-        if isinstance(poly, FactoredPoly):
-            return poly
-        return cls(poly.field, poly.nvars, [(poly,)], poly.cap)
 
     @classmethod
     def product(cls, factors: Sequence[MultiPoly]) -> "FactoredPoly":
@@ -357,14 +347,10 @@ class FactoredPoly:
         return max((sum(f.degree() for f in factors) for factors in self.products), default=0)
 
     def with_cap(self, cap: int) -> "FactoredPoly":
-        if self._lone is not None:
-            return FactoredPoly.of(self._lone.with_cap(cap))
         return FactoredPoly(self.field, self.nvars, self.products, cap)
 
     def expand(self) -> MultiPoly:
         """The multiplied-out polynomial, capped at ``cap``."""
-        if self._lone is not None:
-            return self._lone
         total = MultiPoly.zero(self.field, self.nvars, self.cap)
         for factors in self.products:
             total = total.add(functools.reduce(MultiPoly.mul, factors))
@@ -372,8 +358,6 @@ class FactoredPoly:
 
     def eval(self, point: Sequence[int]) -> int:
         """Σ_i Π_j f_ij(point), the factors sharing one table of powers."""
-        if self._lone is not None:
-            return self._lone.eval(point)
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
         q = self.field.q
@@ -390,8 +374,6 @@ class FactoredPoly:
         """Σ_i Π_j f_ij(a + t b): the factors' restrictions, sharing one
         table of powers of the line, multiplied and summed.  Returns exactly
         cap+1 coefficients."""
-        if self._lone is not None:
-            return self._lone.restrict(a, b)
         q = self.field.q
         cache = [None] * self.nvars
         acc = [0] * (self.cap + 1)

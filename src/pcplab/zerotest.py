@@ -61,12 +61,12 @@ class ZeroRandomness:
 def zero_prove(poly: MultiPoly | FactoredPoly, gset: GrobnerSet, degree: int) -> ZeroProof:
     """Honest proof that ``poly`` (degree <= ``degree``) vanishes on the variety.
 
-    Checks vanishing on the factors, multiplies ``poly`` out only for the
-    certificate solve, re-checks the certificate identity, and exposes lazy
-    honest oracles that answer M factor by factor.
+    Checks vanishing on ``poly`` as given, multiplies a ``FactoredPoly`` out
+    only for the certificate solve, and exposes lazy honest oracles that
+    answer M factor by factor.  ``vanishing_certificate`` checks the identity
+    Σ h_g·g = P, which is M(x, φ(x)) = P; M(x, 0) = 0 holds by construction.
     """
     variety = gset.variety
-    poly = FactoredPoly.of(poly)
     if poly.nvars != variety.m:
         raise ValueError("polynomial/variety dimension mismatch")
     if poly.degree() > degree:
@@ -74,17 +74,8 @@ def zero_prove(poly: MultiPoly | FactoredPoly, gset: GrobnerSet, degree: int) ->
     if not vanishes_on(poly, variety):
         raise NoCertificateError("no certificate: polynomial does not vanish on the variety")
 
-    expanded = poly.expand()
+    expanded = poly.expand() if isinstance(poly, FactoredPoly) else poly
     cert = vanishing_certificate(expanded, gset)
-
-    # Every product of M carries exactly one y variable, so M(x, 0) = 0 holds
-    # by construction; the substitution identity M(x, φ(x)) = P is equivalent
-    # to the certificate residual, re-checked here.
-    recombined = MultiPoly.zero(poly.field, variety.m)
-    for h, g in zip(cert.cofactors, gset.gens):
-        recombined = recombined.add(h.mul(g))
-    assert recombined == expanded
-
     point, lines = honest_oracles(certificate_factors(cert, gset, cap=degree), degree)
     return ZeroProof(point, lines)
 

@@ -347,8 +347,10 @@ def test_criterion_10_randomness_budgets():
                          degree=4),
         ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1",
                          graph="complete:3"),
+        # criterion 9's instance, in its mode: K4 has no proper 3-coloring
         ExperimentConfig(experiment="pcp", q=257, variety="cube:H=0,1;m=2",
-                         graph="complete:4"),
+                         graph="complete:4", mode="soundness",
+                         adversary="improper-pipeline"),
     ]
     for cfg in acceptance_configs:
         assert randomness_budget(cfg) == drawn_bits(cfg), cfg

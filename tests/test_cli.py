@@ -138,6 +138,12 @@ def test_meaningless_runs_exit_2(capsys, argv):
     ["ldt", *LDT_FLAGS, "--degree", "2", "--adversary", "bogus"],
     ["pcp", "--q", "17", "--variety", "cube:H=0,1,2;m=1", "--graph", "complete:3",
      "--sampling", "exhaustive"],
+    # no generator of degree <= 1, so the only vanishing polynomial is 0
+    ["zerotest", "--q", "5", "--variety", "cube:H=0,1,2;m=1", "--degree", "1"],
+    # completeness needs a proper 3-coloring, soundness a graph without one
+    ["pcp", "--q", "17", "--variety", "cube:H=0,1,2,3;m=1", "--graph", "complete:4"],
+    ["pcp", "--q", "17", "--variety", "cube:H=0,1,2,3;m=1", "--graph", "complete:3",
+     "--mode", "soundness", "--adversary", "improper-pipeline"],
 ])
 def test_budget_rejects_what_a_run_rejects(capsys, flags):
     code, _, err = run(capsys, "budget", *flags)

@@ -16,7 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from pcplab.field import Field
 from pcplab.harness import PCP_ADVERSARIES
-from pcplab.pcp import Graph, PcpInstance, pcp_prove, proper_3_coloring
+from pcplab.pcp import (
+    Graph,
+    PcpInstance,
+    best_effort_coloring,
+    claim_polynomials,
+    pcp_prove,
+    proper_3_coloring,
+)
 from pcplab.poly import FactoredPoly, MultiPoly
 from pcplab.variety import make_variety, vanishing_certificate
 
@@ -42,7 +49,8 @@ def _expanded_certificate(poly, gset, degree):
 
 @functools.lru_cache(maxsize=None)
 def case(name):
-    """[(label, point oracle, lines oracle, expanded reference, degree)]."""
+    """(factored conflict polynomial,
+    [(label, point oracle, lines oracle, expanded reference, degree)])."""
     q, spec, n = INSTANCES[name]
     field = Field(q)
     _, gset = make_variety(field, spec)
@@ -55,7 +63,8 @@ def case(name):
         proof = pcp_prove(inst, colors)
     d = inst.d
 
-    chi = proof.color.poly
+    chi, _, factored_conflict = claim_polynomials(
+        inst, colors or best_effort_coloring(graph, field))
     validity = chi.mul(chi).mul(chi).sub(chi)
     m2 = 2 * inst.m
     delta = chi.shift_vars(m2, 0).sub(chi.shift_vars(m2, inst.m))
@@ -63,6 +72,7 @@ def case(name):
     conflict = inst.edge_poly.mul(delta2.add_constant(-1)).mul(delta2.add_constant(-4))
 
     out = [
+        ("chi", proof.color, proof.color_lines, chi, d),
         ("A", proof.validity, proof.validity_lines, validity, 3 * d),
         ("B", proof.conflict, proof.conflict_lines, conflict, 6 * d),
         ("M_A", proof.validity_cert.point, proof.validity_cert.lines,
@@ -71,17 +81,19 @@ def case(name):
     if colors is not None:
         out.append(("M_B", proof.conflict_cert.point, proof.conflict_cert.lines,
                      _expanded_certificate(conflict, inst.gset2, 6 * d), 6 * d))
-    return out
+    return factored_conflict, out
 
 
 def test_cases_cover_the_factored_oracles():
-    labels = {(name, label) for name in INSTANCES for label, *_ in case(name)}
+    labels = {(name, label) for name in INSTANCES for label, *_ in case(name)[1]}
     assert {("k4-q257", "B"), ("k4-q257", "M_A"), ("k3-q17", "M_B"),
             ("k3-q7", "M_B")} <= labels
     q = INSTANCES["k3-q7"][0]
-    _, point, _, _, degree = case("k3-q7")[1]
-    assert degree >= q                           # conflict cap 6d at or above q
-    assert len(point.backing.products[0]) == 5   # Ê and the four offsets
+    conflict, oracles = case("k3-q7")
+    label, *_, degree = oracles[2]
+    assert label == "B" and degree >= q          # conflict cap 6d at or above q
+    assert len(conflict.products) == 1
+    assert len(conflict.products[0]) == 5        # Ê and the four offsets
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,7 +101,7 @@ def test_cases_cover_the_factored_oracles():
 def test_factored_oracles_match_expanded(data):
     name = data.draw(st.sampled_from(sorted(INSTANCES)))
     q = INSTANCES[name][0]
-    for label, point, lines, ref, degree in case(name):
+    for label, point, lines, ref, degree in case(name)[1]:
         s = ref.nvars
         coords = st.lists(st.integers(0, q - 1), min_size=s, max_size=s).map(tuple)
         x, a, b = data.draw(coords), data.draw(coords), data.draw(coords)

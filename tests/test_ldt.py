@@ -10,9 +10,9 @@ from pcplab.field import Field
 from pcplab.ldt import REJECT, Verdict, ldt_check, local_correct
 from pcplab.oracles import (
     CorruptionSpec,
+    PointOracle,
     corrupt,
     honest_oracles,
-    materialize,
 )
 from pcplab.poly import MultiPoly, distance, random_poly
 
@@ -74,14 +74,19 @@ def test_lines_table_for_wrong_polynomial_is_caught():
     assert rejections > 0
 
 
+def point_table(f):
+    """Every value of the point oracle ``f``, keyed by point."""
+    return {x: f.answer(x) for x in itertools.product(range(f.field.q), repeat=f.s)}
+
+
 def corrupt_table(f, count, key):
-    """Materialized copy of ``f`` with exactly ``count`` keyed points shifted."""
-    table = materialize(f)
+    """Table-backed copy of ``f`` with exactly ``count`` keyed points shifted."""
+    table = point_table(f)
     q = f.field.q
     rng = random.Random(key)
-    for x in rng.sample(sorted(table.table), count):
-        table.table[x] = (table.table[x] + 1 + rng.randrange(q - 1)) % q
-    return table
+    for x in rng.sample(sorted(table), count):
+        table[x] = (table[x] + 1 + rng.randrange(q - 1)) % q
+    return PointOracle(f.field, f.s, f.degree, table.__getitem__)
 
 
 def test_one_corrupted_point_rejection_rate_exact():
@@ -94,7 +99,7 @@ def test_one_corrupted_point_rejection_rate_exact():
     f, lines = honest_oracles(p, 2)
     bad = corrupt_table(f, 1, key=11)
     z = next(x for x in itertools.product(range(7), repeat=2)
-             if bad.table[x] != p.eval(x))
+             if bad.answer(x) != p.eval(x))
     total = 0
     rejected = 0
     hits = 0
@@ -145,12 +150,13 @@ def test_corrector_heals_single_corrupted_point():
     # alpha itself and must reject.
     p = random_poly(F5, 2, 2, random.Random(9))
     f, lines = honest_oracles(p, 2)
-    table = materialize(f)
+    table = point_table(f)
     alpha = (2, 3)
-    table.table[alpha] = (p.eval(alpha) + 1) % 5
+    table[alpha] = (p.eval(alpha) + 1) % 5
+    bad = PointOracle(F5, 2, 2, table.__getitem__)
     for b in itertools.product(range(5), repeat=2):
         for t in range(1, 5):
-            v = local_correct(2, table, lines, alpha, b, t)
+            v = local_correct(2, bad, lines, alpha, b, t)
             if b == (0, 0):
                 assert v is REJECT
             else:

@@ -10,12 +10,10 @@ import pytest
 
 from pcplab.field import Field
 from pcplab.oracles import (
-    CorruptLinesOracle,
-    CorruptPointOracle,
     CorruptionSpec,
+    LinesOracle,
     OracleBudgetError,
-    TableLinesOracle,
-    TablePointOracle,
+    PointOracle,
     corrupt,
     honest_oracles,
     materialize,
@@ -102,9 +100,12 @@ def test_corruption_spec_validation():
 
 def test_corrupt_dispatches_on_kind():
     f, lines = honest_oracles(MultiPoly.zero(F5, 2, cap=1), 1)
-    spec = CorruptionSpec(delta=0.5, key=7)
-    assert isinstance(corrupt(f, spec), CorruptPointOracle)
-    assert isinstance(corrupt(lines, spec), CorruptLinesOracle)
+    spec = CorruptionSpec(delta=1.0, key=7)
+    bad_f, bad_lines = corrupt(f, spec), corrupt(lines, spec)
+    assert isinstance(bad_f, PointOracle) and isinstance(bad_lines, LinesOracle)
+    assert bad_f.query((1, 2)) != 0
+    entry = bad_lines.query((1, 2), (3, 4))
+    assert len(entry.coeffs) == 2 and entry.coeffs != [0, 0]
 
 
 def test_delta_zero_is_identity():
@@ -168,26 +169,30 @@ def test_materialize_point_table_matches():
     p = random_poly(F5, 2, 2, random.Random(6))
     f, _ = honest_oracles(p, 2)
     table = materialize(f)
-    assert isinstance(table, TablePointOracle)
+    assert isinstance(table, PointOracle) and f.queries == 0
     for x in itertools.product(range(5), repeat=2):
         assert table.query(x) == p.eval(x)
+    with pytest.raises(KeyError):      # answers from its table, not from p
+        table.answer((5, 0))
 
 
 def test_materialize_lines_table_matches():
     p = random_poly(F3, 1, 1, random.Random(7))
     _, lines = honest_oracles(p, 1)
     table = materialize(lines)
-    assert isinstance(table, TableLinesOracle)
-    assert len(table.table) == 9
+    assert isinstance(table, LinesOracle) and lines.queries == 0
     for a in range(3):
         for b in range(3):
             assert table.query((a,), (b,)) == p.restrict((a,), (b,))
+    assert table.queries == 9
+    with pytest.raises(KeyError):
+        table.answer((3,), (0,))
 
 
 def test_materialize_budget_boundary():
     # 5^8 = 390625 fits the default budget; 257^4 = 4362470401 does not
     big = honest_oracles(MultiPoly.zero(F5, 8, cap=1), 1)[0]
-    assert len(materialize(big).table) == 390625
+    assert materialize(big).query((4,) * 8) == 0
     huge = honest_oracles(MultiPoly.zero(Field(257), 4, cap=1), 1)[0]
     with pytest.raises(OracleBudgetError):
         materialize(huge)
@@ -213,3 +218,24 @@ def test_corruption_digest_bytes_unchanged_up_to_2_32():
         packed = struct.pack(f"<{len(payload)}I", *payload)
         want = hashlib.blake2b(packed, digest_size=16, key=(99).to_bytes(8, "little")).digest()
         assert _digest(99, payload, q) == want
+
+
+def test_corruption_commutes_with_materialization():
+    # corrupting the table of an oracle or tabulating its corruption gives
+    # the same answers everywhere, and neither queries the honest source
+    spec = CorruptionSpec(delta=0.4, key=31)
+    p = random_poly(F5, 2, 2, random.Random(8))
+    f, lines = honest_oracles(p, 2)
+    for one, other in ((corrupt(materialize(f), spec), materialize(corrupt(f, spec))),
+                       (corrupt(materialize(lines), spec), materialize(corrupt(lines, spec)))):
+        hits = 0
+        for x in itertools.product(range(5), repeat=2):
+            if isinstance(one, PointOracle):
+                assert one.query(x) == other.query(x)
+                hits += one.query(x) != p.eval(x)
+            else:
+                for b in itertools.product(range(5), repeat=2):
+                    assert one.query(x, b) == other.query(x, b)
+                    hits += one.query(x, b) != p.restrict(x, b)
+        assert hits > 0
+    assert f.queries == 0 and lines.queries == 0

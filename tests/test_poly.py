@@ -150,12 +150,12 @@ def test_distance_exact_and_frozen_fraction():
 
 def test_distance_single_point_difference():
     table = {(i, j): 0 for i in range(5) for j in range(5)}
-    from pcplab.oracles import TablePointOracle
+    from pcplab.oracles import PointOracle
 
-    f = TablePointOracle(F5, 2, 2, table)
+    f = PointOracle(F5, 2, 2, table.__getitem__)
     table2 = dict(table)
     table2[(3, 4)] = 2
-    g = TablePointOracle(F5, 2, 2, table2)
+    g = PointOracle(F5, 2, 2, table2.__getitem__)
     assert distance(f, g) == Fraction(1, 25)
 
 

@@ -48,3 +48,9 @@ def test_tracer_labels_every_query_and_counts_the_verifiers():
     assert stats[0]["pcp.pcp_verify"]["calls"] == pcp_est.trials
     assert ldt_est.trials == 5 * 5 * 4
     assert stats[1]["ldt.ldt_check"]["calls"] == ldt_est.trials
+    # oracles hold the polynomial's eval and restrict from the moment they are
+    # built, so one built before install would bypass these wrappers; the
+    # counts are pinned (the ldt ones are the 5 + 25 materialized entries)
+    poly_calls = [(st["poly.restrict"]["calls"], st["poly.eval"]["calls"])
+                  for st in (stats[0], stats[1])]
+    assert poly_calls == [(360, 822), (25, 5)]

@@ -1,5 +1,6 @@
 """Zero-on-variety proofs: prover structure, seven-query verifier, soundness."""
 
+import itertools
 import random
 
 import pytest
@@ -28,11 +29,15 @@ def line_variety():
     return explicit_variety(F5, [(1,), (2,)])
 
 
+def every_point(oracle):
+    return itertools.product(range(oracle.field.q), repeat=oracle.s)
+
+
 def test_zero_polynomial_proof_accepts_everywhere():
     v, gset = line_variety()
     p = MultiPoly.zero(F5, 1, cap=2)
     proof = zero_prove(p, gset, 2)
-    assert proof.point.poly.is_zero()
+    assert all(proof.point.query(x) == 0 for x in every_point(proof.point))
     f = honest_oracles(p, 2)[0]
     for r in enumerate_randomness(gset):
         assert zero_verify(gset, 2, f, proof, r)
@@ -43,12 +48,13 @@ def test_certificate_poly_is_y_slot_for_generator():
     p = MultiPoly(F5, 2, {(1, 1): 1}, cap=2)  # equals the x1*x2 generator
     proof = zero_prove(p, gset, 2)
     # M is the single y variable matching that generator: variable 4 of 5
-    assert proof.point.poly.terms == {(0, 0, 0, 1, 0): 1}
-    # substitution identity M(x, phi(x)) = P, done symbolically via restrict
+    assert proof.point.s == 5
+    assert all(proof.point.query(x) == x[3] for x in every_point(proof.point))
+    # substitution identity M(x, phi(x)) = P
     rng = random.Random(0)
     for _ in range(25):
         x = F5.sample_point(rng, 2)
-        assert proof.point.poly.eval(tuple(x) + gset.phi(x)) == p.eval(x)
+        assert proof.point.query(tuple(x) + gset.phi(x)) == p.eval(x)
 
 
 def test_cubic_on_three_point_line():
@@ -59,10 +65,10 @@ def test_cubic_on_three_point_line():
     # single generator of degree 3, so the cofactor is the constant linking
     # P to the stored (rescaled) generator
     gen = gset.gens[0]
-    cof = proof.point.poly.terms
-    assert len(cof) == 1
-    ((exps, c),) = cof.items()
-    assert exps == (0, 1)  # pure y term: constant cofactor
+    assert proof.point.s == 2
+    c = proof.point.query((0, 1))
+    # pure y term: M(x, y) = c*y
+    assert all(proof.point.query((x, y)) == c * y % 5 for x, y in every_point(proof.point))
     assert gen.scale(c) == p
 
 
