@@ -1,14 +1,25 @@
-"""Exact dense linear algebra over a prime field.
+"""Exact sparse linear algebra over a prime field.
 
-Plain Gaussian elimination with a fixed pivot rule (leftmost nonzero column,
-topmost unprocessed row), so ranks, kernel bases, right inverses, and solver
-outputs are identical from run to run.  Sizes here are small — evaluation
-matrices and certificate systems at desk scale — so we keep everything as
-lists of ints and never approximate.
+A matrix row is a dict {column: nonzero residue}, so a system costs memory
+and time in its nonzeros, not its cells: a certificate system has a few
+nonzeros per row across thousands of columns.  There is one elimination
+kernel, ``IncrementalRank``.  It reduces each incoming row by the pivot rows
+held so far (each normalised to a leading 1 at its least column), keeps the
+remainder as a new pivot row when it is nonzero, and on request back-reduces
+the pivot rows to the reduced row echelon form.  ``Matrix.rank``,
+``kernel_basis``, ``solve`` and ``right_inverse`` all read their answers off
+that kernel.
+
+The reduced row echelon form of a matrix is unique, so the pivot columns, the
+canonical kernel basis (one vector per free column, first nonzero entry 1),
+the solution with every free variable zero and the right inverse depend only
+on the matrix, never on the order of elimination.  Everything is exact; no
+value is approximated.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .field import Field
@@ -18,111 +29,197 @@ class NoSolutionError(ValueError):
     """Raised by ``Matrix.solve`` when the system is inconsistent."""
 
 
-class Matrix:
-    """A rows x cols matrix of canonical residues."""
+class IncrementalRank:
+    """Row space of a growing set of vectors, one insertion at a time.
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    The elimination kernel of this module.  The extension-degree computation
+    feeds monomial rows in degree order and stops as soon as the rank
+    saturates; ``Matrix`` inserts its rows and then calls ``reduced``.
+    Insertion order never changes the rank or the reduced form.
+    """
+
+    __slots__ = ("field", "width", "_pivots")
+
+    def __init__(self, field: Field, width: int):
+        self.field = field
+        self.width = width
+        # pivot column -> row with a 1 there and no column below it
+        self._pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def add(self, vector: Sequence[int]) -> bool:
+        """Insert a dense vector; True if it increased the rank."""
+        if len(vector) != self.width:
+            raise ValueError("dimension mismatch")
+        q = self.field.q
+        return self.insert({c: x % q for c, x in enumerate(vector) if x % q})
+
+    def insert(self, row: dict[int, int]) -> bool:
+        """Insert a sparse row of nonzero residues, which it takes over.
+
+        Pivot rows are subtracted in increasing pivot column; each one only
+        adds columns above its own, so one pass leaves no pivot column.
+        """
+        q = self.field.q
+        pivots = self._pivots
+        todo = [c for c in row if c in pivots]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            f = row.get(c)
+            if not f:  # cancelled, or queued twice
+                continue
+            for k, x in pivots[c].items():
+                old = row.get(k)
+                v = ((old or 0) - f * x) % q
+                if v:
+                    if old is None and k in pivots:
+                        heappush(todo, k)
+                    row[k] = v
+                elif old is not None:
+                    del row[k]
+        if not row:
+            return False
+        lead = min(row)
+        s = self.field.inv(row[lead])
+        if s != 1:
+            row = {k: x * s % q for k, x in row.items()}
+        pivots[lead] = row
+        return True
+
+    def reduced(self) -> list[tuple[int, dict[int, int]]]:
+        """The reduced row echelon form as (pivot column, row), by column.
+
+        Back-reduces the pivot rows in place, from the last pivot column
+        down.  A reduced row keeps its leading 1 and no column below it, so
+        later insertions stay valid.
+        """
+        q = self.field.q
+        pivots = self._pivots
+        order = sorted(pivots)
+        for c in reversed(order):
+            row = pivots[c]
+            # the rows above c are reduced, so subtracting one leaves the
+            # other pivot entries of this row as they are
+            for k in [k for k in row if k != c and k in pivots]:
+                f = row[k]
+                for j, x in pivots[k].items():
+                    v = (row.get(j, 0) - f * x) % q
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        return [(c, pivots[c]) for c in order]
+
+
+class Matrix:
+    """A rows x cols matrix of canonical residues, stored as sparse rows."""
+
+    __slots__ = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field: Field, rows: Iterable[Sequence[int]]):
         q = field.q
-        data = [[v % q for v in row] for row in rows]
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        data = [list(row) for row in rows]
+        width = len(data[0]) if data else 0
+        if any(len(r) != width for r in data):
+            raise ValueError("ragged rows")
+        self._set(field, [{c: x % q for c, x in enumerate(r) if x % q} for r in data], width)
+
+    @classmethod
+    def from_sparse(cls, field: Field, rows: Iterable[dict[int, int]], ncols: int) -> "Matrix":
+        """A matrix given as one {column: value} dict per row."""
+        q = field.q
+        data = [{c: x % q for c, x in row.items() if x % q} for row in rows]
+        if any(not 0 <= c < ncols for row in data for c in row):
+            raise ValueError("column index out of range")
+        m = object.__new__(cls)
+        m._set(field, data, ncols)
+        return m
+
+    def _set(self, field: Field, data: list[dict[int, int]], ncols: int) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "_rows", data)
         object.__setattr__(self, "nrows", len(data))
-        object.__setattr__(self, "ncols", width)
+        object.__setattr__(self, "ncols", ncols)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Matrix is immutable")
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The rows as dense lists."""
+        out = []
+        for row in self._rows:
+            dense = [0] * self.ncols
+            for c, x in row.items():
+                dense[c] = x
+            out.append(dense)
+        return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and other.field == self.field
-            and other.rows == self.rows
+            and other.ncols == self.ncols
+            and other._rows == self._rows
         )
 
     def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.rows)))
+        return hash((self.field, self.ncols,
+                     tuple(tuple(sorted(r.items())) for r in self._rows)))
 
     def __repr__(self) -> str:
         return f"Matrix(F_{self.field.q}, {self.nrows}x{self.ncols})"
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        q = self.field.q
-        out = []
-        bt = list(zip(*other.rows)) if other.rows else []
-        for row in self.rows:
-            out.append([sum(x * y for x, y in zip(row, col)) % q for col in bt])
-        return Matrix(self.field, out)
 
     def mul_vec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
         q = self.field.q
-        return [sum(x * y for x, y in zip(row, v)) % q for row in self.rows]
+        return [sum(x * v[c] for c, x in row.items()) % q for row in self._rows]
 
     # -- elimination --------------------------------------------------------
 
-    def _rref(self, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form in place; returns (rows, pivot columns)."""
-        q = self.field.q
-        inv = self.field.inv
-        pivots: list[int] = []
-        r = 0
-        ncols = self.ncols if rows and len(rows[0]) == self.ncols else (len(rows[0]) if rows else 0)
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            scale = inv(rows[r][c])
-            if scale != 1:
-                rows[r] = [(x * scale) % q for x in rows[r]]
-            prow = rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [(x - f * p) % q for x, p in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows, pivots
+    def _eliminate(self, extra: Sequence[dict[int, int]] = (), width: int = 0
+                   ) -> IncrementalRank:
+        """The kernel with every row inserted, row i extended by ``extra[i]``
+        in ``width`` columns after the matrix's own."""
+        inc = IncrementalRank(self.field, self.ncols + width)
+        for i, row in enumerate(self._rows):
+            row = dict(row)
+            if extra:
+                row.update(extra[i])
+            inc.insert(row)
+        return inc
 
     def rank(self) -> int:
-        _, pivots = self._rref([row[:] for row in self.rows])
-        return len(pivots)
+        return self._eliminate().rank
 
     def kernel_basis(self) -> list[list[int]]:
         """Basis of {v : A v = 0}, one vector per free column.
 
         Vectors are scaled so the first nonzero coordinate is 1, and ordered
-        by free column index; with the fixed pivot rule this makes the basis
-        canonical for a given matrix.
+        by free column index, which makes the basis canonical for a given
+        matrix.
         """
         q = self.field.q
-        rows, pivots = self._rref([row[:] for row in self.rows])
-        pivot_set = set(pivots)
+        reduced = self._eliminate().reduced()
+        column: dict[int, list[tuple[int, int]]] = {}
+        for c, row in reduced:
+            for k, x in row.items():
+                if k != c:
+                    column.setdefault(k, []).append((c, x))
+        pivot_set = {c for c, _ in reduced}
         basis = []
         for free in range(self.ncols):
             if free in pivot_set:
                 continue
             v = [0] * self.ncols
             v[free] = 1
-            for r, c in enumerate(pivots):
-                v[c] = (-rows[r][free]) % q
+            for c, x in column.get(free, ()):
+                v[c] = (-x) % q
             lead = next(x for x in v if x)
             if lead != 1:
                 s = self.field.inv(lead)
@@ -135,71 +232,26 @@ class Matrix:
         if len(rhs) != self.nrows:
             raise ValueError("dimension mismatch")
         q = self.field.q
-        aug = [row[:] + [rhs[i] % q] for i, row in enumerate(self.rows)]
-        aug, pivots = self._rref(aug)
-        if self.ncols in pivots:
-            raise NoSolutionError("no solution: inconsistent system")
-        x = [0] * self.ncols
-        for r, c in enumerate(pivots):
-            x[c] = aug[r][self.ncols]
+        n = self.ncols
+        reduced = self._eliminate([{n: b % q} if b % q else {} for b in rhs], 1).reduced()
+        x = [0] * n
+        for c, row in reduced:
+            if c == n:
+                raise NoSolutionError("no solution: inconsistent system")
+            x[c] = row.get(n, 0)
         return x
 
     def right_inverse(self) -> "Matrix":
         """R with A R = I; requires full row rank."""
-        q = self.field.q
         n = self.nrows
-        aug = [row[:] + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(self.rows)]
-        aug, pivots = self._rref(aug)
-        pivots = [c for c in pivots if c < self.ncols]
+        ncols = self.ncols
+        reduced = self._eliminate([{ncols + i: 1} for i in range(n)], n).reduced()
+        pivots = [(c, row) for c, row in reduced if c < ncols]
         if len(pivots) != n:
             raise ValueError(
                 f"right inverse requires full row rank ({n}), got rank {len(pivots)}"
             )
-        cols = []
-        for j in range(n):
-            x = [0] * self.ncols
-            for r, c in enumerate(pivots):
-                x[c] = aug[r][self.ncols + j]
-            cols.append(x)
-        return Matrix(self.field, [list(col) for col in zip(*cols)])
-
-
-class IncrementalRank:
-    """Rank of a growing set of vectors, one insertion at a time.
-
-    Used by the extension-degree computation, which feeds monomial rows in
-    degree order and stops as soon as the rank saturates.  Maintains reduced
-    pivot rows; insertion order never changes the final rank.
-    """
-
-    __slots__ = ("field", "width", "_pivot_rows", "_pivot_cols")
-
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self._pivot_rows: list[list[int]] = []
-        self._pivot_cols: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivot_rows)
-
-    def add(self, vector: Sequence[int]) -> bool:
-        """Insert a vector; True if it increased the rank."""
-        q = self.field.q
-        v = [x % q for x in vector]
-        if len(v) != self.width:
-            raise ValueError("dimension mismatch")
-        for row, c in zip(self._pivot_rows, self._pivot_cols):
-            if v[c]:
-                f = v[c]
-                v = [(x - f * r) % q for x, r in zip(v, row)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        s = self.field.inv(v[lead])
-        if s != 1:
-            v = [(x * s) % q for x in v]
-        self._pivot_rows.append(v)
-        self._pivot_cols.append(lead)
-        return True
+        out: list[dict[int, int]] = [{} for _ in range(ncols)]
+        for c, row in pivots:
+            out[c] = {k - ncols: x for k, x in row.items() if k >= ncols}
+        return Matrix.from_sparse(self.field, out, n)

@@ -17,9 +17,13 @@ close the gap.  Products of varieties combine point sets and (variable-shifted)
 generating sets directly, which keeps cube- and power-shaped families cheap.
 
 Certificates Σ h_g·g = P are extracted by one exact linear solve over the
-cofactor coefficients, and packaged as the structured polynomial
-M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety verifier, kept as its
-products h_g(x)·y_g (``certificate_factors``; ``expand()`` multiplies it out).
+cofactor coefficients: one row per monomial of degree <= deg(P), one column
+per generator g and cofactor monomial, which holds g's |g.terms| coefficients
+and nothing else.  The system is built as sparse rows and solved by the
+sparse kernel of ``linalg``.  The certificate is packaged as the structured
+polynomial M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety verifier, kept
+as its products h_g(x)·y_g (``certificate_factors``; ``expand()`` multiplies
+it out).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Sequence
 
 from .field import Field
 from .linalg import IncrementalRank, Matrix, NoSolutionError
-from .poly import FactoredPoly, MultiPoly, monomials_exact, monomials_upto
+from .poly import FactoredPoly, MultiPoly, _powers, monomials_exact, monomials_upto
 
 
 class SpecError(ValueError):
@@ -42,12 +46,17 @@ class NoCertificateError(ValueError):
     """P admits no degree-respecting certificate over the given generators."""
 
 
-def _eval_monomial(point: Sequence[int], exps: Sequence[int], q: int) -> int:
-    v = 1
-    for x, e in zip(point, exps):
-        if e:
-            v = v * pow(x, e, q) % q
-    return v
+def _monomial_values(pows: list[list[int]], monos: Sequence[tuple[int, ...]],
+                     q: int) -> list[int]:
+    """Each monomial at one point, read off the point's table of powers."""
+    out = []
+    for exps in monos:
+        v = 1
+        for i, e in enumerate(exps):
+            if e:
+                v = v * pows[i][e] % q
+        out.append(v)
+    return out
 
 
 class Variety:
@@ -97,14 +106,20 @@ class Variety:
     def _compute_extension_degree(self) -> int:
         # Feed monomial columns degree block by degree block into an
         # incremental rank structure; the answer is the first degree at which
-        # the span of columns covers all of F_q^V.
+        # the span of columns covers all of F_q^V.  That degree is at most
+        # n - 1 (a point's indicator is a product of n - 1 linear factors,
+        # each zero at one other point) and at most m(q - 1) (x^q = x on
+        # F_q), so one table of powers per point up to there serves them all.
         q = self.field.q
         n = len(self.points)
+        top = min(n - 1, self.m * (q - 1))
+        tables = [_powers(p, [top] * self.m, q) for p in self.points]
         inc = IncrementalRank(self.field, n)
         d = 0
         while True:
-            for e in monomials_exact(self.m, d):
-                inc.add([_eval_monomial(p, e, q) for p in self.points])
+            block = monomials_exact(self.m, d)
+            for column in zip(*(_monomial_values(t, block, q) for t in tables)):
+                inc.add(column)
             if inc.rank == n:
                 return d
             d += 1
@@ -115,8 +130,8 @@ class Variety:
             raise ValueError("degree must be >= 0")
         q = self.field.q
         monos = monomials_upto(self.m, degree)
-        return Matrix(self.field,
-                      [[_eval_monomial(p, e, q) for e in monos] for p in self.points])
+        return Matrix(self.field, [_monomial_values(_powers(p, [degree] * self.m, q), monos, q)
+                                   for p in self.points])
 
     def low_degree_extension(self, values: Sequence[int]) -> MultiPoly:
         """The canonical degree-<=d polynomial agreeing with ``values`` on V.
@@ -346,25 +361,25 @@ def vanishing_certificate(poly: MultiPoly, gens: GrobnerSet | Sequence[MultiPoly
         zero = MultiPoly.zero(field, m)
         return Certificate(tuple(zero for _ in gen_list), 0)
 
+    # one row per target monomial, one column per (generator, h-monomial):
+    # column j holds generator g shifted by its monomial, |g.terms| nonzeros
     target_monos = monomials_upto(m, bound)
     row_index = {e: i for i, e in enumerate(target_monos)}
-    columns: list[list[int]] = []
+    rows: list[dict[int, int]] = [{} for _ in target_monos]
     col_owner: list[tuple[int, tuple[int, ...]]] = []  # (generator index, h-monomial)
     for gi, g in enumerate(gen_list):
         gdeg = g.degree()
         if g.is_zero() or gdeg > bound:
             continue
         for mono in monomials_upto(m, bound - gdeg):
-            col = [0] * len(target_monos)
+            j = len(col_owner)
             for ge, gc in g.terms.items():
-                e = tuple(a + b for a, b in zip(mono, ge))
-                col[row_index[e]] = gc
-            columns.append(col)
+                rows[row_index[tuple(a + b for a, b in zip(mono, ge))]][j] = gc
             col_owner.append((gi, mono))
-    if not columns:
+    if not col_owner:
         raise NoCertificateError("no certificate: no usable generators within the degree bound")
 
-    system = Matrix(field, [list(row) for row in zip(*columns)])
+    system = Matrix.from_sparse(field, rows, len(col_owner))
     rhs = [poly.terms.get(e, 0) for e in target_monos]
     try:
         solution = system.solve(rhs)

@@ -1,6 +1,7 @@
 """Exact elimination: rank, kernel, solve, right inverse, incremental rank."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,7 +105,9 @@ def test_right_inverse_exact():
         if m.rank() < nrows:
             continue
         r = m.right_inverse()
-        assert m.mul(r) == _identity(F5, nrows)
+        assert (r.nrows, r.ncols) == (ncols, nrows)
+        for j, column in enumerate(zip(*r.rows)):
+            assert m.mul_vec(list(column)) == _identity(F5, nrows).rows[j]
 
 
 def test_right_inverse_requires_full_row_rank():
@@ -114,10 +117,7 @@ def test_right_inverse_requires_full_row_rank():
 
 def test_matrix_mul_and_shape_errors():
     a = Matrix(F5, [[1, 2], [3, 4]])
-    b = Matrix(F5, [[0, 1], [1, 0]])
-    assert a.mul(b).rows == [[2, 1], [4, 3]]
-    with pytest.raises(ValueError):
-        a.mul(Matrix(F5, [[1, 2, 3]]))
+    assert a.mul_vec([1, 1]) == [3, 2]
     with pytest.raises(ValueError):
         a.mul_vec([1, 2, 3])
     with pytest.raises(ValueError):
@@ -139,3 +139,120 @@ def test_incremental_rank_rejects_bad_width():
     inc = IncrementalRank(F5, 3)
     with pytest.raises(ValueError):
         inc.add([1, 2])
+
+
+def test_sparse_rows_match_dense_rows():
+    dense = Matrix(F5, [[0, 2, 0, 7], [0, 0, 0, 0], [1, 0, 0, 3]])
+    sparse = Matrix.from_sparse(F5, [{1: 2, 3: 7}, {2: 5}, {0: 1, 3: 3}], 4)
+    assert sparse == dense and hash(sparse) == hash(dense)
+    assert sparse.rows == [[0, 2, 0, 2], [0, 0, 0, 0], [1, 0, 0, 3]]
+    assert (sparse.nrows, sparse.ncols) == (3, 4)
+    with pytest.raises(ValueError):
+        Matrix.from_sparse(F5, [{4: 1}], 4)
+
+
+# -- cross-check against an independent dense Gauss-Jordan -------------------
+#
+# The reference below is written out here and never calls pcplab.linalg: the
+# leftmost-column, topmost-row pivot rule on dense lists, as in the acceptance
+# gates' own ``_rref_mod``.
+
+def _gauss_jordan(rows, q):
+    rows = [[x % q for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], q - 2, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _field(q):
+    # Field takes odd primes only; the kernel reads nothing but q and inv, so
+    # this stand-in runs it in characteristic 2 as well
+    if q == 2:
+        return SimpleNamespace(q=2, inv=lambda x: 1)
+    return Field(q)
+
+
+@st.composite
+def _systems(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 257]))
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    density = draw(st.floats(0.1, 1.0))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    rows = [[rng.randrange(1, q) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):   # a repeated (scaled) row
+        i, j = rng.sample(range(nrows), 2)
+        f = rng.randrange(1, q)
+        rows[i] = [x * f % q for x in rows[j]]
+    if draw(st.booleans()):                 # a zero row
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if draw(st.booleans()):                 # rhs in the column span
+        truth = [rng.randrange(q) for _ in range(ncols)]
+        rhs = [sum(a * x for a, x in zip(row, truth)) % q for row in rows]
+    else:                                   # arbitrary, often inconsistent
+        rhs = [rng.randrange(q) for _ in range(nrows)]
+    return q, rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_kernel_matches_dense_gauss_jordan(system):
+    q, rows, rhs = system
+    nrows, ncols = len(rows), len(rows[0])
+    field = _field(q)
+    m = Matrix(field, rows)
+    red, pivots = _gauss_jordan(rows, q)
+
+    assert m.rank() == len(pivots)
+    inc = IncrementalRank(field, ncols)
+    for row in rows:
+        inc.add(row)
+    assert inc.rank == len(pivots)
+
+    kernel = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][free] % q
+        s = pow(next(x for x in v if x), q - 2, q)
+        kernel.append([x * s % q for x in v])
+    assert m.kernel_basis() == kernel
+
+    aug, apiv = _gauss_jordan([row + [b] for row, b in zip(rows, rhs)], q)
+    if ncols in apiv:
+        with pytest.raises(NoSolutionError):
+            m.solve(rhs)
+    else:
+        x = [0] * ncols
+        for i, c in enumerate(apiv):
+            x[c] = aug[i][ncols]
+        assert m.solve(rhs) == x
+
+    aug, apiv = _gauss_jordan(
+        [row + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)], q)
+    if len(pivots) < nrows:
+        with pytest.raises(ValueError):
+            m.right_inverse()
+    else:
+        inverse = [[0] * nrows for _ in range(ncols)]
+        for i, c in enumerate(apiv):
+            inverse[c] = aug[i][ncols:]
+        assert m.right_inverse().rows == inverse

@@ -1,12 +1,13 @@
 """Graph 3-coloring PCP: graphs, claim polynomials, prover, 24-query verifier."""
 
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
 from pcplab.field import Field
-from pcplab.harness import ConfigError, ExperimentConfig, run_experiment
+from pcplab.harness import ConfigError, ExperimentConfig, load_graph, run_experiment
 from pcplab.pcp import (
     CONFLICT_OFFSETS,
     Graph,
@@ -25,6 +26,8 @@ from pcplab.pcp import (
 from pcplab.variety import (
     NoCertificateError,
     explicit_variety,
+    make_variety,
+    vanishing_certificate,
     vanishes_on,
 )
 
@@ -278,3 +281,22 @@ def test_implied_proof_size():
 
 def test_conflict_offsets_frozen():
     assert CONFLICT_OFFSETS == (1, -1, 2, -2)
+
+
+def test_large_conflict_certificate_pinned():
+    # the benchmark's K3 instance (q=257, cube:H=0,1;m=2): its conflict
+    # certificate is a 1820 x 4004 solve with 8008 nonzeros; the cofactors'
+    # canonical text is pinned as the dense elimination computed it
+    field = Field(257)
+    _, gset = make_variety(field, "cube:H=0,1;m=2")
+    graph = load_graph("complete:3")
+    inst = PcpInstance(gset, graph)
+    _, _, conflict = claim_polynomials(inst, proper_3_coloring(graph, field))
+    cert = vanishing_certificate(conflict.expand(), inst.gset2)
+    assert cert.bound == 12
+    assert [hashlib.sha256(h.text().encode()).hexdigest() for h in cert.cofactors] == [
+        "7b825bd2edfaf7c87029d549ebea69c3bf3c61a24f79dcbf01c6a2e216f7a499",
+        "3187be1f826e51cb2f5a32f683d086955110904dfa1dc8ba1077ae2ef99e48cb",
+        "8dd82ec89e65bdac279d9380cbe6e7922980b26b7f5cbd5a4168cd7262662ba1",
+        "ceb0d2e631a5a240e2fcde3f67baddb5670874c66f683a110868be25e43cc0c1",
+    ]

@@ -54,3 +54,21 @@ def test_tracer_labels_every_query_and_counts_the_verifiers():
     poly_calls = [(st["poly.restrict"]["calls"], st["poly.eval"]["calls"])
                   for st in (stats[0], stats[1])]
     assert poly_calls == [(360, 822), (25, 5)]
+
+
+def test_certificate_solves_go_through_matrix_solve():
+    # pcp completeness builds two certificates, each one Matrix.solve; the
+    # calls and cells (rows x columns of each system) are pinned as computed
+    # by the dense solver, so a certificate solved around Matrix.solve fails
+    cfg = ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1",
+                           graph="complete:3", trials=5, seed=5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_run(0)
+        harness.run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    solve = tracer.aggregate(0, len(tracer.start))[0]["linalg.solve"]
+    assert (solve["calls"], solve["work"]) == (2, 1894)
