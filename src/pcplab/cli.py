@@ -92,8 +92,8 @@ def _cmd_run(args, experiment: str) -> int:
           f"queries/trial={est.queries_per_trial} "
           f"bits/trial={est.randomness_bits_per_trial} "
           f"elapsed={est.elapsed_ms}ms")
-    if exp.inst is not None:
-        total = implied_proof_size(exp.inst)["total_bits"]
+    if exp.proof is not None:
+        total = implied_proof_size(exp.proof)["total_bits"]
         digits = len(str(total))
         print(f"implied proof length: {total} bits (~10^{digits - 1}), never materialized")
     if cfg.mode == "completeness" and est.rejects > 0:

@@ -54,22 +54,17 @@ from .pcp import (
     PcpProof,
     PcpRandomness,
     best_effort_coloring,
-    claim_polynomials,
     pcp_prove,
     proper_3_coloring,
 )
 from .poly import MultiPoly, random_poly
-from .variety import (
-    GrobnerSet,
-    NoCertificateError,
-    make_variety,
-    vanishes_on,
-)
+from .variety import GrobnerSet, make_variety, vanishes_on
 from .zerotest import (
     ZeroProof,
     ZeroRandomness,
     enumerate_randomness,
     randomness_space_size,
+    zero_certificate,
     zero_prove,
     zero_verify,
 )
@@ -211,6 +206,9 @@ def _validate(cfg: ExperimentConfig) -> Callable | None:
         if cfg.adversary:
             raise ConfigError(f"completeness mode runs the honest proof; "
                               f"adversary {cfg.adversary!r} has no effect")
+        if cfg.delta > 0.0:
+            raise ConfigError(f"completeness mode corrupts nothing; "
+                              f"delta {cfg.delta} has no effect")
         return None
     # an ldt or lc soundness run that names no adversary corrupts points
     name = cfg.adversary or ("corrupt-point" if cfg.experiment in ("ldt", "lc") else "")
@@ -219,8 +217,12 @@ def _validate(cfg: ExperimentConfig) -> Callable | None:
     if name not in registry:
         raise ConfigError(f"unknown {cfg.experiment} adversary {name!r}; "
                           f"choices: {sorted(registry)}")
+    # delta is a corruption rate: only the corrupt-* adversaries read it
     if "corrupt" in name and cfg.delta == 0.0:
         raise ConfigError(f"adversary {name!r} needs delta > 0")
+    if "corrupt" not in name and cfg.delta > 0.0:
+        raise ConfigError(f"adversary {name!r} corrupts nothing; "
+                          f"delta {cfg.delta} has no effect")
     return registry[name]
 
 
@@ -347,11 +349,6 @@ def _nonvanishing_poly(gset: GrobnerSet, degree: int, rng: random.Random) -> Mul
             return p
 
 
-def _zero_zero_proof(field: Field, s: int, degree: int) -> ZeroProof:
-    point, lines = honest_oracles(MultiPoly.zero(field, s, cap=degree), degree)
-    return ZeroProof(point, lines)
-
-
 # -- adversary registries ----------------------------------------------------
 #
 # ldt and lc adversaries receive the honest pair (f, flines), delta and the
@@ -396,8 +393,7 @@ def _zt_wrong_poly(gset, degree, delta, rng) -> ZeroProof:
 def _zt_zero_cert(gset, degree, delta, rng) -> ZeroProof:
     """M identically zero: passes the low-degree and at-zero checks, fails
     the f[alpha] comparison wherever f is nonzero."""
-    field = gset.variety.field
-    return _zero_zero_proof(field, gset.variety.m + gset.complexity, degree)
+    return zero_certificate(gset, degree)
 
 
 def _zt_random_cert(gset, degree, delta, rng) -> ZeroProof:
@@ -440,38 +436,20 @@ ZEROTEST_ADVERSARIES: dict[str, Callable] = {
 }
 
 
-# PCP adversaries receive (inst, delta, rng) and return a full PcpProof.
-
-def _improper_proof(inst: PcpInstance, rng) -> PcpProof:
-    """Best-effort coloring pushed through the honest pipeline; certificates
-    that cannot exist (conflict polynomial not vanishing) are replaced by the
-    all-zero certificate, so the conflict zero test carries the rejection."""
-    colors = best_effort_coloring(inst.graph, inst.field)
-    chi, validity, conflict = claim_polynomials(inst, colors)
-    d = inst.d
-    try:
-        validity_cert = zero_prove(validity, inst.gset, 3 * d)
-    except NoCertificateError:
-        validity_cert = _zero_zero_proof(inst.field, inst.m + inst.k, 3 * d)
-    try:
-        conflict_cert = zero_prove(conflict, inst.gset2, 6 * d)
-    except NoCertificateError:
-        conflict_cert = _zero_zero_proof(inst.field, 2 * inst.m + inst.kprime, 6 * d)
-    color_pt, color_ln = honest_oracles(chi, d)
-    validity_pt, validity_ln = honest_oracles(validity, 3 * d)
-    conflict_pt, conflict_ln = honest_oracles(conflict, 6 * d)
-    return PcpProof(color_pt, color_ln, validity_pt, validity_ln, validity_cert,
-                    conflict_pt, conflict_ln, conflict_cert)
-
+# PCP adversaries receive (inst, delta, rng) and return a full PcpProof.  All
+# three start from the improper pipeline: the graph's best-effort coloring
+# through pcp_prove, whose conflict certificate is then the all-zero one, so
+# the conflict zero test carries the rejection.  pcp_prove is called through
+# this module's binding, the one the benchmark's span tracer wraps.
 
 def _pcp_improper(inst, delta, rng) -> PcpProof:
-    return _improper_proof(inst, rng)
+    return pcp_prove(inst, best_effort_coloring(inst.graph, inst.field))
 
 
 def _pcp_corrupt_color(inst, delta, rng) -> PcpProof:
     """Improper pipeline plus a delta-corrupted coloring table: attacks the
     color low-degree test and the validity identity simultaneously."""
-    proof = _improper_proof(inst, rng)
+    proof = _pcp_improper(inst, delta, rng)
     spec = CorruptionSpec(delta=delta, key=rng.getrandbits(63))
     return replace(proof, color=corrupt(proof.color, spec))
 
@@ -479,11 +457,10 @@ def _pcp_corrupt_color(inst, delta, rng) -> PcpProof:
 def _pcp_zero_certs(inst, delta, rng) -> PcpProof:
     """Improper pipeline with both certificates zeroed: the validity zero
     test must now reject whenever the validity polynomial is nonzero."""
-    proof = _improper_proof(inst, rng)
     return replace(
-        proof,
-        validity_cert=_zero_zero_proof(inst.field, inst.m + inst.k, 3 * inst.d),
-        conflict_cert=_zero_zero_proof(inst.field, 2 * inst.m + inst.kprime, 6 * inst.d),
+        _pcp_improper(inst, delta, rng),
+        validity_cert=zero_certificate(inst.gset, 3 * inst.d),
+        conflict_cert=zero_certificate(inst.gset2, 6 * inst.d),
     )
 
 
@@ -522,7 +499,7 @@ class Experiment:
     bits: int
     space: Callable[[], Iterable] | None = None
     space_size: int = 0
-    inst: PcpInstance | None = None
+    proof: PcpProof | None = None
 
 
 def _lines_space(q: int, m: int):
@@ -602,14 +579,11 @@ def _pcp(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
         proof = pcp_prove(inst, colors)
     else:
         proof = adversary(inst, cfg.delta, _instance_rng(cfg))
-    counted = (proof.color, proof.color_lines, proof.validity, proof.validity_lines,
-               proof.validity_cert.point, proof.validity_cert.lines,
-               proof.conflict, proof.conflict_lines,
-               proof.conflict_cert.point, proof.conflict_cert.lines)
     verify = pcp.pcp_verify
-    return Experiment(cfg, started, counted, lambda rng: PcpRandomness.sample(inst, rng),
+    return Experiment(cfg, started, tuple(proof.oracles().values()),
+                      lambda rng: PcpRandomness.sample(inst, rng),
                       lambda r: not verify(inst, proof, r).accepted, 24,
-                      _budget(cfg, inst.m, inst.k, inst.kprime), inst=inst)
+                      _budget(cfg, inst.m, inst.k, inst.kprime), proof=proof)
 
 
 _BUILDERS = {"ldt": _ldt_lc, "lc": _ldt_lc, "zerotest": _zerotest, "pcp": _pcp}

@@ -12,20 +12,24 @@ polynomials carry the claim:
   no edge joins two equal colors (Ê is the low-degree extension of the
   symmetric 0/1 edge indicator).
 
-The honest proof is ten oracles: point+lines pairs for χ̂, A, B, and
-zero-on-variety certificate pairs for A on V and for B on V×V.  A and B are
-kept as their factors and the certificates as their products h_g(x)·y_g, so
-the honest oracles answer factor by factor; A and B are multiplied out only
-for the certificate solves.  The verifier
-spends 24 queries: 4 direct reads, 3 low-degree tests (6), and two 7-query
-zero tests, plus two local identity checks that cost no extra queries.  All
-queries are issued unconditionally so the count is constant per invocation.
+The proof is ten oracles (``PcpProof.oracles``): point+lines pairs for χ̂,
+A, B, and zero-on-variety certificate pairs for A on V and for B on V×V.
+``pcp_prove`` builds every proof, honest or not.  A and B are kept as their
+factors and the certificates as their products h_g(x)·y_g, so the honest
+oracles answer factor by factor; A and B are multiplied out only for the
+certificate solves.  An improper coloring has no certificate for B, so its
+proof carries the all-zero one and the conflict zero test rejects.
+
+The verifier spends 24 queries: 4 direct reads, 3 low-degree tests (6), and
+two 7-query zero tests, plus two local identity checks that cost no extra
+queries.  All queries are issued unconditionally so the count is constant
+per invocation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -33,8 +37,8 @@ from .field import Field
 from .ldt import ldt_check, Verdict
 from .oracles import honest_oracles, LinesOracle, PointOracle
 from .poly import FactoredPoly, MultiPoly
-from .variety import GrobnerSet, product
-from .zerotest import ZeroProof, ZeroRandomness, zero_prove, zero_verify
+from .variety import GrobnerSet, NoCertificateError, product
+from .zerotest import ZeroProof, ZeroRandomness, zero_certificate, zero_prove, zero_verify
 
 
 @dataclass(frozen=True)
@@ -207,6 +211,19 @@ class PcpProof:
     conflict_lines: LinesOracle
     conflict_cert: ZeroProof    # M_B pair, degree tag 6d
 
+    def oracles(self) -> dict[str, PointOracle | LinesOracle]:
+        """The ten oracles in field order, keyed by role; a certificate's
+        two are ``<field>.point`` and ``<field>.lines``."""
+        out = {}
+        for f in fields(self):
+            oracle = getattr(self, f.name)
+            if isinstance(oracle, ZeroProof):
+                out[f.name + ".point"] = oracle.point
+                out[f.name + ".lines"] = oracle.lines
+            else:
+                out[f.name] = oracle
+        return out
+
 
 @dataclass(frozen=True)
 class PcpRandomness:
@@ -263,16 +280,23 @@ def claim_polynomials(
 
 
 def pcp_prove(inst: PcpInstance, colors: Sequence[int]) -> PcpProof:
-    """Honest proof for a coloring; improper colorings die in zero_prove.
+    """The proof for a coloring with legal residues, proper or not.
 
     The conflict polynomial of an improper edge evaluates to
-    Ê(u,v)·Π_{c∈{±1,±2}}(-c) = 4 ≠ 0, so the certificate solve for B reports
-    "no certificate" — that error is the prover-side properness check.
+    Ê(u,v)·Π_{c∈{±1,±2}}(-c) = 4 ≠ 0, so B has no certificate and the proof
+    carries the all-zero one (``zero_certificate``); the conflict zero test
+    then rejects wherever B is nonzero.  Any other ``NoCertificateError`` is
+    raised: a claim that vanishes on the variety must be certified.
     """
     chi, validity, conflict = claim_polynomials(inst, colors)
     d = inst.d
     validity_cert = zero_prove(validity, inst.gset, 3 * d)
-    conflict_cert = zero_prove(conflict, inst.gset2, 6 * d)
+    try:
+        conflict_cert = zero_prove(conflict, inst.gset2, 6 * d)
+    except NoCertificateError:
+        if not inst.graph.conflicts(colors, inst.field.q):
+            raise
+        conflict_cert = zero_certificate(inst.gset2, 6 * d)
 
     color_pt, color_ln = honest_oracles(chi, d)
     validity_pt, validity_ln = honest_oracles(validity, 3 * d)
@@ -319,34 +343,17 @@ def pcp_verify(inst: PcpInstance, proof: PcpProof, r: PcpRandomness) -> Verdict:
     return Verdict(ok)
 
 
-def implied_proof_size(inst: PcpInstance) -> dict[str, int]:
-    """Length/alphabet accounting for the (never materialized) proof string."""
-    import math
+def implied_proof_size(proof: PcpProof) -> dict[str, int]:
+    """Bits of each (never materialized) oracle, by role, and ``total_bits``.
 
-    q = inst.field.q
-    m, k, kp, d = inst.m, inst.k, inst.kprime, inst.d
-    entry_bits = math.ceil(math.log2(q))
-    domains = {
-        "color": q ** m,
-        "color_lines": q ** (2 * m),
-        "validity": q ** m,
-        "validity_lines": q ** (2 * m),
-        "validity_cert": q ** (m + k),
-        "validity_cert_lines": q ** (2 * (m + k)),
-        "conflict": q ** (2 * m),
-        "conflict_lines": q ** (4 * m),
-        "conflict_cert": q ** (2 * m + kp),
-        "conflict_cert_lines": q ** (2 * (2 * m + kp)),
-    }
-    widths = {
-        "color": 1, "validity": 1, "conflict": 1,
-        "validity_cert": 1, "conflict_cert": 1,
-        "color_lines": d + 1,
-        "validity_lines": 3 * d + 1,
-        "validity_cert_lines": 3 * d + 1,
-        "conflict_lines": 6 * d + 1,
-        "conflict_cert_lines": 6 * d + 1,
-    }
-    return {
-        name: domains[name] * widths[name] * entry_bits for name in domains
-    } | {"total_bits": sum(domains[n] * widths[n] * entry_bits for n in domains)}
+    A point table holds q^s entries, a lines table q^{2s} entries of
+    degree+1 coefficients; each coefficient takes ceil(log2 q) bits.
+    """
+    sizes = {}
+    for role, oracle in proof.oracles().items():
+        q = oracle.field.q
+        entries = q ** oracle.s
+        if isinstance(oracle, LinesOracle):
+            entries *= q ** oracle.s * (oracle.degree + 1)
+        sizes[role] = entries * (q - 1).bit_length()
+    return sizes | {"total_bits": sum(sizes.values())}

@@ -9,6 +9,10 @@ zero, and a corrected read at (α, φ(α)) which must match f(α).
 
 The verifier never short-circuits: all seven queries are issued regardless of
 which check fails, keeping the query count constant per invocation.
+
+``zero_certificate`` builds the all-zero M.  It is the certificate a prover
+publishes for a claim that has none: it passes the low-degree and at-zero
+checks, so the f[alpha] comparison carries the rejection.
 """
 
 from __future__ import annotations
@@ -78,6 +82,12 @@ def zero_prove(poly: MultiPoly | FactoredPoly, gset: GrobnerSet, degree: int) ->
     cert = vanishing_certificate(expanded, gset)
     point, lines = honest_oracles(certificate_factors(cert, gset, cap=degree), degree)
     return ZeroProof(point, lines)
+
+
+def zero_certificate(gset: GrobnerSet, degree: int) -> ZeroProof:
+    """The all-zero M over F_q^{m+k} with its lines table, at degree tag ``degree``."""
+    s = gset.variety.m + gset.complexity
+    return ZeroProof(*honest_oracles(MultiPoly.zero(gset.variety.field, s, cap=degree), degree))
 
 
 def zero_verify(gset: GrobnerSet, degree: int, f: PointOracle,

@@ -102,6 +102,7 @@ def test_exhaustive_budget_error_exit_2(capsys):
 VACUOUS_ZEROTEST = ["zerotest", "run", "--q", "5", "--variety", "cube:H=0,1,2;m=1",
                     "--degree", "1", "--trials", "20"]
 LDT_FLAGS = ["--q", "5", "--nvars", "1"]
+PCP_K4_FLAGS = ["--q", "17", "--variety", "cube:H=0,1,2,3;m=1", "--graph", "complete:4"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -115,6 +116,12 @@ LDT_FLAGS = ["--q", "5", "--nvars", "1"]
     ["ldt", "run", *LDT_FLAGS, "--degree", "2", "--mode", "soundness", "--local-correct"],
     # an adversary that completeness mode would ignore
     ["ldt", "run", *LDT_FLAGS, "--degree", "2", "--adversary", "bogus"],
+    # a delta that nothing reads: only the corrupt-* adversaries corrupt
+    ["pcp", "run", *PCP_K4_FLAGS, "--mode", "soundness", "--adversary",
+     "improper-pipeline", "--delta", "0.5", "--trials", "10"],
+    ["zerotest", "run", "--q", "5", "--variety", "cube:H=0,1;m=1", "--degree", "2",
+     "--mode", "soundness", "--adversary", "wrong-poly", "--delta", "0.5", "--trials", "20"],
+    ["ldt", "run", *LDT_FLAGS, "--degree", "2", "--delta", "0.5"],
 ])
 def test_meaningless_runs_exit_2(capsys, argv):
     def hang(signum, frame):
@@ -144,6 +151,12 @@ def test_meaningless_runs_exit_2(capsys, argv):
     ["pcp", "--q", "17", "--variety", "cube:H=0,1,2,3;m=1", "--graph", "complete:4"],
     ["pcp", "--q", "17", "--variety", "cube:H=0,1,2,3;m=1", "--graph", "complete:3",
      "--mode", "soundness", "--adversary", "improper-pipeline"],
+    # a delta that nothing reads
+    ["pcp", *PCP_K4_FLAGS, "--mode", "soundness", "--adversary", "improper-pipeline",
+     "--delta", "0.5"],
+    ["zerotest", "--q", "5", "--variety", "cube:H=0,1;m=1", "--degree", "2",
+     "--mode", "soundness", "--adversary", "wrong-poly", "--delta", "0.5"],
+    ["ldt", *LDT_FLAGS, "--degree", "2", "--delta", "0.5"],
 ])
 def test_budget_rejects_what_a_run_rejects(capsys, flags):
     code, _, err = run(capsys, "budget", *flags)

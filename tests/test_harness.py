@@ -271,6 +271,12 @@ def test_reps_multiply_queries_and_bits():
          adversary="corrupt-lines", delta=0.1),
     dict(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1", graph="complete:3",
          sampling="exhaustive"),
+    # a delta that nothing reads: only the corrupt-* adversaries corrupt
+    dict(experiment="pcp", q=17, variety="cube:H=0,1,2,3;m=1", graph="complete:4",
+         mode="soundness", adversary="improper-pipeline", delta=0.5),
+    dict(experiment="zerotest", q=5, variety="cube:H=0,1;m=1", degree=2,
+         mode="soundness", adversary="wrong-poly", delta=0.5),
+    dict(experiment="ldt", q=5, nvars=1, degree=2, delta=0.5),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):

@@ -7,7 +7,13 @@ from dataclasses import replace
 import pytest
 
 from pcplab.field import Field
-from pcplab.harness import ConfigError, ExperimentConfig, load_graph, run_experiment
+from pcplab.harness import (
+    ConfigError,
+    ExperimentConfig,
+    _bits_per_element,
+    load_graph,
+    run_experiment,
+)
 from pcplab.pcp import (
     CONFLICT_OFFSETS,
     Graph,
@@ -24,6 +30,7 @@ from pcplab.pcp import (
     validate_coloring,
 )
 from pcplab.variety import (
+    GrobnerSet,
     NoCertificateError,
     explicit_variety,
     make_variety,
@@ -175,10 +182,25 @@ def test_claim_polynomials_improper_conflict_value():
     assert conflict.eval((1, 2)) == 0
 
 
-def test_prover_rejects_improper_coloring():
+def test_improper_coloring_proof_is_rejected():
+    # B has no certificate, so the prover publishes the all-zero one and the
+    # verifier must catch the clash
     inst = k3_instance()
+    proof = pcp_prove(inst, [1, 1, 0])
+    rng = random.Random(4)
+    rejected = sum(
+        not pcp_verify(inst, proof, PcpRandomness.sample(inst, rng)) for _ in range(300)
+    )
+    assert rejected > 0
+
+
+def test_prover_raises_for_a_vanishing_claim_without_certificate():
+    # with only the x-side generator, B of a proper coloring vanishes on V×V
+    # but has no certificate; only an improper coloring earns the zero one
+    inst = k3_instance()
+    inst.gset2 = GrobnerSet(inst.gset2.variety, inst.gset2.gens[:inst.k])
     with pytest.raises(NoCertificateError):
-        pcp_prove(inst, [1, 1, 0])
+        pcp_prove(inst, proper_3_coloring(inst.graph, F17))
 
 
 def test_single_vertex_graph():
@@ -270,13 +292,27 @@ def test_amplified_verifier():
 
 def test_implied_proof_size():
     inst = k3_instance()
-    sizes = implied_proof_size(inst)
+    proof = pcp_prove(inst, proper_3_coloring(inst.graph, F17))
+    sizes = implied_proof_size(proof)
     parts = {k: v for k, v in sizes.items() if k != "total_bits"}
+    assert tuple(parts) == tuple(proof.oracles())
     assert len(parts) == 10
     assert sizes["total_bits"] == sum(parts.values())
     # dominated by the conflict-certificate lines table over F_17^8
-    assert parts["conflict_cert_lines"] == 17 ** 8 * 13 * 5
+    assert parts["conflict_cert.lines"] == 17 ** 8 * 13 * 5
     assert sizes["total_bits"] > 10 ** 11
+
+
+def test_implied_proof_size_entry_bits_match_the_budget_above_2_53():
+    # 2^53 < q = 2^53 + 5: log2 in floating point rounds q down to 2^53, one
+    # bit short of the ceil(log2 q) the randomness budget charges per element
+    q = 9007199254740997
+    _, gset = explicit_variety(Field(q), [(0,), (1,)])
+    inst = PcpInstance(gset, Graph.from_edges(2, [(0, 1)]))
+    sizes = implied_proof_size(pcp_prove(inst, [0, 1]))
+    assert _bits_per_element(q) == 54
+    assert sizes["color"] == q * 54
+    assert sizes["color_lines"] == q ** 2 * (inst.d + 1) * 54
 
 
 def test_conflict_offsets_frozen():

@@ -56,6 +56,14 @@ def test_tracer_labels_every_query_and_counts_the_verifiers():
     assert poly_calls == [(360, 822), (25, 5)]
 
 
+def test_tracer_role_names_are_the_proof_roles():
+    # queries are labelled by these names; a role renamed in PcpProof alone
+    # would leave its queries unlabelled
+    cfg = ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1",
+                           graph="complete:3", trials=1, seed=5)
+    assert tuple(harness.build_experiment(cfg).proof.oracles()) == spans.PROOF_ORACLES
+
+
 def test_certificate_solves_go_through_matrix_solve():
     # pcp completeness builds two certificates, each one Matrix.solve; the
     # calls and cells (rows x columns of each system) are pinned as computed
