@@ -194,6 +194,8 @@ def _validate(cfg: ExperimentConfig) -> Callable | None:
         if not 0 <= cfg.degree < cfg.q:
             raise ConfigError(f"{cfg.experiment} needs 0 <= degree < q = {cfg.q}, "
                               f"got degree {cfg.degree}")
+        # the (a | alpha, b, t) tuples of the line test and local corrector
+        _require_enumerable(cfg, cfg.q ** (2 * cfg.nvars) * (cfg.q - 1))
     if cfg.experiment in ("zerotest", "pcp") and not cfg.variety:
         raise ConfigError(f"{cfg.experiment} experiments need a variety spec")
     if cfg.experiment == "pcp":
@@ -224,6 +226,14 @@ def _validate(cfg: ExperimentConfig) -> Callable | None:
         raise ConfigError(f"adversary {name!r} corrupts nothing; "
                           f"delta {cfg.delta} has no effect")
     return registry[name]
+
+
+def _require_enumerable(cfg: ExperimentConfig, size: int) -> None:
+    """Refuse an exhaustive run whose space exceeds the budget, before
+    anything is built."""
+    if cfg.sampling == "exhaustive" and size > cfg.budget:
+        raise ConfigError(f"exhaustive space has {size} tuples, "
+                          f"above the budget of {cfg.budget}")
 
 
 # -- randomness budget -------------------------------------------------------
@@ -320,6 +330,7 @@ def _require_vanishing_room(gset: GrobnerSet, degree: int) -> None:
 
 def _zerotest_gset(cfg: ExperimentConfig) -> GrobnerSet:
     _, gset = _variety_for(cfg)
+    _require_enumerable(cfg, randomness_space_size(gset))
     _require_vanishing_room(gset, cfg.degree)
     return gset
 
@@ -618,9 +629,6 @@ def execute(exp: Experiment, out: str | Path | None = None
     cfg = exp.cfg
     exhaustive = cfg.sampling == "exhaustive"
     if exhaustive:
-        if exp.space_size > cfg.budget:
-            raise ConfigError(f"exhaustive space has {exp.space_size} tuples, "
-                              f"above the budget of {cfg.budget}")
         inputs, size = exp.space(), exp.space_size
     else:
         inputs, size = range(cfg.trials), cfg.trials

@@ -4,17 +4,20 @@ A matrix row is a dict {column: nonzero residue}, so a system costs memory
 and time in its nonzeros, not its cells: a certificate system has a few
 nonzeros per row across thousands of columns.  There is one elimination
 kernel, ``IncrementalRank``.  It reduces each incoming row by the pivot rows
-held so far (each normalised to a leading 1 at its least column), keeps the
-remainder as a new pivot row when it is nonzero, and on request back-reduces
-the pivot rows to the reduced row echelon form.  ``Matrix.rank``,
-``kernel_basis``, ``solve`` and ``right_inverse`` all read their answers off
-that kernel.
+held so far (each normalised to a leading 1 at its least column) and keeps
+the remainder as a new pivot row when it is nonzero.  Every vector
+``linalg`` returns comes from the kernel's one back-substitution: given the
+non-pivot coordinates of a vector, it sets each pivot coordinate so that its
+pivot row vanishes on the vector.  ``Matrix.kernel_basis`` back-substitutes
+once per free column and ``Matrix.solve`` once, on the system augmented by
+its right-hand side.
 
-The reduced row echelon form of a matrix is unique, so the pivot columns, the
-canonical kernel basis (one vector per free column, first nonzero entry 1),
-the solution with every free variable zero and the right inverse depend only
-on the matrix, never on the order of elimination.  Everything is exact; no
-value is approximated.
+The pivot rows span the row space, so a back-substituted vector is the one
+vector of the kernel with the given free coordinates.  The pivot columns, the
+canonical kernel basis (one vector per free column, first nonzero entry 1)
+and the solution with every free variable zero therefore depend only on the
+matrix, never on the order of elimination.  Everything is exact; no value is
+approximated.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ class IncrementalRank:
 
     The elimination kernel of this module.  The extension-degree computation
     feeds monomial rows in degree order and stops as soon as the rank
-    saturates; ``Matrix`` inserts its rows and then calls ``reduced``.
-    Insertion order never changes the rank or the reduced form.
+    saturates; ``Matrix`` inserts its rows and then calls
+    ``back_substitute``.  Insertion order never changes the rank or the
+    vectors back-substitution returns.
     """
 
     __slots__ = ("field", "width", "_pivots")
@@ -90,29 +94,18 @@ class IncrementalRank:
         pivots[lead] = row
         return True
 
-    def reduced(self) -> list[tuple[int, dict[int, int]]]:
-        """The reduced row echelon form as (pivot column, row), by column.
+    def back_substitute(self, x: list[int]) -> list[int]:
+        """Set x's pivot coordinates so that every pivot row vanishes on x.
 
-        Back-reduces the pivot rows in place, from the last pivot column
-        down.  A reduced row keeps its leading 1 and no column below it, so
-        later insertions stay valid.
+        The non-pivot coordinates must already be set.  A pivot row has its
+        leading 1 at its pivot column and nothing below it, so going from the
+        last pivot column down, every coordinate a row reads is final.
         """
         q = self.field.q
         pivots = self._pivots
-        order = sorted(pivots)
-        for c in reversed(order):
-            row = pivots[c]
-            # the rows above c are reduced, so subtracting one leaves the
-            # other pivot entries of this row as they are
-            for k in [k for k in row if k != c and k in pivots]:
-                f = row[k]
-                for j, x in pivots[k].items():
-                    v = (row.get(j, 0) - f * x) % q
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-        return [(c, pivots[c]) for c in order]
+        for c in sorted(pivots, reverse=True):
+            x[c] = -sum(a * x[k] for k, a in pivots[c].items() if k != c) % q
+        return x
 
 
 class Matrix:
@@ -174,23 +167,18 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix(F_{self.field.q}, {self.nrows}x{self.ncols})"
 
-    def mul_vec(self, v: Sequence[int]) -> list[int]:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        q = self.field.q
-        return [sum(x * v[c] for c, x in row.items()) % q for row in self._rows]
-
     # -- elimination --------------------------------------------------------
 
-    def _eliminate(self, extra: Sequence[dict[int, int]] = (), width: int = 0
-                   ) -> IncrementalRank:
-        """The kernel with every row inserted, row i extended by ``extra[i]``
-        in ``width`` columns after the matrix's own."""
-        inc = IncrementalRank(self.field, self.ncols + width)
+    def _eliminate(self, rhs: Sequence[int] = ()) -> IncrementalRank:
+        """The kernel with every row inserted, row i extended by ``rhs[i]``
+        in one column after the matrix's own when ``rhs`` is given."""
+        q = self.field.q
+        n = self.ncols
+        inc = IncrementalRank(self.field, n + bool(rhs))
         for i, row in enumerate(self._rows):
             row = dict(row)
-            if extra:
-                row.update(extra[i])
+            if rhs and rhs[i] % q:
+                row[n] = rhs[i] % q
             inc.insert(row)
         return inc
 
@@ -205,21 +193,14 @@ class Matrix:
         matrix.
         """
         q = self.field.q
-        reduced = self._eliminate().reduced()
-        column: dict[int, list[tuple[int, int]]] = {}
-        for c, row in reduced:
-            for k, x in row.items():
-                if k != c:
-                    column.setdefault(k, []).append((c, x))
-        pivot_set = {c for c, _ in reduced}
+        inc = self._eliminate()
         basis = []
         for free in range(self.ncols):
-            if free in pivot_set:
+            if free in inc._pivots:
                 continue
             v = [0] * self.ncols
             v[free] = 1
-            for c, x in column.get(free, ()):
-                v[c] = (-x) % q
+            inc.back_substitute(v)
             lead = next(x for x in v if x)
             if lead != 1:
                 s = self.field.inv(lead)
@@ -231,27 +212,9 @@ class Matrix:
         """One solution of A x = rhs with free variables set to zero."""
         if len(rhs) != self.nrows:
             raise ValueError("dimension mismatch")
-        q = self.field.q
         n = self.ncols
-        reduced = self._eliminate([{n: b % q} if b % q else {} for b in rhs], 1).reduced()
-        x = [0] * n
-        for c, row in reduced:
-            if c == n:
-                raise NoSolutionError("no solution: inconsistent system")
-            x[c] = row.get(n, 0)
-        return x
-
-    def right_inverse(self) -> "Matrix":
-        """R with A R = I; requires full row rank."""
-        n = self.nrows
-        ncols = self.ncols
-        reduced = self._eliminate([{ncols + i: 1} for i in range(n)], n).reduced()
-        pivots = [(c, row) for c, row in reduced if c < ncols]
-        if len(pivots) != n:
-            raise ValueError(
-                f"right inverse requires full row rank ({n}), got rank {len(pivots)}"
-            )
-        out: list[dict[int, int]] = [{} for _ in range(ncols)]
-        for c, row in pivots:
-            out[c] = {k - ncols: x for k, x in row.items() if k >= ncols}
-        return Matrix.from_sparse(self.field, out, n)
+        inc = self._eliminate(rhs)
+        if n in inc._pivots:
+            raise NoSolutionError("no solution: inconsistent system")
+        x = [0] * n + [-1]
+        return inc.back_substitute(x)[:n]

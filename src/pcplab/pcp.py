@@ -240,18 +240,18 @@ class PcpRandomness:
     @classmethod
     def sample(cls, inst: PcpInstance, rng) -> "PcpRandomness":
         """Fixed draw order (a, b, alpha, beta, gamma1, gamma2, mu1, mu2, t)."""
-        q = inst.field.q
+        field = inst.field
         m = inst.m
 
         def point(s: int) -> tuple[int, ...]:
-            return tuple(rng.randrange(q) for _ in range(s))
+            return field.sample_point(rng, s)
 
         return cls(
             a=point(m), b=point(m),
             alpha=point(2 * m), beta=point(2 * m),
             gamma1=point(m + inst.k), gamma2=point(m + inst.k),
             mu1=point(2 * m + inst.kprime), mu2=point(2 * m + inst.kprime),
-            t=1 + rng.randrange(q - 1),
+            t=field.sample(rng, nonzero=True),
         )
 
 

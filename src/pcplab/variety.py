@@ -68,7 +68,7 @@ class Variety:
     """
 
     __slots__ = ("field", "m", "points", "extension_degree", "degree_bound",
-                 "_index", "_rinv")
+                 "_index")
 
     def __init__(self, field: Field, points: Sequence[Sequence[int]],
                  degree_bound: int | None = None):
@@ -91,7 +91,6 @@ class Variety:
         elif degree_bound < self.extension_degree:
             raise ValueError("declared degree bound below actual extension degree")
         self.degree_bound = degree_bound
-        self._rinv: Matrix | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -136,15 +135,14 @@ class Variety:
     def low_degree_extension(self, values: Sequence[int]) -> MultiPoly:
         """The canonical degree-<=d polynomial agreeing with ``values`` on V.
 
-        ``values`` follows the point enumeration order.  Uses one fixed right
-        inverse of E_d (computed once per variety), so the choice among the
-        many interpolating polynomials is deterministic.
+        ``values`` follows the point enumeration order.  The result is the
+        interpolant with every free coefficient zero (E_d x = values solved by
+        ``Matrix.solve``), so the choice among the many interpolating
+        polynomials is deterministic.
         """
         if len(values) != len(self.points):
             raise ValueError(f"need {len(self.points)} values, got {len(values)}")
-        if self._rinv is None:
-            self._rinv = self.evaluation_matrix(self.extension_degree).right_inverse()
-        coeffs = self._rinv.mul_vec([v % self.field.q for v in values])
+        coeffs = self.evaluation_matrix(self.extension_degree).solve(values)
         return MultiPoly.from_vector(self.field, self.m, self.extension_degree, coeffs)
 
 
@@ -252,11 +250,7 @@ def cube_variety(field: Field, coords: Sequence[int], m: int
         raise SpecError("cube needs a nonempty coordinate set H")
     if m < 1:
         raise SpecError("cube needs m >= 1")
-    base = explicit_variety(field, [(h,) for h in coords])
-    acc = base
-    for _ in range(m - 1):
-        acc = product(acc[0], acc[1], base[0], base[1])
-    return acc
+    return power_variety(field, explicit_variety(field, [(h,) for h in coords]), m)
 
 
 def ball1_variety(field: Field, n: int) -> tuple[Variety, GrobnerSet]:

@@ -17,7 +17,7 @@ checks, so the f[alpha] comparison carries the rejection.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 
 from .ldt import ldt_check, local_correct, Verdict
@@ -55,11 +55,10 @@ class ZeroRandomness:
         field = gset.variety.field
         m = gset.variety.m
         s = m + gset.complexity
-        a = tuple(rng.randrange(field.q) for _ in range(s))
-        b = tuple(rng.randrange(field.q) for _ in range(s))
-        alpha = tuple(rng.randrange(field.q) for _ in range(m))
-        t = 1 + rng.randrange(field.q - 1)
-        return cls(a, b, alpha, t)
+        a = field.sample_point(rng, s)
+        b = field.sample_point(rng, s)
+        alpha = field.sample_point(rng, m)
+        return cls(a, b, alpha, field.sample(rng, nonzero=True))
 
 
 def zero_prove(poly: MultiPoly | FactoredPoly, gset: GrobnerSet, degree: int) -> ZeroProof:
@@ -131,8 +130,6 @@ def randomness_space_size(gset: GrobnerSet) -> int:
 
 def enumerate_randomness(gset: GrobnerSet):
     """All ZeroRandomness tuples in lexicographic order."""
-    import itertools
-
     q = gset.variety.field.q
     m = gset.variety.m
     s = m + gset.complexity

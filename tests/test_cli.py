@@ -157,6 +157,11 @@ def test_meaningless_runs_exit_2(capsys, argv):
     ["zerotest", "--q", "5", "--variety", "cube:H=0,1;m=1", "--degree", "2",
      "--mode", "soundness", "--adversary", "wrong-poly", "--delta", "0.5"],
     ["ldt", *LDT_FLAGS, "--degree", "2", "--delta", "0.5"],
+    # exhaustive spaces above the enumeration budget
+    ["ldt", "--q", "7", "--nvars", "3", "--degree", "2", "--sampling", "exhaustive",
+     "--enum-budget", "10"],
+    ["zerotest", "--q", "5", "--variety", "ball1:n=2", "--degree", "2",
+     "--sampling", "exhaustive", "--enum-budget", "10"],
 ])
 def test_budget_rejects_what_a_run_rejects(capsys, flags):
     code, _, err = run(capsys, "budget", *flags)

@@ -277,6 +277,10 @@ def test_reps_multiply_queries_and_bits():
     dict(experiment="zerotest", q=5, variety="cube:H=0,1;m=1", degree=2,
          mode="soundness", adversary="wrong-poly", delta=0.5),
     dict(experiment="ldt", q=5, nvars=1, degree=2, delta=0.5),
+    # exhaustive spaces above the enumeration budget
+    dict(experiment="ldt", q=7, nvars=3, degree=2, sampling="exhaustive", budget=10),
+    dict(experiment="zerotest", q=5, variety="ball1:n=2", degree=2,
+         sampling="exhaustive", budget=10),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):

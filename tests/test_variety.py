@@ -1,9 +1,11 @@
 """Varieties: evaluation matrices, extension degree, generators, certificates."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcplab.field import Field
 from pcplab.poly import MultiPoly, monomials_upto, random_poly
@@ -123,6 +125,68 @@ def test_lde_value_count_checked():
     v = Variety(F5, [(0,), (1,)])
     with pytest.raises(ValueError):
         v.low_degree_extension([1, 2, 3])
+
+
+# The reference below works on dense lists and never calls pcplab.linalg: the
+# leftmost-column, topmost-row pivot rule, as in the acceptance gates' own
+# ``_rref_mod``.  When E_d has full row rank, RREF([E_d | I]) = [U E_d | U],
+# and the right inverse R puts row i of U at the i-th pivot column.
+
+def _gauss_jordan(rows, q):
+    rows = [[x % q for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], q - 2, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+@st.composite
+def _point_sets(draw):
+    q = draw(st.sampled_from([3, 5, 7]))
+    m = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    space = list(itertools.product(range(q), repeat=m))
+    points = rng.sample(space, draw(st.integers(1, min(len(space), 8))))
+    return q, points, [rng.randrange(q) for _ in points]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_point_sets())
+def test_lde_matches_dense_right_inverse(case):
+    q, points, values = case
+    field = Field(q)
+    v = Variety(field, points)
+    ordered = sorted(points)        # the variety's enumeration order
+    n = len(ordered)
+    d = 0
+    while True:                     # least d at which E_d has full row rank
+        monos = monomials_upto(v.m, d)
+        ncols = len(monos)
+        rows = [[math.prod(x ** e for x, e in zip(p, mono)) % q for mono in monos]
+                + [int(i == j) for j in range(n)] for i, p in enumerate(ordered)]
+        red, pivots = _gauss_jordan(rows, q)
+        if pivots[-1] < ncols:
+            break
+        d += 1
+    assert v.extension_degree == d
+    coeffs = [0] * ncols
+    for i, c in enumerate(pivots):
+        coeffs[c] = sum(u * y for u, y in zip(red[i][ncols:], values)) % q
+    assert v.low_degree_extension(values) == MultiPoly.from_vector(field, v.m, d, coeffs)
 
 
 # -- generating sets ---------------------------------------------------------
