@@ -17,7 +17,7 @@ and three kinds of answer function sit behind them:
   disagreement set and is a pure function of (key, input), independent of
   query order.
 
-Every oracle counts its queries (one increment per query, lock-protected);
+Every oracle counts its queries (one increment per query);
 the verifiers' per-invocation totals are checked against these counters.
 Building a table or a corruption calls the source's answer function
 directly, so it counts no query.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,14 +39,13 @@ class OracleBudgetError(ValueError):
 
 
 class _Oracle:
-    """Domain, degree tag, answer function and thread-safe query counter."""
+    """Domain, degree tag, answer function and query counter."""
 
     def __init__(self, field: Field, s: int, degree: int, answer: Callable):
         self.field = field
         self.s = s
         self.degree = degree
         self.answer = answer
-        self._lock = threading.Lock()
         self._queries = 0
 
     @property
@@ -55,8 +53,7 @@ class _Oracle:
         return self._queries
 
     def _tick(self) -> None:
-        with self._lock:
-            self._queries += 1
+        self._queries += 1
 
 
 class PointOracle(_Oracle):

@@ -1,10 +1,14 @@
 """Dense multivariate and univariate polynomials over a prime field.
 
 ``MultiPoly`` keeps a map from exponent vectors to nonzero residues plus a
-declared degree cap; ``FactoredPoly`` is a sum of products of ``MultiPoly``
-factors that evaluates and restricts factor by factor without multiplying
-out; ``UniPoly`` is a fixed-length coefficient vector (index = power of t,
-trailing zeros retained) as handed out by lines tables.
+declared degree cap.  It evaluates and restricts to lines by one nested-Horner
+walk over the variables its terms use, built on first use: x_i^e's
+coefficient is a polynomial in the later variables, and the walk multiplies
+by x_i (a scalar for ``eval``, the linear polynomial a_i + b_i t for
+``restrict``) once per step down in e.  ``FactoredPoly`` is a sum of products
+of ``MultiPoly`` factors that evaluates and restricts factor by factor without
+multiplying out; ``UniPoly`` is a fixed-length coefficient vector (index =
+power of t, trailing zeros retained) as handed out by lines tables.
 
 The canonical monomial order used for matrix columns, coefficient vectors and
 text output is graded lexicographic: monomials grouped by total degree, and
@@ -63,10 +67,77 @@ class DegreeCapError(ValueError):
     """A term exceeds the polynomial's declared degree cap."""
 
 
+def _horner_layout(items: list[tuple[tuple[int, ...], int]], start: int):
+    """Nested-Horner layout of a nonempty list of (exponents, coefficient).
+
+    The layout is either an int, the constant, or ``(var, children)`` where
+    ``children[e]`` is the layout of the coefficient of x_var^e (itself a
+    polynomial in the later variables), or None when that coefficient is
+    empty.  ``var`` is the first variable from ``start`` on that some term
+    uses, so variables no term uses are never walked.
+    """
+    nvars = len(items[0][0])
+    for var in range(start, nvars):
+        if any(e[var] for e, _ in items):
+            break
+    else:
+        return items[0][1]  # no variable left: a single constant term
+    groups: dict[int, list] = {}
+    for item in items:
+        groups.setdefault(item[0][var], []).append(item)
+    children = [None] * (max(groups) + 1)
+    for e, group in groups.items():
+        children[e] = _horner_layout(group, var + 1)
+    return var, children
+
+
+def _horner_eval(layout, point: Sequence[int], q: int) -> int:
+    """The layout's polynomial at ``point``."""
+    if type(layout) is int:
+        return layout
+    var, children = layout
+    x = point[var] % q
+    acc = 0
+    for child in reversed(children):
+        if child is None:
+            acc = acc * x % q
+        elif type(child) is int:
+            acc = (acc * x + child) % q
+        else:
+            acc = (acc * x + _horner_eval(child, point, q)) % q
+    return acc
+
+
+def _horner_restrict(layout, a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """Coefficients in t of the layout's polynomial composed with a + t b,
+    up to its degree (no padding); entries may be unreduced."""
+    if type(layout) is int:
+        return [layout]
+    var, children = layout
+    ai = a[var] % q
+    bi = b[var] % q
+    top = children[-1]
+    acc = [top] if type(top) is int else _horner_restrict(top, a, b, q)
+    for child in children[-2::-1]:
+        # acc <- acc * (ai + bi t) + child
+        acc = [(ai * x + bi * y) % q for x, y in zip(acc + [0], [0] + acc)]
+        if child is None:
+            continue
+        if type(child) is int:
+            acc[0] += child
+            continue
+        sub = _horner_restrict(child, a, b, q)
+        if len(sub) > len(acc):
+            acc.extend([0] * (len(sub) - len(acc)))
+        for j, c in enumerate(sub):
+            acc[j] += c
+    return acc
+
+
 class MultiPoly:
     """Polynomial in F_q[x_1..x_m] with a declared degree cap."""
 
-    __slots__ = ("field", "nvars", "cap", "terms", "_var_maxes")
+    __slots__ = ("field", "nvars", "cap", "terms", "_horner")
 
     def __init__(self, field: Field, nvars: int, terms: dict[tuple[int, ...], int], cap: int):
         q = field.q
@@ -84,7 +155,7 @@ class MultiPoly:
         self.nvars = nvars
         self.cap = cap
         self.terms = clean
-        self._var_maxes: tuple[int, ...] | None = None
+        self._horner = None
 
     # -- constructors -------------------------------------------------------
 
@@ -191,83 +262,29 @@ class MultiPoly:
 
     # -- evaluation and restriction ----------------------------------------
 
-    def _maxes(self) -> tuple[int, ...]:
-        m = self._var_maxes
-        if m is None:
-            acc = [0] * self.nvars
-            for e in self.terms:
-                for i, x in enumerate(e):
-                    if x > acc[i]:
-                        acc[i] = x
-            m = self._var_maxes = tuple(acc)
-        return m
+    def _layout(self):
+        """The nested-Horner layout of the terms (see ``_horner_layout``)."""
+        if self._horner is None:
+            self._horner = _horner_layout(list(self.terms.items()), 0) if self.terms else 0
+        return self._horner
 
-    def eval(self, point: Sequence[int], pows: list[list[int]] | None = None) -> int:
-        """P(point).  ``pows`` is an optional shared table of the point's
-        powers (``_powers``) covering this polynomial's exponents."""
+    def eval(self, point: Sequence[int]) -> int:
+        """P(point), by a Horner walk of the layout."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        if not self.terms:
-            return 0
-        q = self.field.q
-        if pows is None:
-            pows = _powers(point, self._maxes(), q)
-        total = 0
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    v = v * pows[i][e] % q
-            total += v
-        return total % q
+        return _horner_eval(self._layout(), point, self.field.q)
 
-    def restrict(self, a: Sequence[int], b: Sequence[int],
-                 cache: list | None = None) -> "UniPoly":
+    def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
         """Formal composition P(a + t b), expanded in t.
 
-        Purely symbolic — each coordinate of the line is the linear polynomial
-        a_i + b_i t and powers are expanded by convolution — so the result is
-        exact even when the cap is >= q.  Returns exactly cap+1 coefficients.
-        ``cache`` is an optional per-line table of those powers, initially
-        ``[None] * nvars``, shared by polynomials restricted to the same line.
+        Purely symbolic: a Horner walk of the layout multiplies by the linear
+        polynomial a_i + b_i t at each step, so the result is exact in F_q[t]
+        even when the cap is >= q.  Returns exactly cap+1 coefficients.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
-        q = self.field.q
-        acc = [0] * (self.cap + 1)
-        if not self.terms:
-            return UniPoly(self.field, acc)
-        pow_cache = [None] * self.nvars if cache is None else cache
-        for exps, coeff in self.terms.items():
-            prod = [coeff]
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                cache_i = pow_cache[i]
-                if cache_i is None:
-                    cache_i = pow_cache[i] = [[1]]
-                while len(cache_i) <= e:
-                    prev = cache_i[-1]
-                    ai = a[i] % q
-                    bi = b[i] % q
-                    nxt = [0] * (len(prev) + 1)
-                    for j, v in enumerate(prev):
-                        if v:
-                            nxt[j] = (nxt[j] + v * ai) % q
-                            nxt[j + 1] = (nxt[j + 1] + v * bi) % q
-                    cache_i.append(nxt)
-                pw = cache_i[e]
-                out = [0] * (len(prod) + e)
-                for j, u in enumerate(prod):
-                    if u:
-                        for l, w in enumerate(pw):
-                            if w:
-                                out[j + l] += u * w
-                prod = [x % q for x in out]
-            for j, v in enumerate(prod):
-                if v:
-                    acc[j] += v
-        return UniPoly(self.field, acc)
+        coeffs = _horner_restrict(self._layout(), a, b, self.field.q)
+        return UniPoly(self.field, coeffs + [0] * (self.cap + 1 - len(coeffs)))
 
     # -- text form ----------------------------------------------------------
 
@@ -306,15 +323,16 @@ def _convolve(u: list[int], v: list[int], q: int) -> list[int]:
 class FactoredPoly:
     """Σ_i Π_j f_ij over F_q[x_1..x_m], kept as its ``MultiPoly`` factors.
 
-    ``eval`` and ``restrict`` work factor by factor and combine the results,
-    so a product of a few small factors is never multiplied out.  Restriction
-    along a line is a ring homomorphism F_q[x] -> F_q[t] (a formal
-    composition, see ``MultiPoly.restrict``), so the combined restriction has
-    exactly the coefficients of the expanded polynomial's, also when the cap
-    is >= q.  ``cap`` is the declared degree bound, as for ``MultiPoly``.
+    ``eval`` and ``restrict`` ask each factor for its own Horner walk and
+    combine the results, so a product of a few small factors is never
+    multiplied out.  Restriction along a line is a ring homomorphism
+    F_q[x] -> F_q[t] (a formal composition, see ``MultiPoly.restrict``), so
+    the combined restriction has exactly the coefficients of the expanded
+    polynomial's, also when the cap is >= q.  ``cap`` is the declared degree
+    bound, as for ``MultiPoly``.
     """
 
-    __slots__ = ("field", "nvars", "cap", "products", "_var_maxes")
+    __slots__ = ("field", "nvars", "cap", "products")
 
     def __init__(self, field: Field, nvars: int,
                  products: Iterable[Sequence[MultiPoly]], cap: int):
@@ -330,9 +348,6 @@ class FactoredPoly:
                     raise ValueError("mixed polynomial rings")
         if self.degree() > cap:
             raise DegreeCapError(f"degree bound {self.degree()} exceeds cap {cap}")
-        self._var_maxes = tuple(
-            max((f._maxes()[i] for factors in self.products for f in factors), default=0)
-            for i in range(nvars))
 
     @classmethod
     def product(cls, factors: Sequence[MultiPoly]) -> "FactoredPoly":
@@ -357,30 +372,28 @@ class FactoredPoly:
         return total.with_cap(self.cap)
 
     def eval(self, point: Sequence[int]) -> int:
-        """Σ_i Π_j f_ij(point), the factors sharing one table of powers."""
+        """Σ_i Π_j f_ij(point), each factor evaluated by its own Horner walk."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
         q = self.field.q
-        pows = _powers(point, self._var_maxes, q)
         total = 0
         for factors in self.products:
             v = 1
             for f in factors:
-                v = v * f.eval(point, pows) % q
+                v = v * f.eval(point) % q
             total += v
         return total % q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
-        """Σ_i Π_j f_ij(a + t b): the factors' restrictions, sharing one
-        table of powers of the line, multiplied and summed.  Returns exactly
-        cap+1 coefficients."""
+        """Σ_i Π_j f_ij(a + t b): each factor restricted by its own Horner
+        walk, the restrictions multiplied and summed.  Returns exactly cap+1
+        coefficients."""
         q = self.field.q
-        cache = [None] * self.nvars
         acc = [0] * (self.cap + 1)
         for factors in self.products:
-            coeffs = factors[0].restrict(a, b, cache).coeffs
+            coeffs = factors[0].restrict(a, b).coeffs
             for f in factors[1:]:
-                coeffs = _convolve(coeffs, f.restrict(a, b, cache).coeffs, q)
+                coeffs = _convolve(coeffs, f.restrict(a, b).coeffs, q)
             # coefficients past the product's degree are exactly zero
             for j, c in enumerate(coeffs):
                 if c:

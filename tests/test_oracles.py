@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import random
 import struct
-import threading
 
 import pytest
 
@@ -72,21 +71,6 @@ def test_query_counter_increments_once_per_query():
     lines.query((0, 0), (1, 1))
     assert f.queries == 2
     assert lines.queries == 1
-
-
-def test_query_counter_under_threads():
-    f, _ = honest_oracles(MultiPoly.zero(F5, 2, cap=1), 1)
-
-    def worker():
-        for _ in range(100):
-            f.query((1, 2))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert f.queries == 800
 
 
 # -- corruption ---------------------------------------------------------------

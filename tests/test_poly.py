@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcplab.field import Field
-from pcplab.oracles import honest_oracles
+from pcplab.oracles import LinesOracle, honest_oracles
+from pcplab.pcp import Graph, PcpInstance, pcp_prove, proper_3_coloring
 from pcplab.poly import (
     DegreeCapError,
+    FactoredPoly,
     MultiPoly,
     UniPoly,
     distance,
@@ -18,6 +20,7 @@ from pcplab.poly import (
     monomials_upto,
     random_poly,
 )
+from pcplab.variety import make_variety
 
 F5 = Field(5)
 F7 = Field(7)
@@ -123,6 +126,96 @@ def test_restrict_degree_bounded_by_total_degree():
     p = random_poly(F7, 2, 3, rng).with_cap(5)
     entry = p.restrict((1, 2), (3, 4))
     assert all(c == 0 for c in entry.coeffs[p.degree() + 1:])
+
+
+def _convolve_ref(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
+def _restrict_ref(terms, cap, a, b, q):
+    """Σ c·Π (a_i + b_i t)^{e_i}, each power expanded by plain convolution."""
+    acc = [0] * (cap + 1)
+    for exps, c in terms.items():
+        prod = [c]
+        for ai, bi, e in zip(a, b, exps):
+            for _ in range(e):
+                prod = _convolve_ref(prod, [ai, bi])
+        for j, v in enumerate(prod):
+            acc[j] += v
+    return [v % q for v in acc]
+
+
+def _eval_ref(terms, x, q):
+    total = 0
+    for exps, c in terms.items():
+        v = c
+        for xi, e in zip(x, exps):
+            v *= xi ** e
+        total += v
+    return total % q
+
+
+@st.composite
+def _sparse_polys(draw):
+    """(q, nvars, terms, cap, a, b, x): at most 3 of up to 8 variables used."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    nvars = draw(st.integers(1, 8))
+    used = draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=3, unique=True))
+    terms = {}
+    for exps, c in draw(st.lists(
+            st.tuples(st.lists(st.integers(0, 5), min_size=len(used), max_size=len(used)),
+                      st.integers(0, q - 1)), max_size=12)):
+        full = [0] * nvars
+        for i, e in zip(used, exps):
+            full[i] = e
+        terms[tuple(full)] = c
+    degree = max((sum(e) for e in terms), default=0)
+    cap = draw(st.integers(degree, degree + 3))
+    point = st.lists(st.integers(-q, 2 * q), min_size=nvars, max_size=nvars)
+    return q, nvars, terms, cap, draw(point), draw(point), draw(point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_polys())
+@example((5, 3, {}, 4, [1, 2, 3], [4, 0, 1], [2, 2, 2]))                  # zero polynomial
+@example((7, 1, {(5,): 1, (0,): 1}, 5, [3], [2], [4]))                    # x^5 + 1, cap < q
+@example((3, 2, {(5, 0): 2, (0, 0): 1, (1, 2): 1}, 6, [1, 2], [2, 1], [2, 0]))  # cap >= q
+@example((5, 8, {(0, 0, 3, 0, 0, 0, 2, 0): 4, (0, 0, 0, 0, 0, 0, 1, 0): 1}, 7,
+          [1, 2, 3, 4, 0, 1, 2, 3], [4, 3, 2, 1, 0, 4, 3, 2], [0, 1, 2, 3, 4, 0, 1, 2]))
+def test_restrict_and_eval_match_reference_expansion(case):
+    q, nvars, terms, cap, a, b, x = case
+    p = MultiPoly(Field(q), nvars, terms, cap)
+    assert p.restrict(a, b).coeffs == _restrict_ref(terms, cap, a, b, q)
+    assert p.eval(x) == _eval_ref(terms, x, q)
+
+
+def test_restrict_every_factor_of_the_k3_q7_proof():
+    # q=7, K3: the conflict cap 6d = 12 >= q, so restriction must stay formal
+    field = F7
+    _, gset = make_variety(field, "cube:H=0,1,2;m=1")
+    graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    proof = pcp_prove(PcpInstance(gset, graph), proper_3_coloring(graph, field))
+    rng = random.Random(7)
+    checked = 0
+    for lines in proof.oracles().values():
+        if not isinstance(lines, LinesOracle):
+            continue
+        poly = lines.answer.__self__
+        factored = isinstance(poly, FactoredPoly)
+        expanded = poly.expand() if factored else poly
+        factors = [f for fs in poly.products for f in fs] if factored else [poly]
+        for _ in range(50):
+            a = field.sample_point(rng, poly.nvars)
+            b = field.sample_point(rng, poly.nvars)
+            assert poly.restrict(a, b) == expanded.restrict(a, b)
+            for f in factors:
+                assert f.restrict(a, b).coeffs == _restrict_ref(f.terms, f.cap, a, b, 7)
+                checked += 1
+    assert checked == 50 * 15  # chi-hat; A's 3 factors; M_A's 2; B's 5; M_B's 2 + 2
 
 
 def test_unipoly_shape_and_resize():
