@@ -1,14 +1,17 @@
-"""Dense multivariate and univariate polynomials over a prime field.
+"""Sparse multivariate and fixed-width univariate polynomials over a prime field.
 
-``MultiPoly`` keeps a map from exponent vectors to nonzero residues plus a
-declared degree cap.  It evaluates and restricts to lines by one nested-Horner
-walk over the variables its terms use, built on first use: x_i^e's
-coefficient is a polynomial in the later variables, and the walk multiplies
-by x_i (a scalar for ``eval``, the linear polynomial a_i + b_i t for
-``restrict``) once per step down in e.  ``FactoredPoly`` is a sum of products
-of ``MultiPoly`` factors that evaluates and restricts factor by factor without
-multiplying out; ``UniPoly`` is a fixed-length coefficient vector (index =
-power of t, trailing zeros retained) as handed out by lines tables.
+``MultiPoly`` keeps a sparse map from exponent vectors to nonzero residues
+plus a declared degree cap.  It evaluates and restricts to lines by one
+nested-Horner walk over the variables its terms use, built on first use: x_i^e's
+coefficient is a polynomial in the later variables, and the walk multiplies by
+x_i once per step down in e.  ``eval`` walks mod q at the scalar point;
+``restrict`` walks over the integers at the Kronecker-packed point
+x_i = a_i + b_i 2^W, whose base-2^W digits are the coefficients in t of
+P(a + t b) (the digit width W is fixed with the layout so no digit carries).
+``FactoredPoly`` is a sum of products of ``MultiPoly`` factors that evaluates
+and restricts factor by factor without multiplying out; ``UniPoly`` is a
+fixed-length coefficient vector (index = power of t, trailing zeros retained)
+as handed out by lines tables.
 
 The canonical monomial order used for matrix columns, coefficient vectors and
 text output is graded lexicographic: monomials grouped by total degree, and
@@ -91,46 +94,20 @@ def _horner_layout(items: list[tuple[tuple[int, ...], int]], start: int):
     return var, children
 
 
-def _horner_eval(layout, point: Sequence[int], q: int) -> int:
-    """The layout's polynomial at ``point``."""
+def _horner_eval(layout, point: Sequence[int], modulus: int) -> int:
+    """The layout's polynomial at ``point``, mod ``modulus``."""
     if type(layout) is int:
         return layout
     var, children = layout
-    x = point[var] % q
+    x = point[var]
     acc = 0
     for child in reversed(children):
         if child is None:
-            acc = acc * x % q
+            acc = acc * x % modulus
         elif type(child) is int:
-            acc = (acc * x + child) % q
+            acc = (acc * x + child) % modulus
         else:
-            acc = (acc * x + _horner_eval(child, point, q)) % q
-    return acc
-
-
-def _horner_restrict(layout, a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
-    """Coefficients in t of the layout's polynomial composed with a + t b,
-    up to its degree (no padding); entries may be unreduced."""
-    if type(layout) is int:
-        return [layout]
-    var, children = layout
-    ai = a[var] % q
-    bi = b[var] % q
-    top = children[-1]
-    acc = [top] if type(top) is int else _horner_restrict(top, a, b, q)
-    for child in children[-2::-1]:
-        # acc <- acc * (ai + bi t) + child
-        acc = [(ai * x + bi * y) % q for x, y in zip(acc + [0], [0] + acc)]
-        if child is None:
-            continue
-        if type(child) is int:
-            acc[0] += child
-            continue
-        sub = _horner_restrict(child, a, b, q)
-        if len(sub) > len(acc):
-            acc.extend([0] * (len(sub) - len(acc)))
-        for j, c in enumerate(sub):
-            acc[j] += c
+            acc = (acc * x + _horner_eval(child, point, modulus)) % modulus
     return acc
 
 
@@ -263,28 +240,54 @@ class MultiPoly:
     # -- evaluation and restriction ----------------------------------------
 
     def _layout(self):
-        """The nested-Horner layout of the terms (see ``_horner_layout``)."""
+        """(nested-Horner layout of the terms, Kronecker digit width W).
+
+        See ``_horner_layout`` for the layout.  W = bit_length(T(q-1)(2q-2)^D)
+        for T terms of degree at most D: with a_i, b_i in [0, q), every
+        intermediate value of the walk over Z at x_i = a_i + b_i t is a
+        polynomial in t of degree <= D with nonnegative coefficients at most
+        that bound, so packed at t = 2^W its base-2^W digits never carry.
+        """
         if self._horner is None:
-            self._horner = _horner_layout(list(self.terms.items()), 0) if self.terms else 0
+            terms = self.terms
+            q = self.field.q
+            layout = _horner_layout(list(terms.items()), 0) if terms else 0
+            width = (len(terms) * (q - 1) * (2 * q - 2) ** self.degree()).bit_length()
+            self._horner = layout, width
         return self._horner
 
     def eval(self, point: Sequence[int]) -> int:
-        """P(point), by a Horner walk of the layout."""
+        """P(point), by a Horner walk of the layout mod q."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        return _horner_eval(self._layout(), point, self.field.q)
+        # every step reduces mod q, so the point's entries need no reduction
+        return _horner_eval(self._layout()[0], point, self.field.q)
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
-        """Formal composition P(a + t b), expanded in t.
+        """Formal composition P(a + t b), expanded in t, by Kronecker
+        substitution.
 
-        Purely symbolic: a Horner walk of the layout multiplies by the linear
-        polynomial a_i + b_i t at each step, so the result is exact in F_q[t]
+        The Horner walk runs over the integers at x_i = a_i + b_i 2^W (a_i,
+        b_i reduced mod q, W the layout's digit width), so each step is one
+        integer multiply-add; the base-2^W digits of the result, reduced mod
+        q, are the coefficients of P(a + t b).  Arithmetic over Z followed by
+        reduction is the formal composition, so the result is exact in F_q[t]
         even when the cap is >= q.  Returns exactly cap+1 coefficients.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
-        coeffs = _horner_restrict(self._layout(), a, b, self.field.q)
-        return UniPoly(self.field, coeffs + [0] * (self.cap + 1 - len(coeffs)))
+        q = self.field.q
+        layout, width = self._layout()
+        ndigits = self.cap + 1
+        packed = [ai % q + (bi % q << width) for ai, bi in zip(a, b)]
+        # the walk's values stay below 2^(W(cap+1)), so this modulus is never reached
+        v = _horner_eval(layout, packed, 1 << width * ndigits)
+        mask = (1 << width) - 1
+        coeffs = []
+        for _ in range(ndigits):
+            coeffs.append(v & mask)
+            v >>= width
+        return UniPoly(self.field, coeffs)
 
     # -- text form ----------------------------------------------------------
 

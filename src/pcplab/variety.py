@@ -356,19 +356,30 @@ def vanishing_certificate(poly: MultiPoly, gens: GrobnerSet | Sequence[MultiPoly
         return Certificate(tuple(zero for _ in gen_list), 0)
 
     # one row per target monomial, one column per (generator, h-monomial):
-    # column j holds generator g shifted by its monomial, |g.terms| nonzeros
+    # column j holds generator g shifted by its monomial, |g.terms| nonzeros.
+    # Monomials are keyed by their exponents read as digits in base bound+1;
+    # no exponent of a product exceeds the bound, so key(mono·ge) is
+    # key(mono) + key(ge).  The h-monomials are a prefix of the target
+    # monomials (see ``monomials_upto``), so they share its keys.
+    weights = [(bound + 1) ** i for i in range(m)]
+
+    def key(e: tuple[int, ...]) -> int:
+        return sum(x * w for x, w in zip(e, weights))
+
     target_monos = monomials_upto(m, bound)
-    row_index = {e: i for i, e in enumerate(target_monos)}
+    target_keys = [key(e) for e in target_monos]
+    row_index = {k: i for i, k in enumerate(target_keys)}
     rows: list[dict[int, int]] = [{} for _ in target_monos]
     col_owner: list[tuple[int, tuple[int, ...]]] = []  # (generator index, h-monomial)
     for gi, g in enumerate(gen_list):
         gdeg = g.degree()
         if g.is_zero() or gdeg > bound:
             continue
-        for mono in monomials_upto(m, bound - gdeg):
+        g_keyed = [(key(ge), gc) for ge, gc in g.terms.items()]
+        for mono, mk in zip(monomials_upto(m, bound - gdeg), target_keys):
             j = len(col_owner)
-            for ge, gc in g.terms.items():
-                rows[row_index[tuple(a + b for a, b in zip(mono, ge))]][j] = gc
+            for gk, gc in g_keyed:
+                rows[row_index[mk + gk]][j] = gc
             col_owner.append((gi, mono))
     if not col_owner:
         raise NoCertificateError("no certificate: no usable generators within the degree bound")

@@ -162,7 +162,7 @@ def _eval_ref(terms, x, q):
 @st.composite
 def _sparse_polys(draw):
     """(q, nvars, terms, cap, a, b, x): at most 3 of up to 8 variables used."""
-    q = draw(st.sampled_from([3, 5, 7]))
+    q = draw(st.sampled_from([3, 5, 7, 257, 4294967311]))
     nvars = draw(st.integers(1, 8))
     used = draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=3, unique=True))
     terms = {}
@@ -186,11 +186,28 @@ def _sparse_polys(draw):
 @example((3, 2, {(5, 0): 2, (0, 0): 1, (1, 2): 1}, 6, [1, 2], [2, 1], [2, 0]))  # cap >= q
 @example((5, 8, {(0, 0, 3, 0, 0, 0, 2, 0): 4, (0, 0, 0, 0, 0, 0, 1, 0): 1}, 7,
           [1, 2, 3, 4, 0, 1, 2, 3], [4, 3, 2, 1, 0, 4, 3, 2], [0, 1, 2, 3, 4, 0, 1, 2]))
+@example((257, 3, {e: 256 for e in monomials_exact(3, 2)}, 2,              # digit-width bound:
+          [256, 256, 256], [256, 256, 256], [1, 2, 3]))                   # all entries q-1
 def test_restrict_and_eval_match_reference_expansion(case):
     q, nvars, terms, cap, a, b, x = case
     p = MultiPoly(Field(q), nvars, terms, cap)
     assert p.restrict(a, b).coeffs == _restrict_ref(terms, cap, a, b, q)
     assert p.eval(x) == _eval_ref(terms, x, q)
+
+
+@pytest.mark.parametrize("q, nvars, degree", [
+    (3, 2, 12), (5, 3, 9), (257, 2, 12), (257, 4, 10), (65537, 3, 8),
+    (4294967311, 2, 12), (2 ** 61 - 1, 2, 10),
+])
+def test_restrict_at_the_digit_width_bound(q, nvars, degree):
+    # every coefficient and every line coordinate is q-1, so each Kronecker
+    # digit reaches T(q-1)(2q-2)^D-scale values: a digit width without the
+    # term count T (or any smaller bound) lets digits carry into each other
+    terms = {e: q - 1 for e in monomials_upto(nvars, degree)}
+    cap = degree + 2
+    line = [q - 1] * nvars
+    p = MultiPoly(Field(q), nvars, terms, cap)
+    assert p.restrict(line, line).coeffs == _restrict_ref(terms, cap, line, line, q)
 
 
 def test_restrict_every_factor_of_the_k3_q7_proof():
