@@ -66,9 +66,9 @@ def _config_from(args, experiment: str) -> ExperimentConfig:
 
 
 def _cmd_variety(args) -> int:
-    variety, gset = make_variety(Field(args.q), args.spec)
+    variety = make_variety(Field(args.q), args.spec)
     if args.action == "grobner":
-        for g in gset.gens:
+        for g in variety.gens:
             print(g.text())
         return 0
     print(f"spec: {args.spec}")
@@ -76,8 +76,7 @@ def _cmd_variety(args) -> int:
     print(f"m: {variety.m}")
     print(f"points: {len(variety.points)}")
     print(f"extension_degree: {variety.extension_degree}")
-    print(f"degree_bound: {variety.degree_bound}")
-    print(f"grobner_complexity: {gset.complexity}")
+    print(f"grobner_complexity: {variety.complexity}")
     return 0
 
 

@@ -58,7 +58,7 @@ from .pcp import (
     proper_3_coloring,
 )
 from .poly import MultiPoly, random_poly
-from .variety import GrobnerSet, make_variety, vanishes_on
+from .variety import Variety, make_variety, vanishes_on
 from .zerotest import (
     ZeroProof,
     ZeroRandomness,
@@ -114,10 +114,6 @@ class CountingRng:
             raise ValueError("empty randrange")
         self.bits += (size - 1).bit_length()
         return self._rng.randrange(start, stop) if stop is not None else self._rng.randrange(start)
-
-    def getrandbits(self, k: int) -> int:
-        self.bits += k
-        return self._rng.getrandbits(k)
 
 
 def _derive_seed(master: int, label: bytes) -> int:
@@ -194,8 +190,7 @@ def _validate(cfg: ExperimentConfig) -> Callable | None:
         if not 0 <= cfg.degree < cfg.q:
             raise ConfigError(f"{cfg.experiment} needs 0 <= degree < q = {cfg.q}, "
                               f"got degree {cfg.degree}")
-        # the (a | alpha, b, t) tuples of the line test and local corrector
-        _require_enumerable(cfg, cfg.q ** (2 * cfg.nvars) * (cfg.q - 1))
+        _require_enumerable(cfg, _lines_space_size(cfg.q, cfg.nvars))
     if cfg.experiment in ("zerotest", "pcp") and not cfg.variety:
         raise ConfigError(f"{cfg.experiment} experiments need a variety spec")
     if cfg.experiment == "pcp":
@@ -266,8 +261,8 @@ def randomness_budget(cfg: ExperimentConfig) -> int:
     """Exact verifier bits per trial (closed formula; reps multiply)."""
     _validate(cfg)
     if cfg.experiment == "zerotest":
-        gset = _zerotest_gset(cfg)
-        return _budget(cfg, gset.variety.m, gset.complexity)
+        variety = _zerotest_variety(cfg)
+        return _budget(cfg, variety.m, variety.complexity)
     if cfg.experiment == "pcp":
         inst, _ = _pcp_instance(cfg)
         return _budget(cfg, inst.m, inst.k, inst.kprime)
@@ -298,12 +293,12 @@ def load_graph(spec: str) -> Graph:
 def _pcp_instance(cfg: ExperimentConfig) -> tuple[PcpInstance, list[int] | None]:
     """The instance and the graph's first proper 3-coloring (None if it has
     none), which completeness mode needs and soundness mode must not have."""
-    _, gset = _variety_for(cfg)
+    variety = _variety_for(cfg)
     try:
         graph = load_graph(cfg.graph)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad graph {cfg.graph!r}: {exc}") from exc
-    colors = proper_3_coloring(graph, gset.variety.field)
+    colors = proper_3_coloring(graph, variety.field)
     if cfg.mode == "completeness" and colors is None:
         raise ConfigError("graph is not 3-colorable; completeness mode needs a proper coloring")
     if cfg.mode == "soundness" and colors is not None:
@@ -311,40 +306,40 @@ def _pcp_instance(cfg: ExperimentConfig) -> tuple[PcpInstance, list[int] | None]
             "graph is 3-colorable, so the improper-coloring adversaries would "
             "build an honest proof; soundness mode needs a graph with no proper "
             "3-coloring")
-    inst = PcpInstance(gset, graph)
+    inst = PcpInstance(variety, graph)
     if cfg.degree not in (0, inst.d):
         raise ConfigError(
-            f"degree {cfg.degree} contradicts the variety's degree bound {inst.d}"
+            f"degree {cfg.degree} contradicts the variety's extension degree {inst.d}"
         )
     return inst, colors
 
 
-def _require_vanishing_room(gset: GrobnerSet, degree: int) -> None:
+def _require_vanishing_room(variety: Variety, degree: int) -> None:
     """Below every generator's degree the only vanishing polynomial is 0,
     and a zero test at that degree would measure nothing."""
-    if all(g.degree() > degree for g in gset.gens):
+    if all(g.degree() > degree for g in variety.gens):
         raise ConfigError(
             f"every generator of the vanishing ideal has degree above {degree}, so the "
             f"only vanishing polynomial of that degree is 0; raise the degree")
 
 
-def _zerotest_gset(cfg: ExperimentConfig) -> GrobnerSet:
-    _, gset = _variety_for(cfg)
-    _require_enumerable(cfg, randomness_space_size(gset))
-    _require_vanishing_room(gset, cfg.degree)
-    return gset
+def _zerotest_variety(cfg: ExperimentConfig) -> Variety:
+    variety = _variety_for(cfg)
+    _require_enumerable(cfg, randomness_space_size(variety))
+    _require_vanishing_room(variety, cfg.degree)
+    return variety
 
 
-def random_vanishing_poly(gset: GrobnerSet, degree: int, rng: random.Random) -> MultiPoly:
+def random_vanishing_poly(variety: Variety, degree: int, rng: random.Random) -> MultiPoly:
     """Random element of the vanishing ideal with certified degree <= degree.
 
     Raises ConfigError when no generator has degree <= ``degree``.
     """
-    field = gset.variety.field
-    m = gset.variety.m
-    _require_vanishing_room(gset, degree)
+    field = variety.field
+    m = variety.m
+    _require_vanishing_room(variety, degree)
     acc = MultiPoly.zero(field, m, cap=degree)
-    for g in gset.gens:
+    for g in variety.gens:
         room = degree - g.degree()
         if room < 0:
             continue
@@ -352,11 +347,11 @@ def random_vanishing_poly(gset: GrobnerSet, degree: int, rng: random.Random) -> 
     return acc
 
 
-def _nonvanishing_poly(gset: GrobnerSet, degree: int, rng: random.Random) -> MultiPoly:
-    field = gset.variety.field
+def _nonvanishing_poly(variety: Variety, degree: int, rng: random.Random) -> MultiPoly:
+    field = variety.field
     while True:
-        p = random_poly(field, gset.variety.m, degree, rng)
-        if not vanishes_on(p, gset.variety):
+        p = random_poly(field, variety.m, degree, rng)
+        if not vanishes_on(p, variety):
             return p
 
 
@@ -387,55 +382,55 @@ LDT_ADVERSARIES: dict[str, Callable] = {
 LC_ADVERSARIES: dict[str, Callable] = {"corrupt-point": LDT_ADVERSARIES["corrupt-point"]}
 
 
-# Each zerotest adversary receives (gset, degree, delta, rng) and returns the
+# Each zerotest adversary receives (variety, degree, delta, rng) and returns the
 # certificate-side ZeroProof; the point function f stays honest for a fixed
 # non-vanishing P, matching the regime the soundness statement quantifies
 # over.  The docstrings say which verifier check the construction attacks.
 
-def _zt_wrong_poly(gset, degree, delta, rng) -> ZeroProof:
+def _zt_wrong_poly(variety, degree, delta, rng) -> ZeroProof:
     """Honest proof of a different, genuinely vanishing polynomial.
 
     Attacks nothing structurally — the certificate is self-consistent — so the
     verifier must catch the f[alpha] cross-check against M(alpha, phi(alpha)).
     """
-    return zero_prove(random_vanishing_poly(gset, degree, rng), gset, degree)
+    return zero_prove(random_vanishing_poly(variety, degree, rng), variety, degree)
 
 
-def _zt_zero_cert(gset, degree, delta, rng) -> ZeroProof:
+def _zt_zero_cert(variety, degree, delta, rng) -> ZeroProof:
     """M identically zero: passes the low-degree and at-zero checks, fails
     the f[alpha] comparison wherever f is nonzero."""
-    return zero_certificate(gset, degree)
+    return zero_certificate(variety, degree)
 
 
-def _zt_random_cert(gset, degree, delta, rng) -> ZeroProof:
+def _zt_random_cert(variety, degree, delta, rng) -> ZeroProof:
     """Random low-degree M with matching lines: self-consistent, but fails
     the M(x, 0) = 0 check and the f[alpha] comparison almost everywhere."""
-    field = gset.variety.field
-    m_poly = random_poly(field, gset.variety.m + gset.complexity, degree, rng)
+    field = variety.field
+    m_poly = random_poly(field, variety.m + variety.complexity, degree, rng)
     point, lines = honest_oracles(m_poly, degree)
     return ZeroProof(point, lines)
 
 
-def _zt_corrupt_cert(gset, degree, delta, rng) -> ZeroProof:
+def _zt_corrupt_cert(variety, degree, delta, rng) -> ZeroProof:
     """Honest certificate of a different vanishing polynomial with the point
     table corrupted on a delta-fraction: attacks the low-degree test's
     tolerance as well as the value checks."""
-    base = zero_prove(random_vanishing_poly(gset, degree, rng), gset, degree)
+    base = zero_prove(random_vanishing_poly(variety, degree, rng), variety, degree)
     spec = CorruptionSpec(delta=delta, key=rng.getrandbits(63))
     return ZeroProof(corrupt(base.point, spec), base.lines)
 
 
-def _zt_inconsistent_lines(gset, degree, delta, rng) -> ZeroProof:
+def _zt_inconsistent_lines(variety, degree, delta, rng) -> ZeroProof:
     """Point and lines tables honest for two different certificates: attacks
     the point-vs-line consistency checks directly."""
-    p1 = random_vanishing_poly(gset, degree, rng)
+    p1 = random_vanishing_poly(variety, degree, rng)
     while True:
         # certificates are canonical and M(x, φ(x)) = P, so they differ
         # exactly when the polynomials do
-        p2 = random_vanishing_poly(gset, degree, rng)
+        p2 = random_vanishing_poly(variety, degree, rng)
         if p2 != p1:
-            return ZeroProof(zero_prove(p1, gset, degree).point,
-                             zero_prove(p2, gset, degree).lines)
+            return ZeroProof(zero_prove(p1, variety, degree).point,
+                             zero_prove(p2, variety, degree).lines)
 
 
 ZEROTEST_ADVERSARIES: dict[str, Callable] = {
@@ -470,8 +465,8 @@ def _pcp_zero_certs(inst, delta, rng) -> PcpProof:
     test must now reject whenever the validity polynomial is nonzero."""
     return replace(
         _pcp_improper(inst, delta, rng),
-        validity_cert=zero_certificate(inst.gset, 3 * inst.d),
-        conflict_cert=zero_certificate(inst.gset2, 6 * inst.d),
+        validity_cert=zero_certificate(inst.variety, 3 * inst.d),
+        conflict_cert=zero_certificate(inst.variety2, 6 * inst.d),
     )
 
 
@@ -511,6 +506,11 @@ class Experiment:
     space: Callable[[], Iterable] | None = None
     space_size: int = 0
     proof: PcpProof | None = None
+
+
+def _lines_space_size(q: int, m: int) -> int:
+    """Number of (a | alpha, b, t) tuples of the ldt and lc verifiers."""
+    return q ** (2 * m) * (q - 1)
 
 
 def _lines_space(q: int, m: int):
@@ -563,25 +563,25 @@ def _ldt_lc(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
         return not ldt_check(degree, f, flines, a, b, t).accepted
 
     return Experiment(cfg, started, (f, flines), sample, check_lc if lc else check_ldt, 2,
-                      _budget(cfg), lambda: _lines_space(q, m), q ** (2 * m) * (q - 1))
+                      _budget(cfg), lambda: _lines_space(q, m), _lines_space_size(q, m))
 
 
 def _zerotest(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
-    gset = _zerotest_gset(cfg)
+    variety = _zerotest_variety(cfg)
     degree = cfg.degree
     rng0 = _instance_rng(cfg)
     if adversary is None:
-        p = random_vanishing_poly(gset, degree, rng0)
-        proof = zero_prove(p, gset, degree)
+        p = random_vanishing_poly(variety, degree, rng0)
+        proof = zero_prove(p, variety, degree)
     else:
-        p = _nonvanishing_poly(gset, degree, rng0)
-        proof = adversary(gset, degree, cfg.delta, rng0)
+        p = _nonvanishing_poly(variety, degree, rng0)
+        proof = adversary(variety, degree, cfg.delta, rng0)
     f = honest_oracles(p, degree)[0]
     return Experiment(cfg, started, (f, proof.point, proof.lines),
-                      lambda rng: ZeroRandomness.sample(gset, rng),
-                      lambda r: not zero_verify(gset, degree, f, proof, r).accepted, 7,
-                      _budget(cfg, gset.variety.m, gset.complexity),
-                      lambda: enumerate_randomness(gset), randomness_space_size(gset))
+                      lambda rng: ZeroRandomness.sample(variety, rng),
+                      lambda r: not zero_verify(variety, degree, f, proof, r).accepted, 7,
+                      _budget(cfg, variety.m, variety.complexity),
+                      lambda: enumerate_randomness(variety), randomness_space_size(variety))
 
 
 def _pcp(cfg: ExperimentConfig, adversary, started: float) -> Experiment:

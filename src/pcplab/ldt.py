@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .oracles import LinesOracle, PointOracle
+from .poly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,10 @@ def _line_point(a: Sequence[int], b: Sequence[int], t: int, q: int) -> tuple[int
     return tuple((x + t * y) % q for x, y in zip(a, b))
 
 
-def ldt_check(degree: int, f: PointOracle, flines: LinesOracle,
-              a: Sequence[int], b: Sequence[int], t: int) -> Verdict:
-    """Accept iff the lines entry for (a,b), evaluated at t, matches f(a+tb).
-
-    t must be nonzero; b = 0 is fine (a constant line, trivially consistent
-    for honest tables).
-    """
+def _consistent_entry(degree: int, f: PointOracle, flines: LinesOracle,
+                      a: Sequence[int], b: Sequence[int], t: int) -> UniPoly | None:
+    """The lines entry for (a, b) if it matches f(a+tb) at t, else None: one
+    lines query, then one point query."""
     q = f.field.q
     t %= q
     if t == 0:
@@ -46,7 +44,17 @@ def ldt_check(degree: int, f: PointOracle, flines: LinesOracle,
         raise ValueError("oracle degree tags disagree with the test degree")
     entry = flines.query(a, b)
     value = f.query(_line_point(a, b, t, q))
-    return Verdict(entry.eval(t) == value)
+    return entry if entry.eval(t) == value else None
+
+
+def ldt_check(degree: int, f: PointOracle, flines: LinesOracle,
+              a: Sequence[int], b: Sequence[int], t: int) -> Verdict:
+    """Accept iff the lines entry for (a,b), evaluated at t, matches f(a+tb).
+
+    t must be nonzero; b = 0 is fine (a constant line, trivially consistent
+    for honest tables).
+    """
+    return Verdict(_consistent_entry(degree, f, flines, a, b, t) is not None)
 
 
 def local_correct(degree: int, f: PointOracle, flines: LinesOracle,
@@ -56,14 +64,5 @@ def local_correct(degree: int, f: PointOracle, flines: LinesOracle,
     Checks the lines entry against f at position t; on agreement returns the
     entry's constant coefficient (its value at t=0, i.e. at alpha itself).
     """
-    q = f.field.q
-    t %= q
-    if t == 0:
-        raise ValueError("t must be a nonzero field element")
-    if flines.degree != degree or f.degree != degree:
-        raise ValueError("oracle degree tags disagree with the test degree")
-    entry = flines.query(alpha, b)
-    value = f.query(_line_point(alpha, b, t, q))
-    if entry.eval(t) != value:
-        return REJECT
-    return Verdict(True, entry.at_zero())
+    entry = _consistent_entry(degree, f, flines, alpha, b, t)
+    return REJECT if entry is None else Verdict(True, entry.at_zero())

@@ -37,7 +37,7 @@ from .field import Field
 from .ldt import ldt_check, Verdict
 from .oracles import honest_oracles, LinesOracle, PointOracle
 from .poly import FactoredPoly, MultiPoly
-from .variety import GrobnerSet, NoCertificateError, product
+from .variety import NoCertificateError, Variety, product
 from .zerotest import ZeroProof, ZeroRandomness, zero_certificate, zero_prove, zero_verify
 
 
@@ -152,47 +152,47 @@ class PcpInstance:
     """Shared prover/verifier context for one (variety, graph) pair.
 
     Holds the product variety V×V with its union generating set, and the edge
-    extension Ê, all computed once.
+    extension Ê, all computed once.  The verifier's degree tag d is V's
+    extension degree.
     """
 
-    __slots__ = ("gset", "graph", "d", "gset2", "kprime", "edge_poly")
+    __slots__ = ("variety", "graph", "d", "variety2", "kprime", "edge_poly")
 
-    def __init__(self, gset: GrobnerSet, graph: Graph):
-        variety = gset.variety
+    def __init__(self, variety: Variety, graph: Graph):
         if graph.n > len(variety.points):
             raise ValueError(
                 f"graph has {graph.n} vertices but the variety only {len(variety.points)} points"
             )
-        self.gset = gset
+        self.variety = variety
         self.graph = graph
-        self.d = variety.degree_bound
-        _, self.gset2 = product(variety, gset, variety, gset)
-        self.kprime = self.gset2.complexity
-        self.edge_poly = _edge_extension(self.gset2, variety, graph)
+        self.d = variety.extension_degree
+        self.variety2 = product(variety, variety)
+        self.kprime = self.variety2.complexity
+        self.edge_poly = _edge_extension(self.variety2, variety, graph)
 
     @property
     def field(self) -> Field:
-        return self.gset.variety.field
+        return self.variety.field
 
     @property
     def m(self) -> int:
-        return self.gset.variety.m
+        return self.variety.m
 
     @property
     def k(self) -> int:
-        return self.gset.complexity
+        return self.variety.complexity
 
 
-def _edge_extension(gset2: GrobnerSet, variety, graph: Graph) -> MultiPoly:
+def _edge_extension(variety2: Variety, variety: Variety, graph: Graph) -> MultiPoly:
     """Low-degree extension over V×V of the symmetric 0/1 edge indicator."""
     m = variety.m
     values = []
-    for pp in gset2.variety.points:
+    for pp in variety2.points:
         i = variety.index_of(pp[:m])
         j = variety.index_of(pp[m:])
         inside = i < graph.n and j < graph.n
         values.append(1 if inside and graph.has_edge(i, j) else 0)
-    return gset2.variety.low_degree_extension(values)
+    return variety2.low_degree_extension(values)
 
 
 CONFLICT_OFFSETS = (1, -1, 2, -2)
@@ -264,7 +264,7 @@ def claim_polynomials(
     not be proper; the conflict polynomial then simply fails to vanish on
     V×V, which is exactly what soundness experiments want.
     """
-    variety = inst.gset.variety
+    variety = inst.variety
     field = inst.field
     chi_values = validate_coloring(field, inst.graph, colors)
     chi_values += [0] * (len(variety.points) - inst.graph.n)
@@ -290,13 +290,13 @@ def pcp_prove(inst: PcpInstance, colors: Sequence[int]) -> PcpProof:
     """
     chi, validity, conflict = claim_polynomials(inst, colors)
     d = inst.d
-    validity_cert = zero_prove(validity, inst.gset, 3 * d)
+    validity_cert = zero_prove(validity, inst.variety, 3 * d)
     try:
-        conflict_cert = zero_prove(conflict, inst.gset2, 6 * d)
+        conflict_cert = zero_prove(conflict, inst.variety2, 6 * d)
     except NoCertificateError:
         if not inst.graph.conflicts(colors, inst.field.q):
             raise
-        conflict_cert = zero_certificate(inst.gset2, 6 * d)
+        conflict_cert = zero_certificate(inst.variety2, 6 * d)
 
     color_pt, color_ln = honest_oracles(chi, d)
     validity_pt, validity_ln = honest_oracles(validity, 3 * d)
@@ -330,9 +330,9 @@ def pcp_verify(inst: PcpInstance, proof: PcpProof, r: PcpRandomness) -> Verdict:
     conflict_ok = wab == expected
 
     # zero tests (7 queries each)
-    z_validity = zero_verify(inst.gset, 3 * d, proof.validity, proof.validity_cert,
+    z_validity = zero_verify(inst.variety, 3 * d, proof.validity, proof.validity_cert,
                              ZeroRandomness(r.gamma1, r.gamma2, r.a, r.t))
-    z_conflict = zero_verify(inst.gset2, 6 * d, proof.conflict, proof.conflict_cert,
+    z_conflict = zero_verify(inst.variety2, 6 * d, proof.conflict, proof.conflict_cert,
                              ZeroRandomness(r.mu1, r.mu2, r.alpha, r.t))
 
     ok = (

@@ -1,7 +1,8 @@
 """Finite point sets in F_q^m and their vanishing-ideal structure.
 
 A ``Variety`` is any nonempty finite set of points with a fixed (lexicographic)
-enumeration order.  Two complexity parameters drive everything downstream:
+enumeration order, together with the generating set of its vanishing ideal.
+Two complexity parameters drive everything downstream:
 
 * the extension degree — the least d such that every function on the points
   extends to a polynomial of degree <= d (equivalently, the least d at which
@@ -13,8 +14,11 @@ enumeration order.  Two complexity parameters drive everything downstream:
 The generating set is built degree by degree: at degree i, take a kernel basis
 A_i of E_i, span the "already reachable" part B_i (lower-degree kernel plus
 its single-variable multiples), and keep just enough new kernel vectors to
-close the gap.  Products of varieties combine point sets and (variable-shifted)
-generating sets directly, which keeps cube- and power-shaped families cheap.
+close the gap.  The same pass finds the extension degree: it stops one degree
+after E_{i-1} reaches full row rank.  A product V1 × V2 (cubes H^m, powers
+such as the ball products ({0,1}^n_{<=1})^c, and the PCP's V × V) runs no
+elimination at all: its generating set is the union of the factors'
+(variable-shifted) sets and its extension degree the sum of theirs.
 
 Certificates Σ h_g·g = P are extracted by one exact linear solve over the
 cofactor coefficients: one row per monomial of degree <= deg(P), one column
@@ -35,7 +39,7 @@ from typing import Sequence
 
 from .field import Field
 from .linalg import IncrementalRank, Matrix, NoSolutionError
-from .poly import FactoredPoly, MultiPoly, _powers, monomials_exact, monomials_upto
+from .poly import FactoredPoly, MultiPoly, _powers, monomials_upto
 
 
 class SpecError(ValueError):
@@ -60,18 +64,22 @@ def _monomial_values(pows: list[list[int]], monos: Sequence[tuple[int, ...]],
 
 
 class Variety:
-    """Ordered point set in F_q^m with cached extension degree.
+    """Ordered point set in F_q^m with a generating set of its vanishing ideal.
 
-    ``degree_bound`` is the bound carried by the construction (for products,
-    the sum of the factors' bounds); the true ``extension_degree`` is computed
-    at construction time and never exceeds it.
+    ``gens`` is the generating set in a fixed order, which defines the y_g
+    coordinate layout of certificate polynomials, so it is never shuffled.
+    ``extension_degree`` is the least d at which E_d has full row rank.  Both
+    come from one run of ``grobner_generating_set``; a product variety takes
+    them from its factors (``product``).
     """
 
-    __slots__ = ("field", "m", "points", "extension_degree", "degree_bound",
-                 "_index")
+    __slots__ = ("field", "m", "points", "gens", "extension_degree", "_index")
 
-    def __init__(self, field: Field, points: Sequence[Sequence[int]],
-                 degree_bound: int | None = None):
+    def __init__(self, field: Field, points: Sequence[Sequence[int]]):
+        self._set_points(field, points)
+        self.gens, self.extension_degree = grobner_generating_set(self)
+
+    def _set_points(self, field: Field, points: Sequence[Sequence[int]]) -> None:
         q = field.q
         pts = [tuple(x % q for x in p) for p in points]
         if not pts:
@@ -85,12 +93,6 @@ class Variety:
         self.m = m
         self.points = tuple(sorted(pts))
         self._index = {p: i for i, p in enumerate(self.points)}
-        self.extension_degree = self._compute_extension_degree()
-        if degree_bound is None:
-            degree_bound = self.extension_degree
-        elif degree_bound < self.extension_degree:
-            raise ValueError("declared degree bound below actual extension degree")
-        self.degree_bound = degree_bound
 
     def __len__(self) -> int:
         return len(self.points)
@@ -99,29 +101,16 @@ class Variety:
         return (f"Variety(F_{self.field.q}, m={self.m}, n={len(self.points)}, "
                 f"d={self.extension_degree})")
 
+    @property
+    def complexity(self) -> int:
+        return len(self.gens)
+
+    def phi(self, z: Sequence[int]) -> tuple[int, ...]:
+        """Generator-evaluation embedding z ↦ (g(z) : g ∈ 𝔊)."""
+        return tuple(g.eval(z) for g in self.gens)
+
     def index_of(self, point: Sequence[int]) -> int:
         return self._index[tuple(x % self.field.q for x in point)]
-
-    def _compute_extension_degree(self) -> int:
-        # Feed monomial columns degree block by degree block into an
-        # incremental rank structure; the answer is the first degree at which
-        # the span of columns covers all of F_q^V.  That degree is at most
-        # n - 1 (a point's indicator is a product of n - 1 linear factors,
-        # each zero at one other point) and at most m(q - 1) (x^q = x on
-        # F_q), so one table of powers per point up to there serves them all.
-        q = self.field.q
-        n = len(self.points)
-        top = min(n - 1, self.m * (q - 1))
-        tables = [_powers(p, [top] * self.m, q) for p in self.points]
-        inc = IncrementalRank(self.field, n)
-        d = 0
-        while True:
-            block = monomials_exact(self.m, d)
-            for column in zip(*(_monomial_values(t, block, q) for t in tables)):
-                inc.add(column)
-            if inc.rank == n:
-                return d
-            d += 1
 
     def evaluation_matrix(self, degree: int) -> Matrix:
         """E_degree: rows = points (enumeration order), columns = monomials."""
@@ -146,38 +135,20 @@ class Variety:
         return MultiPoly.from_vector(self.field, self.m, self.extension_degree, coeffs)
 
 
-@dataclass(frozen=True)
-class GrobnerSet:
-    """Generating set of the vanishing ideal, in a fixed order.
-
-    The order defines the y_g coordinate layout of certificate polynomials,
-    so it must never be shuffled after construction.
-    """
-
-    variety: Variety
-    gens: tuple[MultiPoly, ...]
-
-    @property
-    def complexity(self) -> int:
-        return len(self.gens)
-
-    def phi(self, z: Sequence[int]) -> tuple[int, ...]:
-        """Generator-evaluation embedding z ↦ (g(z) : g ∈ 𝔊)."""
-        return tuple(g.eval(z) for g in self.gens)
-
-
 def vanishes_on(poly: MultiPoly | FactoredPoly, variety: Variety) -> bool:
     if poly.nvars != variety.m:
         raise ValueError("polynomial/variety dimension mismatch")
     return all(poly.eval(p) == 0 for p in variety.points)
 
 
-def grobner_generating_set(variety: Variety) -> GrobnerSet:
-    """Minimal-size generating set, built per degree from kernel bases.
+def grobner_generating_set(variety: Variety) -> tuple[tuple[MultiPoly, ...], int]:
+    """Minimal-size generating set, built per degree from kernel bases, and
+    the extension degree.
 
     Degree i contributes kernel vectors of E_i that are independent of
     B_i = span(A_{i-1} ∪ {x_j·a : a ∈ A_{i-1}}); the loop stops once E_{i-1}
-    already had full row rank (one degree past the extension degree).
+    already had full row rank (one degree past the extension degree), so the
+    extension degree is i - 1.
     """
     field = variety.field
     m = variety.m
@@ -215,45 +186,42 @@ def grobner_generating_set(variety: Variety) -> GrobnerSet:
 
         prev_monos, prev_kernel = monos, kernel
         if rank_below == n:
-            break
-
-    return GrobnerSet(variety, tuple(gens))
+            return tuple(gens), degree - 1
 
 
-def product(v1: Variety, g1: GrobnerSet, v2: Variety, g2: GrobnerSet
-            ) -> tuple[Variety, GrobnerSet]:
-    """V1 × V2 with the union generating set (second factor's variables shifted)."""
+def product(v1: Variety, v2: Variety) -> Variety:
+    """V1 × V2 with the union generating set (second factor's variables shifted).
+
+    No elimination runs, and the extension degree is the sum of the factors'.
+    Under a graded order, Gröbner bases of I(V1) and I(V2) have their leading
+    monomials in disjoint variables, so their union is a Gröbner basis of
+    I(V1) + I(V2) = I(V1 × V2): the standard monomials of V1 × V2 are the
+    products of the factors', and their top degrees add.
+    """
     if v1.field != v2.field:
         raise ValueError("mixed fields")
     m = v1.m + v2.m
-    points = [p + r for p in v1.points for r in v2.points]
-    variety = Variety(v1.field, points,
-                      degree_bound=v1.degree_bound + v2.degree_bound)
-    gens = tuple(
-        [g.shift_vars(m, 0) for g in g1.gens] + [g.shift_vars(m, v1.m) for g in g2.gens]
+    variety = object.__new__(Variety)
+    variety._set_points(v1.field, [p + r for p in v1.points for r in v2.points])
+    variety.gens = tuple(
+        [g.shift_vars(m, 0) for g in v1.gens] + [g.shift_vars(m, v1.m) for g in v2.gens]
     )
-    return variety, GrobnerSet(variety, gens)
+    variety.extension_degree = v1.extension_degree + v2.extension_degree
+    return variety
 
 
 # -- standard families -------------------------------------------------------
 
-def explicit_variety(field: Field, points: Sequence[Sequence[int]]
-                     ) -> tuple[Variety, GrobnerSet]:
-    v = Variety(field, points)
-    return v, grobner_generating_set(v)
-
-
-def cube_variety(field: Field, coords: Sequence[int], m: int
-                 ) -> tuple[Variety, GrobnerSet]:
+def cube_variety(field: Field, coords: Sequence[int], m: int) -> Variety:
     """H^m as an m-fold product of the one-dimensional variety H."""
     if not coords:
         raise SpecError("cube needs a nonempty coordinate set H")
     if m < 1:
         raise SpecError("cube needs m >= 1")
-    return power_variety(field, explicit_variety(field, [(h,) for h in coords]), m)
+    return power_variety(Variety(field, [(h,) for h in coords]), m)
 
 
-def ball1_variety(field: Field, n: int) -> tuple[Variety, GrobnerSet]:
+def ball1_variety(field: Field, n: int) -> Variety:
     """Boolean points of Hamming weight <= 1: the origin and the unit vectors."""
     if n < 1:
         raise SpecError("ball1 needs n >= 1")
@@ -262,23 +230,22 @@ def ball1_variety(field: Field, n: int) -> tuple[Variety, GrobnerSet]:
         e = [0] * n
         e[i] = 1
         points.append(tuple(e))
-    return explicit_variety(field, points)
+    return Variety(field, points)
 
 
-def power_variety(field: Field, inner: tuple[Variety, GrobnerSet], c: int
-                  ) -> tuple[Variety, GrobnerSet]:
+def power_variety(inner: Variety, c: int) -> Variety:
     if c < 1:
         raise SpecError("power needs exponent >= 1")
     acc = inner
     for _ in range(c - 1):
-        acc = product(acc[0], acc[1], inner[0], inner[1])
+        acc = product(acc, inner)
     return acc
 
 
 _POW_RE = re.compile(r"^pow:\((?P<inner>.+)\)\^(?P<c>\d+)$")
 
 
-def make_variety(field: Field, spec: str) -> tuple[Variety, GrobnerSet]:
+def make_variety(field: Field, spec: str) -> Variety:
     """Build a variety from the CLI text grammar.
 
     Accepted forms: ``cube:H=<csv>;m=<int>``, ``ball1:n=<int>``,
@@ -306,7 +273,7 @@ def make_variety(field: Field, spec: str) -> tuple[Variety, GrobnerSet]:
     match = _POW_RE.fullmatch(spec)
     if match:
         inner = make_variety(field, match.group("inner"))
-        return power_variety(field, inner, int(match.group("c")))
+        return power_variety(inner, int(match.group("c")))
     if spec.startswith("points:"):
         path = Path(spec[len("points:"):])
         if not path.exists():
@@ -319,7 +286,7 @@ def make_variety(field: Field, spec: str) -> tuple[Variety, GrobnerSet]:
             points.append(tuple(int(x) for x in line.split()))
         if not points:
             raise SpecError(f"point file {path} is empty")
-        return explicit_variety(field, points)
+        return Variety(field, points)
     raise SpecError(f"unrecognized variety spec {spec!r}")
 
 
@@ -333,27 +300,22 @@ class Certificate:
     bound: int  # deg(h_g · g) <= bound = deg(P)
 
 
-def vanishing_certificate(poly: MultiPoly, gens: GrobnerSet | Sequence[MultiPoly]
-                          ) -> Certificate:
+def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]) -> Certificate:
     """Solve for cofactors h_g with Σ h_g·g = P and deg(h_g·g) <= deg(P).
 
     One exact linear solve over all cofactor coefficients (free variables
     zeroed, so the output is canonical).  Raising on inconsistency makes this
     double as an ideal-membership test with the degree bound built in.
     """
-    if isinstance(gens, GrobnerSet):
-        gen_list = gens.gens
-    else:
-        gen_list = tuple(gens)
     field = poly.field
     m = poly.nvars
-    for g in gen_list:
+    for g in gens:
         if g.nvars != m or g.field != field:
             raise ValueError("generator ring mismatch")
     bound = poly.degree()
     if poly.is_zero():
         zero = MultiPoly.zero(field, m)
-        return Certificate(tuple(zero for _ in gen_list), 0)
+        return Certificate(tuple(zero for _ in gens), 0)
 
     # one row per target monomial, one column per (generator, h-monomial):
     # column j holds generator g shifted by its monomial, |g.terms| nonzeros.
@@ -371,7 +333,7 @@ def vanishing_certificate(poly: MultiPoly, gens: GrobnerSet | Sequence[MultiPoly
     row_index = {k: i for i, k in enumerate(target_keys)}
     rows: list[dict[int, int]] = [{} for _ in target_monos]
     col_owner: list[tuple[int, tuple[int, ...]]] = []  # (generator index, h-monomial)
-    for gi, g in enumerate(gen_list):
+    for gi, g in enumerate(gens):
         gdeg = g.degree()
         if g.is_zero() or gdeg > bound:
             continue
@@ -393,7 +355,7 @@ def vanishing_certificate(poly: MultiPoly, gens: GrobnerSet | Sequence[MultiPoly
             "no certificate: polynomial is not in the ideal within its degree bound"
         ) from exc
 
-    cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in gen_list]
+    cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in gens]
     for value, (gi, mono) in zip(solution, col_owner):
         if value:
             cof_terms[gi][mono] = value
@@ -403,14 +365,14 @@ def vanishing_certificate(poly: MultiPoly, gens: GrobnerSet | Sequence[MultiPoly
     )
 
     check = MultiPoly.zero(field, m)
-    for h, g in zip(cofactors, gen_list):
+    for h, g in zip(cofactors, gens):
         check = check.add(h.mul(g))
     if check != poly:
         raise AssertionError("certificate residual check failed")  # pragma: no cover
     return Certificate(cofactors, bound)
 
 
-def certificate_factors(cert: Certificate, gens: GrobnerSet | Sequence[MultiPoly],
+def certificate_factors(cert: Certificate, gens: Sequence[MultiPoly],
                         cap: int | None = None) -> FactoredPoly:
     """M(x,y) = Σ h_g(x)·y_g in m+k variables, as the products h_g(x)·y_g.
 
@@ -418,17 +380,13 @@ def certificate_factors(cert: Certificate, gens: GrobnerSet | Sequence[MultiPoly
     y variable, so M(x, 0) = 0 structurally, and substituting y_g = g(x)
     recovers the certified polynomial.
     """
-    if isinstance(gens, GrobnerSet):
-        gen_list = gens.gens
-    else:
-        gen_list = tuple(gens)
-    if len(cert.cofactors) != len(gen_list):
+    if len(cert.cofactors) != len(gens):
         raise ValueError("certificate/generator count mismatch")
-    k = len(gen_list)
+    k = len(gens)
     if k == 0:
         raise ValueError("need at least one generator")
-    field = gen_list[0].field
-    m = gen_list[0].nvars
+    field = gens[0].field
+    m = gens[0].nvars
     nvars = m + k
     products = [
         (h.shift_vars(nvars, 0), MultiPoly.variable(field, nvars, m + gi))

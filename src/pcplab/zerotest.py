@@ -24,8 +24,8 @@ from .ldt import ldt_check, local_correct, Verdict
 from .oracles import honest_oracles, LinesOracle, PointOracle
 from .poly import FactoredPoly, MultiPoly
 from .variety import (
-    GrobnerSet,
     NoCertificateError,
+    Variety,
     certificate_factors,
     vanishes_on,
     vanishing_certificate,
@@ -50,18 +50,18 @@ class ZeroRandomness:
     t: int
 
     @classmethod
-    def sample(cls, gset: GrobnerSet, rng) -> "ZeroRandomness":
+    def sample(cls, variety: Variety, rng) -> "ZeroRandomness":
         """Draw order is fixed (a, b, alpha, t); budget accounting relies on it."""
-        field = gset.variety.field
-        m = gset.variety.m
-        s = m + gset.complexity
+        field = variety.field
+        m = variety.m
+        s = m + variety.complexity
         a = field.sample_point(rng, s)
         b = field.sample_point(rng, s)
         alpha = field.sample_point(rng, m)
         return cls(a, b, alpha, field.sample(rng, nonzero=True))
 
 
-def zero_prove(poly: MultiPoly | FactoredPoly, gset: GrobnerSet, degree: int) -> ZeroProof:
+def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) -> ZeroProof:
     """Honest proof that ``poly`` (degree <= ``degree``) vanishes on the variety.
 
     Checks vanishing on ``poly`` as given, multiplies a ``FactoredPoly`` out
@@ -69,7 +69,6 @@ def zero_prove(poly: MultiPoly | FactoredPoly, gset: GrobnerSet, degree: int) ->
     answer M factor by factor.  ``vanishing_certificate`` checks the identity
     Σ h_g·g = P, which is M(x, φ(x)) = P; M(x, 0) = 0 holds by construction.
     """
-    variety = gset.variety
     if poly.nvars != variety.m:
         raise ValueError("polynomial/variety dimension mismatch")
     if poly.degree() > degree:
@@ -78,18 +77,18 @@ def zero_prove(poly: MultiPoly | FactoredPoly, gset: GrobnerSet, degree: int) ->
         raise NoCertificateError("no certificate: polynomial does not vanish on the variety")
 
     expanded = poly.expand() if isinstance(poly, FactoredPoly) else poly
-    cert = vanishing_certificate(expanded, gset)
-    point, lines = honest_oracles(certificate_factors(cert, gset, cap=degree), degree)
+    cert = vanishing_certificate(expanded, variety.gens)
+    point, lines = honest_oracles(certificate_factors(cert, variety.gens, cap=degree), degree)
     return ZeroProof(point, lines)
 
 
-def zero_certificate(gset: GrobnerSet, degree: int) -> ZeroProof:
+def zero_certificate(variety: Variety, degree: int) -> ZeroProof:
     """The all-zero M over F_q^{m+k} with its lines table, at degree tag ``degree``."""
-    s = gset.variety.m + gset.complexity
-    return ZeroProof(*honest_oracles(MultiPoly.zero(gset.variety.field, s, cap=degree), degree))
+    s = variety.m + variety.complexity
+    return ZeroProof(*honest_oracles(MultiPoly.zero(variety.field, s, cap=degree), degree))
 
 
-def zero_verify(gset: GrobnerSet, degree: int, f: PointOracle,
+def zero_verify(variety: Variety, degree: int, f: PointOracle,
                 proof: ZeroProof, r: ZeroRandomness) -> Verdict:
     """Seven-query check that the function behind ``f`` vanishes on the variety.
 
@@ -98,9 +97,8 @@ def zero_verify(gset: GrobnerSet, degree: int, f: PointOracle,
     3. corrected read of M at (alpha, φ(alpha)), dir. a    — 2 queries
     4. point read f[alpha]                                 — 1 query, must match 3
     """
-    variety = gset.variety
     m = variety.m
-    k = gset.complexity
+    k = variety.complexity
     if len(r.alpha) != m or len(r.a) != m + k or len(r.b) != m + k:
         raise ValueError("randomness dimensions do not match the variety")
     if f.s != m:
@@ -110,7 +108,7 @@ def zero_verify(gset: GrobnerSet, degree: int, f: PointOracle,
     at_zero = local_correct(degree, proof.point, proof.lines,
                             r.alpha + (0,) * k, r.a, r.t)
     at_phi = local_correct(degree, proof.point, proof.lines,
-                           r.alpha + gset.phi(r.alpha), r.a, r.t)
+                           r.alpha + variety.phi(r.alpha), r.a, r.t)
     f_value = f.query(r.alpha)
 
     ok = (
@@ -121,18 +119,18 @@ def zero_verify(gset: GrobnerSet, degree: int, f: PointOracle,
     return Verdict(ok)
 
 
-def randomness_space_size(gset: GrobnerSet) -> int:
+def randomness_space_size(variety: Variety) -> int:
     """Number of distinct ZeroRandomness tuples (exhaustive-mode size)."""
-    q = gset.variety.field.q
-    s = gset.variety.m + gset.complexity
-    return q ** (2 * s) * q ** gset.variety.m * (q - 1)
+    q = variety.field.q
+    s = variety.m + variety.complexity
+    return q ** (2 * s) * q ** variety.m * (q - 1)
 
 
-def enumerate_randomness(gset: GrobnerSet):
+def enumerate_randomness(variety: Variety):
     """All ZeroRandomness tuples in lexicographic order."""
-    q = gset.variety.field.q
-    m = gset.variety.m
-    s = m + gset.complexity
+    q = variety.field.q
+    m = variety.m
+    s = m + variety.complexity
     for a in itertools.product(range(q), repeat=s):
         for b in itertools.product(range(q), repeat=s):
             for alpha in itertools.product(range(q), repeat=m):

@@ -145,29 +145,29 @@ def test_criterion_01_family_exactness():
     for q in (5, 7):
         field = Field(q)
         for coords in ([0, 1], [1, 2, 3], [0, 1, 2, 3], list(range(q))):
-            v, gset = make_variety(field, f"cube:H={','.join(map(str, coords))};m=1")
-            assert gset.complexity == 1
+            v = make_variety(field, f"cube:H={','.join(map(str, coords))};m=1")
+            assert v.complexity == 1
             assert v.extension_degree == len(coords) - 1
             assert _brute_complexity(v.points, 1, q) == 1
     # weight-<=1 boolean points: extension degree 1, at most n(n+1)/2
     # generators, count re-derived by per-degree rank brute force
     for n in (1, 2, 3, 4):
-        v, gset = make_variety(Field(5), f"ball1:n={n}")
+        v = make_variety(Field(5), f"ball1:n={n}")
         assert v.extension_degree == 1
-        assert gset.complexity <= n * (n + 1) // 2
-        assert gset.complexity == _brute_complexity(v.points, n, 5)
-    # cubes: at most m generators, degree bound (|H|-1)m
+        assert v.complexity <= n * (n + 1) // 2
+        assert v.complexity == _brute_complexity(v.points, n, 5)
+    # cubes: at most m generators, extension degree (|H|-1)m
     for coords, m in (([0, 1], 1), ([0, 1], 2), ([0, 1], 3), ([0, 1, 2], 2)):
-        v, gset = make_variety(Field(5), f"cube:H={','.join(map(str, coords))};m={m}")
-        assert gset.complexity <= m
-        assert v.extension_degree <= v.degree_bound <= (len(coords) - 1) * m
-    # powers of balls: k <= (n^2 + nc)/(2c) with n total variables, d <= c
+        v = make_variety(Field(5), f"cube:H={','.join(map(str, coords))};m={m}")
+        assert v.complexity <= m
+        assert v.extension_degree == (len(coords) - 1) * m
+    # powers of balls: k <= (n^2 + nc)/(2c) with n total variables, d = c
     for base_n, c in ((2, 2), (3, 2)):
-        v, gset = make_variety(Field(5), f"pow:(ball1:n={base_n})^{c}")
+        v = make_variety(Field(5), f"pow:(ball1:n={base_n})^{c}")
         n = base_n * c
         assert v.m == n
-        assert gset.complexity <= (n * n + n * c) // (2 * c)
-        assert v.extension_degree <= v.degree_bound <= c
+        assert v.complexity <= (n * n + n * c) // (2 * c)
+        assert v.extension_degree == c
     _done(1, start, 10.0,
           "line/ball/cube/power complexity and extension degrees exact")
 
@@ -327,12 +327,10 @@ def test_criterion_10_randomness_budgets():
             field.sample_point(rng, cfg.nvars)
             field.sample(rng, nonzero=True)
         elif cfg.experiment == "zerotest":
-            _, gset = make_variety(field, cfg.variety)
-            ZeroRandomness.sample(gset, rng)
+            ZeroRandomness.sample(make_variety(field, cfg.variety), rng)
         else:
-            _, gset = make_variety(field, cfg.variety)
             n = int(cfg.graph.split(":")[1])
-            inst = PcpInstance(gset, Graph.from_edges(
+            inst = PcpInstance(make_variety(field, cfg.variety), Graph.from_edges(
                 n, list(itertools.combinations(range(n), 2))))
             PcpRandomness.sample(inst, rng)
         return rng.bits

@@ -15,14 +15,16 @@ def run(capsys, *argv):
 
 
 def test_variety_info(capsys):
-    code, out, _ = run(capsys, "variety", "info", "ball1:n=2", "--q", "5")
-    assert code == 0
-    lines = dict(ln.split(": ", 1) for ln in out.strip().splitlines())
-    assert lines["q"] == "5"
-    assert lines["m"] == "2"
-    assert lines["points"] == "3"
-    assert lines["extension_degree"] == "1"
-    assert lines["grobner_complexity"] == "3"
+    for spec, m, points, degree, complexity in (("ball1:n=2", "2", "3", "1", "3"),
+                                                ("pow:(ball1:n=2)^2", "4", "9", "2", "6")):
+        code, out, _ = run(capsys, "variety", "info", spec, "--q", "5")
+        assert code == 0
+        lines = dict(ln.split(": ", 1) for ln in out.strip().splitlines())
+        assert lines["q"] == "5"
+        assert lines["m"] == m
+        assert lines["points"] == points
+        assert lines["extension_degree"] == degree
+        assert lines["grobner_complexity"] == complexity
 
 
 def test_variety_grobner_listing(capsys):

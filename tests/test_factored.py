@@ -36,9 +36,9 @@ INSTANCES = {
 }
 
 
-def _expanded_certificate(poly, gset, degree):
-    cert = vanishing_certificate(poly, gset)
-    m, k = gset.variety.m, gset.complexity
+def _expanded_certificate(poly, variety, degree):
+    cert = vanishing_certificate(poly, variety.gens)
+    m, k = variety.m, variety.complexity
     terms = {}
     for gi, h in enumerate(cert.cofactors):
         y = tuple(1 if j == gi else 0 for j in range(k))
@@ -53,9 +53,9 @@ def case(name):
     [(label, point oracle, lines oracle, expanded reference, degree)])."""
     q, spec, n = INSTANCES[name]
     field = Field(q)
-    _, gset = make_variety(field, spec)
+    variety = make_variety(field, spec)
     graph = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    inst = PcpInstance(gset, graph)
+    inst = PcpInstance(variety, graph)
     colors = proper_3_coloring(graph, field)
     if colors is None:
         proof = PCP_ADVERSARIES["improper-pipeline"](inst, 0.0, random.Random(0))
@@ -76,11 +76,11 @@ def case(name):
         ("A", proof.validity, proof.validity_lines, validity, 3 * d),
         ("B", proof.conflict, proof.conflict_lines, conflict, 6 * d),
         ("M_A", proof.validity_cert.point, proof.validity_cert.lines,
-         _expanded_certificate(validity, inst.gset, 3 * d), 3 * d),
+         _expanded_certificate(validity, inst.variety, 3 * d), 3 * d),
     ]
     if colors is not None:
         out.append(("M_B", proof.conflict_cert.point, proof.conflict_cert.lines,
-                     _expanded_certificate(conflict, inst.gset2, 6 * d), 6 * d))
+                     _expanded_certificate(conflict, inst.variety2, 6 * d), 6 * d))
     return factored_conflict, out
 
 

@@ -77,8 +77,6 @@ def test_counting_rng_bills_by_range_size():
     assert rng.bits == 3
     rng.randrange(1, 5)       # size 4 -> 2 bits
     assert rng.bits == 5
-    rng.getrandbits(7)
-    assert rng.bits == 12
     with pytest.raises(ValueError):
         rng.randrange(0)
 
@@ -390,10 +388,10 @@ def test_adversary_registries():
 def test_random_vanishing_poly_rejects_degree_below_every_generator():
     # the cube's one generator x(x-1)(x-2) has degree 3: below that, the only
     # vanishing polynomial is 0 and its proof would pass vacuously
-    _, gset = make_variety(Field(5), "cube:H=0,1,2;m=1")
+    variety = make_variety(Field(5), "cube:H=0,1,2;m=1")
     with pytest.raises(ConfigError):
-        random_vanishing_poly(gset, 2, random.Random(0))
-    assert random_vanishing_poly(gset, 3, random.Random(0)).degree() == 3
+        random_vanishing_poly(variety, 2, random.Random(0))
+    assert random_vanishing_poly(variety, 3, random.Random(0)).degree() == 3
     for mode, adversary in (("completeness", ""), ("soundness", "inconsistent-lines"),
                             ("soundness", "wrong-poly")):
         cfg = ExperimentConfig(experiment="zerotest", q=5, variety="cube:H=0,1,2;m=1",
@@ -403,11 +401,11 @@ def test_random_vanishing_poly_rejects_degree_below_every_generator():
 
 
 def test_random_vanishing_poly_vanishes():
-    _, gset = make_variety(Field(5), "ball1:n=2")
+    variety = make_variety(Field(5), "ball1:n=2")
     rng = random.Random(17)
     for _ in range(20):
-        p = random_vanishing_poly(gset, 3, rng)
-        assert vanishes_on(p, gset.variety)
+        p = random_vanishing_poly(variety, 3, rng)
+        assert vanishes_on(p, variety)
         assert p.degree() <= 3
 
 
@@ -424,14 +422,14 @@ def test_load_graph_forms(tmp_path):
 
 def test_preset_shapes():
     # boolean-cube regime: as many generators as dimensions
-    _, gset = make_variety(Field(5), PRESETS["polylog"].variety)
-    assert gset.complexity == gset.variety.m == 2
+    v = make_variety(Field(5), PRESETS["polylog"].variety)
+    assert v.complexity == v.m == 2
     # Hamming-ball regime: everything extends at degree 1
-    v, _ = make_variety(Field(5), PRESETS["hadamard-like"].variety)
+    v = make_variety(Field(5), PRESETS["hadamard-like"].variety)
     assert v.extension_degree == 1
-    # power regime: degree bound equals the power exponent
-    v, _ = make_variety(Field(7), PRESETS["n-eps"].variety)
-    assert v.degree_bound == 2 * 1  # two degree-1 factors
+    # power regime: extension degree equals the power exponent
+    v = make_variety(Field(7), PRESETS["n-eps"].variety)
+    assert v.extension_degree == 2 * 1  # two degree-1 factors
 
 
 def test_presets_are_runnable():

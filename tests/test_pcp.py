@@ -30,9 +30,8 @@ from pcplab.pcp import (
     validate_coloring,
 )
 from pcplab.variety import (
-    GrobnerSet,
     NoCertificateError,
-    explicit_variety,
+    Variety,
     make_variety,
     vanishing_certificate,
     vanishes_on,
@@ -43,9 +42,9 @@ F17 = Field(17)
 
 
 def k3_instance():
-    _, gset = explicit_variety(F17, [(0,), (1,), (2,)])
+    variety = Variety(F17, [(0,), (1,), (2,)])
     graph = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    return PcpInstance(gset, graph)
+    return PcpInstance(variety, graph)
 
 
 # -- graphs -------------------------------------------------------------------
@@ -120,14 +119,14 @@ def test_best_effort_coloring_k4():
 # -- edge extension -----------------------------------------------------------
 
 def test_edge_extension_empty_graph_is_zero():
-    _, gset = explicit_variety(F5, [(0,), (1,)])
-    e = PcpInstance(gset, Graph.from_edges(2, [])).edge_poly
+    variety = Variety(F5, [(0,), (1,)])
+    e = PcpInstance(variety, Graph.from_edges(2, [])).edge_poly
     assert e.is_zero()
 
 
 def test_edge_extension_single_edge():
-    _, gset = explicit_variety(F5, [(0,), (1,)])
-    e = PcpInstance(gset, Graph.from_edges(2, [(0, 1)])).edge_poly
+    variety = Variety(F5, [(0,), (1,)])
+    e = PcpInstance(variety, Graph.from_edges(2, [(0, 1)])).edge_poly
     # x + y - 2xy: the symmetric indicator of {(0,1), (1,0)} on {0,1}^2
     assert e.terms == {(1, 0): 1, (0, 1): 1, (1, 1): 3}
     for x in range(2):
@@ -154,20 +153,20 @@ def test_instance_shape():
 
 
 def test_instance_rejects_oversized_graph():
-    _, gset = explicit_variety(F17, [(0,), (1,), (2,)])
+    variety = Variety(F17, [(0,), (1,), (2,)])
     with pytest.raises(ValueError):
-        PcpInstance(gset, Graph.from_edges(4, []))
+        PcpInstance(variety, Graph.from_edges(4, []))
 
 
 def test_claim_polynomials_proper():
     inst = k3_instance()
     colors = proper_3_coloring(inst.graph, F17)
     chi, validity, conflict = claim_polynomials(inst, colors)
-    v = inst.gset.variety
+    v = inst.variety
     for pt, c in zip(v.points, colors):
         assert chi.eval(pt) == c
     assert vanishes_on(validity, v)
-    assert vanishes_on(conflict, inst.gset2.variety)
+    assert vanishes_on(conflict, inst.variety2)
     assert chi.degree() <= inst.d
     assert validity.degree() <= 3 * inst.d
     assert conflict.degree() <= 6 * inst.d
@@ -198,14 +197,14 @@ def test_prover_raises_for_a_vanishing_claim_without_certificate():
     # with only the x-side generator, B of a proper coloring vanishes on V×V
     # but has no certificate; only an improper coloring earns the zero one
     inst = k3_instance()
-    inst.gset2 = GrobnerSet(inst.gset2.variety, inst.gset2.gens[:inst.k])
+    inst.variety2.gens = inst.variety2.gens[:inst.k]
     with pytest.raises(NoCertificateError):
         pcp_prove(inst, proper_3_coloring(inst.graph, F17))
 
 
 def test_single_vertex_graph():
-    _, gset = explicit_variety(F5, [(3,)])
-    inst = PcpInstance(gset, Graph.from_edges(1, []))
+    variety = Variety(F5, [(3,)])
+    inst = PcpInstance(variety, Graph.from_edges(1, []))
     assert inst.d == 0
     proof = pcp_prove(inst, [1])
     r = PcpRandomness.sample(inst, random.Random(0))
@@ -307,8 +306,8 @@ def test_implied_proof_size_entry_bits_match_the_budget_above_2_53():
     # 2^53 < q = 2^53 + 5: log2 in floating point rounds q down to 2^53, one
     # bit short of the ceil(log2 q) the randomness budget charges per element
     q = 9007199254740997
-    _, gset = explicit_variety(Field(q), [(0,), (1,)])
-    inst = PcpInstance(gset, Graph.from_edges(2, [(0, 1)]))
+    variety = Variety(Field(q), [(0,), (1,)])
+    inst = PcpInstance(variety, Graph.from_edges(2, [(0, 1)]))
     sizes = implied_proof_size(pcp_prove(inst, [0, 1]))
     assert _bits_per_element(q) == 54
     assert sizes["color"] == q * 54
@@ -324,11 +323,11 @@ def test_large_conflict_certificate_pinned():
     # certificate is a 1820 x 4004 solve with 8008 nonzeros; the cofactors'
     # canonical text is pinned as the dense elimination computed it
     field = Field(257)
-    _, gset = make_variety(field, "cube:H=0,1;m=2")
+    variety = make_variety(field, "cube:H=0,1;m=2")
     graph = load_graph("complete:3")
-    inst = PcpInstance(gset, graph)
+    inst = PcpInstance(variety, graph)
     _, _, conflict = claim_polynomials(inst, proper_3_coloring(graph, field))
-    cert = vanishing_certificate(conflict.expand(), inst.gset2)
+    cert = vanishing_certificate(conflict.expand(), inst.variety2.gens)
     assert cert.bound == 12
     assert [hashlib.sha256(h.text().encode()).hexdigest() for h in cert.cofactors] == [
         "7b825bd2edfaf7c87029d549ebea69c3bf3c61a24f79dcbf01c6a2e216f7a499",

@@ -213,9 +213,9 @@ def test_restrict_at_the_digit_width_bound(q, nvars, degree):
 def test_restrict_every_factor_of_the_k3_q7_proof():
     # q=7, K3: the conflict cap 6d = 12 >= q, so restriction must stay formal
     field = F7
-    _, gset = make_variety(field, "cube:H=0,1,2;m=1")
+    variety = make_variety(field, "cube:H=0,1,2;m=1")
     graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    proof = pcp_prove(PcpInstance(gset, graph), proper_3_coloring(graph, field))
+    proof = pcp_prove(PcpInstance(variety, graph), proper_3_coloring(graph, field))
     rng = random.Random(7)
     checked = 0
     for lines in proof.oracles().values():

@@ -1,5 +1,6 @@
 """Varieties: evaluation matrices, extension degree, generators, certificates."""
 
+import functools
 import itertools
 import math
 import random
@@ -11,15 +12,12 @@ from pcplab.field import Field
 from pcplab.poly import MultiPoly, monomials_upto, random_poly
 from pcplab.variety import (
     Certificate,
-    GrobnerSet,
     NoCertificateError,
     SpecError,
     Variety,
     ball1_variety,
     certificate_factors,
     cube_variety,
-    explicit_variety,
-    grobner_generating_set,
     make_variety,
     power_variety,
     product,
@@ -58,7 +56,7 @@ def test_vandermonde_rows():
 
 def test_extension_degree_frozen_values():
     assert Variety(F5, [(0,), (1,), (2,)]).extension_degree == 2
-    assert ball1_variety(F5, 2)[0].extension_degree == 1
+    assert ball1_variety(F5, 2).extension_degree == 1
     assert Variety(F5, [(3, 1)]).extension_degree == 0
 
 
@@ -80,8 +78,6 @@ def test_variety_validation():
         Variety(F5, [(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         Variety(F5, [(0, 1), (2,)])
-    with pytest.raises(ValueError):
-        Variety(F5, [(0,), (1,), (2,)], degree_bound=1)
 
 
 def test_points_are_canonicalized_and_indexed():
@@ -107,7 +103,7 @@ def test_lde_indicator_of_zero():
 
 
 def test_lde_zero_values_give_zero_poly():
-    v = ball1_variety(F5, 3)[0]
+    v = ball1_variety(F5, 3)
     assert v.low_degree_extension([0, 0, 0, 0]).is_zero()
 
 
@@ -192,9 +188,9 @@ def test_lde_matches_dense_right_inverse(case):
 # -- generating sets ---------------------------------------------------------
 
 def test_two_point_line_generator():
-    v, gset = explicit_variety(F5, [(1,), (2,)])
-    assert gset.complexity == 1
-    g = gset.gens[0]
+    v = Variety(F5, [(1,), (2,)])
+    assert v.complexity == 1
+    g = v.gens[0]
     assert g.text() == "3*x1^2 + x1 + 1"
     # scalar multiple of (x-1)(x-2)
     assert g == MultiPoly(F5, 1, {(2,): 1, (1,): 2, (0,): 2}, cap=2).scale(3)
@@ -202,59 +198,59 @@ def test_two_point_line_generator():
 
 
 def test_ball1_generators_frozen():
-    v, gset = ball1_variety(F5, 2)
-    assert gset.complexity == 3
-    assert [g.text() for g in gset.gens] == ["4*x1^2 + x1", "x1*x2", "4*x2^2 + x2"]
-    for g in gset.gens:
+    v = ball1_variety(F5, 2)
+    assert v.complexity == 3
+    assert [g.text() for g in v.gens] == ["4*x1^2 + x1", "x1*x2", "4*x2^2 + x2"]
+    for g in v.gens:
         assert vanishes_on(g, v)
 
 
 def test_cube_generators_frozen():
-    v, gset = cube_variety(F5, [0, 1], 2)
-    assert v.degree_bound == 2
-    assert [g.text() for g in gset.gens] == ["4*x1^2 + x1", "4*x2^2 + x2"]
+    v = cube_variety(F5, [0, 1], 2)
+    assert v.extension_degree == 2
+    assert [g.text() for g in v.gens] == ["4*x1^2 + x1", "4*x2^2 + x2"]
 
 
 def test_full_line_generator_spans_field_equation():
-    v, gset = explicit_variety(F5, [(i,) for i in range(5)])
-    assert gset.complexity == 1
+    v = Variety(F5, [(i,) for i in range(5)])
+    assert v.complexity == 1
     # x^5 - x generates; the stored generator is a scalar multiple of it
     target = MultiPoly(F5, 1, {(5,): 1, (1,): 4}, cap=5)
-    cert = vanishing_certificate(target, gset)
+    cert = vanishing_certificate(target, v.gens)
     assert len([h for h in cert.cofactors if not h.is_zero()]) == 1
 
 
 def test_full_plane_generators():
-    v, gset = explicit_variety(F3, list(itertools.product(range(3), repeat=2)))
-    assert gset.complexity == 2
+    v = Variety(F3, list(itertools.product(range(3), repeat=2)))
+    assert v.complexity == 2
     for i in range(2):
         e = [0, 0]
         e[i] = 3
         lo = [0, 0]
         lo[i] = 1
         target = MultiPoly(F3, 2, {tuple(e): 1, tuple(lo): 2}, cap=3)  # x_i^3 - x_i
-        cert = vanishing_certificate(target, gset)
+        cert = vanishing_certificate(target, v.gens)
         recon = MultiPoly.zero(F3, 2)
-        for h, g in zip(cert.cofactors, gset.gens):
+        for h, g in zip(cert.cofactors, v.gens):
             recon = recon.add(h.mul(g))
         assert recon == target
 
 
 def test_three_point_line_single_generator():
-    _, gset = explicit_variety(F5, [(0,), (1,), (2,)])
-    assert gset.complexity == 1
-    assert gset.gens[0].degree() == 3
+    v = Variety(F5, [(0,), (1,), (2,)])
+    assert v.complexity == 1
+    assert v.gens[0].degree() == 3
 
 
 def test_generator_count_invariant_under_point_order():
     pts = [(0, 1), (2, 2), (1, 4), (3, 0)]
-    base = explicit_variety(F5, pts)[1].complexity
+    base = Variety(F5, pts).complexity
     for perm in itertools.permutations(pts):
-        assert explicit_variety(F5, list(perm))[1].complexity == base
+        assert Variety(F5, list(perm)).complexity == base
 
 
 def test_vanishes_on():
-    v = ball1_variety(F5, 2)[0]
+    v = ball1_variety(F5, 2)
     assert vanishes_on(poly5(2, {(2, 0): 1, (1, 0): 4}, 2), v)   # x1^2 - x1
     assert not vanishes_on(poly5(2, {(1, 0): 1, (0, 0): 1}, 1), v)
     with pytest.raises(ValueError):
@@ -264,9 +260,9 @@ def test_vanishes_on():
 # -- certificates ------------------------------------------------------------
 
 def test_certificate_constant_cofactor():
-    v, gset = ball1_variety(F5, 2)
+    v = ball1_variety(F5, 2)
     p = poly5(2, {(2, 0): 1, (1, 0): 4}, 2)  # x1^2 - x1 = 4 * gen0
-    cert = vanishing_certificate(p, gset)
+    cert = vanishing_certificate(p, v.gens)
     assert cert.bound == 2
     assert cert.cofactors[0].terms == {(0, 0): 4}
     assert cert.cofactors[1].is_zero() and cert.cofactors[2].is_zero()
@@ -287,26 +283,26 @@ def test_certificate_two_generator_fixture():
 
 
 def test_certificate_zero_polynomial():
-    _, gset = ball1_variety(F5, 2)
-    cert = vanishing_certificate(MultiPoly.zero(F5, 2), gset)
+    v = ball1_variety(F5, 2)
+    cert = vanishing_certificate(MultiPoly.zero(F5, 2), v.gens)
     assert all(h.is_zero() for h in cert.cofactors)
     assert cert.bound == 0
 
 
 def test_certificate_rejects_non_members():
-    _, gset = ball1_variety(F5, 2)
+    v = ball1_variety(F5, 2)
     with pytest.raises(NoCertificateError):
-        vanishing_certificate(poly5(2, {(1, 0): 1, (0, 0): 1}, 1), gset)
+        vanishing_certificate(poly5(2, {(1, 0): 1, (0, 0): 1}, 1), v.gens)
     with pytest.raises(NoCertificateError):
         # degree 1 < every generator degree: nothing usable
-        vanishing_certificate(poly5(2, {(1, 0): 1}, 1), gset)
+        vanishing_certificate(poly5(2, {(1, 0): 1}, 1), v.gens)
 
 
 def test_certificate_is_membership_test():
-    v, gset = explicit_variety(F5, [(1, 1), (2, 3)])
+    v = Variety(F5, [(1, 1), (2, 3)])
     nonmember = poly5(2, {(0, 0): 1}, 0)  # constants never vanish on V
     with pytest.raises(NoCertificateError):
-        vanishing_certificate(nonmember, gset)
+        vanishing_certificate(nonmember, v.gens)
     member = v.low_degree_extension([0, 0])
     assert member.is_zero()  # sanity: the zero function's extension is zero
 
@@ -317,37 +313,37 @@ def test_random_ideal_members_certify(spec, tmp_path):
         f = tmp_path / "pts.txt"
         f.write_text("1\n3\n4\n")
         spec = f"points:{f}"
-    v, gset = make_variety(F5, spec)
+    v = make_variety(F5, spec)
     rng = random.Random(11)
     d = v.extension_degree
     for trial in range(100):
         target_degree = rng.randrange(d, d + 2)
         p = MultiPoly.zero(F5, v.m)
-        for g in gset.gens:
+        for g in v.gens:
             h = random_poly(F5, v.m, max(target_degree - g.degree(), 0), rng)
             p = p.add(h.mul(g))
         if p.is_zero():
             continue
-        cert = vanishing_certificate(p, gset)
+        cert = vanishing_certificate(p, v.gens)
         assert cert.bound == p.degree()
         recon = MultiPoly.zero(F5, v.m)
-        for h, g in zip(cert.cofactors, gset.gens):
+        for h, g in zip(cert.cofactors, v.gens):
             assert h.is_zero() or h.mul(g).degree() <= p.degree()
             recon = recon.add(h.mul(g))
         assert recon == p
 
 
 def test_certificate_poly_structure():
-    v, gset = ball1_variety(F5, 2)
+    v = ball1_variety(F5, 2)
     p = poly5(2, {(1, 1): 1}, 2)  # x1*x2 == the middle generator
-    cp = certificate_factors(vanishing_certificate(p, gset), gset).expand()
+    cp = certificate_factors(vanishing_certificate(p, v.gens), v.gens).expand()
     assert cp.nvars == 2 + 3
     assert cp.terms == {(0, 0, 0, 1, 0): 1}  # exactly y_2, the x1*x2 slot
     rng = random.Random(3)
     for _ in range(20):
         x = F5.sample_point(rng, 2)
         assert cp.eval(tuple(x) + (0, 0, 0)) == 0
-        assert cp.eval(tuple(x) + gset.phi(x)) == p.eval(x)
+        assert cp.eval(tuple(x) + v.phi(x)) == p.eval(x)
 
 
 def test_certificate_poly_two_generator_fixture():
@@ -364,113 +360,146 @@ def test_certificate_poly_two_generator_fixture():
 
 
 def test_certificate_poly_zero():
-    _, gset = ball1_variety(F5, 2)
-    cert = vanishing_certificate(MultiPoly.zero(F5, 2), gset)
-    assert certificate_factors(cert, gset).expand().is_zero()
+    v = ball1_variety(F5, 2)
+    cert = vanishing_certificate(MultiPoly.zero(F5, 2), v.gens)
+    assert certificate_factors(cert, v.gens).expand().is_zero()
 
 
 def test_certificate_poly_count_mismatch():
-    _, gset = ball1_variety(F5, 2)
+    v = ball1_variety(F5, 2)
     cert = Certificate((MultiPoly.zero(F5, 2),), 0)
     with pytest.raises(ValueError):
-        certificate_factors(cert, gset)
+        certificate_factors(cert, v.gens)
 
 
 # -- generator-evaluation embedding ------------------------------------------
 
 def test_phi_frozen_example():
     # the classic boolean-style generators, in this exact order
-    v, _ = ball1_variety(F5, 2)
-    gens = (
+    v = ball1_variety(F5, 2)
+    v.gens = (
         poly5(2, {(2, 0): 1, (1, 0): 4}, 2),  # x1^2 - x1
         poly5(2, {(0, 2): 1, (0, 1): 4}, 2),  # x2^2 - x2
         poly5(2, {(1, 1): 1}, 2),             # x1*x2
     )
-    gset = GrobnerSet(v, gens)
-    assert gset.phi((2, 3)) == (2, 1, 1)
+    assert v.phi((2, 3)) == (2, 1, 1)
 
 
 def test_phi_vanishes_on_variety_points():
-    v, gset = ball1_variety(F5, 2)
+    v = ball1_variety(F5, 2)
     for pt in v.points:
-        assert gset.phi(pt) == (0, 0, 0)
-    assert gset.phi((0, 0)) == (0, 0, 0)
+        assert v.phi(pt) == (0, 0, 0)
+    assert v.phi((0, 0)) == (0, 0, 0)
 
 
 # -- products and families ---------------------------------------------------
 
 def test_product_of_singletons():
-    a = explicit_variety(F5, [(1,)])
-    b = explicit_variety(F5, [(2,)])
-    v, gset = product(a[0], a[1], b[0], b[1])
+    v = product(Variety(F5, [(1,)]), Variety(F5, [(2,)]))
     assert v.points == ((1, 2),)
     assert v.extension_degree == 0
-    assert gset.complexity == 2
+    assert v.complexity == 2
 
 
 def test_product_mixed_fields_rejected():
-    a = explicit_variety(F5, [(1,)])
-    b = explicit_variety(F7, [(2,)])
     with pytest.raises(ValueError):
-        product(a[0], a[1], b[0], b[1])
+        product(Variety(F5, [(1,)]), Variety(F7, [(2,)]))
 
 
 def test_power_of_ball1():
-    v, gset = power_variety(F5, ball1_variety(F5, 2), 2)
+    v = power_variety(ball1_variety(F5, 2), 2)
     assert len(v.points) == 9
     assert v.m == 4
-    assert gset.complexity == 6
-    assert v.degree_bound == 2
-    assert v.extension_degree <= 2
-    for g in gset.gens:
+    assert v.complexity == 6
+    assert v.extension_degree == 2
+    for g in v.gens:
         assert vanishes_on(g, v)
 
 
 def test_product_members_certify_against_union_generators():
-    v, gset = cube_variety(F5, [0, 1], 2)
+    v = cube_variety(F5, [0, 1], 2)
     rng = random.Random(23)
     for _ in range(30):
         p = MultiPoly.zero(F5, 2)
-        for g in gset.gens:
+        for g in v.gens:
             p = p.add(random_poly(F5, 2, 1, rng).mul(g))
         if p.is_zero():
             continue
-        cert = vanishing_certificate(p, gset)
+        cert = vanishing_certificate(p, v.gens)
         assert cert.bound == p.degree()
 
 
 def test_product_lde_degree_bound():
-    v, _ = power_variety(F5, ball1_variety(F5, 2), 2)
+    v = power_variety(ball1_variety(F5, 2), 2)
     rng = random.Random(5)
     values = [rng.randrange(5) for _ in v.points]
     p = v.low_degree_extension(values)
-    assert p.degree() <= v.degree_bound
+    assert p.degree() <= v.extension_degree
     for pt, want in zip(v.points, values):
         assert p.eval(pt) == want
+
+
+@st.composite
+def _factor_point_sets(draw):
+    q = draw(st.sampled_from([3, 5, 7]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    factors = []
+    for _ in range(draw(st.integers(2, 3))):
+        space = list(itertools.product(range(q), repeat=draw(st.integers(1, 2))))
+        factors.append(rng.sample(space, draw(st.integers(1, min(len(space), 6)))))
+    return q, factors
+
+
+@settings(max_examples=30, deadline=None)
+@given(_factor_point_sets())
+def test_product_degree_is_the_least_full_rank_degree(case):
+    # the product runs no elimination: its extension degree is the sum of the
+    # factors', checked here against E_d's rank under the dense reference
+    q, factor_points = case
+    field = Field(q)
+    factors = [Variety(field, pts) for pts in factor_points]
+    v = functools.reduce(product, factors)
+    points = [sum(ps, ()) for ps in itertools.product(*factor_points)]
+    assert v.points == tuple(sorted(points))
+
+    def rank(degree):
+        rows = [[math.prod(x ** e for x, e in zip(p, mono)) % q
+                 for mono in monomials_upto(v.m, degree)] for p in points]
+        return len(_gauss_jordan(rows, q)[1])
+
+    # E_{d-1}'s columns are a subset of E_d's, so the rank never drops with d
+    d = v.extension_degree
+    assert rank(d) == len(points)
+    assert d == 0 or rank(d - 1) < len(points)
+    shifted, offset = [], 0
+    for f in factors:
+        shifted += [g.shift_vars(v.m, offset) for g in f.gens]
+        offset += f.m
+    assert v.gens == tuple(shifted)
 
 
 # -- the text grammar --------------------------------------------------------
 
 def test_make_variety_cube():
-    v, gset = make_variety(F5, "cube:H=0,1;m=2")
+    v = make_variety(F5, "cube:H=0,1;m=2")
     assert len(v.points) == 4
-    assert gset.complexity == 2
+    assert v.complexity == 2
 
 
 def test_make_variety_ball1():
-    v, _ = make_variety(F5, "ball1:n=3")
+    v = make_variety(F5, "ball1:n=3")
     assert v.m == 3 and len(v.points) == 4
 
 
 def test_make_variety_power():
-    v, _ = make_variety(F7, "pow:(ball1:n=2)^2")
+    v = make_variety(F7, "pow:(ball1:n=2)^2")
     assert v.m == 4 and len(v.points) == 9
 
 
 def test_make_variety_points_file(tmp_path):
     f = tmp_path / "v.txt"
     f.write_text("# comment line\n0 0\n1 2\n\n3 3\n")
-    v, _ = make_variety(F5, f"points:{f}")
+    v = make_variety(F5, f"points:{f}")
     assert v.points == ((0, 0), (1, 2), (3, 3))
 
 
