@@ -8,9 +8,11 @@ and three kinds of answer function sit behind them:
 
 - honest ones (``honest_oracles``) are the polynomial's own ``eval`` and
   ``restrict`` and stay lazy — materializing a lines table over F_q^{2s} is
-  hopeless even at desk scale.  A ``FactoredPoly`` answers factor by factor,
-  so a product such as the PCP's conflict polynomial or a sum such as a
-  zero-on-variety certificate is never multiplied out to be queried;
+  hopeless even at desk scale.  A ``FactoredPoly`` runs its factors'
+  compiled functions and combines the values (a lines query in one
+  Kronecker pass), so a product such as the PCP's conflict polynomial or a
+  sum such as a zero-on-variety certificate is never multiplied out to be
+  queried;
 - table lookups (``materialize``), for exhaustive work on small domains;
 - keyed corruption (``corrupt``), which flips a keyed pseudorandom δ-fraction
   of entries by adding a nonzero offset, so the corrupted set is exactly the

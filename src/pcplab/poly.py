@@ -1,17 +1,20 @@
 """Sparse multivariate and fixed-width univariate polynomials over a prime field.
 
 ``MultiPoly`` keeps a sparse map from exponent vectors to nonzero residues
-plus a declared degree cap.  It evaluates and restricts to lines by one
-nested-Horner walk over the variables its terms use, built on first use: x_i^e's
-coefficient is a polynomial in the later variables, and the walk multiplies by
-x_i once per step down in e.  ``eval`` walks mod q at the scalar point;
-``restrict`` walks over the integers at the Kronecker-packed point
-x_i = a_i + b_i 2^W, whose base-2^W digits are the coefficients in t of
-P(a + t b) (the digit width W is fixed with the layout so no digit carries).
-``FactoredPoly`` is a sum of products of ``MultiPoly`` factors that evaluates
-and restricts factor by factor without multiplying out; ``UniPoly`` is a
-fixed-length coefficient vector (index = power of t, trailing zeros retained)
-as handed out by lines tables.
+plus a declared degree cap.  It evaluates and restricts to lines through one
+compiled integer function, built on first use from the nested-Horner layout of
+the variables its terms use (x_i^e's coefficient is a polynomial in the later
+variables, and each step multiplies by x_i once): straight-line Python code,
+one statement per Horner step, with the coefficients passed in as a tuple, so
+it is compiled once per support shape and shared by every polynomial with
+that support.  ``eval`` runs it over Z at the point and reduces mod q once;
+``restrict`` runs it at the Kronecker-packed point x_i = a_i + b_i 2^W, whose
+base-2^W digits are the coefficients in t of P(a + t b) (W bounds every
+coefficient, so no digit carries).  ``FactoredPoly`` is a sum of products of
+``MultiPoly`` factors that evaluates and restricts without multiplying out:
+its restriction runs every factor's function at one packed point and reads
+the digits once.  ``UniPoly`` is a fixed-length coefficient vector (index =
+power of t, trailing zeros retained) as handed out by lines tables.
 
 The canonical monomial order used for matrix columns, coefficient vectors and
 text output is graded lexicographic: monomials grouped by total degree, and
@@ -94,21 +97,63 @@ def _horner_layout(items: list[tuple[tuple[int, ...], int]], start: int):
     return var, children
 
 
-def _horner_eval(layout, point: Sequence[int], modulus: int) -> int:
-    """The layout's polynomial at ``point``, mod ``modulus``."""
-    if type(layout) is int:
-        return layout
-    var, children = layout
-    x = point[var]
-    acc = 0
-    for child in reversed(children):
-        if child is None:
-            acc = acc * x % modulus
-        elif type(child) is int:
-            acc = (acc * x + child) % modulus
-        else:
-            acc = (acc * x + _horner_eval(child, point, modulus)) % modulus
-    return acc
+def _horner_source(layout, nvars: int) -> tuple[str, tuple[int, ...]]:
+    """Straight-line source of ``f(C, X)``, the layout's polynomial over Z at
+    the point X, and the coefficient tuple C it unpacks.
+
+    One statement per Horner step, so the code never nests: a coefficient of
+    x_var^e that is itself a polynomial in later variables is computed first
+    into the next level's local and then folded in.  Coefficients enter only
+    through C, so polynomials with the same support share the source.
+    """
+    coeffs: list[int] = []
+    body: list[str] = []
+    used: set[int] = set()
+
+    def emit(node, level: int) -> None:
+        v = f"v{level}"
+        if type(node) is int:
+            body.append(f"{v} = c{len(coeffs)}")
+            coeffs.append(node)
+            return
+        var, children = node
+        used.add(var)
+        top, *rest = reversed(children)
+        emit(top, level)  # the leading coefficient is never empty
+        for child in rest:
+            if child is None:
+                body.append(f"{v} *= x{var}")
+            elif type(child) is int:
+                body.append(f"{v} = {v}*x{var} + c{len(coeffs)}")
+                coeffs.append(child)
+            else:
+                emit(child, level + 1)
+                body.append(f"{v} = {v}*x{var} + v{level + 1}")
+
+    emit(layout, 0)
+    head = ["def f(C, X):", "    " + ", ".join(f"c{i}" for i in range(len(coeffs))) + ", = C"]
+    if used:
+        head.append("    " + ", ".join(f"x{i}" if i in used else "_" for i in range(nvars)) + ", = X")
+    lines = head + ["    " + line for line in body] + ["    return v0"]
+    return "\n".join(lines) + "\n", tuple(coeffs)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_horner(source: str):
+    """The function defined by ``_horner_source`` output, one per shape."""
+    namespace: dict = {}
+    exec(compile(source, "<horner>", "exec"), namespace)
+    return namespace["f"]
+
+
+def _digits(field: Field, v: int, width: int, ndigits: int) -> "UniPoly":
+    """The low ``ndigits`` base-2^width digits of ``v`` as t^0..t^(ndigits-1)."""
+    mask = (1 << width) - 1
+    coeffs = []
+    for _ in range(ndigits):
+        coeffs.append(v & mask)
+        v >>= width
+    return UniPoly(field, coeffs)
 
 
 class MultiPoly:
@@ -227,48 +272,64 @@ class MultiPoly:
 
     def mul(self, other: "MultiPoly") -> "MultiPoly":
         self._binop_check(other)
-        q = self.field.q
-        acc: dict[tuple[int, ...], int] = {}
+        # exponent vectors are keyed as digits in base deg(self)+deg(other)+1;
+        # no exponent of a product exceeds that sum, so key(e1+e2) is
+        # key(e1)+key(e2)
+        nvars = self.nvars
+        base = self.degree() + other.degree() + 1
+        weights = [base ** i for i in range(nvars)]
+        theirs = [(sum(x * w for x, w in zip(e, weights)), c) for e, c in other.terms.items()]
+        acc: dict[int, int] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = acc.get(e, 0) + c1 * c2
-                acc[e] = v
-        cap = self.cap + other.cap
-        return MultiPoly(self.field, self.nvars, {e: v % q for e, v in acc.items()}, cap)
+            k1 = sum(x * w for x, w in zip(e1, weights))
+            for k2, c2 in theirs:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + c1 * c2
+        terms = {}
+        for k, v in acc.items():
+            e = []
+            for _ in range(nvars):
+                k, r = divmod(k, base)
+                e.append(r)
+            terms[tuple(e)] = v
+        return MultiPoly(self.field, nvars, terms, self.cap + other.cap)
 
     # -- evaluation and restriction ----------------------------------------
 
     def _layout(self):
-        """(nested-Horner layout of the terms, Kronecker digit width W).
+        """(compiled Horner function, coefficient tuple, Kronecker digit width W).
 
-        See ``_horner_layout`` for the layout.  W = bit_length(T(q-1)(2q-2)^D)
-        for T terms of degree at most D: with a_i, b_i in [0, q), every
-        intermediate value of the walk over Z at x_i = a_i + b_i t is a
-        polynomial in t of degree <= D with nonnegative coefficients at most
-        that bound, so packed at t = 2^W its base-2^W digits never carry.
+        The function ``fn(coeffs, point)`` is ``_horner_source``'s
+        straight-line code for the terms' layout (see ``_horner_layout``),
+        compiled once per shape and shared by every polynomial with the same
+        support; it computes P(point) over Z.  W = bit_length(T(q-1)(2q-2)^D)
+        for T terms of degree at most D: with a_i, b_i in [0, q), P(a + t b)
+        over Z has nonnegative coefficients, each at most its value at t = 1,
+        which is at most that bound, so packed at t = 2^W its base-2^W digits
+        never carry.
         """
         if self._horner is None:
             terms = self.terms
             q = self.field.q
             layout = _horner_layout(list(terms.items()), 0) if terms else 0
+            source, coeffs = _horner_source(layout, self.nvars)
             width = (len(terms) * (q - 1) * (2 * q - 2) ** self.degree()).bit_length()
-            self._horner = layout, width
+            self._horner = _compile_horner(source), coeffs, width
         return self._horner
 
     def eval(self, point: Sequence[int]) -> int:
-        """P(point), by a Horner walk of the layout mod q."""
+        """P(point): the compiled function over Z, reduced mod q once."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        # every step reduces mod q, so the point's entries need no reduction
-        return _horner_eval(self._layout()[0], point, self.field.q)
+        fn, coeffs, _ = self._layout()
+        return fn(coeffs, point) % self.field.q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
         """Formal composition P(a + t b), expanded in t, by Kronecker
         substitution.
 
-        The Horner walk runs over the integers at x_i = a_i + b_i 2^W (a_i,
-        b_i reduced mod q, W the layout's digit width), so each step is one
+        The compiled function runs over Z at x_i = a_i + b_i 2^W (a_i, b_i
+        reduced mod q, W the layout's digit width), so each Horner step is one
         integer multiply-add; the base-2^W digits of the result, reduced mod
         q, are the coefficients of P(a + t b).  Arithmetic over Z followed by
         reduction is the formal composition, so the result is exact in F_q[t]
@@ -277,17 +338,9 @@ class MultiPoly:
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
         q = self.field.q
-        layout, width = self._layout()
-        ndigits = self.cap + 1
+        fn, coeffs, width = self._layout()
         packed = [ai % q + (bi % q << width) for ai, bi in zip(a, b)]
-        # the walk's values stay below 2^(W(cap+1)), so this modulus is never reached
-        v = _horner_eval(layout, packed, 1 << width * ndigits)
-        mask = (1 << width) - 1
-        coeffs = []
-        for _ in range(ndigits):
-            coeffs.append(v & mask)
-            v >>= width
-        return UniPoly(self.field, coeffs)
+        return _digits(self.field, fn(coeffs, packed), width, self.cap + 1)
 
     # -- text form ----------------------------------------------------------
 
@@ -313,29 +366,25 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def _convolve(u: list[int], v: list[int], q: int) -> list[int]:
-    """Coefficients of the product of two univariate coefficient lists."""
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                out[i + j] += x * y
-    return [c % q for c in out]
-
-
 class FactoredPoly:
     """Σ_i Π_j f_ij over F_q[x_1..x_m], kept as its ``MultiPoly`` factors.
 
-    ``eval`` and ``restrict`` ask each factor for its own Horner walk and
-    combine the results, so a product of a few small factors is never
-    multiplied out.  Restriction along a line is a ring homomorphism
-    F_q[x] -> F_q[t] (a formal composition, see ``MultiPoly.restrict``), so
-    the combined restriction has exactly the coefficients of the expanded
-    polynomial's, also when the cap is >= q.  ``cap`` is the declared degree
-    bound, as for ``MultiPoly``.
+    ``eval`` and ``restrict`` run each factor's compiled Horner function (see
+    ``MultiPoly._layout``) and combine the values, so a product of a few
+    small factors is never multiplied out.  ``restrict`` is one Kronecker
+    pass: every factor runs over Z at the same packed point a + b 2^W_F, the
+    integers are multiplied and summed, and the cap+1 base-2^W_F digits are
+    read once.  W_F = bit_length(Σ_i Π_j T_ij(q-1)(2q-2)^D_ij) for factors
+    of T_ij terms and degree D_ij: each f_ij(a + t b) over Z has nonnegative
+    coefficients and is at most T_ij(q-1)(2q-2)^D_ij at t = 1, so every
+    coefficient of the sum of products is at most that sum and no digit
+    carries.  Arithmetic over Z followed by reduction is the formal
+    composition, so the restriction has exactly the coefficients of the
+    expanded polynomial's, also when the cap is >= q.  ``cap`` is the
+    declared degree bound, as for ``MultiPoly``.
     """
 
-    __slots__ = ("field", "nvars", "cap", "products")
+    __slots__ = ("field", "nvars", "cap", "products", "_compiled")
 
     def __init__(self, field: Field, nvars: int,
                  products: Iterable[Sequence[MultiPoly]], cap: int):
@@ -343,6 +392,7 @@ class FactoredPoly:
         self.nvars = nvars
         self.cap = cap
         self.products = tuple(tuple(factors) for factors in products)
+        self._compiled = None
         for factors in self.products:
             if not factors:
                 raise ValueError("empty product")
@@ -374,34 +424,50 @@ class FactoredPoly:
             total = total.add(functools.reduce(MultiPoly.mul, factors))
         return total.with_cap(self.cap)
 
+    def _layout(self):
+        """(per product, its factors' (compiled function, coefficients)
+        pairs; the digit width W_F), built on first use."""
+        if self._compiled is None:
+            q = self.field.q
+            bound = 0
+            products = []
+            for factors in self.products:
+                size = 1
+                for f in factors:
+                    size *= len(f.terms) * (q - 1) * (2 * q - 2) ** f.degree()
+                bound += size
+                products.append(tuple(f._layout()[:2] for f in factors))
+            self._compiled = tuple(products), bound.bit_length()
+        return self._compiled
+
     def eval(self, point: Sequence[int]) -> int:
-        """Σ_i Π_j f_ij(point), each factor evaluated by its own Horner walk."""
+        """Σ_i Π_j f_ij(point), the factors' values multiplied mod q."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
         q = self.field.q
         total = 0
-        for factors in self.products:
+        for factors in self._layout()[0]:
             v = 1
-            for f in factors:
-                v = v * f.eval(point) % q
+            for fn, coeffs in factors:
+                v = v * fn(coeffs, point) % q
             total += v
         return total % q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
-        """Σ_i Π_j f_ij(a + t b): each factor restricted by its own Horner
-        walk, the restrictions multiplied and summed.  Returns exactly cap+1
-        coefficients."""
+        """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at digit width W_F.
+        Returns exactly cap+1 coefficients."""
+        if len(a) != self.nvars or len(b) != self.nvars:
+            raise ValueError("line arity mismatch")
         q = self.field.q
-        acc = [0] * (self.cap + 1)
-        for factors in self.products:
-            coeffs = factors[0].restrict(a, b).coeffs
-            for f in factors[1:]:
-                coeffs = _convolve(coeffs, f.restrict(a, b).coeffs, q)
-            # coefficients past the product's degree are exactly zero
-            for j, c in enumerate(coeffs):
-                if c:
-                    acc[j] += c
-        return UniPoly(self.field, acc)
+        products, width = self._layout()
+        packed = [ai % q + (bi % q << width) for ai, bi in zip(a, b)]
+        total = 0
+        for factors in products:
+            v = 1
+            for fn, coeffs in factors:
+                v *= fn(coeffs, packed)
+            total += v
+        return _digits(self.field, total, width, self.cap + 1)
 
 
 class UniPoly:

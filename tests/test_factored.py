@@ -12,7 +12,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcplab.field import Field
 from pcplab.harness import PCP_ADVERSARIES
@@ -24,7 +24,7 @@ from pcplab.pcp import (
     pcp_prove,
     proper_3_coloring,
 )
-from pcplab.poly import FactoredPoly, MultiPoly
+from pcplab.poly import FactoredPoly, MultiPoly, monomials_upto
 from pcplab.variety import make_variety, vanishing_certificate
 
 # (q, variety, graph): the benchmark's K4 instance, criterion 8's K3
@@ -108,6 +108,40 @@ def test_factored_oracles_match_expanded(data):
         assert point.query(x) == ref.eval(x), (name, label, x)
         entry = lines.query(a, b)
         assert entry.coeffs == ref.with_cap(degree).restrict(a, b).coeffs, (name, label, a, b)
+
+
+@st.composite
+def _factored_polys(draw):
+    """(q, nvars, products as lists of term dicts, cap slack, a, b, x)."""
+    q = draw(st.sampled_from([3, 5, 7, 257, 4294967311]))
+    nvars = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple)
+    factor = st.dictionaries(exps, st.integers(0, q - 1), max_size=4)
+    products = draw(st.lists(st.lists(factor, min_size=1, max_size=5), max_size=3))
+    point = st.lists(st.integers(0, q - 1), min_size=nvars, max_size=nvars)
+    return q, nvars, products, draw(st.integers(0, 8)), draw(point), draw(point), draw(point)
+
+
+_FULL = {e: 256 for e in monomials_upto(2, 2)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factored_polys())
+@example((257, 2, [[_FULL] * 3, [_FULL] * 2], 0,     # one Kronecker pass at the
+          [256, 256], [256, 256], [256, 256]))     # W_F bound: all entries q-1
+@example((3, 1, [[{(3,): 2, (0,): 1}] * 2], 2, [2], [1], [2]))  # cap 8 >= q
+def test_one_pass_matches_expanded(case):
+    q, nvars, products, slack, a, b, x = case
+    field = Field(q)
+    factored_products = [
+        [MultiPoly(field, nvars, terms, max((sum(e) for e in terms), default=0))
+         for terms in factors]
+        for factors in products]
+    degree = max((sum(f.cap for f in fs) for fs in factored_products), default=0)
+    p = FactoredPoly(field, nvars, factored_products, degree + slack)
+    expanded = p.expand()
+    assert p.eval(x) == expanded.eval(x)
+    assert p.restrict(a, b).coeffs == expanded.restrict(a, b).coeffs
 
 
 def test_factored_restrict_exact_when_cap_exceeds_q():

@@ -235,6 +235,54 @@ def test_restrict_every_factor_of_the_k3_q7_proof():
     assert checked == 50 * 15  # chi-hat; A's 3 factors; M_A's 2; B's 5; M_B's 2 + 2
 
 
+@pytest.mark.parametrize("q", [7, 257])
+def test_long_compiled_code_stays_exact(q):
+    # a degree-300 univariate layout is 300 Horner steps (sparse, to keep the
+    # reference expansion quick), and a product of 260 factors multiplies 260
+    # compiled values: neither may recurse or nest past the interpreter's
+    # limits
+    field = Field(q)
+    rng = random.Random(q)
+    terms = {(e,): rng.randrange(1, q) for e in range(0, 301, 12)}
+    p = MultiPoly(field, 1, terms, 300)
+    a, b, x = [rng.randrange(q)], [rng.randrange(1, q)], [rng.randrange(q)]
+    assert p.restrict(a, b).coeffs == _restrict_ref(terms, 300, a, b, q)
+    assert p.eval(x) == _eval_ref(terms, x, q)
+
+    offsets = [rng.randrange(q) for _ in range(260)]
+    factors = [{(1,): 1, (0,): c} for c in offsets]
+    product = FactoredPoly.product([MultiPoly(field, 1, f, 1) for f in factors])
+    want = [1]
+    for f in factors:
+        want = _convolve_ref(want, _restrict_ref(f, 1, a, b, q))
+    assert product.restrict(a, b).coeffs == [c % q for c in want]
+    value = 1
+    for f in factors:
+        value *= _eval_ref(f, x, q)
+    assert product.eval(x) == value % q
+
+
+def test_same_support_shares_one_compiled_function():
+    terms = {(2, 1): 3, (0, 1): 1, (0, 0): 4}
+    p = MultiPoly(F7, 2, terms, 3)
+    r = MultiPoly(F7, 2, {e: c + 1 for e, c in terms.items()}, 3)
+    assert p._layout()[0] is r._layout()[0]
+    for x in [(0, 0), (1, 2), (6, 5)]:
+        assert p.eval(x) == _eval_ref(p.terms, x, 7)
+        assert r.eval(x) == _eval_ref(r.terms, x, 7)
+    assert p.restrict((1, 2), (3, 4)).coeffs == _restrict_ref(p.terms, 3, (1, 2), (3, 4), 7)
+    assert r.restrict((1, 2), (3, 4)).coeffs == _restrict_ref(r.terms, 3, (1, 2), (3, 4), 7)
+
+
+def test_zero_and_constant_polynomials():
+    zero = MultiPoly.zero(F7, 2, cap=2)
+    const = MultiPoly.constant(F7, 2, 3, cap=2)
+    assert zero._layout()[0] is const._layout()[0]  # both a lone constant slot
+    assert zero.eval((4, 5)) == 0 and const.eval((4, 5)) == 3
+    assert zero.restrict((1, 2), (3, 4)).coeffs == [0, 0, 0]
+    assert const.restrict((1, 2), (3, 4)).coeffs == [3, 0, 0]
+
+
 def test_unipoly_shape_and_resize():
     u = UniPoly(F5, [1, 2, 0])
     assert u.bound() == 2
