@@ -5,12 +5,12 @@ and time in its nonzeros, not its cells: a certificate system has a few
 nonzeros per row across thousands of columns.  There is one elimination
 kernel, ``IncrementalRank``.  It reduces each incoming row by the pivot rows
 held so far (each normalised to a leading 1 at its least column) and keeps
-the remainder as a new pivot row when it is nonzero.  Every vector
-``linalg`` returns comes from the kernel's one back-substitution: given the
-non-pivot coordinates of a vector, it sets each pivot coordinate so that its
-pivot row vanishes on the vector.  ``Matrix.kernel_basis`` back-substitutes
-once per free column and ``Matrix.solve`` once, on the system augmented by
-its right-hand side.
+the remainder as a new pivot row when it is nonzero; ``reduce`` alone returns
+the remainder without keeping it.  Every vector ``linalg`` returns comes from
+the kernel's one back-substitution: given the non-pivot coordinates of a
+vector, it sets each pivot coordinate so that its pivot row vanishes on the
+vector.  ``Matrix.kernel_basis`` back-substitutes once per free column and
+``Matrix.solve`` once, on the system augmented by its right-hand side.
 
 The pivot rows span the row space, so a back-substituted vector is the one
 vector of the kernel with the given free coordinates.  The pivot columns, the
@@ -35,18 +35,17 @@ class NoSolutionError(ValueError):
 class IncrementalRank:
     """Row space of a growing set of vectors, one insertion at a time.
 
-    The elimination kernel of this module.  The extension-degree computation
-    feeds monomial rows in degree order and stops as soon as the rank
-    saturates; ``Matrix`` inserts its rows and then calls
-    ``back_substitute``.  Insertion order never changes the rank or the
-    vectors back-substitution returns.
+    The elimination kernel of this module.  ``Matrix`` inserts its rows and
+    then calls ``back_substitute``; the Buchberger-Möller sweep of
+    ``variety`` reduces each monomial's row and keeps it only when a point
+    entry is left.  Insertion order never changes the rank or the vectors
+    back-substitution returns.
     """
 
-    __slots__ = ("field", "width", "_pivots")
+    __slots__ = ("field", "_pivots")
 
-    def __init__(self, field: Field, width: int):
+    def __init__(self, field: Field):
         self.field = field
-        self.width = width
         # pivot column -> row with a 1 there and no column below it
         self._pivots: dict[int, dict[int, int]] = {}
 
@@ -54,18 +53,13 @@ class IncrementalRank:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def add(self, vector: Sequence[int]) -> bool:
-        """Insert a dense vector; True if it increased the rank."""
-        if len(vector) != self.width:
-            raise ValueError("dimension mismatch")
-        q = self.field.q
-        return self.insert({c: x % q for c, x in enumerate(vector) if x % q})
-
-    def insert(self, row: dict[int, int]) -> bool:
-        """Insert a sparse row of nonzero residues, which it takes over.
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """Subtract pivot rows from a sparse row of nonzero residues, in place,
+        until it has no pivot column, and return it.
 
         Pivot rows are subtracted in increasing pivot column; each one only
-        adds columns above its own, so one pass leaves no pivot column.
+        adds columns above its own, so one pass leaves no pivot column.  The
+        result is empty exactly when the row lies in the row space.
         """
         q = self.field.q
         pivots = self._pivots
@@ -85,13 +79,20 @@ class IncrementalRank:
                     row[k] = v
                 elif old is not None:
                     del row[k]
+        return row
+
+    def insert(self, row: dict[int, int]) -> bool:
+        """Reduce a sparse row, which it takes over, and store the remainder
+        as a pivot row when it is nonzero; True if the rank increased."""
+        row = self.reduce(row)
         if not row:
             return False
         lead = min(row)
         s = self.field.inv(row[lead])
         if s != 1:
+            q = self.field.q
             row = {k: x * s % q for k, x in row.items()}
-        pivots[lead] = row
+        self._pivots[lead] = row
         return True
 
     def back_substitute(self, x: list[int]) -> list[int]:
@@ -174,7 +175,7 @@ class Matrix:
         in one column after the matrix's own when ``rhs`` is given."""
         q = self.field.q
         n = self.ncols
-        inc = IncrementalRank(self.field, n + bool(rhs))
+        inc = IncrementalRank(self.field)
         for i, row in enumerate(self._rows):
             row = dict(row)
             if rhs and rhs[i] % q:

@@ -16,9 +16,9 @@ its restriction runs every factor's function at one packed point and reads
 the digits once.  ``UniPoly`` is a fixed-length coefficient vector (index =
 power of t, trailing zeros retained) as handed out by lines tables.
 
-The canonical monomial order used for matrix columns, coefficient vectors and
-text output is graded lexicographic: monomials grouped by total degree, and
-within a degree block ordered by descending exponent tuple.
+The canonical monomial order used for matrix columns, the variety's standard
+monomials and text output is graded lexicographic: monomials grouped by total
+degree, and within a degree block ordered by descending exponent tuple.
 """
 
 from __future__ import annotations
@@ -46,27 +46,13 @@ def monomials_exact(nvars: int, degree: int) -> list[tuple[int, ...]]:
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent vectors of total degree <= ``degree``, degree blocks ascending.
 
-    Lower-degree blocks are a prefix of higher-degree enumerations, which is
-    what lets evaluation matrices grow by appending columns.
+    Lower-degree blocks are a prefix of higher-degree enumerations, so a
+    monomial's position never depends on the top degree.
     """
     out = []
     for k in range(degree + 1):
         out.extend(monomials_exact(nvars, k))
     return out
-
-
-def _powers(point: Sequence[int], maxes: Sequence[int], q: int) -> list[list[int]]:
-    """pows[i][e] = point_i^e mod q for e <= maxes[i]."""
-    pows = []
-    for x, mx in zip(point, maxes):
-        lst = [1] * (mx + 1)
-        x %= q
-        cur = 1
-        for e in range(1, mx + 1):
-            cur = cur * x % q
-            lst[e] = cur
-        pows.append(lst)
-    return pows
 
 
 class DegreeCapError(ValueError):
@@ -194,14 +180,6 @@ class MultiPoly:
         e = [0] * nvars
         e[index] = 1
         return cls(field, nvars, {tuple(e): 1}, cap)
-
-    @classmethod
-    def from_vector(cls, field: Field, nvars: int, degree: int, coeffs: Sequence[int]) -> "MultiPoly":
-        """From coefficients in graded-lex order (``monomials_upto(nvars, degree)``)."""
-        monos = monomials_upto(nvars, degree)
-        if len(coeffs) != len(monos):
-            raise ValueError(f"expected {len(monos)} coefficients, got {len(coeffs)}")
-        return cls(field, nvars, dict(zip(monos, coeffs)), degree)
 
     # -- structure ----------------------------------------------------------
 

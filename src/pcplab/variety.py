@@ -2,23 +2,28 @@
 
 A ``Variety`` is any nonempty finite set of points with a fixed (lexicographic)
 enumeration order, together with the generating set of its vanishing ideal.
-Two complexity parameters drive everything downstream:
+Everything is read off one set of monomials, the *standard monomials*: the
+columns of the evaluation matrix E (rows = points, columns = monomials in
+graded order) that are independent of the columns before them.  There are n of
+them, one per point, and two complexity parameters follow:
 
-* the extension degree — the least d such that every function on the points
-  extends to a polynomial of degree <= d (equivalently, the least d at which
-  the evaluation matrix E_d reaches full row rank); and
-* the Gröbner complexity — the size of a minimal generating set 𝔊 of the
+* the extension degree, the top degree of a standard monomial: the least d
+  such that every function on the points extends to a polynomial of degree
+  <= d (E_d reaches full row rank); and
+* the Gröbner complexity, the size of a minimal generating set 𝔊 of the
   vanishing ideal with the degree-respecting property deg(h_g·g) <= deg(P)
   for every ideal member P = Σ h_g·g.
 
-The generating set is built degree by degree: at degree i, take a kernel basis
-A_i of E_i, span the "already reachable" part B_i (lower-degree kernel plus
-its single-variable multiples), and keep just enough new kernel vectors to
-close the gap.  The same pass finds the extension degree: it stops one degree
-after E_{i-1} reaches full row rank.  A product V1 × V2 (cubes H^m, powers
-such as the ball products ({0,1}^n_{<=1})^c, and the PCP's V × V) runs no
-elimination at all: its generating set is the union of the factors'
-(variable-shifted) sets and its extension degree the sum of theirs.
+One Buchberger–Möller sweep over the monomials in graded order finds both.
+Each monomial either is standard or has one relation: the polynomial with a 1
+at the monomial and 0 at every other non-standard monomial that vanishes on
+the points.  A degree-i relation becomes a generator when it is independent of
+the relations of lower degree and their single-variable multiples.  The
+low-degree extension of a function is its one interpolant over the standard
+monomials, an n x n solve.  A product V1 × V2 (cubes H^m, powers such as the
+ball products ({0,1}^n_{<=1})^c, and the PCP's V × V) runs no elimination at
+all: its generating set is the union of the factors' (variable-shifted) sets
+and its standard monomials the pairwise products of theirs.
 
 Certificates Σ h_g·g = P are extracted by one exact linear solve over the
 cofactor coefficients: one row per monomial of degree <= deg(P), one column
@@ -32,6 +37,7 @@ it out).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +45,7 @@ from typing import Sequence
 
 from .field import Field
 from .linalg import IncrementalRank, Matrix, NoSolutionError
-from .poly import FactoredPoly, MultiPoly, _powers, monomials_upto
+from .poly import FactoredPoly, MultiPoly, monomials_exact, monomials_upto
 
 
 class SpecError(ValueError):
@@ -50,17 +56,10 @@ class NoCertificateError(ValueError):
     """P admits no degree-respecting certificate over the given generators."""
 
 
-def _monomial_values(pows: list[list[int]], monos: Sequence[tuple[int, ...]],
+def _monomial_values(points: Sequence[tuple[int, ...]], exps: tuple[int, ...],
                      q: int) -> list[int]:
-    """Each monomial at one point, read off the point's table of powers."""
-    out = []
-    for exps in monos:
-        v = 1
-        for i, e in enumerate(exps):
-            if e:
-                v = v * pows[i][e] % q
-        out.append(v)
-    return out
+    """The monomial x^exps at each point."""
+    return [math.prod(pow(x, e, q) for x, e in zip(p, exps)) % q for p in points]
 
 
 class Variety:
@@ -68,16 +67,17 @@ class Variety:
 
     ``gens`` is the generating set in a fixed order, which defines the y_g
     coordinate layout of certificate polynomials, so it is never shuffled.
-    ``extension_degree`` is the least d at which E_d has full row rank.  Both
-    come from one run of ``grobner_generating_set``; a product variety takes
-    them from its factors (``product``).
+    ``standard`` holds the n standard monomials in graded order; the
+    extension degree is the degree of the last.  Both come from one run of
+    ``grobner_generating_set``; a product variety takes them from its factors
+    (``product``).
     """
 
-    __slots__ = ("field", "m", "points", "gens", "extension_degree", "_index")
+    __slots__ = ("field", "m", "points", "gens", "standard", "_index")
 
     def __init__(self, field: Field, points: Sequence[Sequence[int]]):
         self._set_points(field, points)
-        self.gens, self.extension_degree = grobner_generating_set(self)
+        self.gens, self.standard = grobner_generating_set(self)
 
     def _set_points(self, field: Field, points: Sequence[Sequence[int]]) -> None:
         q = field.q
@@ -102,6 +102,10 @@ class Variety:
                 f"d={self.extension_degree})")
 
     @property
+    def extension_degree(self) -> int:
+        return sum(self.standard[-1])
+
+    @property
     def complexity(self) -> int:
         return len(self.gens)
 
@@ -112,27 +116,21 @@ class Variety:
     def index_of(self, point: Sequence[int]) -> int:
         return self._index[tuple(x % self.field.q for x in point)]
 
-    def evaluation_matrix(self, degree: int) -> Matrix:
-        """E_degree: rows = points (enumeration order), columns = monomials."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        q = self.field.q
-        monos = monomials_upto(self.m, degree)
-        return Matrix(self.field, [_monomial_values(_powers(p, [degree] * self.m, q), monos, q)
-                                   for p in self.points])
-
     def low_degree_extension(self, values: Sequence[int]) -> MultiPoly:
         """The canonical degree-<=d polynomial agreeing with ``values`` on V.
 
-        ``values`` follows the point enumeration order.  The result is the
-        interpolant with every free coefficient zero (E_d x = values solved by
-        ``Matrix.solve``), so the choice among the many interpolating
-        polynomials is deterministic.
+        ``values`` follows the point enumeration order.  The result is the one
+        interpolant supported on the standard monomials (an n x n
+        ``Matrix.solve``): of all degree-<=d interpolants, the one with every
+        coefficient off the standard monomials zero.
         """
         if len(values) != len(self.points):
             raise ValueError(f"need {len(self.points)} values, got {len(values)}")
-        coeffs = self.evaluation_matrix(self.extension_degree).solve(values)
-        return MultiPoly.from_vector(self.field, self.m, self.extension_degree, coeffs)
+        q = self.field.q
+        columns = [_monomial_values(self.points, e, q) for e in self.standard]
+        coeffs = Matrix(self.field, zip(*columns)).solve(values)
+        return MultiPoly(self.field, self.m, dict(zip(self.standard, coeffs)),
+                         self.extension_degree)
 
 
 def vanishes_on(poly: MultiPoly | FactoredPoly, variety: Variety) -> bool:
@@ -141,62 +139,70 @@ def vanishes_on(poly: MultiPoly | FactoredPoly, variety: Variety) -> bool:
     return all(poly.eval(p) == 0 for p in variety.points)
 
 
-def grobner_generating_set(variety: Variety) -> tuple[tuple[MultiPoly, ...], int]:
-    """Minimal-size generating set, built per degree from kernel bases, and
-    the extension degree.
+def grobner_generating_set(
+        variety: Variety) -> tuple[tuple[MultiPoly, ...], tuple[tuple[int, ...], ...]]:
+    """Minimal-size generating set and the standard monomials, from one
+    Buchberger–Möller sweep over the monomials in graded order.
 
-    Degree i contributes kernel vectors of E_i that are independent of
-    B_i = span(A_{i-1} ∪ {x_j·a : a ∈ A_{i-1}}); the loop stops once E_{i-1}
-    already had full row rank (one degree past the extension degree), so the
-    extension degree is i - 1.
+    Monomial u's row is its values at the n points (columns 0..n-1) and a 1
+    in u's own column.  Reduced by the standard monomials' rows, it keeps a
+    point entry (u is standard; the row is kept) or it is u's relation, the
+    kernel vector of E that ``Matrix.kernel_basis`` gives u's column, scaled
+    to a leading 1; a relation is never kept, or it would leak into later
+    ones.  Degree i's relations become generators when they are independent
+    of B_i = span(A_{i-1} ∪ {x_j·a : a ∈ A_{i-1}}), A_{i-1} being the
+    relations of degree < i, held in one echelon across degrees.  The sweep
+    stops one degree past the extension degree.
     """
     field = variety.field
+    q = field.q
     m = variety.m
-    n = len(variety.points)
-    gens: list[MultiPoly] = []
+    points = variety.points
+    n = len(points)
+    rows = IncrementalRank(field)        # the standard monomials' rows
+    reachable = IncrementalRank(field)   # B_i, under any fixed key per monomial
+    keys: dict[tuple[int, ...], int] = {}
 
-    prev_monos: list[tuple[int, ...]] = monomials_upto(m, 0)
-    prev_kernel: list[list[int]] = variety.evaluation_matrix(0).kernel_basis()
+    def keyed(rel: dict[tuple[int, ...], int]) -> dict[int, int]:
+        return {keys.setdefault(e, len(keys)): x for e, x in rel.items()}
+
+    monos: list[tuple[int, ...]] = []    # column n + j holds monos[j]
+    standard: list[tuple[int, ...]] = []
+    gens: list[MultiPoly] = []
     degree = 0
     while True:
-        # rank of E_{i-1}; when it is already full the current degree is the
-        # last one that can contribute generators.
-        rank_below = len(prev_monos) - len(prev_kernel)
+        full = len(standard) == n
+        relations = []
+        for u in monomials_exact(m, degree):
+            row = {c: v for c, v in enumerate(_monomial_values(points, u, q)) if v}
+            row[n + len(monos)] = 1
+            monos.append(u)
+            rows.reduce(row)
+            if min(row) < n:
+                rows.insert(row)
+                standard.append(u)
+                continue
+            s = field.inv(row[min(row)])
+            rel = {monos[c - n]: x * s % q for c, x in sorted(row.items())}
+            relations.append(rel)
+            if reachable.insert(keyed(rel)):
+                gens.append(MultiPoly(field, m, rel, degree))
+        if full:
+            return tuple(gens), tuple(standard)
+        for rel in relations:
+            for j in range(m):
+                reachable.insert(keyed({e[:j] + (e[j] + 1,) + e[j + 1:]: x
+                                        for e, x in rel.items()}))
         degree += 1
-        monos = monomials_upto(m, degree)
-        index = {e: j for j, e in enumerate(monos)}
-        kernel = variety.evaluation_matrix(degree).kernel_basis()
-
-        reachable = IncrementalRank(field, len(monos))
-        pad = len(monos) - len(prev_monos)
-        for vec in prev_kernel:
-            reachable.add(vec + [0] * pad)
-            for var in range(m):
-                shifted = [0] * len(monos)
-                for j, c in enumerate(vec):
-                    if c:
-                        e = list(prev_monos[j])
-                        e[var] += 1
-                        shifted[index[tuple(e)]] = c
-                reachable.add(shifted)
-
-        for vec in kernel:
-            if reachable.add(vec):
-                gens.append(MultiPoly.from_vector(field, m, degree, vec))
-
-        prev_monos, prev_kernel = monos, kernel
-        if rank_below == n:
-            return tuple(gens), degree - 1
 
 
 def product(v1: Variety, v2: Variety) -> Variety:
     """V1 × V2 with the union generating set (second factor's variables shifted).
 
-    No elimination runs, and the extension degree is the sum of the factors'.
-    Under a graded order, Gröbner bases of I(V1) and I(V2) have their leading
-    monomials in disjoint variables, so their union is a Gröbner basis of
-    I(V1) + I(V2) = I(V1 × V2): the standard monomials of V1 × V2 are the
-    products of the factors', and their top degrees add.
+    No elimination runs.  Under a graded order, Gröbner bases of I(V1) and
+    I(V2) have their leading monomials in disjoint variables, so their union
+    is a Gröbner basis of I(V1) + I(V2) = I(V1 × V2): the standard monomials
+    of V1 × V2 are the products of the factors', and their top degrees add.
     """
     if v1.field != v2.field:
         raise ValueError("mixed fields")
@@ -206,7 +212,8 @@ def product(v1: Variety, v2: Variety) -> Variety:
     variety.gens = tuple(
         [g.shift_vars(m, 0) for g in v1.gens] + [g.shift_vars(m, v1.m) for g in v2.gens]
     )
-    variety.extension_degree = v1.extension_degree + v2.extension_degree
+    variety.standard = tuple(sorted((s + t for s in v1.standard for t in v2.standard),
+                                    key=lambda e: (sum(e), [-x for x in e])))  # graded
     return variety
 
 

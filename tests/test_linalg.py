@@ -110,21 +110,57 @@ def test_matrix_mul_and_shape_errors():
         Matrix(F5, [[1, 2], [1]])
 
 
+def _sparse(row, q):
+    return {c: x % q for c, x in enumerate(row) if x % q}
+
+
 def test_incremental_rank_matches_matrix_rank():
     rng = random.Random(3)
     for _ in range(30):
         nrows = rng.randrange(1, 7)
         ncols = rng.randrange(1, 7)
         rows = [[rng.randrange(5) for _ in range(ncols)] for _ in range(nrows)]
-        inc = IncrementalRank(F5, ncols)
-        increased = sum(inc.add(row) for row in rows)
+        inc = IncrementalRank(F5)
+        increased = sum(inc.insert(_sparse(row, 5)) for row in rows)
         assert inc.rank == increased == Matrix(F5, rows).rank()
 
 
-def test_incremental_rank_rejects_bad_width():
-    inc = IncrementalRank(F5, 3)
-    with pytest.raises(ValueError):
-        inc.add([1, 2])
+def test_reduce_leaves_no_pivot_column_and_keeps_the_rank():
+    rng = random.Random(8)
+    for _ in range(40):
+        ncols = rng.randrange(1, 8)
+        inc = IncrementalRank(F5)
+        kept = [[rng.randrange(5) for _ in range(ncols)] for _ in range(rng.randrange(1, 6))]
+        for row in kept:
+            inc.insert(_sparse(row, 5))
+        rank, pivots = inc.rank, dict(inc._pivots)
+        row = [rng.randrange(5) for _ in range(ncols)]
+        rem = inc.reduce(_sparse(row, 5))
+        assert not set(rem) & set(inc._pivots)
+        assert all(rem.values())
+        assert inc.rank == rank and inc._pivots == pivots
+        # empty exactly when the row adds nothing to the kept rows' span
+        assert (not rem) == (Matrix(F5, kept + [row]).rank() == rank)
+        # a kept row reduces to nothing
+        assert inc.reduce(_sparse(rng.choice(kept), 5)) == {}
+
+
+def test_insert_is_reduce_then_store():
+    rng = random.Random(9)
+    for _ in range(40):
+        ncols = rng.randrange(1, 8)
+        rows = [[rng.randrange(5) for _ in range(ncols)] for _ in range(rng.randrange(1, 6))]
+        a, b = IncrementalRank(F5), IncrementalRank(F5)
+        for row in rows[:-1]:
+            a.insert(_sparse(row, 5))
+            b.insert(_sparse(row, 5))
+        rem = b.reduce(_sparse(rows[-1], 5))
+        assert a.insert(_sparse(rows[-1], 5)) == bool(rem)
+        if rem:
+            lead = min(rem)
+            s = F5.inv(rem[lead])
+            b._pivots[lead] = {k: x * s % 5 for k, x in rem.items()}
+        assert a._pivots == b._pivots
 
 
 def test_sparse_rows_match_dense_rows():
@@ -207,9 +243,9 @@ def test_kernel_matches_dense_gauss_jordan(system):
     red, pivots = _gauss_jordan(rows, q)
 
     assert m.rank() == len(pivots)
-    inc = IncrementalRank(field, ncols)
+    inc = IncrementalRank(field)
     for row in rows:
-        inc.add(row)
+        inc.insert(_sparse(row, q))
     assert inc.rank == len(pivots)
 
     kernel = []

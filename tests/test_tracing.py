@@ -74,8 +74,9 @@ def test_tracer_role_names_are_the_proof_roles():
 def test_certificate_solves_go_through_matrix_solve():
     # pcp completeness interpolates two functions and builds two certificates,
     # each one Matrix.solve; the calls and cells (rows x columns of each
-    # system: 3x3 and 9x15 for the interpolations, 1894 for the certificates)
-    # are pinned, so a certificate solved around Matrix.solve fails
+    # system: 3x3 and 9x9 for the interpolations over the standard monomials,
+    # 1894 for the certificates) are pinned, so a certificate solved around
+    # Matrix.solve fails
     cfg = ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1",
                            graph="complete:3", trials=5, seed=5)
     tracer = spans.Tracer()
@@ -87,4 +88,4 @@ def test_certificate_solves_go_through_matrix_solve():
         tracer.uninstall()
     assert tracer.missing == []
     solve = tracer.aggregate(0, len(tracer.start))[0]["linalg.solve"]
-    assert (solve["calls"], solve["work"]) == (4, 2038)
+    assert (solve["calls"], solve["work"]) == (4, 1984)

@@ -1,4 +1,4 @@
-"""Varieties: evaluation matrices, extension degree, generators, certificates."""
+"""Varieties: standard monomials, extension degree, generators, certificates."""
 
 import functools
 import itertools
@@ -34,24 +34,60 @@ def poly5(nvars, terms, cap):
     return MultiPoly(F5, nvars, terms, cap)
 
 
-# -- evaluation matrices and extension degree --------------------------------
+# The reference below works on dense lists and never calls pcplab.linalg: the
+# leftmost-column, topmost-row pivot rule, as in the acceptance gates' own
+# ``_rref_mod``.  Its pivot columns are the columns independent of the ones
+# before them.  When E_d has full row rank, RREF([E_d | I]) = [U E_d | U], and
+# the right inverse R puts row i of U at the i-th pivot column.
 
-def test_degree_zero_matrix_is_all_ones():
-    v = Variety(F5, [(0, 0), (2, 3), (4, 4)])
-    assert v.evaluation_matrix(0).rows == [[1], [1], [1]]
+def _gauss_jordan(rows, q):
+    rows = [[x % q for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], q - 2, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
 
 
-def test_degree_one_matrix_frozen_rows():
+def _evaluation_rows(points, monos, q):
+    """The dense E: one row per point, one column per monomial."""
+    return [[math.prod(x ** e for x, e in zip(p, mono)) % q for mono in monos]
+            for p in points]
+
+
+def _greedy_columns(v, degree):
+    """The monomials of E_degree's columns independent of the columns before."""
+    monos = monomials_upto(v.m, degree)
+    pivots = _gauss_jordan(_evaluation_rows(v.points, monos, v.field.q), v.field.q)[1]
+    return tuple(monos[c] for c in pivots)
+
+
+# -- standard monomials and extension degree ---------------------------------
+
+def test_ball1_standard_monomials_frozen():
     # enumeration order is the sorted point list: (0,0), (0,1), (1,0)
-    v = Variety(F5, [(0, 0), (1, 0), (0, 1)])
-    m = v.evaluation_matrix(1)
-    assert m.rows == [[1, 0, 0], [1, 0, 1], [1, 1, 0]]
-    assert sorted(m.rows) == sorted([[1, 0, 0], [1, 1, 0], [1, 0, 1]])
+    v = ball1_variety(F5, 2)
+    assert v.points == ((0, 0), (0, 1), (1, 0))
+    assert v.standard == ((0, 0), (1, 0), (0, 1))
 
 
-def test_vandermonde_rows():
+def test_vandermonde_standard_monomials():
     v = Variety(F5, [(0,), (1,), (2,)])
-    assert v.evaluation_matrix(2).rows == [[1, 0, 0], [1, 1, 1], [1, 2, 4]]
+    assert v.standard == ((0,), (1,), (2,))
+    assert _greedy_columns(v, 3) == v.standard
 
 
 def test_extension_degree_frozen_values():
@@ -66,9 +102,42 @@ def test_extension_degree_is_least_full_rank_degree():
         pts = rng.sample(list(itertools.product(range(5), repeat=2)), rng.randrange(1, 7))
         v = Variety(F5, pts)
         d = v.extension_degree
-        assert v.evaluation_matrix(d).rank() == len(pts)
+        assert len(_greedy_columns(v, d)) == len(pts)
         if d > 0:
-            assert v.evaluation_matrix(d - 1).rank() < len(pts)
+            assert len(_greedy_columns(v, d - 1)) < len(pts)
+
+
+@st.composite
+def _point_sets(draw):
+    q = draw(st.sampled_from([3, 5, 7]))
+    m = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    space = list(itertools.product(range(q), repeat=m))
+    points = rng.sample(space, draw(st.integers(1, min(len(space), 8))))
+    return q, points, [rng.randrange(q) for _ in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets())
+def test_standard_monomials_are_the_greedy_independent_columns(case):
+    # the greedy columns of E_{d+1} include none of degree d+1, so standard
+    # has the n columns of full rank and d is the least full-rank degree
+    q, points, _ = case
+    v = Variety(Field(q), points)
+    varieties = [v]
+    if len(points) <= 4 and v.m <= 2:
+        varieties.append(product(v, v))
+    for w in varieties:
+        assert len(w.standard) == len(w.points)
+        assert _greedy_columns(w, w.extension_degree + 1) == w.standard
+
+
+@pytest.mark.parametrize("q, spec", [
+    (5, "pow:(ball1:n=2)^2"), (3, "pow:(ball1:n=2)^3"), (5, "pow:(cube:H=0,1,2;m=1)^2"),
+])
+def test_power_standard_monomials_are_the_greedy_columns(q, spec):
+    v = make_variety(Field(q), spec)
+    assert _greedy_columns(v, v.extension_degree) == v.standard
 
 
 def test_variety_validation():
@@ -123,43 +192,6 @@ def test_lde_value_count_checked():
         v.low_degree_extension([1, 2, 3])
 
 
-# The reference below works on dense lists and never calls pcplab.linalg: the
-# leftmost-column, topmost-row pivot rule, as in the acceptance gates' own
-# ``_rref_mod``.  When E_d has full row rank, RREF([E_d | I]) = [U E_d | U],
-# and the right inverse R puts row i of U at the i-th pivot column.
-
-def _gauss_jordan(rows, q):
-    rows = [[x % q for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], q - 2, q)
-        rows[r] = [x * inv % q for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-@st.composite
-def _point_sets(draw):
-    q = draw(st.sampled_from([3, 5, 7]))
-    m = draw(st.integers(1, 3))
-    rng = random.Random(draw(st.integers(0, 10 ** 6)))
-    space = list(itertools.product(range(q), repeat=m))
-    points = rng.sample(space, draw(st.integers(1, min(len(space), 8))))
-    return q, points, [rng.randrange(q) for _ in points]
-
-
 @settings(max_examples=100, deadline=None)
 @given(_point_sets())
 def test_lde_matches_dense_right_inverse(case):
@@ -182,7 +214,9 @@ def test_lde_matches_dense_right_inverse(case):
     coeffs = [0] * ncols
     for i, c in enumerate(pivots):
         coeffs[c] = sum(u * y for u, y in zip(red[i][ncols:], values)) % q
-    assert v.low_degree_extension(values) == MultiPoly.from_vector(field, v.m, d, coeffs)
+    got = v.low_degree_extension(values)
+    want = MultiPoly(field, v.m, dict(zip(monos, coeffs)), d)
+    assert got == want and list(got.terms) == list(want.terms)
 
 
 # -- generating sets ---------------------------------------------------------
@@ -453,8 +487,9 @@ def _factor_point_sets(draw):
 @settings(max_examples=30, deadline=None)
 @given(_factor_point_sets())
 def test_product_degree_is_the_least_full_rank_degree(case):
-    # the product runs no elimination: its extension degree is the sum of the
-    # factors', checked here against E_d's rank under the dense reference
+    # the product runs no elimination: its standard monomials are the
+    # pairwise products of the factors', checked here against E_d's greedy
+    # columns under the dense reference
     q, factor_points = case
     field = Field(q)
     factors = [Variety(field, pts) for pts in factor_points]
@@ -462,20 +497,55 @@ def test_product_degree_is_the_least_full_rank_degree(case):
     points = [sum(ps, ()) for ps in itertools.product(*factor_points)]
     assert v.points == tuple(sorted(points))
 
-    def rank(degree):
-        rows = [[math.prod(x ** e for x, e in zip(p, mono)) % q
-                 for mono in monomials_upto(v.m, degree)] for p in points]
-        return len(_gauss_jordan(rows, q)[1])
-
-    # E_{d-1}'s columns are a subset of E_d's, so the rank never drops with d
+    # E_{d-1}'s columns are a prefix of E_d's, so the rank never drops with d
     d = v.extension_degree
-    assert rank(d) == len(points)
-    assert d == 0 or rank(d - 1) < len(points)
+    assert _greedy_columns(v, d) == v.standard
+    assert len(v.standard) == len(points)
+    assert d == 0 or len(_greedy_columns(v, d - 1)) < len(points)
     shifted, offset = [], 0
     for f in factors:
         shifted += [g.shift_vars(v.m, offset) for g in f.gens]
         offset += f.m
     assert v.gens == tuple(shifted)
+
+
+# -- the degree-respecting property, exhaustively -----------------------------
+
+def _assert_h_basis(v):
+    # for every D <= d+2: the multiples x^u·g of degree <= D span the whole
+    # degree-<=D part of I(V), whose dimension is #monomials(<=D) - rank E_D;
+    # that is what lets every vanishing P get cofactors with deg(h_g·g) <= deg P
+    q = v.field.q
+    for bound in range(v.extension_degree + 3):
+        monos = monomials_upto(v.m, bound)
+        index = {e: j for j, e in enumerate(monos)}
+        multiples = []
+        for g in v.gens:
+            for u in monomials_upto(v.m, bound - g.degree()) if g.degree() <= bound else ():
+                row = [0] * len(monos)
+                for e, c in g.terms.items():
+                    row[index[tuple(a + b for a, b in zip(u, e))]] = c
+                multiples.append(row)
+        ideal_dim = len(monos) - len(_greedy_columns(v, bound))
+        span_dim = len(_gauss_jordan(multiples, q)[1]) if multiples else 0
+        assert span_dim == ideal_dim, (v, bound)
+
+
+@pytest.mark.parametrize("q, spec", [
+    (5, "ball1:n=3"), (5, "pow:(ball1:n=2)^2"), (5, "cube:H=0,1,2;m=2"),
+    (3, "pow:(ball1:n=2)^3"), (3, "pow:(ball1:n=3)^2"),
+])
+def test_generators_span_every_degree_of_the_ideal(q, spec):
+    _assert_h_basis(make_variety(Field(q), spec))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_generators_span_every_degree_of_the_ideal(seed):
+    rng = random.Random(seed)
+    q = rng.choice([3, 5, 7])
+    m = rng.randint(1, 3)
+    space = list(itertools.product(range(q), repeat=m))
+    _assert_h_basis(Variety(Field(q), rng.sample(space, rng.randint(1, min(len(space), 10)))))
 
 
 # -- the text grammar --------------------------------------------------------
