@@ -92,5 +92,6 @@ class Field:
         return rng.randrange(self.q)
 
     def sample_point(self, rng: random.Random, s: int) -> tuple[int, ...]:
-        return tuple(rng.randrange(self.q) for _ in range(s))
+        q, randrange = self.q, rng.randrange
+        return tuple([randrange(q) for _ in range(s)])
 

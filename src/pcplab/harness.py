@@ -100,20 +100,34 @@ def wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
 
 
 class CountingRng:
-    """random.Random facade that bills ceil(log2 size) bits per draw."""
+    """random.Random facade that bills ceil(log2 size) bits per draw.
 
-    __slots__ = ("_rng", "bits")
+    ``randrange`` draws as CPython's ``Random.randrange`` does, by rejection
+    on ``getrandbits(size.bit_length())`` (``_randbelow_with_getrandbits``),
+    so the stream is the same as ``random.Random(seed)``'s.
+    """
+
+    __slots__ = ("_rng", "_getrandbits", "bits")
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
+        self._getrandbits = self._rng.getrandbits
         self.bits = 0
 
     def randrange(self, start: int, stop: int | None = None) -> int:
-        size = start if stop is None else stop - start
+        if stop is None:
+            start, size = 0, start
+        else:
+            size = stop - start
         if size < 1:
             raise ValueError("empty randrange")
         self.bits += (size - 1).bit_length()
-        return self._rng.randrange(start, stop) if stop is not None else self._rng.randrange(start)
+        getrandbits = self._getrandbits
+        k = size.bit_length()
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        return start + r
 
 
 def _derive_seed(master: int, label: bytes) -> int:

@@ -29,7 +29,7 @@ REJECT = Verdict(False)
 
 
 def _line_point(a: Sequence[int], b: Sequence[int], t: int, q: int) -> tuple[int, ...]:
-    return tuple((x + t * y) % q for x, y in zip(a, b))
+    return tuple([(x + t * y) % q for x, y in zip(a, b)])
 
 
 def _consistent_entry(degree: int, f: PointOracle, flines: LinesOracle,

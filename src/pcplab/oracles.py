@@ -10,9 +10,9 @@ and three kinds of answer function sit behind them:
   ``restrict`` and stay lazy — materializing a lines table over F_q^{2s} is
   hopeless even at desk scale.  A ``FactoredPoly`` runs its factors'
   compiled functions and combines the values (a lines query in one
-  Kronecker pass), so a product such as the PCP's conflict polynomial or a
-  sum such as a zero-on-variety certificate is never multiplied out to be
-  queried;
+  Kronecker pass, a point query on the line just queried read off its
+  entry), so a product such as the PCP's conflict polynomial or a sum such
+  as a zero-on-variety certificate is never multiplied out to be queried;
 - table lookups (``materialize``), for exhaustive work on small domains;
 - keyed corruption (``corrupt``), which flips a keyed pseudorandom δ-fraction
   of entries by adding a nonzero offset, so the corrupted set is exactly the
@@ -54,9 +54,6 @@ class _Oracle:
     def queries(self) -> int:
         return self._queries
 
-    def _tick(self) -> None:
-        self._queries += 1
-
 
 class PointOracle(_Oracle):
     """f: F_q^s -> F_q with query accounting; ``answer(point)`` gets the
@@ -65,8 +62,9 @@ class PointOracle(_Oracle):
     def query(self, point: Sequence[int]) -> int:
         if len(point) != self.s:
             raise ValueError(f"point arity {len(point)} != {self.s}")
-        self._tick()
-        return self.answer(tuple(x % self.field.q for x in point))
+        self._queries += 1
+        q = self.field.q
+        return self.answer(tuple([x % q for x in point]))
 
 
 class LinesOracle(_Oracle):
@@ -76,9 +74,9 @@ class LinesOracle(_Oracle):
     def query(self, a: Sequence[int], b: Sequence[int]) -> UniPoly:
         if len(a) != self.s or len(b) != self.s:
             raise ValueError(f"line arity ({len(a)},{len(b)}) != {self.s}")
-        self._tick()
+        self._queries += 1
         q = self.field.q
-        entry = self.answer(tuple(x % q for x in a), tuple(x % q for x in b))
+        entry = self.answer(tuple([x % q for x in a]), tuple([x % q for x in b]))
         if len(entry.coeffs) != self.degree + 1:
             raise AssertionError("lines entry has wrong width")  # pragma: no cover
         return entry

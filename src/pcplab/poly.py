@@ -13,8 +13,11 @@ base-2^W digits are the coefficients in t of P(a + t b) (W bounds every
 coefficient, so no digit carries).  ``FactoredPoly`` is a sum of products of
 ``MultiPoly`` factors that evaluates and restricts without multiplying out:
 its restriction runs every factor's function at one packed point and reads
-the digits once.  ``UniPoly`` is a fixed-length coefficient vector (index =
-power of t, trailing zeros retained) as handed out by lines tables.
+the digits once, and it keeps that work: a factor whose packed inputs repeat
+on the next restriction reuses its last value, and the next point read on
+the restricted line is answered from the entry.  ``UniPoly`` is a
+fixed-length coefficient vector (index = power of t, trailing zeros
+retained) as handed out by lines tables.
 
 The canonical monomial order used for matrix columns, the variety's standard
 monomials and text output is graded lexicographic: monomials grouped by total
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -83,9 +87,10 @@ def _horner_layout(items: list[tuple[tuple[int, ...], int]], start: int):
     return var, children
 
 
-def _horner_source(layout, nvars: int) -> tuple[str, tuple[int, ...]]:
+def _horner_source(layout, nvars: int) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     """Straight-line source of ``f(C, X)``, the layout's polynomial over Z at
-    the point X, and the coefficient tuple C it unpacks.
+    the point X, the coefficient tuple C it unpacks, and the indices of the
+    variables it unpacks from X (the only inputs it reads besides C).
 
     One statement per Horner step, so the code never nests: a coefficient of
     x_var^e that is itself a polynomial in later variables is computed first
@@ -121,7 +126,7 @@ def _horner_source(layout, nvars: int) -> tuple[str, tuple[int, ...]]:
     if used:
         head.append("    " + ", ".join(f"x{i}" if i in used else "_" for i in range(nvars)) + ", = X")
     lines = head + ["    " + line for line in body] + ["    return v0"]
-    return "\n".join(lines) + "\n", tuple(coeffs)
+    return "\n".join(lines) + "\n", tuple(coeffs), tuple(sorted(used))
 
 
 @functools.lru_cache(maxsize=256)
@@ -275,12 +280,14 @@ class MultiPoly:
     # -- evaluation and restriction ----------------------------------------
 
     def _layout(self):
-        """(compiled Horner function, coefficient tuple, Kronecker digit width W).
+        """(compiled Horner function, coefficient tuple, Kronecker digit width W,
+        indices of the variables the function reads).
 
         The function ``fn(coeffs, point)`` is ``_horner_source``'s
         straight-line code for the terms' layout (see ``_horner_layout``),
         compiled once per shape and shared by every polynomial with the same
-        support; it computes P(point) over Z.  W = bit_length(T(q-1)(2q-2)^D)
+        support; it computes P(point) over Z and reads no coordinate of the
+        point outside the used variables.  W = bit_length(T(q-1)(2q-2)^D)
         for T terms of degree at most D: with a_i, b_i in [0, q), P(a + t b)
         over Z has nonnegative coefficients, each at most its value at t = 1,
         which is at most that bound, so packed at t = 2^W its base-2^W digits
@@ -290,16 +297,16 @@ class MultiPoly:
             terms = self.terms
             q = self.field.q
             layout = _horner_layout(list(terms.items()), 0) if terms else 0
-            source, coeffs = _horner_source(layout, self.nvars)
+            source, coeffs, used = _horner_source(layout, self.nvars)
             width = (len(terms) * (q - 1) * (2 * q - 2) ** self.degree()).bit_length()
-            self._horner = _compile_horner(source), coeffs, width
+            self._horner = _compile_horner(source), coeffs, width, used
         return self._horner
 
     def eval(self, point: Sequence[int]) -> int:
         """P(point): the compiled function over Z, reduced mod q once."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        fn, coeffs, _ = self._layout()
+        fn, coeffs, _, _ = self._layout()
         return fn(coeffs, point) % self.field.q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
@@ -316,7 +323,7 @@ class MultiPoly:
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
         q = self.field.q
-        fn, coeffs, width = self._layout()
+        fn, coeffs, width, _ = self._layout()
         packed = [ai % q + (bi % q << width) for ai, bi in zip(a, b)]
         return _digits(self.field, fn(coeffs, packed), width, self.cap + 1)
 
@@ -360,9 +367,16 @@ class FactoredPoly:
     composition, so the restriction has exactly the coefficients of the
     expanded polynomial's, also when the cap is >= q.  ``cap`` is the
     declared degree bound, as for ``MultiPoly``.
+
+    The work of the last restriction is kept twice over.  Each factor keeps
+    the (key, value) of its last run, keyed by the packed coordinates its
+    function reads, so a factor whose projection of the line is unchanged
+    (a cofactor h_g(x) on the two corrected reads along one x-line) is not
+    run again.  And the restricted line with its entry is kept for one
+    ``eval``, which answers a point on that line from the entry.
     """
 
-    __slots__ = ("field", "nvars", "cap", "products", "_compiled")
+    __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_line")
 
     def __init__(self, field: Field, nvars: int,
                  products: Iterable[Sequence[MultiPoly]], cap: int):
@@ -371,6 +385,7 @@ class FactoredPoly:
         self.cap = cap
         self.products = tuple(tuple(factors) for factors in products)
         self._compiled = None
+        self._line = None
         for factors in self.products:
             if not factors:
                 raise ValueError("empty product")
@@ -403,49 +418,101 @@ class FactoredPoly:
         return total.with_cap(self.cap)
 
     def _layout(self):
-        """(per product, its factors' (compiled function, coefficients)
-        pairs; the digit width W_F), built on first use."""
+        """(per product, its factors' (compiled function, coefficients, key,
+        memo) quadruples; the digit width W_F), built on first use.
+
+        ``key(packed)`` picks the packed coordinates the function reads (``()``
+        for a constant factor); ``memo`` is a one-item list holding the
+        (key, value) of the factor's last run in ``restrict``.
+        """
         if self._compiled is None:
             q = self.field.q
             bound = 0
             products = []
             for factors in self.products:
                 size = 1
+                compiled = []
                 for f in factors:
                     size *= len(f.terms) * (q - 1) * (2 * q - 2) ** f.degree()
+                    fn, coeffs, _, used = f._layout()
+                    key = operator.itemgetter(*used) if used else _no_key
+                    compiled.append((fn, coeffs, key, [(None, 0)]))
                 bound += size
-                products.append(tuple(f._layout()[:2] for f in factors))
+                products.append(tuple(compiled))
             self._compiled = tuple(products), bound.bit_length()
         return self._compiled
 
     def eval(self, point: Sequence[int]) -> int:
-        """Σ_i Π_j f_ij(point), the factors' values multiplied mod q."""
+        """Σ_i Π_j f_ij(point), the factors' values multiplied mod q.
+
+        A point on the line of the last ``restrict`` is answered from its
+        entry instead: with b_i the first nonzero direction coordinate,
+        t = (p_i - a_i)/b_i, and if p = a + t b in every coordinate the value
+        is the entry at t (at b = 0, t = 0 and p must be a).  The entry is the
+        formal composition P(a + t b), so this is exact for every cap.  The
+        line is kept for one read only: a verifier reads its point right
+        after the line, and a stale line would cost a failed check on every
+        later read.
+        """
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
         q = self.field.q
+        line = self._line
+        if line is not None:
+            self._line = None
+            a, b, entry = line
+            t = 0
+            for i, bi in enumerate(b):
+                if bi:
+                    t = (point[i] - a[i]) * pow(bi, -1, q) % q
+                    break
+            if [(x + t * y) % q for x, y in zip(a, b)] == [p % q for p in point]:
+                return entry.eval(t)
         total = 0
         for factors in self._layout()[0]:
             v = 1
-            for fn, coeffs in factors:
+            for fn, coeffs, _, _ in factors:
                 v = v * fn(coeffs, point) % q
             total += v
         return total % q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
         """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at digit width W_F.
-        Returns exactly cap+1 coefficients."""
+        Returns exactly cap+1 coefficients.
+
+        A factor whose key (the packed coordinates it reads) equals that of
+        its last run reuses that run's integer: the function reads nothing
+        else and W_F is fixed, so the integer is the same.  The reduced line
+        and the entry are kept for the next ``eval``.
+        """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
         q = self.field.q
         products, width = self._layout()
-        packed = [ai % q + (bi % q << width) for ai, bi in zip(a, b)]
+        a = [x % q for x in a]
+        b = [y % q for y in b]
+        packed = [x + (y << width) for x, y in zip(a, b)]
         total = 0
         for factors in products:
             v = 1
-            for fn, coeffs in factors:
-                v *= fn(coeffs, packed)
+            for fn, coeffs, key_of, memo in factors:
+                key = key_of(packed)
+                last = memo[0]
+                if last[0] == key:
+                    v *= last[1]
+                else:
+                    value = fn(coeffs, packed)
+                    memo[0] = (key, value)
+                    v *= value
             total += v
-        return _digits(self.field, total, width, self.cap + 1)
+        entry = _digits(self.field, total, width, self.cap + 1)
+        self._line = (a, b, entry)
+        return entry
+
+
+def _no_key(packed: Sequence[int]) -> tuple:
+    """The memo key of a constant factor, whose function reads no coordinate."""
+    return ()
 
 
 class UniPoly:

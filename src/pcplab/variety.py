@@ -328,8 +328,10 @@ def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]) -> Certifi
     # column j holds generator g shifted by its monomial, |g.terms| nonzeros.
     # Monomials are keyed by their exponents read as digits in base bound+1;
     # no exponent of a product exceeds the bound, so key(mono·ge) is
-    # key(mono) + key(ge).  The h-monomials are a prefix of the target
-    # monomials (see ``monomials_upto``), so they share its keys.
+    # key(mono) + key(ge).  g's h-monomials, of degree <= bound - deg g, are
+    # the first C(m + bound - deg g, m) target monomials (lower-degree blocks
+    # are a prefix, see ``monomials_upto``), so they are sliced off the target
+    # list and share its keys.
     weights = [(bound + 1) ** i for i in range(m)]
 
     def key(e: tuple[int, ...]) -> int:
@@ -345,7 +347,7 @@ def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]) -> Certifi
         if g.is_zero() or gdeg > bound:
             continue
         g_keyed = [(key(ge), gc) for ge, gc in g.terms.items()]
-        for mono, mk in zip(monomials_upto(m, bound - gdeg), target_keys):
+        for mono, mk in zip(target_monos[:math.comb(m + bound - gdeg, m)], target_keys):
             j = len(col_owner)
             for gk, gc in g_keyed:
                 rows[row_index[mk + gk]][j] = gc

@@ -5,7 +5,10 @@ zero-test certificates M_A, M_B are answered factor by factor.  Here each is
 rebuilt as one expanded ``MultiPoly`` by a different route (B as
 Ê·((Δ²-1)(Δ²-4)), A as χ̂³-χ̂, M from the cofactor terms directly) and the
 factored oracles must give the same values and the same lines entries,
-width included.
+width included.  A ``FactoredPoly`` reuses its last restriction (a factor's
+last value, the last line's entry for a point on it); interleaved reads are
+checked against the expanded polynomial, and the factor runs of one
+certificate check are counted.
 """
 
 import functools
@@ -26,6 +29,7 @@ from pcplab.pcp import (
 )
 from pcplab.poly import FactoredPoly, MultiPoly, monomials_upto
 from pcplab.variety import make_variety, vanishing_certificate
+from pcplab.zerotest import ZeroRandomness, zero_verify
 
 # (q, variety, graph): the benchmark's K4 instance, criterion 8's K3
 # instance, and a field small enough that the conflict degree 6d >= q.
@@ -173,3 +177,148 @@ def test_factored_sum_and_degree_bound():
     zero = FactoredPoly(f7, 2, [], 2)
     assert zero.eval((3, 4)) == 0
     assert zero.restrict((1, 1), (2, 2)).coeffs == [0, 0, 0]
+
+
+# -- reuse of the last restriction -------------------------------------------
+
+@st.composite
+def _reuse_sequences(draw):
+    """(q, nvars, products of term dicts, cap slack, ops).
+
+    Each factor uses a drawn subset of the variables (possibly none), so
+    factors skip variables.  An op is ("line", a, b), ("eval", p) or
+    ("again", p), a second read of the same point; lines are fresh, shifted
+    from the last line in some coordinates only (so a factor's projection
+    can repeat while the line changes), or have b = 0; points lie on the
+    last line or anywhere.  Every coordinate may carry a multiple of q.
+    """
+    q = draw(st.sampled_from([3, 5, 7, 257, 4294967311]))
+    nvars = draw(st.integers(1, 4))
+    residue = st.integers(0, q - 1)
+
+    def factor():
+        used = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars))
+        exps = st.tuples(*(st.integers(0, 3) if i in used else st.just(0)
+                           for i in range(nvars)))
+        return draw(st.dictionaries(exps, residue, max_size=4))
+
+    products = [[factor() for _ in range(draw(st.integers(1, 4)))]
+                for _ in range(draw(st.integers(0, 3)))]
+    vec = st.lists(residue, min_size=nvars, max_size=nvars)
+    unreduce = st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)
+    ops = []
+    a, b = draw(vec), draw(vec)
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["line", "shift", "zero", "on", "off", "again"]))
+        if kind in ("line", "shift", "zero"):
+            if kind == "line":
+                a, b = draw(vec), draw(vec)
+            elif kind == "shift":
+                moved = draw(st.sets(st.integers(0, nvars - 1)))
+                a = [draw(residue) if i in moved else x for i, x in enumerate(a)]
+                b = [draw(residue) if i in moved else y for i, y in enumerate(b)]
+            else:
+                a, b = draw(vec), [0] * nvars
+            ka, kb = draw(unreduce), draw(unreduce)
+            ops.append(("line", [x + k * q for x, k in zip(a, ka)],
+                        [y + k * q for y, k in zip(b, kb)]))
+        elif kind == "again" and ops and ops[-1][0] == "eval":
+            ops.append(("again", ops[-1][1]))
+        else:
+            if kind == "on":
+                t = draw(residue)
+                p = [x + t * y for x, y in zip(a, b)]
+            else:
+                p = draw(vec)
+            ops.append(("eval", [x + k * q for x, k in zip(p, draw(unreduce))]))
+    return q, nvars, products, draw(st.integers(0, 8)), ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reuse_sequences())
+@example((7, 2, [[{(1, 1): 3, (0, 0): 1}, {(0, 2): 1}]], 0, [   # x1 x2 keyed on both
+    ("line", [1, 2], [3, 4]), ("line", [1, 5], [3, 4]), ("eval", [4, 6])]))
+@example((7, 2, [[{(1, 1): 3, (0, 0): 1}, {(2, 0): 1}]], 0, [
+    ("line", [1, 2], [3, 4]), ("line", [5, 2], [3, 4]), ("eval", [6, 2])]))
+@example((5, 2, [[{(1, 0): 1}, {(0, 1): 1}]], 0, [       # off the line, then
+    ("line", [1, 1], [1, 0]), ("eval", [2, 3]),         # on it after it was
+    ("line", [1, 1], [1, 0]), ("eval", [2, 1]), ("again", [2, 1])]))   # consumed
+@example((3, 1, [[{(3,): 2, (0,): 1}] * 3], 2, [         # cap 11 >= q, b = 0,
+    ("line", [4], [-3]), ("eval", [-2]), ("eval", [2]),  # unreduced inputs
+    ("line", [2], [1]), ("eval", [8])]))
+def test_reuse_matches_expanded(case):
+    # restrict reuses a factor's last value when the packed coordinates it
+    # reads repeat, and eval answers a point on the last line from its entry;
+    # every answer of an interleaved sequence must equal the expanded
+    # polynomial's
+    q, nvars, products, slack, ops = case
+    field = Field(q)
+    factored_products = [
+        [MultiPoly(field, nvars, terms, max((sum(e) for e in terms), default=0))
+         for terms in factors]
+        for factors in products]
+    degree = max((sum(f.cap for f in fs) for fs in factored_products), default=0)
+    p = FactoredPoly(field, nvars, factored_products, degree + slack)
+    expanded = p.expand()
+    for op in ops:
+        if op[0] == "line":
+            _, a, b = op
+            assert p.restrict(a, b).coeffs == expanded.restrict(a, b).coeffs, op
+        else:
+            assert p.eval(op[1]) == expanded.eval(op[1]), op
+
+
+def test_certificate_reads_run_each_cofactor_twice():
+    # zero_verify on M_B(x, y) = h_1(x) y_1 + h_2(x) y_2 over V x V (m = 2,
+    # k = 2) makes three lines queries, each followed by a point read on its
+    # line: (a, b) for the line test, then (alpha, 0) + t a and
+    # (alpha, phi(alpha)) + t a for the corrected reads.  The last two share
+    # their x-part alpha + t a_x, which is all h_g reads, so h_g runs twice:
+    # on a_x + t b_x and on alpha + t a_x.  y_g reads only its own
+    # coordinate, on a different line each time here (base 0, then
+    # g(alpha) != 0), so it runs three times.  The point reads run no factor.
+    # Read afresh, M would run 2 factors per product for each of the 3 lines
+    # and 3 points: 12 runs per product instead of 2 + 3.
+    field = Field(7)
+    variety = make_variety(field, "cube:H=0,1,2;m=1")
+    graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    inst = PcpInstance(variety, graph)
+    proof = pcp_prove(inst, proper_3_coloring(graph, field))
+    cert = proof.conflict_cert
+    poly = cert.lines.answer.__self__
+    assert cert.point.answer.__self__ is poly
+    v2 = inst.variety2
+    k = v2.complexity
+    assert (v2.m, k, len(poly.products)) == (2, 2, 2)
+
+    runs = {}
+
+    def counted(fn, name):
+        runs[name] = 0
+
+        def run(coeffs, point):
+            runs[name] += 1
+            return fn(coeffs, point)
+        return run
+
+    products, width = poly._layout()
+    poly._compiled = tuple(
+        tuple((counted(fn, (g, j)), coeffs, key, memo)
+              for j, (fn, coeffs, key, memo) in enumerate(factors))
+        for g, factors in enumerate(products)), width
+    point_runs = []
+    answer = cert.point.answer
+
+    def read(p):
+        before = sum(runs.values())
+        value = answer(p)
+        point_runs.append(sum(runs.values()) - before)
+        return value
+
+    cert.point.answer = read
+    alpha = (3, 4)
+    assert all(g.eval(alpha) for g in v2.gens)       # phi(alpha) has no zero
+    r = ZeroRandomness(a=(1, 2, 3, 4), b=(5, 6, 1, 2), alpha=alpha, t=2)
+    assert zero_verify(v2, 6 * inst.d, proof.conflict, cert, r).accepted
+    assert point_runs == [0, 0, 0]
+    assert runs == {(0, 0): 2, (1, 0): 2, (0, 1): 3, (1, 1): 3}

@@ -87,6 +87,21 @@ def test_counting_rng_matches_plain_random():
     assert [a.randrange(17) for _ in range(20)] == [b.randrange(17) for _ in range(20)]
 
 
+def test_counting_rng_is_random_randrange_in_both_call_forms():
+    # CountingRng draws by its own rejection loop on getrandbits; the stream
+    # must stay random.Random(seed).randrange's, from size 1 (no choice) to
+    # sizes just past a power of two (most rejections) and past 2^32
+    sizes = (1, 2, 3, 256, 257, 2 ** 32, 4294967311)
+    for seed in range(200):
+        counted, plain = CountingRng(seed), random.Random(seed)
+        for size in sizes:
+            assert counted.randrange(size) == plain.randrange(size), (seed, size)
+            start = seed - 100
+            assert (counted.randrange(start, start + size)
+                    == plain.randrange(start, start + size)), (seed, size)
+        assert counted.bits == 2 * sum((size - 1).bit_length() for size in sizes)
+
+
 def test_trial_seed_is_pure_and_spread():
     assert trial_seed(0, 0) == trial_seed(0, 0)
     seeds = {trial_seed(42, i) for i in range(1000)}
