@@ -296,12 +296,24 @@ def _variety_for(cfg: ExperimentConfig):
         raise ConfigError(f"bad variety spec {cfg.variety!r}: {exc}") from exc
 
 
-def load_graph(spec: str) -> Graph:
-    """``complete:<n>`` for K_n, otherwise a path to an edge-list file."""
+def load_graph(spec: str, points: int | None = None) -> Graph:
+    """``complete:<n>`` for K_n, otherwise a path to an edge-list file.
+
+    A graph with more vertices than ``points`` (the variety's point count)
+    has no embedding; it is a ValueError, raised before K_n's C(n, 2) edges
+    are built.
+    """
+    def check(n: int) -> None:
+        if points is not None and n > points:
+            raise ValueError(f"graph has {n} vertices but the variety only {points} points")
+
     if spec.startswith("complete:"):
         n = int(spec.split(":", 1)[1])
+        check(n)
         return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
-    return Graph.from_file(spec)
+    graph = Graph.from_file(spec)
+    check(graph.n)
+    return graph
 
 
 def _pcp_instance(cfg: ExperimentConfig) -> tuple[PcpInstance, list[int] | None]:
@@ -309,7 +321,7 @@ def _pcp_instance(cfg: ExperimentConfig) -> tuple[PcpInstance, list[int] | None]
     none), which completeness mode needs and soundness mode must not have."""
     variety = _variety_for(cfg)
     try:
-        graph = load_graph(cfg.graph)
+        graph = load_graph(cfg.graph, len(variety.points))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad graph {cfg.graph!r}: {exc}") from exc
     colors = proper_3_coloring(graph, variety.field)
@@ -767,10 +779,3 @@ PRESETS: dict[str, ExperimentConfig] = {
         mode="completeness", sampling="sampled", trials=1000, seed=7,
     ),
 }
-
-
-def preset(name: str) -> ExperimentConfig:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ConfigError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}") from None

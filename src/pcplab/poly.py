@@ -2,12 +2,13 @@
 
 ``MultiPoly`` keeps a sparse map from exponent vectors to nonzero residues
 plus a declared degree cap.  It evaluates and restricts to lines through one
-compiled integer function, built on first use from the nested-Horner layout of
-the variables its terms use (x_i^e's coefficient is a polynomial in the later
-variables, and each step multiplies by x_i once): straight-line Python code,
-one statement per Horner step, with the coefficients passed in as a tuple, so
-it is compiled once per support shape and shared by every polynomial with
-that support.  ``eval`` runs it over Z at the point and reduces mod q once;
+compiled integer function, generated on first use straight from its terms in
+nested-Horner form over the variables they use (x_i^e's coefficient is a
+polynomial in the later variables, and each step multiplies by x_i once):
+straight-line Python code, one statement per Horner step, with the
+coefficients passed in as a tuple, so it is cached by support (the set of
+exponent vectors) and shared by every polynomial with that support.  ``eval``
+runs it over Z at the point and reduces mod q once;
 ``restrict`` runs it at the Kronecker-packed point x_i = a_i + b_i 2^W, whose
 base-2^W digits are the coefficients in t of P(a + t b) (W bounds every
 coefficient, so no digit carries).  ``FactoredPoly`` is a sum of products of
@@ -63,78 +64,62 @@ class DegreeCapError(ValueError):
     """A term exceeds the polynomial's declared degree cap."""
 
 
-def _horner_layout(items: list[tuple[tuple[int, ...], int]], start: int):
-    """Nested-Horner layout of a nonempty list of (exponents, coefficient).
+@functools.lru_cache(maxsize=256)
+def _compile_horner(support: frozenset, nvars: int):
+    """(f, order, used) for a nonempty support (set of exponent vectors).
 
-    The layout is either an int, the constant, or ``(var, children)`` where
-    ``children[e]`` is the layout of the coefficient of x_var^e (itself a
-    polynomial in the later variables), or None when that coefficient is
-    empty.  ``var`` is the first variable from ``start`` on that some term
-    uses, so variables no term uses are never walked.
+    ``f(C, X)`` is the polynomial over Z at the point X, with C[i] the
+    coefficient of ``order[i]``; it reads from X only the variables in
+    ``used``.  Its source is straight-line nested Horner: the terms are
+    grouped by their power of the first variable some of them use (x_var^e's
+    coefficient is a polynomial in the later variables), so variables no term
+    uses are never read, and each Horner step is one statement multiplying
+    by x_var once.  A coefficient that is itself a polynomial is computed
+    first into the next level's local and then folded in, so the code never
+    nests.  Coefficients enter only through C, so the function is compiled
+    once per support and shared by every polynomial with that support.
     """
-    nvars = len(items[0][0])
-    for var in range(start, nvars):
-        if any(e[var] for e, _ in items):
-            break
-    else:
-        return items[0][1]  # no variable left: a single constant term
-    groups: dict[int, list] = {}
-    for item in items:
-        groups.setdefault(item[0][var], []).append(item)
-    children = [None] * (max(groups) + 1)
-    for e, group in groups.items():
-        children[e] = _horner_layout(group, var + 1)
-    return var, children
-
-
-def _horner_source(layout, nvars: int) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """Straight-line source of ``f(C, X)``, the layout's polynomial over Z at
-    the point X, the coefficient tuple C it unpacks, and the indices of the
-    variables it unpacks from X (the only inputs it reads besides C).
-
-    One statement per Horner step, so the code never nests: a coefficient of
-    x_var^e that is itself a polynomial in later variables is computed first
-    into the next level's local and then folded in.  Coefficients enter only
-    through C, so polynomials with the same support share the source.
-    """
-    coeffs: list[int] = []
+    order: list[tuple[int, ...]] = []
     body: list[str] = []
     used: set[int] = set()
 
-    def emit(node, level: int) -> None:
-        v = f"v{level}"
-        if type(node) is int:
-            body.append(f"{v} = c{len(coeffs)}")
-            coeffs.append(node)
-            return
-        var, children = node
+    def emit(exps: list, start: int, level: int) -> str:
+        """Append the statements for the terms ``exps`` in the variables from
+        ``start`` on; return the name holding their value: ``c<i>`` for a lone
+        term with no variable left, else ``v<level>``."""
+        for var in range(start, nvars):
+            if any(e[var] for e in exps):
+                break
+        else:
+            order.append(exps[0])
+            return f"c{len(order) - 1}"
         used.add(var)
-        top, *rest = reversed(children)
-        emit(top, level)  # the leading coefficient is never empty
-        for child in rest:
-            if child is None:
-                body.append(f"{v} *= x{var}")
-            elif type(child) is int:
-                body.append(f"{v} = {v}*x{var} + c{len(coeffs)}")
-                coeffs.append(child)
+        groups: dict[int, list] = {}
+        for e in exps:
+            groups.setdefault(e[var], []).append(e)
+        v = f"v{level}"
+        top = max(groups)
+        lead = emit(groups[top], var + 1, level)
+        if lead != v:
+            body.append(f"{v} = {lead}")
+        for power in range(top - 1, -1, -1):
+            if power in groups:
+                inner = emit(groups[power], var + 1, level + 1)
+                body.append(f"{v} = {v}*x{var} + {inner}")
             else:
-                emit(child, level + 1)
-                body.append(f"{v} = {v}*x{var} + v{level + 1}")
+                body.append(f"{v} *= x{var}")
+        return v
 
-    emit(layout, 0)
-    head = ["def f(C, X):", "    " + ", ".join(f"c{i}" for i in range(len(coeffs))) + ", = C"]
+    lead = emit(list(support), 0, 0)
+    if lead != "v0":
+        body.append(f"v0 = {lead}")
+    head = ["def f(C, X):", "    " + ", ".join(f"c{i}" for i in range(len(order))) + ", = C"]
     if used:
         head.append("    " + ", ".join(f"x{i}" if i in used else "_" for i in range(nvars)) + ", = X")
-    lines = head + ["    " + line for line in body] + ["    return v0"]
-    return "\n".join(lines) + "\n", tuple(coeffs), tuple(sorted(used))
-
-
-@functools.lru_cache(maxsize=256)
-def _compile_horner(source: str):
-    """The function defined by ``_horner_source`` output, one per shape."""
+    source = "\n".join(head + ["    " + line for line in body] + ["    return v0"]) + "\n"
     namespace: dict = {}
     exec(compile(source, "<horner>", "exec"), namespace)
-    return namespace["f"]
+    return namespace["f"], tuple(order), tuple(sorted(used))
 
 
 def _digits(field: Field, v: int, width: int, ndigits: int) -> "UniPoly":
@@ -283,23 +268,22 @@ class MultiPoly:
         """(compiled Horner function, coefficient tuple, Kronecker digit width W,
         indices of the variables the function reads).
 
-        The function ``fn(coeffs, point)`` is ``_horner_source``'s
-        straight-line code for the terms' layout (see ``_horner_layout``),
-        compiled once per shape and shared by every polynomial with the same
-        support; it computes P(point) over Z and reads no coordinate of the
-        point outside the used variables.  W = bit_length(T(q-1)(2q-2)^D)
+        The function ``fn(coeffs, point)`` is ``_compile_horner``'s for the
+        terms' support, compiled once per support and shared by every
+        polynomial with it (the zero polynomial takes the constant's, with
+        coefficient 0); it computes P(point) over Z and reads no coordinate of
+        the point outside the used variables.  W = bit_length(T(q-1)(2q-2)^D)
         for T terms of degree at most D: with a_i, b_i in [0, q), P(a + t b)
         over Z has nonnegative coefficients, each at most its value at t = 1,
         which is at most that bound, so packed at t = 2^W its base-2^W digits
         never carry.
         """
         if self._horner is None:
-            terms = self.terms
+            terms = self.terms or {(0,) * self.nvars: 0}
+            fn, order, used = _compile_horner(frozenset(terms), self.nvars)
             q = self.field.q
-            layout = _horner_layout(list(terms.items()), 0) if terms else 0
-            source, coeffs, used = _horner_source(layout, self.nvars)
-            width = (len(terms) * (q - 1) * (2 * q - 2) ** self.degree()).bit_length()
-            self._horner = _compile_horner(source), coeffs, width, used
+            width = (len(self.terms) * (q - 1) * (2 * q - 2) ** self.degree()).bit_length()
+            self._horner = fn, tuple(map(terms.__getitem__, order)), width, used
         return self._horner
 
     def eval(self, point: Sequence[int]) -> int:

@@ -105,6 +105,9 @@ VACUOUS_ZEROTEST = ["zerotest", "run", "--q", "5", "--variety", "cube:H=0,1,2;m=
                     "--degree", "1", "--trials", "20"]
 LDT_FLAGS = ["--q", "5", "--nvars", "1"]
 PCP_K4_FLAGS = ["--q", "17", "--variety", "cube:H=0,1,2,3;m=1", "--graph", "complete:4"]
+# K5 does not fit on the 3-point cube; the error names both counts
+OVERSIZED_PCP_FLAGS = ["--q", "17", "--variety", "cube:H=0,1,2;m=1", "--graph", "complete:5"]
+OVERSIZED_MESSAGE = "graph has 5 vertices but the variety only 3 points"
 
 
 @pytest.mark.parametrize("argv", [
@@ -124,6 +127,7 @@ PCP_K4_FLAGS = ["--q", "17", "--variety", "cube:H=0,1,2,3;m=1", "--graph", "comp
     ["zerotest", "run", "--q", "5", "--variety", "cube:H=0,1;m=1", "--degree", "2",
      "--mode", "soundness", "--adversary", "wrong-poly", "--delta", "0.5", "--trials", "20"],
     ["ldt", "run", *LDT_FLAGS, "--degree", "2", "--delta", "0.5"],
+    ["pcp", "run", *OVERSIZED_PCP_FLAGS, "--trials", "5"],
 ])
 def test_meaningless_runs_exit_2(capsys, argv):
     def hang(signum, frame):
@@ -139,6 +143,8 @@ def test_meaningless_runs_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("config error: ") and err.count("\n") == 1
+    if "complete:5" in argv:
+        assert OVERSIZED_MESSAGE in err
 
 
 @pytest.mark.parametrize("flags", [
@@ -164,14 +170,17 @@ def test_meaningless_runs_exit_2(capsys, argv):
      "--enum-budget", "10"],
     ["zerotest", "--q", "5", "--variety", "ball1:n=2", "--degree", "2",
      "--sampling", "exhaustive", "--enum-budget", "10"],
+    ["pcp", *OVERSIZED_PCP_FLAGS],
 ])
 def test_budget_rejects_what_a_run_rejects(capsys, flags):
-    code, _, err = run(capsys, "budget", *flags)
+    code, _, budget_err = run(capsys, "budget", *flags)
     assert code == 2
-    assert err.startswith("config error: ")
-    code, _, err = run(capsys, flags[0], "run", *flags[1:])
+    code, _, run_err = run(capsys, flags[0], "run", *flags[1:])
     assert code == 2
-    assert err.startswith("config error: ")
+    for err in (budget_err, run_err):
+        assert err.startswith("config error: ")
+        if "complete:5" in flags:
+            assert OVERSIZED_MESSAGE in err
 
 
 def test_budget_subcommand(capsys):

@@ -20,7 +20,6 @@ from pcplab.harness import (
     Z99,
     ZEROTEST_ADVERSARIES,
     load_graph,
-    preset,
     randomness_budget,
     random_vanishing_poly,
     report_bytes,
@@ -294,6 +293,9 @@ def test_reps_multiply_queries_and_bits():
     dict(experiment="ldt", q=7, nvars=3, degree=2, sampling="exhaustive", budget=10),
     dict(experiment="zerotest", q=5, variety="ball1:n=2", degree=2,
          sampling="exhaustive", budget=10),
+    # more graph vertices than variety points
+    dict(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1", graph="complete:5",
+         mode="soundness", adversary="improper-pipeline"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -449,14 +451,9 @@ def test_preset_shapes():
 
 def test_presets_are_runnable():
     for name in PRESETS:
-        cfg = replace(preset(name), trials=40)
+        cfg = replace(PRESETS[name], trials=40)
         est, _ = run_experiment(cfg)
         assert est.rejects == 0, name
-
-
-def test_unknown_preset():
-    with pytest.raises(ConfigError):
-        preset("imaginary")
 
 
 # -- pinned report bytes ------------------------------------------------------

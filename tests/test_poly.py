@@ -266,12 +266,15 @@ def test_same_support_shares_one_compiled_function():
     terms = {(2, 1): 3, (0, 1): 1, (0, 0): 4}
     p = MultiPoly(F7, 2, terms, 3)
     r = MultiPoly(F7, 2, {e: c + 1 for e, c in terms.items()}, 3)
-    assert p._layout()[0] is r._layout()[0]
-    for x in [(0, 0), (1, 2), (6, 5)]:
-        assert p.eval(x) == _eval_ref(p.terms, x, 7)
-        assert r.eval(x) == _eval_ref(r.terms, x, 7)
-    assert p.restrict((1, 2), (3, 4)).coeffs == _restrict_ref(p.terms, 3, (1, 2), (3, 4), 7)
-    assert r.restrict((1, 2), (3, 4)).coeffs == _restrict_ref(r.terms, 3, (1, 2), (3, 4), 7)
+    # the same support inserted in reverse order
+    s = MultiPoly(F7, 2, dict(reversed(list(terms.items()))), 3)
+    for poly in (r, s):
+        assert poly._layout()[0] is p._layout()[0]
+    for poly in (p, r, s):
+        for x in [(0, 0), (1, 2), (6, 5)]:
+            assert poly.eval(x) == _eval_ref(poly.terms, x, 7)
+        assert poly.restrict((1, 2), (3, 4)).coeffs == _restrict_ref(
+            poly.terms, 3, (1, 2), (3, 4), 7)
 
 
 def test_zero_and_constant_polynomials():
