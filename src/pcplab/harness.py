@@ -41,21 +41,14 @@ from typing import Callable, Iterable
 from . import pcp
 from .field import Field
 from .ldt import ldt_check, local_correct
-from .oracles import (
-    CorruptionSpec,
-    OracleBudgetError,
-    corrupt,
-    honest_oracles,
-    materialize,
-)
+from .oracles import CorruptionSpec, corrupt, honest_oracles, materialize
 from .pcp import (
     Graph,
     PcpInstance,
     PcpProof,
     PcpRandomness,
-    best_effort_coloring,
+    fewest_conflicts_coloring,
     pcp_prove,
-    proper_3_coloring,
 )
 from .poly import MultiPoly, random_poly
 from .variety import Variety, make_variety, vanishes_on
@@ -316,18 +309,24 @@ def load_graph(spec: str, points: int | None = None) -> Graph:
     return graph
 
 
-def _pcp_instance(cfg: ExperimentConfig) -> tuple[PcpInstance, list[int] | None]:
-    """The instance and the graph's first proper 3-coloring (None if it has
-    none), which completeness mode needs and soundness mode must not have."""
+def _pcp_instance(cfg: ExperimentConfig) -> tuple[PcpInstance, list[int]]:
+    """The instance and the graph's fewest-conflicts coloring, which must be
+    proper in completeness mode and improper in soundness mode."""
     variety = _variety_for(cfg)
     try:
         graph = load_graph(cfg.graph, len(variety.points))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad graph {cfg.graph!r}: {exc}") from exc
-    colors = proper_3_coloring(graph, variety.field)
-    if cfg.mode == "completeness" and colors is None:
+    try:
+        colors = fewest_conflicts_coloring(graph, variety.field)
+        proper = graph.conflicts(colors, cfg.q) == 0
+    except ValueError as exc:        # no proper coloring, above the search cap
+        if cfg.mode == "soundness":
+            raise ConfigError(str(exc)) from exc
+        proper = False
+    if cfg.mode == "completeness" and not proper:
         raise ConfigError("graph is not 3-colorable; completeness mode needs a proper coloring")
-    if cfg.mode == "soundness" and colors is not None:
+    if cfg.mode == "soundness" and proper:
         raise ConfigError(
             "graph is 3-colorable, so the improper-coloring adversaries would "
             "build an honest proof; soundness mode needs a graph with no proper "
@@ -468,29 +467,29 @@ ZEROTEST_ADVERSARIES: dict[str, Callable] = {
 }
 
 
-# PCP adversaries receive (inst, delta, rng) and return a full PcpProof.  All
-# three start from the improper pipeline: the graph's best-effort coloring
-# through pcp_prove, whose conflict certificate is then the all-zero one, so
-# the conflict zero test carries the rejection.  pcp_prove is called through
-# this module's binding, the one the benchmark's span tracer wraps.
+# Each PCP adversary receives (proof, inst, delta, rng) and returns the proof
+# the verifier queries.  ``proof`` is the improper pipeline: pcp_prove on the
+# graph's fewest-conflicts coloring, which in soundness mode is improper, so
+# its conflict certificate is the all-zero one and the conflict zero test
+# carries the rejection.
 
-def _pcp_improper(inst, delta, rng) -> PcpProof:
-    return pcp_prove(inst, best_effort_coloring(inst.graph, inst.field))
+def _pcp_improper(proof, inst, delta, rng) -> PcpProof:
+    """The improper pipeline itself."""
+    return proof
 
 
-def _pcp_corrupt_color(inst, delta, rng) -> PcpProof:
+def _pcp_corrupt_color(proof, inst, delta, rng) -> PcpProof:
     """Improper pipeline plus a delta-corrupted coloring table: attacks the
     color low-degree test and the validity identity simultaneously."""
-    proof = _pcp_improper(inst, delta, rng)
     spec = CorruptionSpec(delta=delta, key=rng.getrandbits(63))
     return replace(proof, color=corrupt(proof.color, spec))
 
 
-def _pcp_zero_certs(inst, delta, rng) -> PcpProof:
+def _pcp_zero_certs(proof, inst, delta, rng) -> PcpProof:
     """Improper pipeline with both certificates zeroed: the validity zero
     test must now reject whenever the validity polynomial is nonzero."""
     return replace(
-        _pcp_improper(inst, delta, rng),
+        proof,
         validity_cert=zero_certificate(inst.variety, 3 * inst.d),
         conflict_cert=zero_certificate(inst.variety2, 6 * inst.d),
     )
@@ -562,10 +561,8 @@ def _ldt_lc(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
     if adversary is not None:
         f, flines = adversary(f, flines, cfg.delta, rng0)
     elif cfg.sampling == "exhaustive":
-        try:        # table-backed copies, when the domains fit
-            f, flines = materialize(f, cfg.budget), materialize(flines, cfg.budget)
-        except OracleBudgetError:
-            pass
+        # table-backed copies; _validate keeps q^{2m} within the budget
+        f, flines = materialize(f, cfg.budget), materialize(flines, cfg.budget)
 
     def sample(rng: CountingRng):
         # alpha is the location being corrected — an input, not a coin — so
@@ -612,10 +609,11 @@ def _zerotest(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
 
 def _pcp(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
     inst, colors = _pcp_instance(cfg)
-    if adversary is None:
-        proof = pcp_prove(inst, colors)
-    else:
-        proof = adversary(inst, cfg.delta, _instance_rng(cfg))
+    # called through this module's binding, the one the benchmark's span
+    # tracer wraps
+    proof = pcp_prove(inst, colors)
+    if adversary is not None:
+        proof = adversary(proof, inst, cfg.delta, _instance_rng(cfg))
     verify = pcp.pcp_verify
     return Experiment(cfg, started, tuple(proof.oracles().values()),
                       lambda rng: PcpRandomness.sample(inst, rng),

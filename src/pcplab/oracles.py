@@ -48,11 +48,7 @@ class _Oracle:
         self.s = s
         self.degree = degree
         self.answer = answer
-        self._queries = 0
-
-    @property
-    def queries(self) -> int:
-        return self._queries
+        self.queries = 0
 
 
 class PointOracle(_Oracle):
@@ -62,7 +58,7 @@ class PointOracle(_Oracle):
     def query(self, point: Sequence[int]) -> int:
         if len(point) != self.s:
             raise ValueError(f"point arity {len(point)} != {self.s}")
-        self._queries += 1
+        self.queries += 1
         q = self.field.q
         return self.answer(tuple([x % q for x in point]))
 
@@ -74,7 +70,7 @@ class LinesOracle(_Oracle):
     def query(self, a: Sequence[int], b: Sequence[int]) -> UniPoly:
         if len(a) != self.s or len(b) != self.s:
             raise ValueError(f"line arity ({len(a)},{len(b)}) != {self.s}")
-        self._queries += 1
+        self.queries += 1
         q = self.field.q
         entry = self.answer(tuple([x % q for x in a]), tuple([x % q for x in b]))
         if len(entry.coeffs) != self.degree + 1:

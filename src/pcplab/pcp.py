@@ -14,11 +14,13 @@ polynomials carry the claim:
 
 The proof is ten oracles (``PcpProof.oracles``): point+lines pairs for χ̂,
 A, B, and zero-on-variety certificate pairs for A on V and for B on V×V.
-``pcp_prove`` builds every proof, honest or not.  A and B are kept as their
-factors and the certificates as their products h_g(x)·y_g, so the honest
-oracles answer factor by factor; A and B are multiplied out only for the
-certificate solves.  An improper coloring has no certificate for B, so its
-proof carries the all-zero one and the conflict zero test rejects.
+``fewest_conflicts_coloring`` is the one coloring search: it finds the proper
+coloring a completeness run proves and the best improper one a soundness run
+proves.  ``pcp_prove`` builds every proof, honest or not.  A and B are kept as
+their factors and the certificates as their products h_g(x)·y_g, so the
+honest oracles answer factor by factor; A and B are multiplied out only for
+the certificate solves.  An improper coloring has no certificate for B, so
+its proof carries the all-zero one and the conflict zero test rejects.
 
 The verifier spends 24 queries: 4 direct reads, 3 low-degree tests (6), and
 two 7-query zero tests, plus two local identity checks that cost no extra
@@ -28,7 +30,6 @@ per invocation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -104,48 +105,43 @@ def validate_coloring(field: Field, graph: Graph, colors: Sequence[int]) -> list
     return out
 
 
-def proper_3_coloring(graph: Graph, field: Field) -> list[int] | None:
-    """First proper coloring in lexicographic color order, or None.
+IMPROPER_SEARCH_CAP = 12  # vertices; the search beyond allowance 0 grows as 3^n
 
-    Plain backtracking; fine for the toy graphs this artifact handles.
+
+def fewest_conflicts_coloring(graph: Graph, field: Field) -> list[int]:
+    """The lexicographically first coloring, in palette order (-1, 0, 1), with
+    the fewest conflicting edges.
+
+    Depth-first over vertices 0..n-1, pruning a branch once its conflicts
+    exceed an allowance, run at allowance 0, 1, 2, ... until one succeeds.
+    Allowance 0 is plain backtracking, so a proper coloring is found at any
+    size; a graph with none is refused above ``IMPROPER_SEARCH_CAP`` vertices.
     """
     palette = color_residues(field)
-    colors: list[int | None] = [None] * graph.n
-    adj: list[list[int]] = [[] for _ in range(graph.n)]
+    earlier: list[list[int]] = [[] for _ in range(graph.n)]  # lower-index neighbors
     for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        earlier[v].append(u)
+    colors = [0] * graph.n
 
-    def place(v: int) -> bool:
+    def place(v: int, allowance: int) -> bool:
         if v == graph.n:
             return True
         for c in palette:
-            if all(colors[w] != c for w in adj[v]):
+            bad = sum(colors[w] == c for w in earlier[v])
+            if bad <= allowance:
                 colors[v] = c
-                if place(v + 1):
+                if place(v + 1, allowance - bad):
                     return True
-                colors[v] = None
         return False
 
-    if place(0):
-        return [c for c in colors if c is not None]
-    return None
-
-
-def best_effort_coloring(graph: Graph, field: Field) -> list[int]:
-    """Coloring with the fewest conflicting edges (exhaustive for small n)."""
-    palette = color_residues(field)
-    if graph.n > 12:
-        raise ValueError("exhaustive best-coloring search is capped at 12 vertices")
-    best, best_bad = None, None
-    for assignment in itertools.product(palette, repeat=graph.n):
-        bad = graph.conflicts(assignment, field.q)
-        if best_bad is None or bad < best_bad:
-            best, best_bad = list(assignment), bad
-            if bad == 0:
-                break
-    assert best is not None
-    return best
+    allowance = 0
+    while not place(0, allowance):
+        if graph.n > IMPROPER_SEARCH_CAP:
+            raise ValueError(
+                f"graph has no proper 3-coloring and {graph.n} vertices, above the "
+                f"{IMPROPER_SEARCH_CAP}-vertex cap of the fewest-conflicts search")
+        allowance += 1
+    return colors
 
 
 class PcpInstance:

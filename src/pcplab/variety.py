@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -299,16 +298,10 @@ def make_variety(field: Field, spec: str) -> Variety:
 
 # -- certificates ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
-    """Cofactors h_g (parallel to the generator order) with Σ h_g·g = P."""
-
-    cofactors: tuple[MultiPoly, ...]
-    bound: int  # deg(h_g · g) <= bound = deg(P)
-
-
-def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]) -> Certificate:
-    """Solve for cofactors h_g with Σ h_g·g = P and deg(h_g·g) <= deg(P).
+def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]
+                          ) -> tuple[MultiPoly, ...]:
+    """Solve for cofactors h_g, parallel to the generator order, with
+    Σ h_g·g = P and deg(h_g·g) <= deg(P).
 
     One exact linear solve over all cofactor coefficients (free variables
     zeroed, so the output is canonical).  Raising on inconsistency makes this
@@ -322,7 +315,7 @@ def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]) -> Certifi
     bound = poly.degree()
     if poly.is_zero():
         zero = MultiPoly.zero(field, m)
-        return Certificate(tuple(zero for _ in gens), 0)
+        return tuple(zero for _ in gens)
 
     # one row per target monomial, one column per (generator, h-monomial):
     # column j holds generator g shifted by its monomial, |g.terms| nonzeros.
@@ -378,18 +371,18 @@ def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]) -> Certifi
         check = check.add(h.mul(g))
     if check != poly:
         raise AssertionError("certificate residual check failed")  # pragma: no cover
-    return Certificate(cofactors, bound)
+    return cofactors
 
 
-def certificate_factors(cert: Certificate, gens: Sequence[MultiPoly],
-                        cap: int | None = None) -> FactoredPoly:
+def certificate_factors(cofactors: Sequence[MultiPoly], gens: Sequence[MultiPoly],
+                        cap: int) -> FactoredPoly:
     """M(x,y) = Σ h_g(x)·y_g in m+k variables, as the products h_g(x)·y_g.
 
     Zero cofactors contribute no product.  Every product carries exactly one
     y variable, so M(x, 0) = 0 structurally, and substituting y_g = g(x)
     recovers the certified polynomial.
     """
-    if len(cert.cofactors) != len(gens):
+    if len(cofactors) != len(gens):
         raise ValueError("certificate/generator count mismatch")
     k = len(gens)
     if k == 0:
@@ -399,7 +392,7 @@ def certificate_factors(cert: Certificate, gens: Sequence[MultiPoly],
     nvars = m + k
     products = [
         (h.shift_vars(nvars, 0), MultiPoly.variable(field, nvars, m + gi))
-        for gi, h in enumerate(cert.cofactors) if not h.is_zero()
+        for gi, h in enumerate(cofactors) if not h.is_zero()
     ]
-    return FactoredPoly(field, nvars, products, cert.bound if cap is None else cap)
+    return FactoredPoly(field, nvars, products, cap)
 

@@ -77,8 +77,8 @@ def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) ->
         raise NoCertificateError("no certificate: polynomial does not vanish on the variety")
 
     expanded = poly.expand() if isinstance(poly, FactoredPoly) else poly
-    cert = vanishing_certificate(expanded, variety.gens)
-    point, lines = honest_oracles(certificate_factors(cert, variety.gens, cap=degree), degree)
+    cofactors = vanishing_certificate(expanded, variety.gens)
+    point, lines = honest_oracles(certificate_factors(cofactors, variety.gens, degree), degree)
     return ZeroProof(point, lines)
 
 

@@ -178,8 +178,7 @@ def test_criterion_02_certificate_fixture():
     g1 = MultiPoly(F5, 2, {(2, 0): 1}, cap=2)            # x1^2
     g2 = MultiPoly(F5, 2, {(1, 1): 1, (0, 2): 4}, cap=2)  # x1*x2 - x2^2
     p = MultiPoly(F5, 2, {(0, 3): 1}, cap=3)              # x2^3
-    cert = vanishing_certificate(p, [g1, g2])
-    h1, h2 = cert.cofactors
+    h1, h2 = vanishing_certificate(p, [g1, g2])
     assert h1.terms == {(0, 1): 1}                # x2
     assert h2.terms == {(1, 0): 4, (0, 1): 4}     # -(x1 + x2)
     assert h1.mul(g1).degree() <= 3 and h2.mul(g2).degree() <= 3

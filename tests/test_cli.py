@@ -108,6 +108,9 @@ PCP_K4_FLAGS = ["--q", "17", "--variety", "cube:H=0,1,2,3;m=1", "--graph", "comp
 # K5 does not fit on the 3-point cube; the error names both counts
 OVERSIZED_PCP_FLAGS = ["--q", "17", "--variety", "cube:H=0,1,2;m=1", "--graph", "complete:5"]
 OVERSIZED_MESSAGE = "graph has 5 vertices but the variety only 3 points"
+K13_PCP_FLAGS = ["--q", "5", "--variety", "ball1:n=12", "--graph", "complete:13",
+                 "--mode", "soundness", "--adversary", "improper-pipeline"]
+K13_MESSAGE = "graph has no proper 3-coloring and 13 vertices, above the 12-vertex cap"
 
 
 @pytest.mark.parametrize("argv", [
@@ -171,16 +174,20 @@ def test_meaningless_runs_exit_2(capsys, argv):
     ["zerotest", "--q", "5", "--variety", "ball1:n=2", "--degree", "2",
      "--sampling", "exhaustive", "--enum-budget", "10"],
     ["pcp", *OVERSIZED_PCP_FLAGS],
+    # no proper coloring, and above the fewest-conflicts search's vertex cap
+    ["pcp", *K13_PCP_FLAGS],
 ])
 def test_budget_rejects_what_a_run_rejects(capsys, flags):
     code, _, budget_err = run(capsys, "budget", *flags)
     assert code == 2
     code, _, run_err = run(capsys, flags[0], "run", *flags[1:])
     assert code == 2
-    for err in (budget_err, run_err):
-        assert err.startswith("config error: ")
-        if "complete:5" in flags:
-            assert OVERSIZED_MESSAGE in err
+    assert budget_err == run_err
+    assert budget_err.startswith("config error: ")
+    if "complete:5" in flags:
+        assert OVERSIZED_MESSAGE in budget_err
+    if "complete:13" in flags:
+        assert K13_MESSAGE in budget_err
 
 
 def test_budget_subcommand(capsys):

@@ -22,10 +22,9 @@ from pcplab.harness import PCP_ADVERSARIES
 from pcplab.pcp import (
     Graph,
     PcpInstance,
-    best_effort_coloring,
     claim_polynomials,
+    fewest_conflicts_coloring,
     pcp_prove,
-    proper_3_coloring,
 )
 from pcplab.poly import FactoredPoly, MultiPoly, monomials_upto
 from pcplab.variety import make_variety, vanishing_certificate
@@ -41,10 +40,10 @@ INSTANCES = {
 
 
 def _expanded_certificate(poly, variety, degree):
-    cert = vanishing_certificate(poly, variety.gens)
+    cofactors = vanishing_certificate(poly, variety.gens)
     m, k = variety.m, variety.complexity
     terms = {}
-    for gi, h in enumerate(cert.cofactors):
+    for gi, h in enumerate(cofactors):
         y = tuple(1 if j == gi else 0 for j in range(k))
         for e, c in h.terms.items():
             terms[e + y] = c
@@ -60,15 +59,12 @@ def case(name):
     variety = make_variety(field, spec)
     graph = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     inst = PcpInstance(variety, graph)
-    colors = proper_3_coloring(graph, field)
-    if colors is None:
-        proof = PCP_ADVERSARIES["improper-pipeline"](inst, 0.0, random.Random(0))
-    else:
-        proof = pcp_prove(inst, colors)
+    colors = fewest_conflicts_coloring(graph, field)
+    proof = PCP_ADVERSARIES["improper-pipeline"](
+        pcp_prove(inst, colors), inst, 0.0, random.Random(0))
     d = inst.d
 
-    chi, _, factored_conflict = claim_polynomials(
-        inst, colors or best_effort_coloring(graph, field))
+    chi, _, factored_conflict = claim_polynomials(inst, colors)
     validity = chi.mul(chi).mul(chi).sub(chi)
     m2 = 2 * inst.m
     delta = chi.shift_vars(m2, 0).sub(chi.shift_vars(m2, inst.m))
@@ -82,7 +78,7 @@ def case(name):
         ("M_A", proof.validity_cert.point, proof.validity_cert.lines,
          _expanded_certificate(validity, inst.variety, 3 * d), 3 * d),
     ]
-    if colors is not None:
+    if not graph.conflicts(colors, q):
         out.append(("M_B", proof.conflict_cert.point, proof.conflict_cert.lines,
                      _expanded_certificate(conflict, inst.variety2, 6 * d), 6 * d))
     return factored_conflict, out
@@ -283,7 +279,7 @@ def test_certificate_reads_run_each_cofactor_twice():
     variety = make_variety(field, "cube:H=0,1,2;m=1")
     graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     inst = PcpInstance(variety, graph)
-    proof = pcp_prove(inst, proper_3_coloring(graph, field))
+    proof = pcp_prove(inst, fewest_conflicts_coloring(graph, field))
     cert = proof.conflict_cert
     poly = cert.lines.answer.__self__
     assert cert.point.answer.__self__ is poly

@@ -19,6 +19,7 @@ from pcplab.harness import (
     Z95,
     Z99,
     ZEROTEST_ADVERSARIES,
+    build_experiment,
     load_graph,
     randomness_budget,
     random_vanishing_poly,
@@ -296,10 +297,17 @@ def test_reps_multiply_queries_and_bits():
     # more graph vertices than variety points
     dict(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1", graph="complete:5",
          mode="soundness", adversary="improper-pipeline"),
+    # no proper coloring, and above the fewest-conflicts search's vertex cap
+    dict(experiment="pcp", q=5, variety="ball1:n=12", graph="complete:13",
+         mode="soundness", adversary="improper-pipeline"),
 ])
 def test_config_validation(bad):
-    with pytest.raises(ConfigError):
-        randomness_budget(ExperimentConfig(**bad))
+    cfg = ExperimentConfig(**bad)
+    with pytest.raises(ConfigError) as budget_err:
+        randomness_budget(cfg)
+    with pytest.raises(ConfigError) as build_err:
+        build_experiment(cfg)
+    assert str(build_err.value) == str(budget_err.value)
 
 
 def test_unknown_adversaries_rejected():

@@ -1,6 +1,7 @@
 """Graph 3-coloring PCP: graphs, claim polynomials, prover, 24-query verifier."""
 
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -20,13 +21,12 @@ from pcplab.pcp import (
     PcpInstance,
     PcpProof,
     PcpRandomness,
-    best_effort_coloring,
     claim_polynomials,
     color_residues,
+    fewest_conflicts_coloring,
     implied_proof_size,
     pcp_prove,
     pcp_verify,
-    proper_3_coloring,
     validate_coloring,
 )
 from pcplab.variety import (
@@ -100,20 +100,64 @@ def test_validate_coloring():
 
 def test_proper_coloring_search():
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    colors = proper_3_coloring(triangle, F17)
-    assert colors is not None
-    assert triangle.conflicts(colors, 17) == 0
+    assert fewest_conflicts_coloring(triangle, F17) == [16, 0, 1]
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert proper_3_coloring(k4, F17) is None
+    assert k4.conflicts(fewest_conflicts_coloring(k4, F17), 17) > 0
 
 
 def test_best_effort_coloring_k4():
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    colors = best_effort_coloring(k4, F17)
+    colors = fewest_conflicts_coloring(k4, F17)
     assert k4.conflicts(colors, 17) == 1  # K_4 always has one bad edge
-    big = Graph.from_edges(13, [])
-    with pytest.raises(ValueError):
-        best_effort_coloring(big, F17)
+    assert colors == [16, 16, 0, 1]
+
+
+def _brute_force_coloring(graph, q):
+    """The lexicographically first coloring over the palette (q-1, 0, 1)
+    with the fewest equal-colored edges, by enumerating all 3^n of them."""
+    best = None
+    for colors in itertools.product((q - 1, 0, 1), repeat=graph.n):
+        bad = sum(colors[u] == colors[v] for u, v in graph.edges)
+        if best is None or bad < best[0]:
+            best = (bad, list(colors))
+            if bad == 0:            # nothing beats a proper coloring
+                break
+    return best[1]
+
+
+def _labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(2 ** len(pairs)):
+        yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def test_coloring_search_matches_brute_force_on_every_small_graph():
+    graphs = [g for n in range(1, 6) for g in _labelled_graphs(n)]
+    assert len(graphs) == 1 + 2 + 8 + 64 + 1024
+    for graph in graphs:
+        assert fewest_conflicts_coloring(graph, F5) == _brute_force_coloring(graph, 5)
+
+
+def test_coloring_search_matches_brute_force_on_random_graphs():
+    rng = random.Random(15)
+    proper = 0
+    for _ in range(200):
+        n = rng.randrange(6, 10)
+        density = rng.choice((0.2, 0.4, 0.6))
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        graph = Graph.from_edges(n, pairs)
+        colors = fewest_conflicts_coloring(graph, F17)
+        assert colors == _brute_force_coloring(graph, 17)
+        proper += graph.conflicts(colors, 17) == 0
+    assert 0 < proper < 200     # both searches, proper and improper, are exercised
+
+
+def test_coloring_search_cap_applies_only_without_a_proper_coloring():
+    path = Graph.from_edges(13, [(i, i + 1) for i in range(12)])
+    assert fewest_conflicts_coloring(path, F17) == [16, 0] * 6 + [16]
+    k13 = Graph.from_edges(13, list(itertools.combinations(range(13), 2)))
+    with pytest.raises(ValueError, match="no proper 3-coloring.*12-vertex cap"):
+        fewest_conflicts_coloring(k13, F17)
 
 
 # -- edge extension -----------------------------------------------------------
@@ -160,7 +204,7 @@ def test_instance_rejects_oversized_graph():
 
 def test_claim_polynomials_proper():
     inst = k3_instance()
-    colors = proper_3_coloring(inst.graph, F17)
+    colors = fewest_conflicts_coloring(inst.graph, F17)
     chi, validity, conflict = claim_polynomials(inst, colors)
     v = inst.variety
     for pt, c in zip(v.points, colors):
@@ -199,7 +243,7 @@ def test_prover_raises_for_a_vanishing_claim_without_certificate():
     inst = k3_instance()
     inst.variety2.gens = inst.variety2.gens[:inst.k]
     with pytest.raises(NoCertificateError):
-        pcp_prove(inst, proper_3_coloring(inst.graph, F17))
+        pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
 
 
 def test_single_vertex_graph():
@@ -215,7 +259,7 @@ def test_single_vertex_graph():
 
 def test_proof_oracle_tags():
     inst = k3_instance()
-    proof = pcp_prove(inst, proper_3_coloring(inst.graph, F17))
+    proof = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
     d = inst.d
     assert proof.color.degree == d and proof.color.s == 1
     assert proof.validity.degree == 3 * d
@@ -228,7 +272,7 @@ def test_proof_oracle_tags():
 
 def test_honest_proof_accepts_sampled_randomness():
     inst = k3_instance()
-    proof = pcp_prove(inst, proper_3_coloring(inst.graph, F17))
+    proof = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
     rng = random.Random(7)
     for _ in range(200):
         r = PcpRandomness.sample(inst, rng)
@@ -237,7 +281,7 @@ def test_honest_proof_accepts_sampled_randomness():
 
 def test_verifier_spends_exactly_24_queries():
     inst = k3_instance()
-    proof = pcp_prove(inst, proper_3_coloring(inst.graph, F17))
+    proof = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
     r = PcpRandomness.sample(inst, random.Random(1))
     pcp_verify(inst, proof, r)
     per_oracle = [
@@ -259,7 +303,7 @@ def test_zeroed_certificates_rejected_somewhere():
     from pcplab.zerotest import ZeroProof
 
     inst = k3_instance()
-    colors = best_effort_coloring(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), F17)
+    colors = fewest_conflicts_coloring(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), F17)
     proof = pcp_prove(inst, colors)
     zero_a = MultiPoly.zero(F17, 1 + inst.k, cap=3 * inst.d)
     bad = replace(proof, validity_cert=ZeroProof(*honest_oracles(zero_a, 3 * inst.d)))
@@ -291,7 +335,7 @@ def test_amplified_verifier():
 
 def test_implied_proof_size():
     inst = k3_instance()
-    proof = pcp_prove(inst, proper_3_coloring(inst.graph, F17))
+    proof = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
     sizes = implied_proof_size(proof)
     parts = {k: v for k, v in sizes.items() if k != "total_bits"}
     assert tuple(parts) == tuple(proof.oracles())
@@ -326,10 +370,11 @@ def test_large_conflict_certificate_pinned():
     variety = make_variety(field, "cube:H=0,1;m=2")
     graph = load_graph("complete:3")
     inst = PcpInstance(variety, graph)
-    _, _, conflict = claim_polynomials(inst, proper_3_coloring(graph, field))
-    cert = vanishing_certificate(conflict.expand(), inst.variety2.gens)
-    assert cert.bound == 12
-    assert [hashlib.sha256(h.text().encode()).hexdigest() for h in cert.cofactors] == [
+    _, _, conflict = claim_polynomials(inst, fewest_conflicts_coloring(graph, field))
+    expanded = conflict.expand()
+    assert expanded.degree() == 12
+    cofactors = vanishing_certificate(expanded, inst.variety2.gens)
+    assert [hashlib.sha256(h.text().encode()).hexdigest() for h in cofactors] == [
         "7b825bd2edfaf7c87029d549ebea69c3bf3c61a24f79dcbf01c6a2e216f7a499",
         "3187be1f826e51cb2f5a32f683d086955110904dfa1dc8ba1077ae2ef99e48cb",
         "8dd82ec89e65bdac279d9380cbe6e7922980b26b7f5cbd5a4168cd7262662ba1",

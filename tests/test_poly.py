@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcplab.field import Field
 from pcplab.oracles import LinesOracle, honest_oracles
-from pcplab.pcp import Graph, PcpInstance, pcp_prove, proper_3_coloring
+from pcplab.pcp import Graph, PcpInstance, fewest_conflicts_coloring, pcp_prove
 from pcplab.poly import (
     DegreeCapError,
     FactoredPoly,
@@ -215,7 +215,7 @@ def test_restrict_every_factor_of_the_k3_q7_proof():
     field = F7
     variety = make_variety(field, "cube:H=0,1,2;m=1")
     graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    proof = pcp_prove(PcpInstance(variety, graph), proper_3_coloring(graph, field))
+    proof = pcp_prove(PcpInstance(variety, graph), fewest_conflicts_coloring(graph, field))
     rng = random.Random(7)
     checked = 0
     for lines in proof.oracles().values():

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from pcplab.field import Field
 from pcplab.poly import MultiPoly, monomials_upto, random_poly
 from pcplab.variety import (
-    Certificate,
     NoCertificateError,
     SpecError,
     Variety,
@@ -250,8 +249,8 @@ def test_full_line_generator_spans_field_equation():
     assert v.complexity == 1
     # x^5 - x generates; the stored generator is a scalar multiple of it
     target = MultiPoly(F5, 1, {(5,): 1, (1,): 4}, cap=5)
-    cert = vanishing_certificate(target, v.gens)
-    assert len([h for h in cert.cofactors if not h.is_zero()]) == 1
+    cofactors = vanishing_certificate(target, v.gens)
+    assert len([h for h in cofactors if not h.is_zero()]) == 1
 
 
 def test_full_plane_generators():
@@ -263,9 +262,9 @@ def test_full_plane_generators():
         lo = [0, 0]
         lo[i] = 1
         target = MultiPoly(F3, 2, {tuple(e): 1, tuple(lo): 2}, cap=3)  # x_i^3 - x_i
-        cert = vanishing_certificate(target, v.gens)
+        cofactors = vanishing_certificate(target, v.gens)
         recon = MultiPoly.zero(F3, 2)
-        for h, g in zip(cert.cofactors, v.gens):
+        for h, g in zip(cofactors, v.gens):
             recon = recon.add(h.mul(g))
         assert recon == target
 
@@ -296,10 +295,10 @@ def test_vanishes_on():
 def test_certificate_constant_cofactor():
     v = ball1_variety(F5, 2)
     p = poly5(2, {(2, 0): 1, (1, 0): 4}, 2)  # x1^2 - x1 = 4 * gen0
-    cert = vanishing_certificate(p, v.gens)
-    assert cert.bound == 2
-    assert cert.cofactors[0].terms == {(0, 0): 4}
-    assert cert.cofactors[1].is_zero() and cert.cofactors[2].is_zero()
+    cofactors = vanishing_certificate(p, v.gens)
+    assert len(cofactors) == 3
+    assert cofactors[0].terms == {(0, 0): 4}
+    assert cofactors[1].is_zero() and cofactors[2].is_zero()
 
 
 def test_certificate_two_generator_fixture():
@@ -308,19 +307,18 @@ def test_certificate_two_generator_fixture():
     g1 = poly5(2, {(2, 0): 1}, 2)
     g2 = poly5(2, {(1, 1): 1, (0, 2): 4}, 2)
     p = poly5(2, {(0, 3): 1}, 3)
-    cert = vanishing_certificate(p, [g1, g2])
-    assert cert.cofactors[0].terms == {(0, 1): 1}
-    assert cert.cofactors[1].terms == {(1, 0): 4, (0, 1): 4}
-    assert all(h.mul(g).degree() <= 3 for h, g in zip(cert.cofactors, (g1, g2)))
-    total = cert.cofactors[0].mul(g1).add(cert.cofactors[1].mul(g2))
+    h1, h2 = vanishing_certificate(p, [g1, g2])
+    assert h1.terms == {(0, 1): 1}
+    assert h2.terms == {(1, 0): 4, (0, 1): 4}
+    assert h1.mul(g1).degree() <= 3 and h2.mul(g2).degree() <= 3
+    total = h1.mul(g1).add(h2.mul(g2))
     assert total == p.with_cap(total.cap)
 
 
 def test_certificate_zero_polynomial():
     v = ball1_variety(F5, 2)
-    cert = vanishing_certificate(MultiPoly.zero(F5, 2), v.gens)
-    assert all(h.is_zero() for h in cert.cofactors)
-    assert cert.bound == 0
+    cofactors = vanishing_certificate(MultiPoly.zero(F5, 2), v.gens)
+    assert len(cofactors) == 3 and all(h.is_zero() for h in cofactors)
 
 
 def test_certificate_rejects_non_members():
@@ -358,10 +356,9 @@ def test_random_ideal_members_certify(spec, tmp_path):
             p = p.add(h.mul(g))
         if p.is_zero():
             continue
-        cert = vanishing_certificate(p, v.gens)
-        assert cert.bound == p.degree()
+        cofactors = vanishing_certificate(p, v.gens)
         recon = MultiPoly.zero(F5, v.m)
-        for h, g in zip(cert.cofactors, v.gens):
+        for h, g in zip(cofactors, v.gens):
             assert h.is_zero() or h.mul(g).degree() <= p.degree()
             recon = recon.add(h.mul(g))
         assert recon == p
@@ -370,7 +367,7 @@ def test_random_ideal_members_certify(spec, tmp_path):
 def test_certificate_poly_structure():
     v = ball1_variety(F5, 2)
     p = poly5(2, {(1, 1): 1}, 2)  # x1*x2 == the middle generator
-    cp = certificate_factors(vanishing_certificate(p, v.gens), v.gens).expand()
+    cp = certificate_factors(vanishing_certificate(p, v.gens), v.gens, 2).expand()
     assert cp.nvars == 2 + 3
     assert cp.terms == {(0, 0, 0, 1, 0): 1}  # exactly y_2, the x1*x2 slot
     rng = random.Random(3)
@@ -384,8 +381,8 @@ def test_certificate_poly_two_generator_fixture():
     g1 = poly5(2, {(2, 0): 1}, 2)
     g2 = poly5(2, {(1, 1): 1, (0, 2): 4}, 2)
     p = poly5(2, {(0, 3): 1}, 3)
-    cert = vanishing_certificate(p, [g1, g2])
-    cp = certificate_factors(cert, [g1, g2]).expand()
+    cofactors = vanishing_certificate(p, [g1, g2])
+    cp = certificate_factors(cofactors, [g1, g2], 3).expand()
     assert cp.degree() <= 3
     for x in itertools.product(range(5), repeat=2):
         y = (g1.eval(x), g2.eval(x))
@@ -395,15 +392,14 @@ def test_certificate_poly_two_generator_fixture():
 
 def test_certificate_poly_zero():
     v = ball1_variety(F5, 2)
-    cert = vanishing_certificate(MultiPoly.zero(F5, 2), v.gens)
-    assert certificate_factors(cert, v.gens).expand().is_zero()
+    cofactors = vanishing_certificate(MultiPoly.zero(F5, 2), v.gens)
+    assert certificate_factors(cofactors, v.gens, 0).expand().is_zero()
 
 
 def test_certificate_poly_count_mismatch():
     v = ball1_variety(F5, 2)
-    cert = Certificate((MultiPoly.zero(F5, 2),), 0)
     with pytest.raises(ValueError):
-        certificate_factors(cert, v.gens)
+        certificate_factors((MultiPoly.zero(F5, 2),), v.gens, 0)
 
 
 # -- generator-evaluation embedding ------------------------------------------
@@ -459,8 +455,9 @@ def test_product_members_certify_against_union_generators():
             p = p.add(random_poly(F5, 2, 1, rng).mul(g))
         if p.is_zero():
             continue
-        cert = vanishing_certificate(p, v.gens)
-        assert cert.bound == p.degree()
+        cofactors = vanishing_certificate(p, v.gens)
+        assert all(h.is_zero() or h.mul(g).degree() <= p.degree()
+                   for h, g in zip(cofactors, v.gens))
 
 
 def test_product_lde_degree_bound():
