@@ -8,6 +8,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .field import Field
@@ -39,7 +40,7 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--delta", type=float, default=0.0,
                     help="corruption rate for corrupt-* adversaries")
     sp.add_argument("--reps", type=int, default=1)
-    sp.add_argument("--enum-budget", type=int, default=10 ** 6,
+    sp.add_argument("--enum-budget", dest="budget", type=int, default=10 ** 6,
                     help="cap on exhaustive spaces and materialized tables")
     sp.add_argument("--out", default="", help="write the JSON report here")
     sp.add_argument("--min-reject-rate", type=float, default=None,
@@ -47,22 +48,11 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args, experiment: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=experiment,
-        q=args.q,
-        degree=args.degree,
-        nvars=args.nvars,
-        variety=args.variety,
-        graph=args.graph,
-        mode=args.mode,
-        sampling=args.sampling,
-        trials=args.trials,
-        seed=args.seed,
-        adversary=args.adversary,
-        delta=args.delta,
-        reps=args.reps,
-        budget=args.enum_budget,
-    )
+    """An ``ExperimentConfig`` whose every field but ``experiment`` is read
+    from the run flag of that name (``--enum-budget`` sets ``budget``)."""
+    return ExperimentConfig(experiment=experiment, **{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"})
 
 
 def _cmd_variety(args) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .oracles import LinesOracle, PointOracle
-from .poly import UniPoly
+from .poly import eval_entry
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def _line_point(a: Sequence[int], b: Sequence[int], t: int, q: int) -> tuple[int
 
 
 def _consistent_entry(degree: int, f: PointOracle, flines: LinesOracle,
-                      a: Sequence[int], b: Sequence[int], t: int) -> UniPoly | None:
+                      a: Sequence[int], b: Sequence[int], t: int) -> tuple[int, ...] | None:
     """The lines entry for (a, b) if it matches f(a+tb) at t, else None: one
     lines query, then one point query."""
     q = f.field.q
@@ -44,7 +44,7 @@ def _consistent_entry(degree: int, f: PointOracle, flines: LinesOracle,
         raise ValueError("oracle degree tags disagree with the test degree")
     entry = flines.query(a, b)
     value = f.query(_line_point(a, b, t, q))
-    return entry if entry.eval(t) == value else None
+    return entry if eval_entry(entry, t, q) == value else None
 
 
 def ldt_check(degree: int, f: PointOracle, flines: LinesOracle,
@@ -65,4 +65,4 @@ def local_correct(degree: int, f: PointOracle, flines: LinesOracle,
     entry's constant coefficient (its value at t=0, i.e. at alpha itself).
     """
     entry = _consistent_entry(degree, f, flines, alpha, b, t)
-    return REJECT if entry is None else Verdict(True, entry.at_zero())
+    return REJECT if entry is None else Verdict(True, entry[0])

@@ -1,10 +1,12 @@
 """Query interfaces for point tables and lines tables.
 
 Verifiers only ever see oracles: a point oracle maps F_q^s -> F_q and a lines
-oracle maps a pair (a, b) to the d+1 coefficients of the restriction along
-the line a + t b.  ``PointOracle`` and ``LinesOracle`` are the only two
-classes; each answers its queries through the function it was built with,
-and three kinds of answer function sit behind them:
+oracle maps a pair (a, b) to its entry, the d+1 coefficients of the
+restriction along the line a + t b as a tuple of residues in [0, q) (index =
+power of t; ``poly.eval_entry`` reads it at t).  ``PointOracle`` and
+``LinesOracle`` are the only two classes; each answers its queries through
+the function it was built with, and three kinds of answer function sit
+behind them:
 
 - honest ones (``honest_oracles``) are the polynomial's own ``eval`` and
   ``restrict`` and stay lazy — materializing a lines table over F_q^{2s} is
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .field import Field
-from .poly import FactoredPoly, MultiPoly, UniPoly
+from .poly import FactoredPoly, MultiPoly
 
 
 class OracleBudgetError(ValueError):
@@ -64,16 +66,16 @@ class PointOracle(_Oracle):
 
 
 class LinesOracle(_Oracle):
-    """(a, b) -> restriction coefficients, always degree+1 of them;
-    ``answer(a, b)`` gets both reduced mod q."""
+    """(a, b) -> the restriction's entry, a tuple of exactly degree+1
+    residues; ``answer(a, b)`` gets both reduced mod q."""
 
-    def query(self, a: Sequence[int], b: Sequence[int]) -> UniPoly:
+    def query(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         if len(a) != self.s or len(b) != self.s:
             raise ValueError(f"line arity ({len(a)},{len(b)}) != {self.s}")
         self.queries += 1
         q = self.field.q
         entry = self.answer(tuple([x % q for x in a]), tuple([x % q for x in b]))
-        if len(entry.coeffs) != self.degree + 1:
+        if len(entry) != self.degree + 1:
             raise AssertionError("lines entry has wrong width")  # pragma: no cover
         return entry
 
@@ -144,7 +146,7 @@ def _hit(digest: bytes, delta: float) -> bool:
 def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
     """Lazy keyed corruption of the same oracle kind: a keyed nonzero offset
     added to the value on a Bernoulli(δ) subset of points, or to one
-    coefficient of the entry on a Bernoulli(δ) subset of lines."""
+    coefficient of a new entry tuple on a Bernoulli(δ) subset of lines."""
     field = base.field
     q = field.q
     answer = base.answer
@@ -167,9 +169,7 @@ def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
             raw = int.from_bytes(d[8:16], "little")
             idx = raw % width
             offset = 1 + (raw >> 32) % (q - 1)
-            coeffs = list(entry.coeffs)
-            coeffs[idx] = (coeffs[idx] + offset) % q
-            entry = UniPoly(field, coeffs)
+            entry = entry[:idx] + ((entry[idx] + offset) % q,) + entry[idx + 1:]
         return entry
 
     return LinesOracle(field, base.s, base.degree, corrupted_line)

@@ -38,7 +38,7 @@ from .field import Field
 from .ldt import ldt_check, Verdict
 from .oracles import honest_oracles, LinesOracle, PointOracle
 from .poly import FactoredPoly, MultiPoly
-from .variety import NoCertificateError, Variety, product
+from .variety import NoCertificateError, Variety, product, read_int_rows
 from .zerotest import ZeroProof, ZeroRandomness, zero_certificate, zero_prove, zero_verify
 
 
@@ -67,19 +67,18 @@ class Graph:
         """Line 1: vertex count; then one ``u v`` pair per line (0-indexed).
 
         Duplicate edges are ignored; blank lines and ``#`` comments allowed.
+        A malformed line is a ValueError naming the file and the line.
         """
-        lines = [
-            ln.strip() for ln in Path(path).read_text().splitlines()
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
-        if not lines:
+        rows = read_int_rows(path)
+        if not rows:
             raise ValueError(f"empty graph file {path}")
-        n = int(lines[0])
-        pairs = []
-        for ln in lines[1:]:
-            u, v = (int(x) for x in ln.split())
-            pairs.append((u, v))
-        return cls.from_edges(n, pairs)
+        (count, where), edges = rows[0], rows[1:]
+        if len(count) != 1:
+            raise ValueError(f"{where}: expected the vertex count")
+        for edge, where in edges:
+            if len(edge) != 2:
+                raise ValueError(f"{where}: expected one edge, two vertices")
+        return cls.from_edges(count[0], [edge for edge, _ in edges])
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (min(u, v), max(u, v)) in self.edges
@@ -108,7 +107,8 @@ def validate_coloring(field: Field, graph: Graph, colors: Sequence[int]) -> list
 IMPROPER_SEARCH_CAP = 12  # vertices; the search beyond allowance 0 grows as 3^n
 
 
-def fewest_conflicts_coloring(graph: Graph, field: Field) -> list[int]:
+def fewest_conflicts_coloring(graph: Graph, field: Field, proper_only: bool = False
+                              ) -> list[int] | None:
     """The lexicographically first coloring, in palette order (-1, 0, 1), with
     the fewest conflicting edges.
 
@@ -116,6 +116,8 @@ def fewest_conflicts_coloring(graph: Graph, field: Field) -> list[int]:
     exceed an allowance, run at allowance 0, 1, 2, ... until one succeeds.
     Allowance 0 is plain backtracking, so a proper coloring is found at any
     size; a graph with none is refused above ``IMPROPER_SEARCH_CAP`` vertices.
+    With ``proper_only`` the search stops after allowance 0 and returns None
+    for a graph with no proper coloring within the cap.
     """
     palette = color_residues(field)
     earlier: list[list[int]] = [[] for _ in range(graph.n)]  # lower-index neighbors
@@ -140,6 +142,8 @@ def fewest_conflicts_coloring(graph: Graph, field: Field) -> list[int]:
             raise ValueError(
                 f"graph has no proper 3-coloring and {graph.n} vertices, above the "
                 f"{IMPROPER_SEARCH_CAP}-vertex cap of the fewest-conflicts search")
+        if proper_only:
+            return None
         allowance += 1
     return colors
 

@@ -1,4 +1,4 @@
-"""Sparse multivariate and fixed-width univariate polynomials over a prime field.
+"""Sparse multivariate polynomials over a prime field, and their lines entries.
 
 ``MultiPoly`` keeps a sparse map from exponent vectors to nonzero residues
 plus a declared degree cap.  It evaluates and restricts to lines through one
@@ -16,9 +16,10 @@ coefficient, so no digit carries).  ``FactoredPoly`` is a sum of products of
 its restriction runs every factor's function at one packed point and reads
 the digits once, and it keeps that work: a factor whose packed inputs repeat
 on the next restriction reuses its last value, and the next point read on
-the restricted line is answered from the entry.  ``UniPoly`` is a
-fixed-length coefficient vector (index = power of t, trailing zeros
-retained) as handed out by lines tables.
+the restricted line is answered from the entry.  A lines entry, as every
+restriction returns it and every lines table hands it out, is a plain tuple
+of exactly cap+1 residues in [0, q) (index = power of t, trailing zeros
+kept, so the width is fixed); ``eval_entry`` reads it at a point t.
 
 The canonical monomial order used for matrix columns, the variety's standard
 monomials and text output is graded lexicographic: monomials grouped by total
@@ -122,14 +123,24 @@ def _compile_horner(support: frozenset, nvars: int):
     return namespace["f"], tuple(order), tuple(sorted(used))
 
 
-def _digits(field: Field, v: int, width: int, ndigits: int) -> "UniPoly":
-    """The low ``ndigits`` base-2^width digits of ``v`` as t^0..t^(ndigits-1)."""
+def _digits(q: int, v: int, width: int, ndigits: int) -> tuple[int, ...]:
+    """The low ``ndigits`` base-2^width digits of ``v``, each reduced mod q,
+    as the coefficients of t^0..t^(ndigits-1)."""
     mask = (1 << width) - 1
     coeffs = []
     for _ in range(ndigits):
-        coeffs.append(v & mask)
+        coeffs.append((v & mask) % q)
         v >>= width
-    return UniPoly(field, coeffs)
+    return tuple(coeffs)
+
+
+def eval_entry(entry: Sequence[int], t: int, q: int) -> int:
+    """A lines entry (the coefficients of t^0, t^1, ...) at t, mod q."""
+    t %= q
+    acc = 0
+    for c in reversed(entry):
+        acc = (acc * t + c) % q
+    return acc
 
 
 class MultiPoly:
@@ -293,7 +304,7 @@ class MultiPoly:
         fn, coeffs, _, _ = self._layout()
         return fn(coeffs, point) % self.field.q
 
-    def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
+    def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Formal composition P(a + t b), expanded in t, by Kronecker
         substitution.
 
@@ -302,14 +313,14 @@ class MultiPoly:
         integer multiply-add; the base-2^W digits of the result, reduced mod
         q, are the coefficients of P(a + t b).  Arithmetic over Z followed by
         reduction is the formal composition, so the result is exact in F_q[t]
-        even when the cap is >= q.  Returns exactly cap+1 coefficients.
+        even when the cap is >= q.  Returns exactly cap+1 residues.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
         q = self.field.q
         fn, coeffs, width, _ = self._layout()
         packed = [ai % q + (bi % q << width) for ai, bi in zip(a, b)]
-        return _digits(self.field, fn(coeffs, packed), width, self.cap + 1)
+        return _digits(q, fn(coeffs, packed), width, self.cap + 1)
 
     # -- text form ----------------------------------------------------------
 
@@ -451,7 +462,7 @@ class FactoredPoly:
                     t = (point[i] - a[i]) * pow(bi, -1, q) % q
                     break
             if [(x + t * y) % q for x, y in zip(a, b)] == [p % q for p in point]:
-                return entry.eval(t)
+                return eval_entry(entry, t, q)
         total = 0
         for factors in self._layout()[0]:
             v = 1
@@ -460,9 +471,9 @@ class FactoredPoly:
             total += v
         return total % q
 
-    def restrict(self, a: Sequence[int], b: Sequence[int]) -> "UniPoly":
+    def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at digit width W_F.
-        Returns exactly cap+1 coefficients.
+        Returns exactly cap+1 residues.
 
         A factor whose key (the packed coordinates it reads) equals that of
         its last run reuses that run's integer: the function reads nothing
@@ -489,7 +500,7 @@ class FactoredPoly:
                     memo[0] = (key, value)
                     v *= value
             total += v
-        entry = _digits(self.field, total, width, self.cap + 1)
+        entry = _digits(q, total, width, self.cap + 1)
         self._line = (a, b, entry)
         return entry
 
@@ -497,49 +508,6 @@ class FactoredPoly:
 def _no_key(packed: Sequence[int]) -> tuple:
     """The memo key of a constant factor, whose function reads no coordinate."""
     return ()
-
-
-class UniPoly:
-    """Univariate polynomial as a fixed-length coefficient vector.
-
-    ``coeffs[j]`` is the coefficient of t^j; the length is the declared
-    bound + 1 and trailing zeros are kept, because lines-table entries have a
-    fixed width regardless of the actual degree.
-    """
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: Sequence[int]):
-        q = field.q
-        self.field = field
-        self.coeffs = [c % q for c in coeffs]
-
-    def bound(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, t: int) -> int:
-        q = self.field.q
-        t %= q
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * t + c) % q
-        return acc
-
-    def at_zero(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPoly)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, tuple(self.coeffs)))
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.coeffs})"
 
 
 def random_poly(field: Field, nvars: int, degree: int, rng: random.Random) -> MultiPoly:

@@ -55,6 +55,24 @@ class NoCertificateError(ValueError):
     """P admits no degree-respecting certificate over the given generators."""
 
 
+def read_int_rows(path: str | Path) -> list[tuple[tuple[int, ...], str]]:
+    """The rows of whitespace-separated integers in a text file, skipping
+    blank lines and ``#`` comments, each with ``<path>:<line>: '<text>'``
+    (1-based line number) to name it in an error.  A token that is not an
+    integer is a ValueError naming its file and line."""
+    rows = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        where = f"{path}:{number}: {text!r}"
+        try:
+            rows.append((tuple(int(x) for x in text.split()), where))
+        except ValueError:
+            raise ValueError(f"{where}: expected integers") from None
+    return rows
+
+
 def _monomial_values(points: Sequence[tuple[int, ...]], exps: tuple[int, ...],
                      q: int) -> list[int]:
     """The monomial x^exps at each point."""
@@ -284,15 +302,15 @@ def make_variety(field: Field, spec: str) -> Variety:
         path = Path(spec[len("points:"):])
         if not path.exists():
             raise SpecError(f"point file not found: {path}")
-        points = []
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            points.append(tuple(int(x) for x in line.split()))
-        if not points:
+        rows = read_int_rows(path)
+        if not rows:
             raise SpecError(f"point file {path} is empty")
-        return Variety(field, points)
+        m = len(rows[0][0])
+        for point, where in rows:
+            if len(point) != m:
+                raise SpecError(f"{where}: {len(point)} coordinates, "
+                                f"but the first point has {m}")
+        return Variety(field, [point for point, _ in rows])
     raise SpecError(f"unrecognized variety spec {spec!r}")
 
 

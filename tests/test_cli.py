@@ -2,6 +2,7 @@
 
 import json
 import signal
+import time
 
 import pytest
 
@@ -188,6 +189,54 @@ def test_budget_rejects_what_a_run_rejects(capsys, flags):
         assert OVERSIZED_MESSAGE in budget_err
     if "complete:13" in flags:
         assert K13_MESSAGE in budget_err
+
+
+K12_FLAGS = ["--q", "5", "--variety", "ball1:n=12", "--graph", "complete:12"]
+NOT_COLORABLE = "config error: graph is not 3-colorable; completeness mode needs a proper coloring\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["pcp", "run", *K12_FLAGS], 2, "", NOT_COLORABLE),
+    (["budget", "pcp", *K12_FLAGS], 2, "", NOT_COLORABLE),
+    (["budget", "pcp", *K12_FLAGS, "--mode", "soundness", "--adversary",
+      "improper-pipeline"], 0, "1838\n", ""),
+], ids=["run", "budget", "budget-soundness"])
+def test_pcp_config_checked_from_allowance_0_only(capsys, argv, code, out, err):
+    # K12 has no proper coloring and is within the search cap: the check
+    # needs only the failed proper-coloring pass, never the improper search
+    started = time.perf_counter()
+    assert run(capsys, *argv) == (code, out, err)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("token.txt", "0 1\n1 vm\n", "2: '1 vm'"),
+    ("arity.txt", "0 1\n# comment\n\n1 0 1\n", "4: '1 0 1'"),
+], ids=["token", "arity"])
+def test_malformed_points_file_names_file_and_line(capsys, tmp_path, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    for argv in (["variety", "info", f"points:{path}", "--q", "5"],
+                 ["pcp", "run", "--q", "5", "--variety", f"points:{path}",
+                  "--graph", "complete:2", "--trials", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"{path}:{line}" in err
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("token.txt", "3\n0 x\n", "2: '0 x'"),
+    ("edge.txt", "3\n0 1\n0 1 2\n", "3: '0 1 2'"),
+    ("lone.txt", "3\n\n2\n", "3: '2'"),
+    ("count.txt", "# n\n3 4\n0 1\n", "2: '3 4'"),
+], ids=["token", "edge", "lone", "count"])
+def test_malformed_graph_file_names_file_and_line(capsys, tmp_path, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "pcp", "run", "--q", "17", "--variety", "cube:H=0,1,2;m=1",
+                         "--graph", str(path), "--trials", "5")
+    assert code == 2 and out == ""
+    assert f"{path}:{line}" in err
 
 
 def test_budget_subcommand(capsys):

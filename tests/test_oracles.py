@@ -17,7 +17,7 @@ from pcplab.oracles import (
     honest_oracles,
     materialize,
 )
-from pcplab.poly import MultiPoly, random_poly
+from pcplab.poly import FactoredPoly, MultiPoly, eval_entry, random_poly
 
 F3 = Field(3)
 F5 = Field(5)
@@ -27,13 +27,13 @@ def test_constant_oracle_pair():
     p = MultiPoly.constant(F5, 2, 4)
     f, lines = honest_oracles(p, 1)
     assert f.query((3, 3)) == 4
-    assert lines.query((0, 0), (1, 1)).coeffs == [4, 0]
+    assert lines.query((0, 0), (1, 1)) == (4, 0)
 
 
 def test_lines_entry_frozen_square():
     p = MultiPoly(F5, 1, {(2,): 1}, cap=2)
     _, lines = honest_oracles(p, 2)
-    assert lines.query((1,), (2,)).coeffs == [1, 4, 4]
+    assert lines.query((1,), (2,)) == (1, 4, 4)
 
 
 def test_point_and_lines_agree_everywhere():
@@ -46,7 +46,29 @@ def test_point_and_lines_agree_everywhere():
         t = rng.randrange(5)
         entry = lines.query(a, b)
         pt = tuple((x + t * y) % 5 for x, y in zip(a, b))
-        assert entry.eval(t) == f.query(pt)
+        assert eval_entry(entry, t, 5) == f.query(pt)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_every_lines_answer_is_a_tuple_of_residues(q):
+    # every kind of lines answer: honest MultiPoly and FactoredPoly entries
+    # (caps below and at or above q), materialized tables and corruptions
+    field = Field(q)
+    rng = random.Random(q)
+    p = random_poly(field, 1, 2, rng)
+    factored = FactoredPoly.product([random_poly(field, 1, 1, rng) for _ in range(q + 1)])
+    sources = []
+    for poly in (p, p.with_cap(q - 1), p.with_cap(q + 3), factored, factored.with_cap(2 * q)):
+        lines = honest_oracles(poly, poly.cap)[1]
+        table = materialize(lines)
+        sources += [lines, table]
+        sources += [corrupt(base, CorruptionSpec(delta=delta, key=q))
+                    for base in (lines, table) for delta in (0.5, 1.0)]
+    for lines in sources:
+        for a, b in itertools.product(range(-q, 2 * q, 3), repeat=2):
+            entry = lines.query((a,), (b,))
+            assert type(entry) is tuple and len(entry) == lines.degree + 1
+            assert all(type(c) is int and 0 <= c < q for c in entry)
 
 
 def test_degree_bound_enforced():
@@ -89,7 +111,7 @@ def test_corrupt_dispatches_on_kind():
     assert isinstance(bad_f, PointOracle) and isinstance(bad_lines, LinesOracle)
     assert bad_f.query((1, 2)) != 0
     entry = bad_lines.query((1, 2), (3, 4))
-    assert len(entry.coeffs) == 2 and entry.coeffs != [0, 0]
+    assert len(entry) == 2 and entry != (0, 0)
 
 
 def test_delta_zero_is_identity():
@@ -118,7 +140,7 @@ def test_corrupt_lines_changes_one_coefficient():
         b = F5.sample_point(rng, 2)
         honest = p.restrict(a, b)
         got = bad.query(a, b)
-        diffs = sum(x != y for x, y in zip(honest.coeffs, got.coeffs))
+        diffs = sum(x != y for x, y in zip(honest, got))
         assert diffs == 1
 
 
@@ -192,7 +214,7 @@ def test_corruption_digest_wide_field():
     spec = CorruptionSpec(delta=0.5, key=77)
     point = corrupt(f, spec)
     assert point.query((2 ** 32 + 3,)) in range(field.q)
-    assert len(corrupt(lines, spec).query((2 ** 32 + 3,), (field.q - 1,)).coeffs) == 2
+    assert len(corrupt(lines, spec).query((2 ** 32 + 3,), (field.q - 1,))) == 2
 
 
 def test_corruption_digest_bytes_unchanged_up_to_2_32():

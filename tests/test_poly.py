@@ -1,4 +1,4 @@
-"""MultiPoly/UniPoly arithmetic, line restriction, distance."""
+"""MultiPoly arithmetic, line restriction and its entries, distance."""
 
 import itertools
 import random
@@ -14,8 +14,8 @@ from pcplab.poly import (
     DegreeCapError,
     FactoredPoly,
     MultiPoly,
-    UniPoly,
     distance,
+    eval_entry,
     monomials_exact,
     monomials_upto,
     random_poly,
@@ -77,19 +77,19 @@ def test_degree_and_cap_accounting():
 
 def test_restrict_frozen_x1x2_diagonal():
     p = MultiPoly(F5, 2, {(1, 1): 1}, cap=2)
-    assert p.restrict((0, 0), (1, 1)).coeffs == [0, 0, 1]
+    assert p.restrict((0, 0), (1, 1)) == (0, 0, 1)
 
 
 def test_restrict_frozen_square_line():
     p = MultiPoly(F5, 1, {(2,): 1}, cap=2)
-    assert p.restrict((1,), (2,)).coeffs == [1, 4, 4]
+    assert p.restrict((1,), (2,)) == (1, 4, 4)
 
 
 def test_restrict_constant_line():
     rng = random.Random(0)
     p = random_poly(F5, 3, 2, rng)
     entry = p.restrict((1, 2, 3), (0, 0, 0))
-    assert entry.coeffs == [p.eval((1, 2, 3)), 0, 0]
+    assert entry == (p.eval((1, 2, 3)), 0, 0)
 
 
 @settings(max_examples=40)
@@ -106,26 +106,39 @@ def test_restrict_agrees_with_eval_on_whole_line(q, m, d, seed):
     a = field.sample_point(rng, m)
     b = field.sample_point(rng, m)
     entry = p.restrict(a, b)
-    assert len(entry.coeffs) == p.cap + 1
+    assert len(entry) == p.cap + 1
     for t in range(q):
         pt = tuple((ai + t * bi) % q for ai, bi in zip(a, b))
-        assert entry.eval(t) == p.eval(pt)
+        assert eval_entry(entry, t, q) == p.eval(pt)
 
 
 def test_restrict_exact_above_field_size():
     # cap >= q: symbolic composition must stay exact where interpolation could not
     p = MultiPoly(F5, 1, {(6,): 2, (1,): 1}, cap=6)
     entry = p.restrict((1,), (3,))
-    assert len(entry.coeffs) == 7
+    assert len(entry) == 7
     for t in range(5):
-        assert entry.eval(t) == p.eval(((1 + 3 * t) % 5,))
+        assert eval_entry(entry, t, 5) == p.eval(((1 + 3 * t) % 5,))
+
+
+@pytest.mark.parametrize("q", [3, 5, 257])
+def test_eval_entry_matches_horner_for_any_t(q):
+    # t >= q and t < 0 reduce mod q; the reference runs Horner over Z
+    rng = random.Random(q)
+    for width in (1, 2, q + 2):
+        entry = tuple(rng.randrange(q) for _ in range(width))
+        for t in [*range(-2 * q, 3 * q, max(1, q // 7)), -1, q, q ** 3 + 2, -q ** 3 - 1]:
+            acc = 0
+            for c in reversed(entry):
+                acc = acc * t + c
+            assert eval_entry(entry, t, q) == acc % q
 
 
 def test_restrict_degree_bounded_by_total_degree():
     rng = random.Random(4)
     p = random_poly(F7, 2, 3, rng).with_cap(5)
     entry = p.restrict((1, 2), (3, 4))
-    assert all(c == 0 for c in entry.coeffs[p.degree() + 1:])
+    assert all(c == 0 for c in entry[p.degree() + 1:])
 
 
 def _convolve_ref(u, v):
@@ -146,7 +159,7 @@ def _restrict_ref(terms, cap, a, b, q):
                 prod = _convolve_ref(prod, [ai, bi])
         for j, v in enumerate(prod):
             acc[j] += v
-    return [v % q for v in acc]
+    return tuple(v % q for v in acc)
 
 
 def _eval_ref(terms, x, q):
@@ -191,7 +204,7 @@ def _sparse_polys(draw):
 def test_restrict_and_eval_match_reference_expansion(case):
     q, nvars, terms, cap, a, b, x = case
     p = MultiPoly(Field(q), nvars, terms, cap)
-    assert p.restrict(a, b).coeffs == _restrict_ref(terms, cap, a, b, q)
+    assert p.restrict(a, b) == _restrict_ref(terms, cap, a, b, q)
     assert p.eval(x) == _eval_ref(terms, x, q)
 
 
@@ -207,7 +220,7 @@ def test_restrict_at_the_digit_width_bound(q, nvars, degree):
     cap = degree + 2
     line = [q - 1] * nvars
     p = MultiPoly(Field(q), nvars, terms, cap)
-    assert p.restrict(line, line).coeffs == _restrict_ref(terms, cap, line, line, q)
+    assert p.restrict(line, line) == _restrict_ref(terms, cap, line, line, q)
 
 
 def test_restrict_every_factor_of_the_k3_q7_proof():
@@ -230,7 +243,7 @@ def test_restrict_every_factor_of_the_k3_q7_proof():
             b = field.sample_point(rng, poly.nvars)
             assert poly.restrict(a, b) == expanded.restrict(a, b)
             for f in factors:
-                assert f.restrict(a, b).coeffs == _restrict_ref(f.terms, f.cap, a, b, 7)
+                assert f.restrict(a, b) == _restrict_ref(f.terms, f.cap, a, b, 7)
                 checked += 1
     assert checked == 50 * 15  # chi-hat; A's 3 factors; M_A's 2; B's 5; M_B's 2 + 2
 
@@ -246,7 +259,7 @@ def test_long_compiled_code_stays_exact(q):
     terms = {(e,): rng.randrange(1, q) for e in range(0, 301, 12)}
     p = MultiPoly(field, 1, terms, 300)
     a, b, x = [rng.randrange(q)], [rng.randrange(1, q)], [rng.randrange(q)]
-    assert p.restrict(a, b).coeffs == _restrict_ref(terms, 300, a, b, q)
+    assert p.restrict(a, b) == _restrict_ref(terms, 300, a, b, q)
     assert p.eval(x) == _eval_ref(terms, x, q)
 
     offsets = [rng.randrange(q) for _ in range(260)]
@@ -255,7 +268,7 @@ def test_long_compiled_code_stays_exact(q):
     want = [1]
     for f in factors:
         want = _convolve_ref(want, _restrict_ref(f, 1, a, b, q))
-    assert product.restrict(a, b).coeffs == [c % q for c in want]
+    assert product.restrict(a, b) == tuple(c % q for c in want)
     value = 1
     for f in factors:
         value *= _eval_ref(f, x, q)
@@ -273,7 +286,7 @@ def test_same_support_shares_one_compiled_function():
     for poly in (p, r, s):
         for x in [(0, 0), (1, 2), (6, 5)]:
             assert poly.eval(x) == _eval_ref(poly.terms, x, 7)
-        assert poly.restrict((1, 2), (3, 4)).coeffs == _restrict_ref(
+        assert poly.restrict((1, 2), (3, 4)) == _restrict_ref(
             poly.terms, 3, (1, 2), (3, 4), 7)
 
 
@@ -282,18 +295,15 @@ def test_zero_and_constant_polynomials():
     const = MultiPoly.constant(F7, 2, 3, cap=2)
     assert zero._layout()[0] is const._layout()[0]  # both a lone constant slot
     assert zero.eval((4, 5)) == 0 and const.eval((4, 5)) == 3
-    assert zero.restrict((1, 2), (3, 4)).coeffs == [0, 0, 0]
-    assert const.restrict((1, 2), (3, 4)).coeffs == [3, 0, 0]
+    assert zero.restrict((1, 2), (3, 4)) == (0, 0, 0)
+    assert const.restrict((1, 2), (3, 4)) == (3, 0, 0)
 
 
 def test_unipoly_shape_and_resize():
-    u = UniPoly(F5, [1, 2, 0])
-    assert u.bound() == 2
-    assert u.at_zero() == 1
     # an entry's width follows the polynomial's cap, trailing zeros kept
     p = MultiPoly(F5, 1, {(1,): 2, (0,): 1}, cap=1)
-    assert p.restrict((0,), (1,)).coeffs == [1, 2]
-    assert p.with_cap(4).restrict((0,), (1,)).coeffs == [1, 2, 0, 0, 0]
+    assert p.restrict((0,), (1,)) == (1, 2)
+    assert p.with_cap(4).restrict((0,), (1,)) == (1, 2, 0, 0, 0)
 
 
 def test_distance_exact_and_frozen_fraction():
