@@ -67,6 +67,7 @@ def _cmd_variety(args) -> int:
     print(f"points: {len(variety.points)}")
     print(f"extension_degree: {variety.extension_degree}")
     print(f"grobner_complexity: {variety.complexity}")
+    print(f"grobner_basis_size: {len(variety.grobner_basis)}")
     return 0
 
 

@@ -1,16 +1,17 @@
 """Exact sparse linear algebra over a prime field.
 
 A matrix row is a dict {column: nonzero residue}, so a system costs memory
-and time in its nonzeros, not its cells: a certificate system has a few
-nonzeros per row across thousands of columns.  There is one elimination
-kernel, ``IncrementalRank``.  It reduces each incoming row by the pivot rows
-held so far (each normalised to a leading 1 at its least column) and keeps
-the remainder as a new pivot row when it is nonzero; ``reduce`` alone returns
-the remainder without keeping it.  Every vector ``linalg`` returns comes from
-the kernel's one back-substitution: given the non-pivot coordinates of a
-vector, it sets each pivot coordinate so that its pivot row vanishes on the
-vector.  ``Matrix.kernel_basis`` back-substitutes once per free column and
-``Matrix.solve`` once, on the system augmented by its right-hand side.
+and time in its nonzeros, not its cells: a row of the Buchberger–Möller
+sweep in ``variety`` has a few nonzeros among one column per monomial met so
+far.  There is one elimination kernel, ``IncrementalRank``.  It reduces each
+incoming row by the pivot rows held so far (each normalised to a leading 1
+at its least column) and keeps the remainder as a new pivot row when it is
+nonzero; ``reduce`` alone returns the remainder without keeping it.  Every
+vector ``linalg`` returns comes from the kernel's one back-substitution:
+given the non-pivot coordinates of a vector, it sets each pivot coordinate
+so that its pivot row vanishes on the vector.  ``Matrix.kernel_basis``
+back-substitutes once per free column and ``Matrix.solve`` once, on the
+system augmented by its right-hand side.
 
 The pivot rows span the row space, so a back-substituted vector is the one
 vector of the kernel with the given free coordinates.  The pivot columns, the
@@ -120,24 +121,11 @@ class Matrix:
         width = len(data[0]) if data else 0
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        self._set(field, [{c: x % q for c, x in enumerate(r) if x % q} for r in data], width)
-
-    @classmethod
-    def from_sparse(cls, field: Field, rows: Iterable[dict[int, int]], ncols: int) -> "Matrix":
-        """A matrix given as one {column: value} dict per row."""
-        q = field.q
-        data = [{c: x % q for c, x in row.items() if x % q} for row in rows]
-        if any(not 0 <= c < ncols for row in data for c in row):
-            raise ValueError("column index out of range")
-        m = object.__new__(cls)
-        m._set(field, data, ncols)
-        return m
-
-    def _set(self, field: Field, data: list[dict[int, int]], ncols: int) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_rows", data)
+        object.__setattr__(self, "_rows",
+                           [{c: x % q for c, x in enumerate(r) if x % q} for r in data])
         object.__setattr__(self, "nrows", len(data))
-        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "ncols", width)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Matrix is immutable")

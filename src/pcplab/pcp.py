@@ -19,7 +19,7 @@ coloring a completeness run proves and the best improper one a soundness run
 proves.  ``pcp_prove`` builds every proof, honest or not.  A and B are kept as
 their factors and the certificates as their products h_g(x)·y_g, so the
 honest oracles answer factor by factor; A and B are multiplied out only for
-the certificate solves.  An improper coloring has no certificate for B, so
+the certificates' divisions.  An improper coloring has no certificate for B, so
 its proof carries the all-zero one and the conflict zero test rejects.
 
 The verifier spends 24 queries: 4 direct reads, 3 low-degree tests (6), and
@@ -42,6 +42,15 @@ from .variety import NoCertificateError, Variety, product, read_int_rows
 from .zerotest import ZeroProof, ZeroRandomness, zero_certificate, zero_prove, zero_verify
 
 
+def _edge_problem(n: int, u: int, v: int) -> str:
+    """Why (u, v) is no edge of a graph on vertices 0..n-1, or ''."""
+    if u == v:
+        return f"self-loop at vertex {u}"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) out of range for n={n}"
+    return ""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
@@ -55,10 +64,9 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         edges = set()
         for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            problem = _edge_problem(n, u, v)
+            if problem:
+                raise ValueError(problem)
             edges.add((min(u, v), max(u, v)))
         return cls(n, frozenset(edges))
 
@@ -67,17 +75,21 @@ class Graph:
         """Line 1: vertex count; then one ``u v`` pair per line (0-indexed).
 
         Duplicate edges are ignored; blank lines and ``#`` comments allowed.
-        A malformed line is a ValueError naming the file and the line.
+        A malformed line, a vertex count below 1, a self-loop or an edge out of
+        range is a ValueError naming the file and the line.
         """
         rows = read_int_rows(path)
         if not rows:
             raise ValueError(f"empty graph file {path}")
         (count, where), edges = rows[0], rows[1:]
-        if len(count) != 1:
-            raise ValueError(f"{where}: expected the vertex count")
+        if len(count) != 1 or count[0] < 1:
+            raise ValueError(f"{where}: expected the vertex count, at least 1")
         for edge, where in edges:
             if len(edge) != 2:
                 raise ValueError(f"{where}: expected one edge, two vertices")
+            problem = _edge_problem(count[0], *edge)
+            if problem:
+                raise ValueError(f"{where}: {problem}")
         return cls.from_edges(count[0], [edge for edge, _ in edges])
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -25,26 +25,36 @@ ball products ({0,1}^n_{<=1})^c, and the PCP's V × V) runs no elimination at
 all: its generating set is the union of the factors' (variable-shifted) sets
 and its standard monomials the pairwise products of theirs.
 
-Certificates Σ h_g·g = P are extracted by one exact linear solve over the
-cofactor coefficients: one row per monomial of degree <= deg(P), one column
-per generator g and cofactor monomial, which holds g's |g.terms| coefficients
-and nothing else.  The system is built as sparse rows and solved by the
-sparse kernel of ``linalg``.  The certificate is packaged as the structured
-polynomial M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety verifier, kept
-as its products h_g(x)·y_g (``certificate_factors``; ``expand()`` multiplies
-it out).
+Certificates Σ h_g·g = P come from multivariate division by the reduced
+Gröbner basis under the sweep's graded order: each step cancels P's leading
+term against the first basis element whose leading monomial divides it, so
+every quotient term q·r has degree <= deg(P), and a term no leading monomial
+divides is a nonzero remainder, so P is not in the ideal.  The basis is the
+relations of the minimal non-standard monomials, each stored with a
+degree-respecting combination of the generators, through which the
+quotients become the cofactors h_g; for cubes, balls, powers and V × V the
+basis is the generating set itself.  The certificate is packaged as the
+structured polynomial M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety
+verifier, kept as its products h_g(x)·y_g (``certificate_factors``;
+``expand()`` multiplies it out).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Sequence
 
 from .field import Field
-from .linalg import IncrementalRank, Matrix, NoSolutionError
-from .poly import FactoredPoly, MultiPoly, monomials_exact, monomials_upto
+from .linalg import IncrementalRank, Matrix
+from .poly import FactoredPoly, MultiPoly, monomials_exact
+
+# Σ c_g·g as the pairs (generator index, c_g), and a Gröbner basis element
+# with that combination of the generators
+Combination = tuple[tuple[int, MultiPoly], ...]
+BasisElement = tuple[MultiPoly, Combination]
 
 
 class SpecError(ValueError):
@@ -84,17 +94,19 @@ class Variety:
 
     ``gens`` is the generating set in a fixed order, which defines the y_g
     coordinate layout of certificate polynomials, so it is never shuffled.
-    ``standard`` holds the n standard monomials in graded order; the
-    extension degree is the degree of the last.  Both come from one run of
+    ``grobner_basis`` is the reduced Gröbner basis that certificates divide
+    by, each element with its combination of ``gens``.  ``standard`` holds
+    the n standard monomials in graded order; the extension degree is the
+    degree of the last.  All three come from one run of
     ``grobner_generating_set``; a product variety takes them from its factors
     (``product``).
     """
 
-    __slots__ = ("field", "m", "points", "gens", "standard", "_index")
+    __slots__ = ("field", "m", "points", "gens", "grobner_basis", "standard", "_index")
 
     def __init__(self, field: Field, points: Sequence[Sequence[int]]):
         self._set_points(field, points)
-        self.gens, self.standard = grobner_generating_set(self)
+        self.gens, self.grobner_basis, self.standard = grobner_generating_set(self)
 
     def _set_points(self, field: Field, points: Sequence[Sequence[int]]) -> None:
         q = field.q
@@ -156,10 +168,11 @@ def vanishes_on(poly: MultiPoly | FactoredPoly, variety: Variety) -> bool:
     return all(poly.eval(p) == 0 for p in variety.points)
 
 
-def grobner_generating_set(
-        variety: Variety) -> tuple[tuple[MultiPoly, ...], tuple[tuple[int, ...], ...]]:
-    """Minimal-size generating set and the standard monomials, from one
-    Buchberger–Möller sweep over the monomials in graded order.
+def grobner_generating_set(variety: Variety) -> tuple[
+        tuple[MultiPoly, ...], tuple[BasisElement, ...], tuple[tuple[int, ...], ...]]:
+    """Minimal-size generating set, reduced Gröbner basis and standard
+    monomials, from one Buchberger–Möller sweep over the monomials in graded
+    order.
 
     Monomial u's row is its values at the n points (columns 0..n-1) and a 1
     in u's own column.  Reduced by the standard monomials' rows, it keeps a
@@ -170,25 +183,49 @@ def grobner_generating_set(
     of B_i = span(A_{i-1} ∪ {x_j·a : a ∈ A_{i-1}}), A_{i-1} being the
     relations of degree < i, held in one echelon across degrees.  The sweep
     stops one degree past the extension degree.
+
+    Every row of that echelon carries, in tag columns above every monomial
+    column, its combination Σ c_g·g of the generators, so a relation that is
+    not a new generator reduces to its combination (negated) and no solve is
+    needed.  The relations of the minimal non-standard monomials, those whose
+    every divisor x_j^{-1}·u is standard, are the reduced Gröbner basis, each
+    kept with its combination; all of them have degree <= d+1.
     """
     field = variety.field
     q = field.q
     m = variety.m
     points = variety.points
     n = len(points)
+    zero = (0,) * m
     rows = IncrementalRank(field)        # the standard monomials' rows
-    reachable = IncrementalRank(field)   # B_i, under any fixed key per monomial
+    reachable = IncrementalRank(field)   # B_i: monomial columns < 0 <= tag columns
     keys: dict[tuple[int, ...], int] = {}
+    tags: dict[tuple[int, tuple[int, ...]], int] = {}   # (generator, x^μ) -> column
+    tagged: list[tuple[int, tuple[int, ...]]] = []      # column -> (generator, x^μ)
 
-    def keyed(rel: dict[tuple[int, ...], int]) -> dict[int, int]:
-        return {keys.setdefault(e, len(keys)): x for e, x in rel.items()}
+    def tag(t: tuple[int, tuple[int, ...]]) -> int:
+        if t not in tags:
+            tags[t] = len(tagged)
+            tagged.append(t)
+        return tags[t]
+
+    def keyed(rel: dict[tuple[int, ...], int],
+              combo: dict[tuple[int, tuple[int, ...]], int]) -> dict[int, int]:
+        row = {keys.setdefault(e, -1 - len(keys)): x for e, x in rel.items()}
+        row.update((tag(t), x) for t, x in combo.items())
+        return row
+
+    def times_x(j: int, e: tuple[int, ...]) -> tuple[int, ...]:
+        return e[:j] + (e[j] + 1,) + e[j + 1:]
 
     monos: list[tuple[int, ...]] = []    # column n + j holds monos[j]
     standard: list[tuple[int, ...]] = []
     gens: list[MultiPoly] = []
+    basis: list[BasisElement] = []
     degree = 0
     while True:
         full = len(standard) == n
+        below = set(standard)            # the standard monomials of lower degree
         relations = []
         for u in monomials_exact(m, degree):
             row = {c: v for c, v in enumerate(_monomial_values(points, u, q)) if v}
@@ -201,20 +238,44 @@ def grobner_generating_set(
                 continue
             s = field.inv(row[min(row)])
             rel = {monos[c - n]: x * s % q for c, x in sorted(row.items())}
-            relations.append(rel)
-            if reachable.insert(keyed(rel)):
+            rest = reachable.reduce(keyed(rel, {}))
+            if min(rest) < 0:            # independent of B_i: a new generator
+                combo = {(len(gens), zero): 1}
+                rest[tag((len(gens), zero))] = 1
+                reachable.insert(rest)
                 gens.append(MultiPoly(field, m, rel, degree))
+            else:                        # rel is in B_i: its tags are -combination
+                combo = {tagged[c]: -x % q for c, x in rest.items()}
+            relations.append((rel, combo))
+            # u is a minimal non-standard monomial: every u / x_j is standard
+            if all(u[j] == 0 or u[:j] + (u[j] - 1,) + u[j + 1:] in below
+                   for j in range(m)):
+                basis.append((MultiPoly(field, m, rel, degree), _combination(field, m, combo)))
         if full:
-            return tuple(gens), tuple(standard)
-        for rel in relations:
+            return tuple(gens), tuple(basis), tuple(standard)
+        for rel, combo in relations:
             for j in range(m):
-                reachable.insert(keyed({e[:j] + (e[j] + 1,) + e[j + 1:]: x
-                                        for e, x in rel.items()}))
+                rest = reachable.reduce(keyed(
+                    {times_x(j, e): x for e, x in rel.items()},
+                    {(g, times_x(j, e)): x for (g, e), x in combo.items()}))
+                if min(rest, default=0) < 0:   # else a syzygy, which B_i needs not
+                    reachable.insert(rest)
         degree += 1
 
 
+def _combination(field: Field, m: int, combo: dict[tuple[int, tuple[int, ...]], int]
+                 ) -> Combination:
+    """{(generator, x^μ): c} as the pairs (generator index, Σ c·x^μ)."""
+    by_gen: dict[int, dict[tuple[int, ...], int]] = {}
+    for (g, e), x in combo.items():
+        by_gen.setdefault(g, {})[e] = x
+    return tuple((g, MultiPoly(field, m, terms, max(sum(e) for e in terms)))
+                 for g, terms in sorted(by_gen.items()))
+
+
 def product(v1: Variety, v2: Variety) -> Variety:
-    """V1 × V2 with the union generating set (second factor's variables shifted).
+    """V1 × V2 with the union generating set and the union Gröbner basis
+    (second factor's variables and generator indices shifted).
 
     No elimination runs.  Under a graded order, Gröbner bases of I(V1) and
     I(V2) have their leading monomials in disjoint variables, so their union
@@ -229,8 +290,12 @@ def product(v1: Variety, v2: Variety) -> Variety:
     variety.gens = tuple(
         [g.shift_vars(m, 0) for g in v1.gens] + [g.shift_vars(m, v1.m) for g in v2.gens]
     )
+    variety.grobner_basis = tuple(
+        (r.shift_vars(m, offset), tuple((first + g, c.shift_vars(m, offset)) for g, c in combo))
+        for v, offset, first in ((v1, 0, 0), (v2, v1.m, len(v1.gens)))
+        for r, combo in v.grobner_basis)
     variety.standard = tuple(sorted((s + t for s in v1.standard for t in v2.standard),
-                                    key=lambda e: (sum(e), [-x for x in e])))  # graded
+                                    key=_graded))
     return variety
 
 
@@ -306,81 +371,90 @@ def make_variety(field: Field, spec: str) -> Variety:
         if not rows:
             raise SpecError(f"point file {path} is empty")
         m = len(rows[0][0])
+        seen: dict[tuple[int, ...], str] = {}
         for point, where in rows:
             if len(point) != m:
                 raise SpecError(f"{where}: {len(point)} coordinates, "
                                 f"but the first point has {m}")
+            residues = tuple(x % field.q for x in point)
+            if residues in seen:
+                raise SpecError(f"{where}: the same point mod {field.q} as {seen[residues]}")
+            seen[residues] = where
         return Variety(field, [point for point, _ in rows])
     raise SpecError(f"unrecognized variety spec {spec!r}")
 
 
 # -- certificates ------------------------------------------------------------
 
-def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]
+def vanishing_certificate(poly: MultiPoly, ideal: Variety | Sequence[MultiPoly]
                           ) -> tuple[MultiPoly, ...]:
-    """Solve for cofactors h_g, parallel to the generator order, with
-    Σ h_g·g = P and deg(h_g·g) <= deg(P).
+    """Cofactors h_g, parallel to the generator order, with Σ h_g·g = P and
+    deg(h_g·g) <= deg(P), by division.
 
-    One exact linear solve over all cofactor coefficients (free variables
-    zeroed, so the output is canonical).  Raising on inconsistency makes this
-    double as an ideal-membership test with the degree bound built in.
+    ``ideal`` is a variety, whose reduced Gröbner basis is divided by and
+    whose generators get the cofactors, or a bare sequence of generators
+    that already form a Gröbner basis under the graded order.  The leading
+    term of what is left of P is cancelled against the first basis element,
+    in stored order, whose leading monomial divides it; a term that none
+    divides is a nonzero remainder, so this doubles as an ideal-membership
+    test with the degree bound built in.
     """
     field = poly.field
     m = poly.nvars
+    if isinstance(ideal, Variety):
+        gens, basis = ideal.gens, ideal.grobner_basis
+    else:
+        gens = tuple(ideal)
+        one = MultiPoly.constant(field, m, 1)
+        basis = tuple((g, ((gi, one),)) for gi, g in enumerate(gens) if not g.is_zero())
     for g in gens:
         if g.nvars != m or g.field != field:
             raise ValueError("generator ring mismatch")
-    bound = poly.degree()
     if poly.is_zero():
         zero = MultiPoly.zero(field, m)
         return tuple(zero for _ in gens)
 
-    # one row per target monomial, one column per (generator, h-monomial):
-    # column j holds generator g shifted by its monomial, |g.terms| nonzeros.
-    # Monomials are keyed by their exponents read as digits in base bound+1;
-    # no exponent of a product exceeds the bound, so key(mono·ge) is
-    # key(mono) + key(ge).  g's h-monomials, of degree <= bound - deg g, are
-    # the first C(m + bound - deg g, m) target monomials (lower-degree blocks
-    # are a prefix, see ``monomials_upto``), so they are sliced off the target
-    # list and share its keys.
-    weights = [(bound + 1) ** i for i in range(m)]
-
-    def key(e: tuple[int, ...]) -> int:
-        return sum(x * w for x, w in zip(e, weights))
-
-    target_monos = monomials_upto(m, bound)
-    target_keys = [key(e) for e in target_monos]
-    row_index = {k: i for i, k in enumerate(target_keys)}
-    rows: list[dict[int, int]] = [{} for _ in target_monos]
-    col_owner: list[tuple[int, tuple[int, ...]]] = []  # (generator index, h-monomial)
-    for gi, g in enumerate(gens):
-        gdeg = g.degree()
-        if g.is_zero() or gdeg > bound:
+    q = field.q
+    divisors = []
+    for r, combo in basis:
+        lead = max(r.terms, key=_graded)
+        tail = [(e, x) for e, x in r.terms.items() if e != lead]
+        divisors.append((lead, field.inv(r.terms[lead]), tail,
+                         [(g, list(c.terms.items())) for g, c in combo]))
+    cof_terms: list[dict[tuple[int, ...], int]] = [{} for _ in gens]
+    rest = dict(poly.terms)
+    heap = [(-sum(e), e) for e in rest]   # pops in descending graded order
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = rest.pop(e, 0)
+        if not c:  # cancelled, or queued twice
             continue
-        g_keyed = [(key(ge), gc) for ge, gc in g.terms.items()]
-        for mono, mk in zip(target_monos[:math.comb(m + bound - gdeg, m)], target_keys):
-            j = len(col_owner)
-            for gk, gc in g_keyed:
-                rows[row_index[mk + gk]][j] = gc
-            col_owner.append((gi, mono))
-    if not col_owner:
-        raise NoCertificateError("no certificate: no usable generators within the degree bound")
-
-    system = Matrix.from_sparse(field, rows, len(col_owner))
-    rhs = [poly.terms.get(e, 0) for e in target_monos]
-    try:
-        solution = system.solve(rhs)
-    except NoSolutionError as exc:
-        raise NoCertificateError(
-            "no certificate: polynomial is not in the ideal within its degree bound"
-        ) from exc
-
-    cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in gens]
-    for value, (gi, mono) in zip(solution, col_owner):
-        if value:
-            cof_terms[gi][mono] = value
+        for lead, inv, tail, combo in divisors:
+            if all(a >= b for a, b in zip(e, lead)):
+                break
+        else:
+            raise NoCertificateError(
+                "no certificate: polynomial is not in the ideal within its degree bound")
+        mu = tuple(a - b for a, b in zip(e, lead))
+        f = c * inv % q
+        for t, x in tail:
+            k = tuple(a + b for a, b in zip(mu, t))
+            old = rest.get(k)
+            v = ((old or 0) - f * x) % q
+            if v:
+                if old is None:
+                    heappush(heap, (-sum(k), k))
+                rest[k] = v
+            elif old is not None:
+                del rest[k]
+        for gi, c_terms in combo:
+            h = cof_terms[gi]
+            for t, x in c_terms:
+                k = tuple(a + b for a, b in zip(mu, t))
+                h[k] = (h.get(k, 0) + f * x) % q
     cofactors = tuple(
-        MultiPoly(field, m, terms, max((sum(e) for e in terms), default=0))
+        MultiPoly(field, m, terms, max((sum(e) for e, x in terms.items() if x), default=0))
         for terms in cof_terms
     )
 
@@ -390,6 +464,11 @@ def vanishing_certificate(poly: MultiPoly, gens: Sequence[MultiPoly]
     if check != poly:
         raise AssertionError("certificate residual check failed")  # pragma: no cover
     return cofactors
+
+
+def _graded(e: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The sweep's graded order as a sort key: the larger key leads."""
+    return sum(e), [-x for x in e]
 
 
 def certificate_factors(cofactors: Sequence[MultiPoly], gens: Sequence[MultiPoly],

@@ -65,7 +65,7 @@ def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) ->
     """Honest proof that ``poly`` (degree <= ``degree``) vanishes on the variety.
 
     Checks vanishing on ``poly`` as given, multiplies a ``FactoredPoly`` out
-    only for the certificate solve, and exposes lazy honest oracles that
+    only for the certificate's division, and exposes lazy honest oracles that
     answer M factor by factor.  ``vanishing_certificate`` checks the identity
     Σ h_g·g = P, which is M(x, φ(x)) = P; M(x, 0) = 0 holds by construction.
     """
@@ -77,7 +77,7 @@ def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) ->
         raise NoCertificateError("no certificate: polynomial does not vanish on the variety")
 
     expanded = poly.expand() if isinstance(poly, FactoredPoly) else poly
-    cofactors = vanishing_certificate(expanded, variety.gens)
+    cofactors = vanishing_certificate(expanded, variety)
     point, lines = honest_oracles(certificate_factors(cofactors, variety.gens, degree), degree)
     return ZeroProof(point, lines)
 

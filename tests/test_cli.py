@@ -26,6 +26,18 @@ def test_variety_info(capsys):
         assert lines["points"] == points
         assert lines["extension_degree"] == degree
         assert lines["grobner_complexity"] == complexity
+        assert lines["grobner_basis_size"] == complexity
+
+
+def test_variety_info_reduced_basis_outgrows_the_generators(capsys, tmp_path):
+    # two generators with leading monomials x1*x2 and x2^2 leave x1^3 as a
+    # third minimal non-standard monomial, so certificates divide by three
+    path = tmp_path / "four.txt"
+    path.write_text("0 4\n1 0\n1 3\n4 1\n")
+    code, out, _ = run(capsys, "variety", "info", f"points:{path}", "--q", "5")
+    assert code == 0
+    lines = dict(ln.split(": ", 1) for ln in out.strip().splitlines())
+    assert (lines["grobner_complexity"], lines["grobner_basis_size"]) == ("2", "3")
 
 
 def test_variety_grobner_listing(capsys):
@@ -212,7 +224,8 @@ def test_pcp_config_checked_from_allowance_0_only(capsys, argv, code, out, err):
 @pytest.mark.parametrize("name, text, line", [
     ("token.txt", "0 1\n1 vm\n", "2: '1 vm'"),
     ("arity.txt", "0 1\n# comment\n\n1 0 1\n", "4: '1 0 1'"),
-], ids=["token", "arity"])
+    ("repeat.txt", "0 1\n1 0\n0 1\n", "3: '0 1'"),
+], ids=["token", "arity", "repeat"])
 def test_malformed_points_file_names_file_and_line(capsys, tmp_path, name, text, line):
     path = tmp_path / name
     path.write_text(text)
@@ -229,7 +242,10 @@ def test_malformed_points_file_names_file_and_line(capsys, tmp_path, name, text,
     ("edge.txt", "3\n0 1\n0 1 2\n", "3: '0 1 2'"),
     ("lone.txt", "3\n\n2\n", "3: '2'"),
     ("count.txt", "# n\n3 4\n0 1\n", "2: '3 4'"),
-], ids=["token", "edge", "lone", "count"])
+    ("range.txt", "3\n0 1\n1 5\n", "3: '1 5'"),
+    ("loop.txt", "3\n0 1\n# loop\n2 2\n", "4: '2 2'"),
+    ("empty.txt", "# none\n0\n", "2: '0'"),
+], ids=["token", "edge", "lone", "count", "range", "loop", "empty"])
 def test_malformed_graph_file_names_file_and_line(capsys, tmp_path, name, text, line):
     path = tmp_path / name
     path.write_text(text)

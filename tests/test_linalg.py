@@ -163,14 +163,13 @@ def test_insert_is_reduce_then_store():
         assert a._pivots == b._pivots
 
 
-def test_sparse_rows_match_dense_rows():
-    dense = Matrix(F5, [[0, 2, 0, 7], [0, 0, 0, 0], [1, 0, 0, 3]])
-    sparse = Matrix.from_sparse(F5, [{1: 2, 3: 7}, {2: 5}, {0: 1, 3: 3}], 4)
-    assert sparse == dense and hash(sparse) == hash(dense)
-    assert sparse.rows == [[0, 2, 0, 2], [0, 0, 0, 0], [1, 0, 0, 3]]
-    assert (sparse.nrows, sparse.ncols) == (3, 4)
-    with pytest.raises(ValueError):
-        Matrix.from_sparse(F5, [{4: 1}], 4)
+def test_rows_are_stored_reduced_and_compared_by_value():
+    a = Matrix(F5, [[0, 2, 0, 7], [0, 0, 0, 0], [1, 0, 0, 3]])
+    b = Matrix(F5, [[5, 2, 0, 2], [0, 10, 0, 0], [6, 0, 0, -2]])
+    assert a == b and hash(a) == hash(b)
+    assert a.rows == [[0, 2, 0, 2], [0, 0, 0, 0], [1, 0, 0, 3]]
+    assert (a.nrows, a.ncols) == (3, 4)
+    assert a != Matrix(F5, [[0, 2, 0, 7], [0, 0, 0, 1], [1, 0, 0, 3]])
 
 
 # -- cross-check against an independent dense Gauss-Jordan -------------------

@@ -238,10 +238,12 @@ def test_improper_coloring_proof_is_rejected():
 
 
 def test_prover_raises_for_a_vanishing_claim_without_certificate():
-    # with only the x-side generator, B of a proper coloring vanishes on V×V
-    # but has no certificate; only an improper coloring earns the zero one
+    # with only the x-side generator (and the x-side Gröbner basis that
+    # certificates divide by), B of a proper coloring vanishes on V×V but has
+    # no certificate; only an improper coloring earns the zero one
     inst = k3_instance()
     inst.variety2.gens = inst.variety2.gens[:inst.k]
+    inst.variety2.grobner_basis = inst.variety2.grobner_basis[:len(inst.variety.grobner_basis)]
     with pytest.raises(NoCertificateError):
         pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
 
@@ -364,8 +366,9 @@ def test_conflict_offsets_frozen():
 
 def test_large_conflict_certificate_pinned():
     # the benchmark's K3 instance (q=257, cube:H=0,1;m=2): its conflict
-    # certificate is a 1820 x 4004 solve with 8008 nonzeros; the cofactors'
-    # canonical text is pinned as the dense elimination computed it
+    # polynomial has 493 terms of degree 12 over the four generators; the
+    # cofactors' canonical text is pinned as a dense elimination over all
+    # cofactor coefficients computed it, which division must reproduce
     field = Field(257)
     variety = make_variety(field, "cube:H=0,1;m=2")
     graph = load_graph("complete:3")
@@ -380,3 +383,81 @@ def test_large_conflict_certificate_pinned():
         "8dd82ec89e65bdac279d9380cbe6e7922980b26b7f5cbd5a4168cd7262662ba1",
         "ceb0d2e631a5a240e2fcde3f67baddb5670874c66f683a110868be25e43cc0c1",
     ]
+
+
+# Cofactor text of A and B, as the single linear solve over all cofactor
+# coefficients computed it (free coefficients zero) before certificates were
+# built by division; on these families the generators are their own Gröbner
+# basis and division must give the same cofactors.
+_FAMILY_CERTIFICATES = {
+    (17, "cube:H=0,1,2;m=1"): (
+        [
+            "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35",
+        ],
+        [
+            "70887505f58b4e4552f88acac64c8c3a2cbf3c94d798cebb056d1a79a1a8211b",
+            "27c41fa5d5cbdbefdff262ee92743f9de36b739fec0627bff13c7287781877f1",
+        ],
+    ),
+    (257, "ball1:n=3"): (
+        [
+            "52d0d007b00acd4ff632660b3712d56a93035fa342a24ca53d1a99dfe75d1f10",
+            "091756b2883edd94607d7e4cacfe16c97290a3c8a0b4a779673aa904f48bcd96",
+            "c58e385b8175a5960cb1234c25cf587eac696b7e82b414d6de30a02dfec8e9fc",
+            "c68d44ee78c5861eb2ddc175a9d8c60b9dde1bd0631f936c532df74cf204f141",
+            "d0631345cf32d7652d672ceddc51031c9706baf750406035f1b443217dd6f74e",
+            "384c4571e61a9971d1cc315d41b02e35179b6c8e4be2331c127714bf896575fe",
+        ],
+        [
+            "7a23d54ee0ea7df590cacd412c22828cb0244441e73c03216b886bc1e50935a3",
+            "f1fa72a4483229093d04543a80ec92d5e0e5783d68279e5c21e05888b11f253e",
+            "c041e98e928d5b7ce665e43f0cc078d9ff8bef281376501edcdd530ba5e8ef25",
+            "1063fabd3f4af82ce92f53076a6808276324fb62d8daa6d318b038dc3e9c0b1e",
+            "f25918d559f02b2270b32a51e6277d4a65a12b2f623e2a209b451c9e9fc35645",
+            "e453de0f02837d062d5bc5fb290c4c1d784040e56a2fcaac235c3abb682b57bb",
+            "5767b52529863d405128460cbf3ec05584c976365ec6f9ae7c5dcef278830b39",
+            "85517ce519ceee758a5e8c1527493069c41128634e1d8412ca0c41b7fa29adb4",
+            "abb03db1434cbeb742068662e7db82f030d44892a0f4295e1839bcc3429643e2",
+            "6efab178d633f14515054746caff20a487052b194788cd81c9578e9f8cf59f03",
+            "91fe6801b5ca3ca1db2087f9bfc73c4a66781a1a47d0ce29cfd15f3b87087d69",
+            "396d1e9b1f5e6c78f04a88e2d3efbfc837b0239cab43e50511ce1348c4d671bf",
+        ],
+    ),
+    (257, "pow:(ball1:n=2)^2"): (
+        [
+            "723a7ee3598975431a0a7c580f10cb81e598471475a1565e776f1b02ba134bdf",
+            "c6c3c9815bd124a8e1e64c6e6f871d75bd40b111d2d570ce38097ed3ac568860",
+            "30e18adbe85794e58d0682205270e7084cffd443608db22bda3aaeccc7e2c548",
+            "11b51a180a71923d1a90b4ee24803a86148d3cf81aed2243ae312db5f69af605",
+            "ba7265e402e31950e32699dd489be3c42bc1e32228d7f0964888400aecf5d569",
+            "7035b4b3add54b55550abc4338e563620b9e2db275cf32c9a14d31f89f5e3e49",
+        ],
+        [
+            "cc24515fb182b8d919f58d905dc50e271fa53916b6af012c366e61bedfe9f202",
+            "59bc9231f7ed634a66af1fa3ced7d8cd7161386519fbf2866c5cf05f03ea7e8e",
+            "d248121bf61302b3a2a68d2cd2f775aca686e35c408d7a47bf013c4725b590a0",
+            "4a857ee639b5ce1bbbb6a74011d3aa0865f09f7ed98b764a1be4ad9c32f567d5",
+            "890f12aa40b67581bad79631fb191e1bce90e0758be9f5e39cb57708e8c8effe",
+            "e1599fee6f2ec9580773ad1f6b593be147aeb7720fa2fa348590ee08e6c0ee19",
+            "f2c2d278875192f7a58f64c3deecd629f641663d7f3a57059fe18ef85988a8e9",
+            "012899e017e978c4631c1c99374caaa6b6cbee64906211f38b7a0b3a53c8221b",
+            "50b97745d93b995c278182c7f0255e4f9fd760662c56546bcdfc9e2d0a9ba8a3",
+            "a656c8ee61cd02003cab6e196f9df8a52837dc13c431962a21949c7398147248",
+            "f14549aaf3ad0cadbcdfc26cb5b3ba0a06f232cb44a0f125052baf349abfab93",
+            "97ed1f091019f64f2053fe23cf21b057a1c824bab616dcebe6fe03532ea31dca",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("q, spec", list(_FAMILY_CERTIFICATES))
+def test_family_certificates_pinned(q, spec):
+    field = Field(q)
+    graph = load_graph("complete:3")
+    inst = PcpInstance(make_variety(field, spec), graph)
+    _, validity, conflict = claim_polynomials(inst, fewest_conflicts_coloring(graph, field))
+    got = tuple(
+        [hashlib.sha256(h.text().encode()).hexdigest()
+         for h in vanishing_certificate(claim.expand(), variety)]
+        for claim, variety in ((validity, inst.variety), (conflict, inst.variety2)))
+    assert got == _FAMILY_CERTIFICATES[q, spec]

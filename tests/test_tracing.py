@@ -71,12 +71,12 @@ def test_tracer_role_names_are_the_proof_roles():
     assert tuple(harness.build_experiment(cfg).proof.oracles()) == spans.PROOF_ORACLES
 
 
-def test_certificate_solves_go_through_matrix_solve():
-    # pcp completeness interpolates two functions and builds two certificates,
-    # each one Matrix.solve; the calls and cells (rows x columns of each
-    # system: 3x3 and 9x9 for the interpolations over the standard monomials,
-    # 1894 for the certificates) are pinned, so a certificate solved around
-    # Matrix.solve fails
+def test_certificates_divide_and_only_interpolations_solve():
+    # pcp completeness builds two certificates by division, which runs no
+    # Matrix.solve, and interpolates two functions, each one Matrix.solve
+    # over the standard monomials (3x3 and 9x9 cells); both certificates are
+    # counted as zerotest's vanishing_certificate spans, so a certificate
+    # built around the prover, or one that solves a linear system, fails
     cfg = ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1",
                            graph="complete:3", trials=5, seed=5)
     tracer = spans.Tracer()
@@ -87,5 +87,6 @@ def test_certificate_solves_go_through_matrix_solve():
     finally:
         tracer.uninstall()
     assert tracer.missing == []
-    solve = tracer.aggregate(0, len(tracer.start))[0]["linalg.solve"]
-    assert (solve["calls"], solve["work"]) == (4, 1984)
+    stats = tracer.aggregate(0, len(tracer.start))[0]
+    assert (stats["linalg.solve"]["calls"], stats["linalg.solve"]["work"]) == (2, 90)
+    assert stats["variety.vanishing_certificate"]["calls"] == 2

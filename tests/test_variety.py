@@ -364,6 +364,55 @@ def test_random_ideal_members_certify(spec, tmp_path):
         assert recon == p
 
 
+def _value(p, point, q):
+    # P at a point, term by term, with neither pcplab.linalg nor compiled code
+    return sum(c * math.prod(x ** e for x, e in zip(point, exps))
+               for exps, c in p.terms.items()) % q
+
+
+def test_division_certifies_every_vanishing_polynomial():
+    # random point sets (q <= 11, m <= 3, <= 12 points) and random members
+    # P = Σ r_g·g of degree up to d+2: division by the variety's reduced
+    # Gröbner basis returns degree-respecting cofactors, and it refuses a
+    # perturbed P exactly when that fails to vanish at some point.  Some
+    # sets' generators are not a Gröbner basis, so dividing by them alone
+    # leaves a remainder, and the sample must contain such a set.
+    rewritten = refused = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        q = rng.choice([3, 5, 7, 11])
+        m = rng.randint(1, 3)
+        space = list(itertools.product(range(q), repeat=m))
+        points = rng.sample(space, rng.randint(1, min(len(space), 12)))
+        field = Field(q)
+        v = Variety(field, points)
+        bound = v.extension_degree + rng.randint(0, 2)
+        p = MultiPoly.zero(field, m, cap=bound)
+        for g in v.gens:
+            if g.degree() <= bound:
+                p = p.add(random_poly(field, m, bound - g.degree(), rng).mul(g))
+        assert all(_value(p, x, q) == 0 for x in points)
+        cofactors = vanishing_certificate(p, v)
+        total = MultiPoly.zero(field, m)
+        for h, g in zip(cofactors, v.gens):
+            assert h.is_zero() or h.mul(g).degree() <= p.degree()
+            total = total.add(h.mul(g))
+        assert total == p
+        try:
+            vanishing_certificate(p, v.gens)
+        except NoCertificateError:
+            rewritten += 1
+
+        perturbed = p.add(random_poly(field, m, rng.randint(0, bound), rng))
+        if all(_value(perturbed, x, q) == 0 for x in points):
+            vanishing_certificate(perturbed, v)
+        else:
+            refused += 1
+            with pytest.raises(NoCertificateError):
+                vanishing_certificate(perturbed, v)
+    assert rewritten > 0 and refused > 0
+
+
 def test_certificate_poly_structure():
     v = ball1_variety(F5, 2)
     p = poly5(2, {(1, 1): 1}, 2)  # x1*x2 == the middle generator
