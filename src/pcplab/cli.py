@@ -2,7 +2,8 @@
 
 Exit codes: 0 on pass, 1 when a run's pass condition fails (a completeness
 run that saw rejections, or a soundness run below --min-reject-rate), 2 on
-configuration errors.
+configuration errors, among them an --out whose directory does not exist
+(found before the run starts).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .field import Field
 from .harness import (
@@ -75,6 +77,11 @@ def _cmd_run(args, experiment: str) -> int:
     if experiment == "ldt" and args.local_correct:
         experiment = "lc"
     cfg = _config_from(args, experiment)
+    # checked before the run, which may take minutes, rather than after it
+    if args.out and not (parent := Path(args.out).parent).is_dir():
+        print(f"error: cannot write --out {args.out}: {parent} is not a directory",
+              file=sys.stderr)
+        return 2
     exp = build_experiment(cfg)
     est, _ = execute(exp, out=args.out or None)
     print(f"{experiment} {cfg.mode}: {est.accepts}/{est.trials} accepts, "

@@ -23,6 +23,11 @@ the loop asserts after every sampled trial that the bits actually drawn
 equal the closed-form budget, computed once per run from the dimensions of
 the instance the run built (randomness_budget gives the same number for a
 bare config).
+
+Query accounting: the loop asserts that every trial spent exactly the
+queries its verifier promises, from one tally of the counted oracles per
+trial (the tally after one trial is the tally before the next, since nothing
+queries between trials).
 """
 
 from __future__ import annotations
@@ -573,10 +578,17 @@ def _ldt_lc(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
             first = fixed_alpha if soundness else field.sample_point(rng._rng, m)
         return first, field.sample_point(rng, m), field.sample(rng, nonzero=True)
 
+    # the last alpha checked and P(alpha): soundness fixes alpha and an
+    # exhaustive run enumerates it outermost, so each distinct alpha is
+    # evaluated once there, with no table that grows with the trial count
+    last = [None, 0]
+
     def check_lc(r) -> bool:
         alpha, b, t = r
         v = local_correct(degree, f, flines, alpha, b, t)
-        wrong = v.value != p.eval(alpha)
+        if alpha != last[0]:
+            last[0], last[1] = alpha, p.eval(alpha)
+        wrong = v.value != last[1]
         if soundness:
             return v.accepted and wrong         # silent miscorrection
         return not v.accepted or wrong
@@ -661,8 +673,8 @@ def execute(exp: Experiment, out: str | Path | None = None
     sample, check, counted, reps = exp.sample, exp.check, exp.counted, cfg.reps
     expected_queries = exp.queries_per_rep * reps
     trials = rejects = 0
+    tally = _total_queries(counted)
     for x in inputs:
-        before = _total_queries(counted)
         if exhaustive:
             bad = check(x)
         else:
@@ -677,9 +689,10 @@ def execute(exp: Experiment, out: str | Path | None = None
                     f"formula says {exp.bits}")
         if bad:
             rejects += 1
-        used = _total_queries(counted) - before
-        if used != expected_queries:
-            raise AssertionError(f"query count drift: {used} != {expected_queries}")
+        before, tally = tally, _total_queries(counted)
+        if tally - before != expected_queries:
+            raise AssertionError(
+                f"query count drift: {tally - before} != {expected_queries}")
         trials += 1
     if trials != size:
         raise AssertionError("enumeration produced the wrong space size")

@@ -5,6 +5,10 @@ function and its claimed lines table, compare the table entry along one line
 against the point value at one position on that line.  Each makes exactly two
 oracle queries.  The corrector additionally returns the entry's value at t=0,
 i.e. the (corrected) value at the line's base point, when the check passes.
+
+``ldt_check`` allocates nothing: it returns one of the two module-level
+frozen verdicts ``ACCEPT`` and ``REJECT``, shared by every call.  The point
+a + t·b is handed to the point oracle unreduced; the oracle reduces it.
 """
 
 from __future__ import annotations
@@ -25,11 +29,8 @@ class Verdict:
         return self.accepted
 
 
+ACCEPT = Verdict(True)
 REJECT = Verdict(False)
-
-
-def _line_point(a: Sequence[int], b: Sequence[int], t: int, q: int) -> tuple[int, ...]:
-    return tuple([(x + t * y) % q for x, y in zip(a, b)])
 
 
 def _consistent_entry(degree: int, f: PointOracle, flines: LinesOracle,
@@ -43,7 +44,7 @@ def _consistent_entry(degree: int, f: PointOracle, flines: LinesOracle,
     if flines.degree != degree or f.degree != degree:
         raise ValueError("oracle degree tags disagree with the test degree")
     entry = flines.query(a, b)
-    value = f.query(_line_point(a, b, t, q))
+    value = f.query(tuple([x + t * y for x, y in zip(a, b)]))
     return entry if eval_entry(entry, t, q) == value else None
 
 
@@ -54,7 +55,7 @@ def ldt_check(degree: int, f: PointOracle, flines: LinesOracle,
     t must be nonzero; b = 0 is fine (a constant line, trivially consistent
     for honest tables).
     """
-    return Verdict(_consistent_entry(degree, f, flines, a, b, t) is not None)
+    return REJECT if _consistent_entry(degree, f, flines, a, b, t) is None else ACCEPT
 
 
 def local_correct(degree: int, f: PointOracle, flines: LinesOracle,

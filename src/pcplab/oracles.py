@@ -23,6 +23,9 @@ behind them:
 
 Every oracle counts its queries (one increment per query);
 the verifiers' per-invocation totals are checked against these counters.
+``query`` is the one place a queried point or line is reduced mod q:
+verifiers hand over coordinates such as a + t·b unreduced, and every answer
+function receives residues.
 Building a table or a corruption calls the source's answer function
 directly, so it counts no query.
 """

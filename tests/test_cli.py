@@ -203,6 +203,18 @@ def test_budget_rejects_what_a_run_rejects(capsys, flags):
         assert K13_MESSAGE in budget_err
 
 
+def test_out_to_a_missing_directory_exits_2_before_the_run(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    started = time.perf_counter()
+    code, stdout, err = run(capsys, "ldt", "run", "--q", "7", "--nvars", "2", "--degree", "2",
+                            "--trials", "1000000", "--out", str(out))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert stdout == ""
+    assert str(out) in err and err.startswith("error: ")
+    assert not out.parent.exists()
+
+
 K12_FLAGS = ["--q", "5", "--variety", "ball1:n=12", "--graph", "complete:12"]
 NOT_COLORABLE = "config error: graph is not 3-colorable; completeness mode needs a proper coloring\n"
 

@@ -13,6 +13,7 @@ from pcplab.field import Field
 from pcplab.harness import (
     ConfigError,
     CountingRng,
+    Experiment,
     ExperimentConfig,
     PCP_ADVERSARIES,
     PRESETS,
@@ -20,6 +21,7 @@ from pcplab.harness import (
     Z99,
     ZEROTEST_ADVERSARIES,
     build_experiment,
+    execute,
     load_graph,
     randomness_budget,
     random_vanishing_poly,
@@ -247,6 +249,41 @@ def test_reps_multiply_queries_and_bits():
     est, _ = run_experiment(cfg)
     assert est.queries_per_trial == 6
     assert est.randomness_bits_per_trial == 3 * 8
+
+
+class _Counted:
+    queries = 0
+
+
+def _fake_experiment(check, sample=lambda rng: None, bits=0):
+    """Two sampled trials over one counted fake oracle, promising 2 queries."""
+    cfg = ExperimentConfig(experiment="ldt", q=5, nvars=1, degree=2, trials=2)
+    oracle = _Counted()
+    return Experiment(cfg, 0.0, (oracle,), sample, lambda r: check(oracle), 2, bits)
+
+
+def test_query_drift_is_caught_on_the_first_trial():
+    # 1 query, then 3: the run's total is the promised 2 per trial, but each
+    # trial is wrong, so the check must be per trial
+    spent = []
+
+    def check(oracle):
+        oracle.queries += 3 if spent else 1
+        spent.append(oracle.queries)
+        return False
+
+    with pytest.raises(AssertionError, match="query count drift: 1 != 2"):
+        execute(_fake_experiment(check))
+    assert spent == [1]
+
+
+def test_randomness_drift_is_caught():
+    def check(oracle):
+        oracle.queries += 2
+        return False
+
+    with pytest.raises(AssertionError, match="randomness accounting drift: drew 2 bits"):
+        execute(_fake_experiment(check, sample=lambda rng: rng.randrange(4), bits=1))
 
 
 # -- config validation --------------------------------------------------------

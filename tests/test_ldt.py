@@ -1,5 +1,6 @@
 """Point-vs-line consistency test and the two-query local corrector."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pcplab.field import Field
-from pcplab.ldt import REJECT, Verdict, ldt_check, local_correct
+from pcplab.ldt import ACCEPT, REJECT, Verdict, ldt_check, local_correct
 from pcplab.oracles import (
     CorruptionSpec,
     PointOracle,
@@ -180,6 +181,18 @@ def test_verdict_truthiness():
     assert not REJECT
     assert REJECT.value is None
     assert Verdict(True, 3)
+
+
+def test_ldt_check_returns_the_shared_frozen_verdicts():
+    p = random_poly(F5, 2, 2, random.Random(13))
+    f, lines = honest_oracles(p, 2)
+    bad = corrupt(f, CorruptionSpec(delta=1.0, key=2))
+    assert ldt_check(2, f, lines, (1, 2), (3, 4), 2) is ACCEPT
+    assert ldt_check(2, bad, lines, (1, 2), (3, 4), 2) is REJECT
+    assert ACCEPT.value is None
+    # every call shares these objects, so none of them may change
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ACCEPT.accepted = False
 
 
 def test_corrupted_lines_detected_at_some_triple():
