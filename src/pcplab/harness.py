@@ -55,7 +55,7 @@ from .pcp import (
     fewest_conflicts_coloring,
     pcp_prove,
 )
-from .poly import MultiPoly, random_poly
+from .poly import FactoredPoly, MultiPoly, random_poly
 from .variety import Variety, make_variety, vanishes_on
 from .zerotest import (
     ZeroProof,
@@ -368,13 +368,9 @@ def random_vanishing_poly(variety: Variety, degree: int, rng: random.Random) -> 
     field = variety.field
     m = variety.m
     _require_vanishing_room(variety, degree)
-    acc = MultiPoly.zero(field, m, cap=degree)
-    for g in variety.gens:
-        room = degree - g.degree()
-        if room < 0:
-            continue
-        acc = acc.add(random_poly(field, m, room, rng).mul(g))
-    return acc
+    pairs = [(random_poly(field, m, degree - g.degree(), rng), g)
+             for g in variety.gens if g.degree() <= degree]
+    return FactoredPoly(field, m, pairs, degree).expand()
 
 
 def _nonvanishing_poly(variety: Variety, degree: int, rng: random.Random) -> MultiPoly:

@@ -21,6 +21,13 @@ restriction returns it and every lines table hands it out, is a plain tuple
 of exactly cap+1 residues in [0, q) (index = power of t, trailing zeros
 kept, so the width is fixed); ``eval_entry`` reads it at a point t.
 
+Multiplying out runs on packed monomials (``_packing``): each exponent
+vector is one integer with a guarded bit field per variable, so a monomial
+product is one integer addition and a divisibility test one subtraction.
+``FactoredPoly.expand`` multiplies each product in one pass over packed keys
+and builds one ``MultiPoly`` at the end; ``MultiPoly.mul`` is the expansion
+of a two-factor product, so there is one multiplication routine.
+
 The canonical monomial order used for matrix columns, the variety's standard
 monomials and text output is graded lexicographic: monomials grouped by total
 degree, and within a degree block ordered by descending exponent tuple.
@@ -121,6 +128,39 @@ def _compile_horner(support: frozenset, nvars: int):
     namespace: dict = {}
     exec(compile(source, "<horner>", "exec"), namespace)
     return namespace["f"], tuple(order), tuple(sorted(used))
+
+
+@functools.lru_cache(maxsize=256)
+def _packing(nvars: int, degree: int):
+    """(pack, unpack, guard, span) for exponent vectors in ``nvars`` variables
+    whose exponents are at most ``degree``.
+
+    ``pack`` maps an exponent vector to one integer: each variable gets a
+    field of w = degree.bit_length() + 1 bits, the first variable most
+    significant, so integer order is lex order on exponent vectors.  An
+    exponent fills at most the low w-1 bits of its field and the top bit,
+    a guard bit (``guard`` has all of them), stays clear, so pack(e) +
+    pack(f) = pack(e + f) with no carry between fields, and a packed k is
+    divisible by a packed l exactly when ((k | guard) - l) & guard == guard:
+    a field keeps its guard bit through the subtraction exactly when k_i >=
+    l_i.  ``unpack`` reads whole fields back, and ``span`` = nvars·w is the
+    number of bits a packed monomial occupies.
+    """
+    width = degree.bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = range(width * (nvars - 1), -1, -width)
+    guard = sum(1 << (s + width - 1) for s in shifts)
+
+    def pack(e: Sequence[int]) -> int:
+        k = 0
+        for x in e:
+            k = k << width | x
+        return k
+
+    def unpack(k: int) -> tuple[int, ...]:
+        return tuple([k >> s & mask for s in shifts])
+
+    return pack, unpack, guard, width * nvars
 
 
 def _digits(q: int, v: int, width: int, ndigits: int) -> tuple[int, ...]:
@@ -250,28 +290,9 @@ class MultiPoly:
         return self.add(MultiPoly.constant(self.field, self.nvars, c))
 
     def mul(self, other: "MultiPoly") -> "MultiPoly":
-        self._binop_check(other)
-        # exponent vectors are keyed as digits in base deg(self)+deg(other)+1;
-        # no exponent of a product exceeds that sum, so key(e1+e2) is
-        # key(e1)+key(e2)
-        nvars = self.nvars
-        base = self.degree() + other.degree() + 1
-        weights = [base ** i for i in range(nvars)]
-        theirs = [(sum(x * w for x, w in zip(e, weights)), c) for e, c in other.terms.items()]
-        acc: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            k1 = sum(x * w for x, w in zip(e1, weights))
-            for k2, c2 in theirs:
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + c1 * c2
-        terms = {}
-        for k, v in acc.items():
-            e = []
-            for _ in range(nvars):
-                k, r = divmod(k, base)
-                e.append(r)
-            terms[tuple(e)] = v
-        return MultiPoly(self.field, nvars, terms, self.cap + other.cap)
+        """self·other with the cap self.cap + other.cap, multiplied out by
+        ``FactoredPoly.expand``, the one multiplication routine."""
+        return FactoredPoly.product([self, other]).expand()
 
     # -- evaluation and restriction ----------------------------------------
 
@@ -406,11 +427,30 @@ class FactoredPoly:
         return FactoredPoly(self.field, self.nvars, self.products, cap)
 
     def expand(self) -> MultiPoly:
-        """The multiplied-out polynomial, capped at ``cap``."""
-        total = MultiPoly.zero(self.field, self.nvars, self.cap)
+        """The multiplied-out polynomial, capped at ``cap``.
+
+        Each product is multiplied out in one pass over packed monomials
+        (``_packing`` at the cap, which bounds every exponent of every partial
+        product, so a monomial product is one integer addition), its running
+        product reduced mod q after each factor; the products are summed on
+        the packed keys and unpacked once.
+        """
+        q = self.field.q
+        pack, unpack, _, _ = _packing(self.nvars, self.cap)
+        total: dict[int, int] = {}
         for factors in self.products:
-            total = total.add(functools.reduce(MultiPoly.mul, factors))
-        return total.with_cap(self.cap)
+            acc = {0: 1}
+            for f in factors:
+                terms = [(pack(e), c) for e, c in f.terms.items()]
+                out: dict[int, int] = {}
+                for k1, c1 in acc.items():
+                    for k2, c2 in terms:
+                        k = k1 + k2
+                        out[k] = out.get(k, 0) + c1 * c2
+                acc = {k: r for k, c in out.items() if (r := c % q)}
+            for k, c in acc.items():
+                total[k] = total.get(k, 0) + c
+        return MultiPoly(self.field, self.nvars, {unpack(k): c for k, c in total.items()}, self.cap)
 
     def _layout(self):
         """(per product, its factors' (compiled function, coefficients, key,

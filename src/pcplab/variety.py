@@ -33,7 +33,11 @@ divides is a nonzero remainder, so P is not in the ideal.  The basis is the
 relations of the minimal non-standard monomials, each stored with a
 degree-respecting combination of the generators, through which the
 quotients become the cofactors h_g; for cubes, balls, powers and V × V the
-basis is the generating set itself.  The certificate is packaged as the
+basis is the generating set itself.  The division runs on packed monomials
+(``poly._packing``, sized from everything it packs), so a divisibility test,
+a quotient monomial and a product with a tail term are each one integer
+operation, and the identity Σ h_g·g = P is re-checked by one
+``FactoredPoly.expand`` of the products h_g·g.  The certificate is packaged as the
 structured polynomial M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety
 verifier, kept as its products h_g(x)·y_g (``certificate_factors``;
 ``expand()`` multiplies it out).
@@ -49,7 +53,7 @@ from typing import Sequence
 
 from .field import Field
 from .linalg import IncrementalRank, Matrix
-from .poly import FactoredPoly, MultiPoly, monomials_exact
+from .poly import FactoredPoly, MultiPoly, _packing, monomials_exact
 
 # Σ c_g·g as the pairs (generator index, c_g), and a Gröbner basis element
 # with that combination of the generators
@@ -398,6 +402,17 @@ def vanishing_certificate(poly: MultiPoly, ideal: Variety | Sequence[MultiPoly]
     in stored order, whose leading monomial divides it; a term that none
     divides is a nonzero remainder, so this doubles as an ideal-membership
     test with the degree bound built in.
+
+    Monomials are packed (``_packing``) with fields sized from the largest
+    of deg P, every basis element's degree and every combination term's
+    degree, so no leading monomial overflows its fields even when it has
+    higher degree than P.  k is divisible by a leading monomial l when
+    ((k | guard) - l) & guard == guard, the quotient monomial is k - l, and
+    the heap pops ((top - deg k) << span) | k, smallest first: descending
+    degree, then ascending exponent tuple, the graded order's leading term
+    first.  The residual Σ h_g·g is expanded with the cap max(cap h_g +
+    cap g), since a bare generator may give deg(h_g·g) > cap P, and must
+    equal P.
     """
     field = poly.field
     m = poly.nvars
@@ -415,55 +430,65 @@ def vanishing_certificate(poly: MultiPoly, ideal: Variety | Sequence[MultiPoly]
         return tuple(zero for _ in gens)
 
     q = field.q
+    top = max([poly.degree()] + [r.degree() for r, _ in basis]
+              + [c.degree() for _, combo in basis for _, c in combo])
+    pack, unpack, guard, span = _packing(m, top)
+    cof_terms: list[dict[int, int]] = [{} for _ in gens]
     divisors = []
     for r, combo in basis:
         lead = max(r.terms, key=_graded)
-        tail = [(e, x) for e, x in r.terms.items() if e != lead]
-        divisors.append((lead, field.inv(r.terms[lead]), tail,
-                         [(g, list(c.terms.items())) for g, c in combo]))
-    cof_terms: list[dict[tuple[int, ...], int]] = [{} for _ in gens]
-    rest = dict(poly.terms)
-    heap = [(-sum(e), e) for e in rest]   # pops in descending graded order
+        shift = sum(lead) << span
+        # a tail term t is kept as ((deg lead - deg t) << span) + pack(t), so
+        # that key(k) - pack(lead) + it is key(mu·t) for mu = k / lead
+        tail = [(shift - (sum(e) << span) + pack(e), x) for e, x in r.terms.items() if e != lead]
+        divisors.append((pack(lead), field.inv(r.terms[lead]), tail,
+                         [(cof_terms[g], [(pack(e), x) for e, x in c.terms.items()])
+                          for g, c in combo]))
+    # key(k) = ((top - deg k) << span) | k pops in descending graded order
+    low = (1 << span) - 1
+    rest = {((top - sum(e)) << span) | pack(e): c for e, c in poly.terms.items()}
+    heap = list(rest)
     heapify(heap)
     while heap:
-        e = heappop(heap)[1]
-        c = rest.pop(e, 0)
+        key = heappop(heap)
+        c = rest.pop(key, 0)
         if not c:  # cancelled, or queued twice
             continue
+        k = key & low
         for lead, inv, tail, combo in divisors:
-            if all(a >= b for a, b in zip(e, lead)):
+            if ((k | guard) - lead) & guard == guard:
                 break
         else:
             raise NoCertificateError(
                 "no certificate: polynomial is not in the ideal within its degree bound")
-        mu = tuple(a - b for a, b in zip(e, lead))
         f = c * inv % q
+        base = key - lead
         for t, x in tail:
-            k = tuple(a + b for a, b in zip(mu, t))
-            old = rest.get(k)
+            child = base + t
+            old = rest.get(child)
             v = ((old or 0) - f * x) % q
             if v:
                 if old is None:
-                    heappush(heap, (-sum(k), k))
-                rest[k] = v
+                    heappush(heap, child)
+                rest[child] = v
             elif old is not None:
-                del rest[k]
-        for gi, c_terms in combo:
-            h = cof_terms[gi]
+                del rest[child]
+        mu = k - lead
+        for h, c_terms in combo:
             for t, x in c_terms:
-                k = tuple(a + b for a, b in zip(mu, t))
-                h[k] = (h.get(k, 0) + f * x) % q
-    cofactors = tuple(
-        MultiPoly(field, m, terms, max((sum(e) for e, x in terms.items() if x), default=0))
-        for terms in cof_terms
-    )
+                e = mu + t
+                h[e] = (h.get(e, 0) + f * x) % q
+    cofactors = []
+    for packed in cof_terms:
+        terms = {unpack(t): x for t, x in packed.items()}
+        cofactors.append(MultiPoly(
+            field, m, terms, max((sum(e) for e, x in terms.items() if x), default=0)))
 
-    check = MultiPoly.zero(field, m)
-    for h, g in zip(cofactors, gens):
-        check = check.add(h.mul(g))
-    if check != poly:
-        raise AssertionError("certificate residual check failed")  # pragma: no cover
-    return cofactors
+    residual = FactoredPoly(field, m, zip(cofactors, gens),
+                            max(h.cap + g.cap for h, g in zip(cofactors, gens)))
+    if residual.expand() != poly:
+        raise AssertionError("certificate residual check failed")
+    return tuple(cofactors)
 
 
 def _graded(e: tuple[int, ...]) -> tuple[int, list[int]]:

@@ -65,9 +65,11 @@ def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) ->
     """Honest proof that ``poly`` (degree <= ``degree``) vanishes on the variety.
 
     Checks vanishing on ``poly`` as given, multiplies a ``FactoredPoly`` out
-    only for the certificate's division, and exposes lazy honest oracles that
-    answer M factor by factor.  ``vanishing_certificate`` checks the identity
-    Σ h_g·g = P, which is M(x, φ(x)) = P; M(x, 0) = 0 holds by construction.
+    once (one packed pass per product) only for the certificate's division,
+    and exposes lazy honest oracles that answer M factor by factor.
+    ``vanishing_certificate`` divides on packed monomials and checks the
+    identity Σ h_g·g = P, which is M(x, φ(x)) = P, by one expansion of the
+    products h_g·g; M(x, 0) = 0 holds by construction.
     """
     if poly.nvars != variety.m:
         raise ValueError("polynomial/variety dimension mismatch")

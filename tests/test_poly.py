@@ -299,6 +299,58 @@ def test_zero_and_constant_polynomials():
     assert const.restrict((1, 2), (3, 4)) == (3, 0, 0)
 
 
+def _product_ref(factors, nvars, q):
+    """Π of term dicts, term by term: exponent tuples added coordinate-wise,
+    coefficients multiplied mod q."""
+    acc = {(0,) * nvars: 1}
+    for terms in factors:
+        out = {}
+        for e1, c1 in acc.items():
+            for e2, c2 in terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = (out.get(e, 0) + c1 * c2) % q
+        acc = out
+    return {e: c for e, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("q, nvars, degree", [
+    (5, 2, 0), (3, 1, 3), (5, 2, 4), (7, 2, 7), (3, 3, 8), (5, 1, 15), (7, 2, 16),
+])
+def test_expand_and_mul_match_a_term_by_term_product(q, nvars, degree):
+    # products of degree exactly ``degree`` with a pure power x1^degree, at
+    # and just past the powers of two where a packed field widens, plus a
+    # zero factor and a constant factor
+    field = Field(q)
+    rng = random.Random(100 * q + degree)
+    for _ in range(4):
+        products = []
+        for _ in range(rng.randint(1, 3)):
+            cuts = sorted(rng.randint(0, degree) for _ in range(rng.randint(0, 2)))
+            factors = []
+            for lo, hi in zip([0] + cuts, cuts + [degree]):
+                terms = dict(random_poly(field, nvars, hi - lo, rng).terms)
+                terms[(hi - lo,) + (0,) * (nvars - 1)] = 1
+                factors.append(MultiPoly(field, nvars, terms, hi - lo + rng.randint(0, 1)))
+            products.append(factors)
+        products.append([MultiPoly.zero(field, nvars, 1), products[0][0]])
+        products.append([MultiPoly.constant(field, nvars, rng.randrange(1, q)), products[0][0]])
+        reference = {}
+        for factors in products:
+            for e, c in _product_ref([f.terms for f in factors], nvars, q).items():
+                reference[e] = (reference.get(e, 0) + c) % q
+        cap = max(sum(f.cap for f in factors) for factors in products) + rng.randint(0, 2)
+        expanded = FactoredPoly(field, nvars, products, cap).expand()
+        assert expanded.terms == {e: c for e, c in reference.items() if c}
+        assert expanded.cap == cap
+        for factors in products:
+            product = FactoredPoly.product(factors).expand()
+            assert product.terms == _product_ref([f.terms for f in factors], nvars, q)
+            assert product.cap == sum(f.cap for f in factors)
+            if len(factors) == 2:
+                a, b = factors
+                assert a.mul(b) == product and a.mul(b).cap == a.cap + b.cap
+
+
 def test_unipoly_shape_and_resize():
     # an entry's width follows the polynomial's cap, trailing zeros kept
     p = MultiPoly(F5, 1, {(1,): 2, (0,): 1}, cap=1)

@@ -1,6 +1,7 @@
 """Varieties: standard monomials, extension degree, generators, certificates."""
 
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -411,6 +412,156 @@ def test_division_certifies_every_vanishing_polynomial():
             with pytest.raises(NoCertificateError):
                 vanishing_certificate(perturbed, v)
     assert rewritten > 0 and refused > 0
+
+
+# The reference below divides with plain tuples and dicts: the heap division
+# popping (-degree, exponent tuple), so in descending graded order, with no
+# packed monomials and no pcplab multiplication.
+
+def _reference_division(poly, ideal):
+    """The cofactors' term dicts, or None when some term is divisible by no
+    leading monomial."""
+    q = poly.field.q
+    m = poly.nvars
+    if isinstance(ideal, Variety):
+        gens = ideal.gens
+        basis = [(r.terms, [(gi, c.terms) for gi, c in combo])
+                 for r, combo in ideal.grobner_basis]
+    else:
+        gens = list(ideal)
+        basis = [(g.terms, [(gi, {(0,) * m: 1})]) for gi, g in enumerate(gens) if g.terms]
+    cofactors = [{} for _ in gens]
+    rest = dict(poly.terms)
+    heap = [(-sum(e), e) for e in rest]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = rest.pop(e, 0)
+        if not c:
+            continue
+        for r, combo in basis:
+            lead = max(r, key=lambda u: (sum(u), [-x for x in u]))
+            if all(a >= b for a, b in zip(e, lead)):
+                break
+        else:
+            return None
+        mu = tuple(a - b for a, b in zip(e, lead))
+        f = c * pow(r[lead], q - 2, q) % q
+        for t, x in r.items():
+            if t == lead:
+                continue
+            k = tuple(a + b for a, b in zip(mu, t))
+            old = rest.get(k)
+            v = ((old or 0) - f * x) % q
+            if v:
+                if old is None:
+                    heapq.heappush(heap, (-sum(k), k))
+                rest[k] = v
+            elif old is not None:
+                del rest[k]
+        for gi, terms in combo:
+            for t, x in terms.items():
+                k = tuple(a + b for a, b in zip(mu, t))
+                cofactors[gi][k] = (cofactors[gi].get(k, 0) + f * x) % q
+    return [{e: x for e, x in h.items() if x} for h in cofactors]
+
+
+def _times(a, b, q):
+    """The product of two term dicts, term by term."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = (out.get(e, 0) + c1 * c2) % q
+    return out
+
+
+def _member(field, gens, degree, rng, lead_power=False):
+    """Σ r_g·g over the generators of degree <= ``degree``, each r_g random of
+    degree degree - deg g; with ``lead_power`` the first r_g gets x1^(its
+    degree), so P has a pure power x1^degree."""
+    m = gens[0].nvars
+    total = {}
+    for g in gens:
+        room = degree - g.degree()
+        if room < 0:
+            continue
+        r = dict(random_poly(field, m, room, rng).terms)
+        if lead_power:
+            r[(room,) + (0,) * (m - 1)] = 1
+            lead_power = False
+        for e, c in _times(r, g.terms, field.q).items():
+            total[e] = (total.get(e, 0) + c) % field.q
+    return MultiPoly(field, m, total, degree)
+
+
+def _cofactor_terms(poly, ideal):
+    try:
+        return [h.terms for h in vanishing_certificate(poly, ideal)]
+    except NoCertificateError:
+        return None
+
+
+def test_division_matches_the_reference_division():
+    # (a) random point sets over F_3, F_5, F_7 in 1 to 3 variables: members,
+    # perturbed members, and division by the bare generators (not always a
+    # Gröbner basis, so both sides may find a remainder);
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        q = rng.choice([3, 5, 7])
+        m = rng.randint(1, 3)
+        field = Field(q)
+        space = list(itertools.product(range(q), repeat=m))
+        v = Variety(field, rng.sample(space, rng.randint(1, min(len(space), 10))))
+        p = _member(field, v.gens, v.extension_degree + rng.randint(0, 2), rng)
+        perturbed = p.add(random_poly(field, m, rng.randint(0, p.cap), rng))
+        for poly in (p, perturbed):
+            for ideal in (v, v.gens):
+                expected = _reference_division(poly, ideal)
+                assert _cofactor_terms(poly, ideal) == expected
+                outcomes.add(expected is None)
+        # (b) bare generator lists whose leading degrees exceed deg P:
+        # constants, linear P, and the low-degree generators with one above
+        for low in (random_poly(field, m, rng.randint(0, 1), rng),
+                    MultiPoly.constant(field, m, rng.randrange(1, q))):
+            assert _cofactor_terms(low, v.gens) == _reference_division(low, v.gens)
+        high = [g for g in v.gens if g.degree() > 1]
+        if high and len(high) < len(v.gens):
+            low_gens = [g for g in v.gens if g.degree() <= 1]
+            mixed = low_gens + high
+            p = _member(field, low_gens, 1, rng)
+            assert _cofactor_terms(p, mixed) == _reference_division(p, mixed)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("degree", [3, 4, 7, 8])
+@pytest.mark.parametrize("q, spec", [(7, "cube:H=0,1,2;m=1"), (5, "cube:H=0,1;m=2"),
+                                     (3, "ball1:n=2"), (5, "pow:(ball1:n=2)^2")])
+def test_division_matches_the_reference_across_field_widths(degree, q, spec):
+    # (c) members with a pure power x1^degree: degrees 3 and 4, 7 and 8 sit
+    # on either side of a packed field width (bit_length 2 -> 3, 3 -> 4)
+    field = Field(q)
+    v = make_variety(field, spec)
+    rng = random.Random(degree * 31 + q)
+    for _ in range(3):
+        p = _member(field, v.gens, degree, rng, lead_power=True)
+        assert p.degree() == degree
+        for ideal in (v, v.gens):
+            cofactors = _cofactor_terms(p, ideal)
+            assert cofactors == _reference_division(p, ideal)
+            assert cofactors is not None
+
+
+def test_tampered_combination_fails_the_residual_check():
+    # a combination with one coefficient doubled still divides, but its
+    # cofactors no longer sum to P
+    v = Variety(F5, [(0, 0), (0, 1), (1, 0)])
+    r, combo = v.grobner_basis[0]
+    (gi, c), *others = combo
+    v.grobner_basis = ((r, ((gi, c.scale(2)), *others)),) + v.grobner_basis[1:]
+    with pytest.raises(AssertionError, match="certificate residual check failed"):
+        vanishing_certificate(r, v)
 
 
 def test_certificate_poly_structure():
