@@ -8,7 +8,9 @@ i.e. the (corrected) value at the line's base point, when the check passes.
 
 ``ldt_check`` allocates nothing: it returns one of the two module-level
 frozen verdicts ``ACCEPT`` and ``REJECT``, shared by every call.  The point
-a + t·b is handed to the point oracle unreduced; the oracle reduces it.
+a + t·b is handed to the point oracle reduced, as a tuple of residues, so a
+table-backed oracle answers it with one lookup; a lazy oracle answers it
+after its own reduction, which leaves residues as they are.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _consistent_entry(degree: int, f: PointOracle, flines: LinesOracle,
     if flines.degree != degree or f.degree != degree:
         raise ValueError("oracle degree tags disagree with the test degree")
     entry = flines.query(a, b)
-    value = f.query(tuple([x + t * y for x, y in zip(a, b)]))
+    value = f.query(tuple([(x + t * y) % q for x, y in zip(a, b)]))
     return entry if eval_entry(entry, t, q) == value else None
 
 

@@ -24,8 +24,14 @@ behind them:
 Every oracle counts its queries (one increment per query);
 the verifiers' per-invocation totals are checked against these counters.
 ``query`` is the one place a queried point or line is reduced mod q:
-verifiers hand over coordinates such as a + t·b unreduced, and every answer
-function receives residues.
+verifiers may hand over coordinates such as a + t·b unreduced, and every
+answer function receives residues.  A table-backed oracle keeps its dict as
+``table`` (a lazy one has ``table = None``) and answers an input it holds as
+a key, a tuple of residues, with one lookup.  Anything else (an unreduced or
+negative coordinate, a list) is no key, since every key is made of residues,
+so it is reduced first and then answered: ``query`` still guarantees the
+reduction.  A table's entry widths are checked once, when ``materialize``
+builds it; lazy lines answers are checked on every query.
 Building a table or a corruption calls the source's answer function
 directly, so it counts no query.
 """
@@ -46,40 +52,57 @@ class OracleBudgetError(ValueError):
 
 
 class _Oracle:
-    """Domain, degree tag, answer function and query counter."""
+    """Domain, degree tag, answer function, query counter, and the table a
+    ``materialize``d oracle answers from (None for a lazy one)."""
 
     def __init__(self, field: Field, s: int, degree: int, answer: Callable):
         self.field = field
         self.s = s
         self.degree = degree
         self.answer = answer
+        self.table: dict | None = None
         self.queries = 0
 
 
 class PointOracle(_Oracle):
     """f: F_q^s -> F_q with query accounting; ``answer(point)`` gets the
-    point reduced mod q."""
+    point reduced mod q.  A point held as a key of ``table`` is answered
+    from it directly."""
 
     def query(self, point: Sequence[int]) -> int:
         if len(point) != self.s:
             raise ValueError(f"point arity {len(point)} != {self.s}")
         self.queries += 1
+        table = self.table
+        if table is not None:
+            try:
+                return table[point]
+            except (KeyError, TypeError):   # not a key, or a list
+                pass
         q = self.field.q
         return self.answer(tuple([x % q for x in point]))
 
 
 class LinesOracle(_Oracle):
     """(a, b) -> the restriction's entry, a tuple of exactly degree+1
-    residues; ``answer(a, b)`` gets both reduced mod q."""
+    residues; ``answer(a, b)`` gets both reduced mod q.  A line held as a key
+    of ``table`` is answered from it directly; ``materialize`` checked the
+    width of every entry there."""
 
     def query(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         if len(a) != self.s or len(b) != self.s:
             raise ValueError(f"line arity ({len(a)},{len(b)}) != {self.s}")
         self.queries += 1
+        table = self.table
+        if table is not None:
+            try:
+                return table[a, b]
+            except (KeyError, TypeError):   # not a key, or a list
+                pass
         q = self.field.q
         entry = self.answer(tuple([x % q for x in a]), tuple([x % q for x in b]))
         if len(entry) != self.degree + 1:
-            raise AssertionError("lines entry has wrong width")  # pragma: no cover
+            raise AssertionError("lines entry has wrong width")
         return entry
 
 
@@ -96,7 +119,10 @@ def honest_oracles(poly: MultiPoly | FactoredPoly, degree: int
 
 
 def materialize(oracle: PointOracle | LinesOracle, budget: int = 10 ** 6):
-    """Evaluate the oracle on its whole domain into a table-backed copy."""
+    """Evaluate the oracle on its whole domain into a table-backed copy of
+    the same class, its dict kept as ``table`` (keys are residue tuples: a
+    point, or a pair (a, b)).  Every lines entry's width is checked here,
+    once."""
     q = oracle.field.q
     s = oracle.s
     answer = oracle.answer
@@ -107,7 +133,9 @@ def materialize(oracle: PointOracle | LinesOracle, budget: int = 10 ** 6):
                 f"point domain q^s = {size} exceeds budget {budget}; keep the oracle lazy"
             )
         table = {p: answer(p) for p in itertools.product(range(q), repeat=s)}
-        return PointOracle(oracle.field, s, oracle.degree, table.__getitem__)
+        out = PointOracle(oracle.field, s, oracle.degree, table.__getitem__)
+        out.table = table
+        return out
     size = q ** (2 * s)
     if size > budget:
         raise OracleBudgetError(
@@ -115,7 +143,12 @@ def materialize(oracle: PointOracle | LinesOracle, budget: int = 10 ** 6):
         )
     points = list(itertools.product(range(q), repeat=s))
     entries = {(a, b): answer(a, b) for a in points for b in points}
-    return LinesOracle(oracle.field, s, oracle.degree, lambda a, b: entries[(a, b)])
+    width = oracle.degree + 1
+    if any(len(entry) != width for entry in entries.values()):
+        raise AssertionError("lines entry has wrong width")
+    out = LinesOracle(oracle.field, s, oracle.degree, lambda a, b: entries[(a, b)])
+    out.table = entries
+    return out
 
 
 # -- corruption --------------------------------------------------------------

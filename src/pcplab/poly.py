@@ -184,9 +184,14 @@ def eval_entry(entry: Sequence[int], t: int, q: int) -> int:
 
 
 class MultiPoly:
-    """Polynomial in F_q[x_1..x_m] with a declared degree cap."""
+    """Polynomial in F_q[x_1..x_m] with a declared degree cap.
 
-    __slots__ = ("field", "nvars", "cap", "terms", "_horner")
+    Nothing in pcplab mutates ``terms`` after construction: every operation
+    returns a new polynomial.  So the degree and the compiled layout are
+    computed once, on first use, and kept.
+    """
+
+    __slots__ = ("field", "nvars", "cap", "terms", "_degree", "_horner")
 
     def __init__(self, field: Field, nvars: int, terms: dict[tuple[int, ...], int], cap: int):
         q = field.q
@@ -204,6 +209,7 @@ class MultiPoly:
         self.nvars = nvars
         self.cap = cap
         self.terms = clean
+        self._degree = None
         self._horner = None
 
     # -- constructors -------------------------------------------------------
@@ -225,10 +231,10 @@ class MultiPoly:
     # -- structure ----------------------------------------------------------
 
     def degree(self) -> int:
-        """Actual total degree (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        """Actual total degree (0 for the zero polynomial), computed once."""
+        if self._degree is None:
+            self._degree = max((sum(e) for e in self.terms), default=0)
+        return self._degree
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -384,12 +390,15 @@ class FactoredPoly:
     expanded polynomial's, also when the cap is >= q.  ``cap`` is the
     declared degree bound, as for ``MultiPoly``.
 
-    The work of the last restriction is kept twice over.  Each factor keeps
-    the (key, value) of its last run, keyed by the packed coordinates its
-    function reads, so a factor whose projection of the line is unchanged
-    (a cofactor h_g(x) on the two corrected reads along one x-line) is not
-    run again.  And the restricted line with its entry is kept for one
-    ``eval``, which answers a point on that line from the entry.
+    The work of the last restriction is kept twice over.  Each factor whose
+    function reads only some of the variables keeps the (key, value) of its
+    last run, keyed by the packed coordinates it reads, so a factor whose
+    projection of the line is unchanged (a cofactor h_g(x) inside M(x, y) on
+    the two corrected reads along one x-line) is not run again; a factor that
+    reads every variable sees a new key on every new line, so it runs
+    directly, with no key and no compare.  And the restricted line with its
+    entry is kept for one ``eval``, which answers a point on that line from
+    the entry.
     """
 
     __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_line")
@@ -456,9 +465,11 @@ class FactoredPoly:
         """(per product, its factors' (compiled function, coefficients, key,
         memo) quadruples; the digit width W_F), built on first use.
 
-        ``key(packed)`` picks the packed coordinates the function reads (``()``
-        for a constant factor); ``memo`` is a one-item list holding the
-        (key, value) of the factor's last run in ``restrict``.
+        For a factor whose function reads only some of the variables,
+        ``key(packed)`` picks the packed coordinates it reads (``()`` for a
+        constant factor) and ``memo`` is a one-item list holding the (key,
+        value) of the factor's last run in ``restrict``; a factor that reads
+        every variable has key and memo None.
         """
         if self._compiled is None:
             q = self.field.q
@@ -470,6 +481,9 @@ class FactoredPoly:
                 for f in factors:
                     size *= len(f.terms) * (q - 1) * (2 * q - 2) ** f.degree()
                     fn, coeffs, _, used = f._layout()
+                    if len(used) == self.nvars:
+                        compiled.append((fn, coeffs, None, None))
+                        continue
                     key = operator.itemgetter(*used) if used else _no_key
                     compiled.append((fn, coeffs, key, [(None, 0)]))
                 bound += size
@@ -515,10 +529,11 @@ class FactoredPoly:
         """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at digit width W_F.
         Returns exactly cap+1 residues.
 
-        A factor whose key (the packed coordinates it reads) equals that of
-        its last run reuses that run's integer: the function reads nothing
-        else and W_F is fixed, so the integer is the same.  The reduced line
-        and the entry are kept for the next ``eval``.
+        A memoized factor whose key (the packed coordinates it reads) equals
+        that of its last run reuses that run's integer: the function reads
+        nothing else and W_F is fixed, so the integer is the same.  A factor
+        that reads every variable just runs.  The reduced line and the entry
+        are kept for the next ``eval``.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
@@ -531,6 +546,9 @@ class FactoredPoly:
         for factors in products:
             v = 1
             for fn, coeffs, key_of, memo in factors:
+                if key_of is None:
+                    v *= fn(coeffs, packed)
+                    continue
                 key = key_of(packed)
                 last = memo[0]
                 if last[0] == key:

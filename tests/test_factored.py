@@ -264,6 +264,38 @@ def test_reuse_matches_expanded(case):
             assert p.eval(op[1]) == expanded.eval(op[1]), op
 
 
+def _memo_products(field):
+    """Two products in x, y over ``field``: one whose factors all read both
+    variables, and one that also has an x-only factor."""
+    def poly(terms):
+        return MultiPoly(field, 2, terms, max(sum(e) for e in terms))
+
+    full = [poly({(1, 1): 3, (1, 0): 1, (0, 1): 2}), poly({(2, 1): 1, (0, 0): 4})]
+    x_only = poly({(2, 0): 5, (1, 0): 1, (0, 0): 2})
+    return {"full": FactoredPoly.product(full),
+            "with-x-only": FactoredPoly.product(full[:1] + [x_only])}
+
+
+@pytest.mark.parametrize("name", ["full", "with-x-only"])
+def test_memo_only_on_factors_that_skip_a_variable(name):
+    # a factor that reads every variable keeps no memo and just runs; an
+    # x-only factor keeps its last run.  The same line twice in a row, then
+    # two lines in turn that share their x-part (so the x-only factor's key
+    # repeats) and two that do not: every entry equals the expanded one
+    field = Field(7)
+    p = _memo_products(field)[name]
+    expanded = p.expand()
+    memos = [memo for fn, coeffs, key, memo in p._layout()[0][0]]
+    assert memos[0] is None
+    assert (memos[1] is None) == (name == "full")
+    lines = [((1, 2), (3, 4))] * 2
+    lines += [((1, 2), (3, 4)), ((1, 5), (3, 6))] * 2
+    lines += [((1, 2), (3, 4)), ((6, 2), (0, 4))] * 2
+    lines += [([8, -5], [10, 4]), ((1, 2), (3, 4))]
+    for a, b in lines:
+        assert p.restrict(a, b) == expanded.restrict(a, b), (name, a, b)
+
+
 def test_certificate_reads_run_each_cofactor_twice():
     # zero_verify on M_B(x, y) = h_1(x) y_1 + h_2(x) y_2 over V x V (m = 2,
     # k = 2) makes three lines queries, each followed by a point read on its

@@ -195,6 +195,90 @@ def test_materialize_lines_table_matches():
         table.answer((3,), (0,))
 
 
+def _coordinates(q):
+    """Residues, unreduced and negative coordinates for one variable."""
+    return [0, 1, q - 1, q, q + 2, 3 * q - 1, -1, -q, -q - 2]
+
+
+def test_table_answers_equal_lazy_answers_on_every_input_form():
+    # a table answers a residue key by one lookup and anything else (an
+    # unreduced or negative coordinate, a list) after reducing it; either
+    # way the answer is the lazy oracle's and the count rises by exactly one
+    p = random_poly(F5, 2, 2, random.Random(9))
+    f, lines = honest_oracles(p, 2)
+    f_table, lines_table = materialize(f), materialize(lines)
+    assert f.table is None and lines.table is None
+    assert len(f_table.table) == 5 ** 2 and len(lines_table.table) == 5 ** 4
+    coords = _coordinates(5)
+    calls = 0
+    for x in coords:
+        for y in coords[::2]:
+            for point in ((x, y), [x, y]):
+                assert f_table.query(point) == f.query(point) == p.eval(point)
+                calls += 1
+                assert f_table.queries == f.queries == calls
+    calls = 0
+    for a in itertools.product(coords[::3], repeat=2):
+        for b in itertools.product(coords[1::3], repeat=2):
+            for line in ((a, b), (list(a), b), (a, list(b)), (list(a), list(b))):
+                assert lines_table.query(*line) == lines.query(*line) == p.restrict(*line)
+                calls += 1
+                assert lines_table.queries == lines.queries == calls
+
+
+def test_table_hit_skips_the_answer_function():
+    # a residue key never reaches the answer function; an unreduced input
+    # reaches it reduced
+    p = random_poly(F5, 1, 2, random.Random(10))
+    f, lines = honest_oracles(p, 2)
+    f_table, lines_table = materialize(f), materialize(lines)
+    seen = []
+    point_answer, lines_answer = f_table.answer, lines_table.answer
+    f_table.answer = lambda x: seen.append(x) or point_answer(x)
+    lines_table.answer = lambda a, b: seen.append((a, b)) or lines_answer(a, b)
+    assert f_table.query((3,)) == p.eval((3,))
+    assert lines_table.query((3,), (4,)) == p.restrict((3,), (4,))
+    assert seen == []
+    assert f_table.query((-2,)) == p.eval((3,))
+    assert lines_table.query([8], (4,)) == p.restrict((3,), (4,))
+    assert seen == [(3,), ((3,), (4,))]
+
+
+def test_materialize_checks_every_entry_width_once():
+    narrow = LinesOracle(F3, 1, 1, lambda a, b: (0,))
+    with pytest.raises(AssertionError, match="lines entry has wrong width"):
+        materialize(narrow)
+    one_wide = LinesOracle(F3, 1, 1, lambda a, b: (0, 0, 0) if a == (2,) else (0, 0))
+    with pytest.raises(AssertionError, match="lines entry has wrong width"):
+        materialize(one_wide)
+    with pytest.raises(AssertionError, match="lines entry has wrong width"):
+        one_wide.query((2,), (0,))      # a lazy answer is checked per query
+
+
+def test_table_backed_oracles_keep_the_class_query():
+    # the table lookup lives in the class's own query, so whatever wraps
+    # PointOracle.query or LinesOracle.query also sees table-backed queries
+    p = random_poly(F5, 2, 2, random.Random(11))
+    f, lines = honest_oracles(p, 2)
+    for lazy, cls in ((f, PointOracle), (lines, LinesOracle)):
+        table = materialize(lazy)
+        assert type(table) is cls
+        assert "query" not in vars(table)
+    seen = []
+    original = LinesOracle.query
+
+    def wrapped(self, *args):
+        seen.append(args)
+        return original(self, *args)
+
+    LinesOracle.query = wrapped
+    try:
+        materialize(lines).query((1, 2), (3, 4))
+    finally:
+        LinesOracle.query = original
+    assert seen == [((1, 2), (3, 4))]
+
+
 def test_materialize_budget_boundary():
     # 5^8 = 390625 fits the default budget; 257^4 = 4362470401 does not
     big = honest_oracles(MultiPoly.zero(F5, 8, cap=1), 1)[0]
