@@ -37,6 +37,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import asdict, dataclass, replace
@@ -647,10 +648,6 @@ def run_experiment(cfg: ExperimentConfig, out: str | Path | None = None
     return execute(build_experiment(cfg), out)
 
 
-def _total_queries(counted) -> int:
-    return sum(o.queries for o in counted)
-
-
 def execute(exp: Experiment, out: str | Path | None = None
             ) -> tuple[RateEstimate, dict]:
     """Run every trial of a built experiment; optionally write the JSON
@@ -669,7 +666,8 @@ def execute(exp: Experiment, out: str | Path | None = None
     sample, check, counted, reps = exp.sample, exp.check, exp.counted, cfg.reps
     expected_queries = exp.queries_per_rep * reps
     trials = rejects = 0
-    tally = _total_queries(counted)
+    queries_of = operator.attrgetter("queries")
+    tally = sum(map(queries_of, counted))
     for x in inputs:
         if exhaustive:
             bad = check(x)
@@ -685,7 +683,7 @@ def execute(exp: Experiment, out: str | Path | None = None
                     f"formula says {exp.bits}")
         if bad:
             rejects += 1
-        before, tally = tally, _total_queries(counted)
+        before, tally = tally, sum(map(queries_of, counted))
         if tally - before != expected_queries:
             raise AssertionError(
                 f"query count drift: {tally - before} != {expected_queries}")

@@ -9,8 +9,9 @@ i.e. the (corrected) value at the line's base point, when the check passes.
 ``ldt_check`` allocates nothing: it returns one of the two module-level
 frozen verdicts ``ACCEPT`` and ``REJECT``, shared by every call.  The point
 a + t·b is handed to the point oracle reduced, as a tuple of residues, so a
-table-backed oracle answers it with one lookup; a lazy oracle answers it
-after its own reduction, which leaves residues as they are.
+table-backed oracle answers it with one lookup; a lazy oracle hands it to its
+answer function as it is, which is exact on any integer coordinates.  The
+line (a, b) goes to the lines oracle as given.
 """
 
 from __future__ import annotations

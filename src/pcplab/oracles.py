@@ -18,20 +18,24 @@ behind them:
 - table lookups (``materialize``), for exhaustive work on small domains;
 - keyed corruption (``corrupt``), which flips a keyed pseudorandom δ-fraction
   of entries by adding a nonzero offset, so the corrupted set is exactly the
-  disagreement set and is a pure function of (key, input), independent of
-  query order.
+  disagreement set and is a pure function of (key, input mod q), independent
+  of query order.
 
 Every oracle counts its queries (one increment per query);
 the verifiers' per-invocation totals are checked against these counters.
-``query`` is the one place a queried point or line is reduced mod q:
-verifiers may hand over coordinates such as a + t·b unreduced, and every
-answer function receives residues.  A table-backed oracle keeps its dict as
-``table`` (a lazy one has ``table = None``) and answers an input it holds as
-a key, a tuple of residues, with one lookup.  Anything else (an unreduced or
-negative coordinate, a list) is no key, since every key is made of residues,
-so it is reduced first and then answered: ``query`` still guarantees the
-reduction.  A table's entry widths are checked once, when ``materialize``
-builds it; lazy lines answers are checked on every query.
+Verifiers may hand over coordinates such as a + t·b unreduced, or as lists,
+and a lazy oracle hands its answer function the input as queried: an answer
+function is exact on any integer coordinates and reduces mod q only where it
+needs a canonical form.  A polynomial's compiled functions run over Z, so
+``eval`` reduces only its value and ``restrict`` reduces each coordinate as it
+packs the line; ``corrupt``'s answer functions reduce the input once, before
+hashing it.  A table-backed oracle keeps its dict as ``table`` (a lazy one
+has ``table = None``) and answers an input it holds as a key, a tuple of
+residues, with one lookup.  Anything else (an unreduced or negative
+coordinate, a list) is no key, since every key is made of residues, so the
+table-backed oracle reduces it to form its key; no other ``query`` reduces.  A
+table's entry widths are checked once, when ``materialize`` builds it; lazy
+lines answers are checked on every query.
 Building a table or a corruption calls the source's answer function
 directly, so it counts no query.
 """
@@ -65,9 +69,10 @@ class _Oracle:
 
 
 class PointOracle(_Oracle):
-    """f: F_q^s -> F_q with query accounting; ``answer(point)`` gets the
-    point reduced mod q.  A point held as a key of ``table`` is answered
-    from it directly."""
+    """f: F_q^s -> F_q with query accounting.  A lazy oracle calls
+    ``answer(point)`` on the point as queried.  A table-backed one answers a
+    point held as a key of ``table`` from it directly and reduces any other
+    point mod q to its key."""
 
     def query(self, point: Sequence[int]) -> int:
         if len(point) != self.s:
@@ -77,17 +82,19 @@ class PointOracle(_Oracle):
         if table is not None:
             try:
                 return table[point]
-            except (KeyError, TypeError):   # not a key, or a list
-                pass
-        q = self.field.q
-        return self.answer(tuple([x % q for x in point]))
+            except (KeyError, TypeError):   # not a key, or a list: reduce to one
+                q = self.field.q
+                point = tuple([x % q for x in point])
+        return self.answer(point)
 
 
 class LinesOracle(_Oracle):
     """(a, b) -> the restriction's entry, a tuple of exactly degree+1
-    residues; ``answer(a, b)`` gets both reduced mod q.  A line held as a key
-    of ``table`` is answered from it directly; ``materialize`` checked the
-    width of every entry there."""
+    residues.  A lazy oracle calls ``answer(a, b)`` on the line as queried.
+    A table-backed one answers a line held as a key of ``table`` from it
+    directly (``materialize`` checked the width of every entry there) and
+    reduces any other line mod q to its key.  Every entry not read from the
+    table has its width checked."""
 
     def query(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         if len(a) != self.s or len(b) != self.s:
@@ -97,10 +104,10 @@ class LinesOracle(_Oracle):
         if table is not None:
             try:
                 return table[a, b]
-            except (KeyError, TypeError):   # not a key, or a list
-                pass
-        q = self.field.q
-        entry = self.answer(tuple([x % q for x in a]), tuple([x % q for x in b]))
+            except (KeyError, TypeError):   # not a key, or a list: reduce to one
+                q = self.field.q
+                a, b = tuple([x % q for x in a]), tuple([x % q for x in b])
+        entry = self.answer(a, b)
         if len(entry) != self.degree + 1:
             raise AssertionError("lines entry has wrong width")
         return entry
@@ -182,12 +189,16 @@ def _hit(digest: bytes, delta: float) -> bool:
 def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
     """Lazy keyed corruption of the same oracle kind: a keyed nonzero offset
     added to the value on a Bernoulli(δ) subset of points, or to one
-    coefficient of a new entry tuple on a Bernoulli(δ) subset of lines."""
+    coefficient of a new entry tuple on a Bernoulli(δ) subset of lines.  Each
+    answer function reduces its input mod q once, so the hash (and the base
+    oracle's answer function) sees residues and the corrupted set is the
+    same for every form of a query."""
     field = base.field
     q = field.q
     answer = base.answer
     if isinstance(base, PointOracle):
         def corrupted_point(point):
+            point = tuple([x % q for x in point])
             value = answer(point)
             d = _digest(spec.key, point, q)
             if _hit(d, spec.delta):
@@ -199,6 +210,8 @@ def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
     width = base.degree + 1
 
     def corrupted_line(a, b):
+        a = tuple([x % q for x in a])
+        b = tuple([y % q for y in b])
         entry = answer(a, b)
         d = _digest(spec.key, a + b, q)
         if _hit(d, spec.delta):

@@ -19,7 +19,9 @@ on the next restriction reuses its last value, and the next point read on
 the restricted line is answered from the entry.  A lines entry, as every
 restriction returns it and every lines table hands it out, is a plain tuple
 of exactly cap+1 residues in [0, q) (index = power of t, trailing zeros
-kept, so the width is fixed); ``eval_entry`` reads it at a point t.
+kept, so the width is fixed); ``eval_entry`` reads it at a point t.  Both
+classes' ``eval`` and ``restrict`` are exact on any integer coordinates
+(unreduced, negative or in a list), so an oracle hands them a query as given.
 
 Multiplying out runs on packed monomials (``_packing``): each exponent
 vector is one integer with a guarded bit field per variable, so a monomial
@@ -399,6 +401,11 @@ class FactoredPoly:
     directly, with no key and no compare.  And the restricted line with its
     entry is kept for one ``eval``, which answers a point on that line from
     the entry.
+
+    Like ``MultiPoly``'s, both methods are exact on any integer coordinates
+    (unreduced, negative, or in a list): ``eval`` runs the functions over Z
+    and reduces the value, ``restrict`` reduces each coordinate as it packs
+    it, and the kept line is tested modulo q.
     """
 
     __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_line")
@@ -495,9 +502,12 @@ class FactoredPoly:
         """Σ_i Π_j f_ij(point), the factors' values multiplied mod q.
 
         A point on the line of the last ``restrict`` is answered from its
-        entry instead: with b_i the first nonzero direction coordinate,
-        t = (p_i - a_i)/b_i, and if p = a + t b in every coordinate the value
-        is the entry at t (at b = 0, t = 0 and p must be a).  The entry is the
+        entry instead: with b_i the first direction coordinate nonzero mod q,
+        t = (p_i - a_i)/b_i, and if p = a + t b mod q in every coordinate the
+        value is the entry at t (at b = 0, t = 0 and p must be a).  The line
+        is kept as queried, so the test is one modular pass over
+        (a_i + t b_i - p_i) mod q, exact for unreduced or negative
+        coordinates on either side.  The entry is the
         formal composition P(a + t b), so this is exact for every cap.  The
         line is kept for one read only: a verifier reads its point right
         after the line, and a stale line would cost a failed check on every
@@ -512,10 +522,13 @@ class FactoredPoly:
             a, b, entry = line
             t = 0
             for i, bi in enumerate(b):
-                if bi:
+                if bi % q:
                     t = (point[i] - a[i]) * pow(bi, -1, q) % q
                     break
-            if [(x + t * y) % q for x, y in zip(a, b)] == [p % q for p in point]:
+            for x, y, p in zip(a, b, point):
+                if (x + t * y - p) % q:
+                    break
+            else:
                 return eval_entry(entry, t, q)
         total = 0
         for factors in self._layout()[0]:
@@ -532,16 +545,16 @@ class FactoredPoly:
         A memoized factor whose key (the packed coordinates it reads) equals
         that of its last run reuses that run's integer: the function reads
         nothing else and W_F is fixed, so the integer is the same.  A factor
-        that reads every variable just runs.  The reduced line and the entry
-        are kept for the next ``eval``.
+        that reads every variable just runs.  The line, as tuples of the
+        coordinates as queried, and the entry are kept for the next ``eval``.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
         q = self.field.q
         products, width = self._layout()
-        a = [x % q for x in a]
-        b = [y % q for y in b]
-        packed = [x + (y << width) for x, y in zip(a, b)]
+        a = tuple(a)
+        b = tuple(b)
+        packed = [x % q + (y % q << width) for x, y in zip(a, b)]
         total = 0
         for factors in products:
             v = 1

@@ -296,6 +296,68 @@ def test_memo_only_on_factors_that_skip_a_variable(name):
         assert p.restrict(a, b) == expanded.restrict(a, b), (name, a, b)
 
 
+def _count_runs(p):
+    """Wrap every compiled factor function of ``p`` to count its runs; the
+    count is the returned one-item list."""
+    runs = [0]
+
+    def counted(fn):
+        def run(coeffs, point):
+            runs[0] += 1
+            return fn(coeffs, point)
+        return run
+
+    products, width = p._layout()
+    p._compiled = tuple(
+        tuple((counted(fn), coeffs, key, memo) for fn, coeffs, key, memo in factors)
+        for factors in products), width
+    return runs
+
+
+@pytest.mark.parametrize("on_old_line", [True, False])
+def test_kept_line_is_the_line_as_queried(on_old_line):
+    # restrict on lists, then the caller mutates them: the kept line is a
+    # copy, so a point on the old line is read off its entry (no factor
+    # runs) and a point on the mutated line, which was never restricted, is
+    # evaluated afresh; both equal the expanded polynomial's value
+    field = Field(7)
+    p = _memo_products(field)["with-x-only"]
+    expanded = p.expand()
+    runs = _count_runs(p)
+    a, b = [1, 2], [3, 4]
+    p.restrict(a, b)
+    old = [x + 3 * y for x, y in zip(a, b)]
+    a[0], b[1] = 6, 5
+    new = [x + 3 * y for x, y in zip(a, b)]      # (1, 3) mod 7: off the old line
+    point = old if on_old_line else new
+    before = runs[0]
+    assert p.eval(point) == expanded.eval(point)
+    assert runs[0] - before == (0 if on_old_line else 2)
+
+
+def test_point_on_the_kept_line_in_any_integer_form():
+    # the line and the point given unreduced, negative or as lists: a point
+    # on the kept line is read off the entry, exactly, and runs no factor.
+    # b = (7, 11) is (0, 4) mod 7, so t must come from the second coordinate
+    field = Field(7)
+    p = _memo_products(field)["full"]
+    expanded = p.expand()
+    runs = _count_runs(p)
+    for a, b in (((1, 2), (3, 4)), ((1, 2), (0, 4)), ((5, 6), (0, 0))):
+        forms = ((a, b), ([x + 7 for x in a], [y + 7 for y in b]),
+                 (tuple(x - 14 for x in a), tuple(y - 7 for y in b)))
+        for la, lb in forms:
+            for t in range(7):
+                on = [x + t * y for x, y in zip(a, b)]
+                for shift in ((0, 0), (7, -14), (-21, 7), (-7, -7)):
+                    point = [x + k for x, k in zip(on, shift)]
+                    entry = p.restrict(la, lb)
+                    assert entry == expanded.restrict(a, b)
+                    before = runs[0]
+                    assert p.eval(point) == expanded.eval(point), (la, lb, point)
+                    assert runs[0] == before, (la, lb, point)
+
+
 def test_certificate_reads_run_each_cofactor_twice():
     # zero_verify on M_B(x, y) = h_1(x) y_1 + h_2(x) y_2 over V x V (m = 2,
     # k = 2) makes three lines queries, each followed by a point read on its

@@ -202,28 +202,53 @@ def _coordinates(q):
 
 def test_table_answers_equal_lazy_answers_on_every_input_form():
     # a table answers a residue key by one lookup and anything else (an
-    # unreduced or negative coordinate, a list) after reducing it; either
-    # way the answer is the lazy oracle's and the count rises by exactly one
+    # unreduced or negative coordinate, a list) after reducing it; a lazy
+    # oracle hands every form to its answer function as given, and each
+    # answer function (a MultiPoly's, a FactoredPoly's, a corruption's) is
+    # exact on it.  Every oracle gives the reduced tuple's answer and its
+    # count rises by exactly one per query
     p = random_poly(F5, 2, 2, random.Random(9))
     f, lines = honest_oracles(p, 2)
     f_table, lines_table = materialize(f), materialize(lines)
     assert f.table is None and lines.table is None
     assert len(f_table.table) == 5 ** 2 and len(lines_table.table) == 5 ** 4
+    rng = random.Random(12)
+    x_only = MultiPoly(F5, 2, {(1, 0): 2, (0, 0): 1}, 1)
+    factored = FactoredPoly(F5, 2, [(random_poly(F5, 2, 1, rng), x_only),
+                                    (random_poly(F5, 2, 2, rng),)], 2)
+    fp, fp_lines = honest_oracles(factored, 2)
+    spec = CorruptionSpec(delta=0.5, key=77)
+    g, g_lines = corrupt(f, spec), corrupt(lines, spec)
+    g_table, g_lines_table = corrupt(f_table, spec), corrupt(lines_table, spec)
+    expanded = factored.expand()
     coords = _coordinates(5)
+    point_oracles = (f, f_table, fp, g, g_table)
     calls = 0
     for x in coords:
-        for y in coords[::2]:
+        for y in coords:
+            key = (x % 5, y % 5)
+            want = (p.eval(key), p.eval(key), expanded.eval(key),
+                    g.answer(key), g.answer(key))
             for point in ((x, y), [x, y]):
-                assert f_table.query(point) == f.query(point) == p.eval(point)
+                assert tuple(o.query(point) for o in point_oracles) == want
                 calls += 1
-                assert f_table.queries == f.queries == calls
+                assert all(o.queries == calls for o in point_oracles)
+    assert any(g.answer(x) != p.eval(x) for x in itertools.product(range(5), repeat=2))
+    lines_oracles = (lines, lines_table, fp_lines, g_lines, g_lines_table)
     calls = 0
-    for a in itertools.product(coords[::3], repeat=2):
-        for b in itertools.product(coords[1::3], repeat=2):
-            for line in ((a, b), (list(a), b), (a, list(b)), (list(a), list(b))):
-                assert lines_table.query(*line) == lines.query(*line) == p.restrict(*line)
-                calls += 1
-                assert lines_table.queries == lines.queries == calls
+    for i in range(3):      # every coordinate form in a and in b
+        for a in itertools.product(coords[i::3], repeat=2):
+            for b in itertools.product(coords[(i + 1) % 3::3], repeat=2):
+                ka, kb = tuple(x % 5 for x in a), tuple(y % 5 for y in b)
+                want = (p.restrict(ka, kb), p.restrict(ka, kb),
+                        expanded.restrict(ka, kb), g_lines.answer(ka, kb),
+                        g_lines.answer(ka, kb))
+                for line in ((a, b), (list(a), b), (a, list(b)), (list(a), list(b))):
+                    assert tuple(o.query(*line) for o in lines_oracles) == want
+                    calls += 1
+                    assert all(o.queries == calls for o in lines_oracles)
+    assert any(g_lines.answer(a, b) != p.restrict(a, b)
+               for a in itertools.product(range(5), repeat=2) for b in ((1, 2), (0, 0)))
 
 
 def test_table_hit_skips_the_answer_function():
