@@ -26,9 +26,16 @@ classes' ``eval`` and ``restrict`` are exact on any integer coordinates
 Multiplying out runs on packed monomials (``_packing``): each exponent
 vector is one integer with a guarded bit field per variable, so a monomial
 product is one integer addition and a divisibility test one subtraction.
-``FactoredPoly.expand`` multiplies each product in one pass over packed keys
-and builds one ``MultiPoly`` at the end; ``MultiPoly.mul`` is the expansion
-of a two-factor product, so there is one multiplication routine.
+``FactoredPoly._expand_packed`` is the one multiplication routine: it
+multiplies each product in one pass over packed keys and returns
+{packed monomial: nonzero residue} on the caller's packing, so the
+certificate's division takes a claim straight from its factors.
+``FactoredPoly.expand`` is that at the cap plus one unpack, and
+``MultiPoly.mul`` is the expansion of a two-factor product.
+
+``MultiPoly(...)`` validates its terms; the package's own results, whose
+terms are right by construction, are built by ``MultiPoly._trusted``, which
+checks nothing (see ``MultiPoly``).
 
 The canonical monomial order used for matrix columns, the variety's standard
 monomials and text output is graded lexicographic: monomials grouped by total
@@ -134,8 +141,8 @@ def _compile_horner(support: frozenset, nvars: int):
 
 @functools.lru_cache(maxsize=256)
 def _packing(nvars: int, degree: int):
-    """(pack, unpack, guard, span) for exponent vectors in ``nvars`` variables
-    whose exponents are at most ``degree``.
+    """(pack, unpack, total, guard, span) for exponent vectors in ``nvars``
+    variables whose total degree is at most ``degree``.
 
     ``pack`` maps an exponent vector to one integer: each variable gets a
     field of w = degree.bit_length() + 1 bits, the first variable most
@@ -145,13 +152,18 @@ def _packing(nvars: int, degree: int):
     pack(f) = pack(e + f) with no carry between fields, and a packed k is
     divisible by a packed l exactly when ((k | guard) - l) & guard == guard:
     a field keeps its guard bit through the subtraction exactly when k_i >=
-    l_i.  ``unpack`` reads whole fields back, and ``span`` = nvars·w is the
-    number of bits a packed monomial occupies.
+    l_i.  ``unpack`` reads whole fields back, ``total`` reads the total
+    degree off a packed key with one multiply (k times a 1 in every field
+    sums the fields into the top one, and no partial sum, at most the total
+    degree, carries), and ``span`` = nvars·w is the number of bits a packed
+    monomial occupies.
     """
     width = degree.bit_length() + 1
     mask = (1 << width) - 1
     shifts = range(width * (nvars - 1), -1, -width)
-    guard = sum(1 << (s + width - 1) for s in shifts)
+    ones = sum(1 << s for s in shifts)
+    first = shifts[0]
+    guard = ones << (width - 1)
 
     def pack(e: Sequence[int]) -> int:
         k = 0
@@ -162,7 +174,10 @@ def _packing(nvars: int, degree: int):
     def unpack(k: int) -> tuple[int, ...]:
         return tuple([k >> s & mask for s in shifts])
 
-    return pack, unpack, guard, width * nvars
+    def total(k: int) -> int:
+        return k * ones >> first & mask
+
+    return pack, unpack, total, guard, width * nvars
 
 
 def _digits(q: int, v: int, width: int, ndigits: int) -> tuple[int, ...]:
@@ -187,6 +202,14 @@ def eval_entry(entry: Sequence[int], t: int, q: int) -> int:
 
 class MultiPoly:
     """Polynomial in F_q[x_1..x_m] with a declared degree cap.
+
+    ``MultiPoly(field, nvars, terms, cap)`` validates: it reduces every
+    coefficient mod q, drops zeros, and rejects a term of the wrong arity
+    (ValueError) or above the cap (``DegreeCapError``).  The package's own
+    results (``FactoredPoly.expand``, ``shift_vars``, ``add``, ``sub``,
+    ``scale``, ``with_cap`` and the certificate's cofactors) are built by
+    ``_trusted``, which checks nothing: their terms are nonzero residues of
+    the right arity within the cap by construction.
 
     Nothing in pcplab mutates ``terms`` after construction: every operation
     returns a new polynomial.  So the degree and the compiled layout are
@@ -217,6 +240,22 @@ class MultiPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, field: Field, nvars: int, terms: dict[tuple[int, ...], int],
+                 cap: int) -> "MultiPoly":
+        """A polynomial on ``terms`` as given, which must already be nonzero
+        residues keyed by exponent tuples of arity ``nvars`` and total degree
+        <= ``cap``; nothing is checked or copied.  For the package's own
+        results only."""
+        p = object.__new__(cls)
+        p.field = field
+        p.nvars = nvars
+        p.cap = cap
+        p.terms = terms
+        p._degree = None
+        p._horner = None
+        return p
+
+    @classmethod
     def zero(cls, field: Field, nvars: int, cap: int = 0) -> "MultiPoly":
         return cls(field, nvars, {}, cap)
 
@@ -242,7 +281,12 @@ class MultiPoly:
         return not self.terms
 
     def with_cap(self, cap: int) -> "MultiPoly":
-        return MultiPoly(self.field, self.nvars, self.terms, cap)
+        """The same terms under the cap ``cap``, which must be at least the
+        degree (else ``DegreeCapError``)."""
+        if cap < self.degree():
+            exps = next(e for e in self.terms if sum(e) > cap)
+            raise DegreeCapError(f"term {exps} exceeds degree cap {cap}")
+        return MultiPoly._trusted(self.field, self.nvars, self.terms, cap)
 
     def shift_vars(self, nvars: int, offset: int) -> "MultiPoly":
         """Embed into a larger variable space, old x_i becoming x_{i+offset}."""
@@ -250,7 +294,7 @@ class MultiPoly:
             raise ValueError("shift out of range")
         pre = (0,) * offset
         post = (0,) * (nvars - offset - self.nvars)
-        return MultiPoly(
+        return MultiPoly._trusted(
             self.field, nvars, {pre + e + post: c for e, c in self.terms.items()}, self.cap
         )
 
@@ -284,7 +328,7 @@ class MultiPoly:
                 terms[e] = v
             else:
                 terms.pop(e, None)
-        return MultiPoly(self.field, self.nvars, terms, max(self.cap, other.cap))
+        return MultiPoly._trusted(self.field, self.nvars, terms, max(self.cap, other.cap))
 
     def sub(self, other: "MultiPoly") -> "MultiPoly":
         return self.add(other.scale(-1))
@@ -292,7 +336,8 @@ class MultiPoly:
     def scale(self, c: int) -> "MultiPoly":
         q = self.field.q
         c %= q
-        return MultiPoly(self.field, self.nvars, {e: (v * c) % q for e, v in self.terms.items()}, self.cap)
+        terms = {e: v * c % q for e, v in self.terms.items()} if c else {}
+        return MultiPoly._trusted(self.field, self.nvars, terms, self.cap)
 
     def add_constant(self, c: int) -> "MultiPoly":
         return self.add(MultiPoly.constant(self.field, self.nvars, c))
@@ -443,16 +488,25 @@ class FactoredPoly:
         return FactoredPoly(self.field, self.nvars, self.products, cap)
 
     def expand(self) -> MultiPoly:
-        """The multiplied-out polynomial, capped at ``cap``.
+        """The multiplied-out polynomial, capped at ``cap``: ``_expand_packed``
+        at the cap, unpacked once."""
+        pack, unpack, _, _, _ = _packing(self.nvars, self.cap)
+        return MultiPoly._trusted(
+            self.field, self.nvars,
+            {unpack(k): c for k, c in self._expand_packed(pack).items()}, self.cap)
 
-        Each product is multiplied out in one pass over packed monomials
-        (``_packing`` at the cap, which bounds every exponent of every partial
-        product, so a monomial product is one integer addition), its running
-        product reduced mod q after each factor; the products are summed on
-        the packed keys and unpacked once.
+    def _expand_packed(self, pack) -> dict[int, int]:
+        """The multiplied-out polynomial as {packed monomial: nonzero residue},
+        on the packing ``pack`` of a ``_packing`` whose degree is at least
+        ``degree()``, which bounds every exponent of every partial product.
+
+        Each product is multiplied out in one pass over packed monomials (a
+        monomial product is one integer addition), its running product
+        reduced mod q after each factor; the products are summed on the
+        packed keys, and the sums reduced, once.  This is the one
+        multiplication routine.
         """
         q = self.field.q
-        pack, unpack, _, _ = _packing(self.nvars, self.cap)
         total: dict[int, int] = {}
         for factors in self.products:
             acc = {0: 1}
@@ -466,7 +520,7 @@ class FactoredPoly:
                 acc = {k: r for k, c in out.items() if (r := c % q)}
             for k, c in acc.items():
                 total[k] = total.get(k, 0) + c
-        return MultiPoly(self.field, self.nvars, {unpack(k): c for k, c in total.items()}, self.cap)
+        return {k: r for k, c in total.items() if (r := c % q)}
 
     def _layout(self):
         """(per product, its factors' (compiled function, coefficients, key,

@@ -36,11 +36,13 @@ quotients become the cofactors h_g; for cubes, balls, powers and V × V the
 basis is the generating set itself.  The division runs on packed monomials
 (``poly._packing``, sized from everything it packs), so a divisibility test,
 a quotient monomial and a product with a tail term are each one integer
-operation, and the identity Σ h_g·g = P is re-checked by one
-``FactoredPoly.expand`` of the products h_g·g.  The certificate is packaged as the
-structured polynomial M(x, y) = Σ h_g(x)·y_g used by the zero-on-variety
-verifier, kept as its products h_g(x)·y_g (``certificate_factors``;
-``expand()`` multiplies it out).
+operation.  A claim kept as a ``FactoredPoly`` is multiplied out straight
+onto that packing, and the identity Σ h_g·g = P is re-checked, term for
+term, by multiplying out the products h_g·g on packed keys too; neither P
+nor the residual is ever unpacked into a ``MultiPoly``.  The certificate is
+packaged as the structured polynomial M(x, y) = Σ h_g(x)·y_g used by the
+zero-on-variety verifier, kept as its products h_g(x)·y_g
+(``certificate_factors``; ``expand()`` multiplies it out).
 """
 
 from __future__ import annotations
@@ -390,7 +392,7 @@ def make_variety(field: Field, spec: str) -> Variety:
 
 # -- certificates ------------------------------------------------------------
 
-def vanishing_certificate(poly: MultiPoly, ideal: Variety | Sequence[MultiPoly]
+def vanishing_certificate(poly: MultiPoly | FactoredPoly, ideal: Variety | Sequence[MultiPoly]
                           ) -> tuple[MultiPoly, ...]:
     """Cofactors h_g, parallel to the generator order, with Σ h_g·g = P and
     deg(h_g·g) <= deg(P), by division.
@@ -404,15 +406,20 @@ def vanishing_certificate(poly: MultiPoly, ideal: Variety | Sequence[MultiPoly]
     test with the degree bound built in.
 
     Monomials are packed (``_packing``) with fields sized from the largest
-    of deg P, every basis element's degree and every combination term's
-    degree, so no leading monomial overflows its fields even when it has
-    higher degree than P.  k is divisible by a leading monomial l when
-    ((k | guard) - l) & guard == guard, the quotient monomial is k - l, and
-    the heap pops ((top - deg k) << span) | k, smallest first: descending
-    degree, then ascending exponent tuple, the graded order's leading term
-    first.  The residual Σ h_g·g is expanded with the cap max(cap h_g +
-    cap g), since a bare generator may give deg(h_g·g) > cap P, and must
-    equal P.
+    of deg P (for a ``FactoredPoly``, its degree bound), every basis
+    element's degree and every combination term's degree, so no leading
+    monomial overflows its fields even when it has higher degree than P.
+    A ``FactoredPoly`` is multiplied out straight onto that packing, so it
+    is never built as a ``MultiPoly``.  k is divisible by a leading monomial
+    l when ((k | guard) - l) & guard == guard, the quotient monomial is
+    k - l, and the heap pops ((top - deg k) << span) | k, smallest first:
+    descending degree, then ascending exponent tuple, the graded order's
+    leading term first.  The residual Σ h_g·g must equal P term for term.
+    It is multiplied out on fields that hold both top and its cap
+    max(cap h_g + cap g), which can exceed top (a generator declared with a
+    larger cap than its degree, or a combination that is not
+    degree-respecting, whose products h_g·g cancel above deg P); P's packed
+    terms are repacked onto those fields when they are wider.
     """
     field = poly.field
     m = poly.nvars
@@ -425,14 +432,19 @@ def vanishing_certificate(poly: MultiPoly, ideal: Variety | Sequence[MultiPoly]
     for g in gens:
         if g.nvars != m or g.field != field:
             raise ValueError("generator ring mismatch")
-    if poly.is_zero():
-        zero = MultiPoly.zero(field, m)
-        return tuple(zero for _ in gens)
 
     q = field.q
     top = max([poly.degree()] + [r.degree() for r, _ in basis]
               + [c.degree() for _, combo in basis for _, c in combo])
-    pack, unpack, guard, span = _packing(m, top)
+    pack, unpack, total, guard, span = _packing(m, top)
+    if isinstance(poly, FactoredPoly):
+        terms = poly._expand_packed(pack)
+    else:
+        terms = {pack(e): c for e, c in poly.terms.items()}
+    if not terms:
+        zero = MultiPoly.zero(field, m)
+        return tuple(zero for _ in gens)
+
     cof_terms: list[dict[int, int]] = [{} for _ in gens]
     divisors = []
     for r, combo in basis:
@@ -446,7 +458,7 @@ def vanishing_certificate(poly: MultiPoly, ideal: Variety | Sequence[MultiPoly]
                           for g, c in combo]))
     # key(k) = ((top - deg k) << span) | k pops in descending graded order
     low = (1 << span) - 1
-    rest = {((top - sum(e)) << span) | pack(e): c for e, c in poly.terms.items()}
+    rest = {((top - total(k)) << span) | k: c for k, c in terms.items()}
     heap = list(rest)
     heapify(heap)
     while heap:
@@ -478,15 +490,19 @@ def vanishing_certificate(poly: MultiPoly, ideal: Variety | Sequence[MultiPoly]
             for t, x in c_terms:
                 e = mu + t
                 h[e] = (h.get(e, 0) + f * x) % q
+    # an accumulator term can cancel to 0; a cofactor keeps only the others
     cofactors = []
     for packed in cof_terms:
-        terms = {unpack(t): x for t, x in packed.items()}
-        cofactors.append(MultiPoly(
-            field, m, terms, max((sum(e) for e, x in terms.items() if x), default=0)))
+        live = [(t, x) for t, x in packed.items() if x]
+        cofactors.append(MultiPoly._trusted(
+            field, m, {unpack(t): x for t, x in live}, max((total(t) for t, _ in live), default=0)))
 
-    residual = FactoredPoly(field, m, zip(cofactors, gens),
-                            max(h.cap + g.cap for h, g in zip(cofactors, gens)))
-    if residual.expand() != poly:
+    cap = max(h.cap + g.cap for h, g in zip(cofactors, gens))
+    wide = max(cap, top)
+    if wide.bit_length() != top.bit_length():
+        pack = _packing(m, wide)[0]
+        terms = {pack(unpack(k)): c for k, c in terms.items()}
+    if FactoredPoly(field, m, zip(cofactors, gens), cap)._expand_packed(pack) != terms:
         raise AssertionError("certificate residual check failed")
     return tuple(cofactors)
 

@@ -64,12 +64,13 @@ class ZeroRandomness:
 def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) -> ZeroProof:
     """Honest proof that ``poly`` (degree <= ``degree``) vanishes on the variety.
 
-    Checks vanishing on ``poly`` as given, multiplies a ``FactoredPoly`` out
-    once (one packed pass per product) only for the certificate's division,
-    and exposes lazy honest oracles that answer M factor by factor.
-    ``vanishing_certificate`` divides on packed monomials and checks the
-    identity Σ h_g·g = P, which is M(x, φ(x)) = P, by one expansion of the
-    products h_g·g; M(x, 0) = 0 holds by construction.
+    Checks vanishing on ``poly`` as given, hands it as given to
+    ``vanishing_certificate`` (which multiplies a ``FactoredPoly`` out on
+    its own packed monomials, so the claim is never built as a
+    ``MultiPoly``), and exposes lazy honest oracles that answer M factor by
+    factor.  ``vanishing_certificate`` checks the identity Σ h_g·g = P,
+    which is M(x, φ(x)) = P, term for term on packed monomials; M(x, 0) = 0
+    holds by construction.
     """
     if poly.nvars != variety.m:
         raise ValueError("polynomial/variety dimension mismatch")
@@ -78,8 +79,7 @@ def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) ->
     if not vanishes_on(poly, variety):
         raise NoCertificateError("no certificate: polynomial does not vanish on the variety")
 
-    expanded = poly.expand() if isinstance(poly, FactoredPoly) else poly
-    cofactors = vanishing_certificate(expanded, variety)
+    cofactors = vanishing_certificate(poly, variety)
     point, lines = honest_oracles(certificate_factors(cofactors, variety.gens, degree), degree)
     return ZeroProof(point, lines)
 

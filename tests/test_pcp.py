@@ -36,6 +36,8 @@ from pcplab.variety import (
     vanishing_certificate,
     vanishes_on,
 )
+from pcplab.poly import FactoredPoly
+from pcplab.zerotest import zero_prove
 
 F5 = Field(5)
 F17 = Field(17)
@@ -461,3 +463,43 @@ def test_family_certificates_pinned(q, spec):
          for h in vanishing_certificate(claim.expand(), variety)]
         for claim, variety in ((validity, inst.variety), (conflict, inst.variety2)))
     assert got == _FAMILY_CERTIFICATES[q, spec]
+
+
+def _certificate_or_refusal(claim, variety):
+    """Every cofactor's ring, cap and terms in stored order, or the refusal."""
+    try:
+        return [(h.field, h.nvars, h.cap, list(h.terms.items()))
+                for h in vanishing_certificate(claim, variety)]
+    except NoCertificateError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q, spec, graph_spec", [
+    (257, "cube:H=0,1;m=2", "complete:3"), (257, "cube:H=0,1;m=2", "complete:4"),
+    *[(q, spec, "complete:3") for q, spec in _FAMILY_CERTIFICATES]])
+def test_factored_claims_certify_as_their_expansions(q, spec, graph_spec):
+    # division straight from the factors gives the expansion's cofactors
+    # byte for byte (K4's B does not vanish, so both refuse it alike)
+    field = Field(q)
+    graph = load_graph(graph_spec)
+    inst = PcpInstance(make_variety(field, spec), graph)
+    _, validity, conflict = claim_polynomials(inst, fewest_conflicts_coloring(graph, field))
+    for claim, variety in ((validity, inst.variety), (conflict, inst.variety2)):
+        assert (_certificate_or_refusal(claim, variety)
+                == _certificate_or_refusal(claim.expand(), variety))
+
+
+def test_prover_never_multiplies_the_claims_out(monkeypatch):
+    # zero_prove hands the factored claims to the division, so neither is
+    # ever built as a MultiPoly
+    field = Field(257)
+    graph = load_graph("complete:3")
+    inst = PcpInstance(make_variety(field, "cube:H=0,1;m=2"), graph)
+    _, validity, conflict = claim_polynomials(inst, fewest_conflicts_coloring(graph, field))
+
+    def refuse(self):
+        raise AssertionError("FactoredPoly.expand called")
+
+    monkeypatch.setattr(FactoredPoly, "expand", refuse)
+    zero_prove(validity, inst.variety, 3 * inst.d)
+    zero_prove(conflict, inst.variety2, 6 * inst.d)

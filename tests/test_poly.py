@@ -20,7 +20,7 @@ from pcplab.poly import (
     monomials_upto,
     random_poly,
 )
-from pcplab.variety import make_variety
+from pcplab.variety import Variety, make_variety, vanishing_certificate
 
 F5 = Field(5)
 F7 = Field(7)
@@ -349,6 +349,94 @@ def test_expand_and_mul_match_a_term_by_term_product(q, nvars, degree):
             if len(factors) == 2:
                 a, b = factors
                 assert a.mul(b) == product and a.mul(b).cap == a.cap + b.cap
+
+
+def _validated(p):
+    """p's terms, checked against the trusted constructor's contract (nonzero
+    residues, the right arity, degree <= cap) and then rebuilt by the
+    validating constructor on the same input."""
+    for e, c in p.terms.items():
+        assert 0 < c < p.field.q and len(e) == p.nvars and sum(e) <= p.cap, (e, c, p.cap)
+    return MultiPoly(p.field, p.nvars, p.terms, p.cap).terms
+
+
+@st.composite
+def _trusted_cases(draw):
+    """(q, nvars, terms of a, terms of b, cap slack, scalar, shift offset)."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = st.dictionaries(exps, st.integers(-2 * q, 2 * q), max_size=6)
+    return (q, nvars, draw(terms), draw(terms), draw(st.integers(0, 2)),
+            draw(st.integers(-2 * q, 2 * q)), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trusted_cases())
+@example((3, 2, {(1, 1): 1, (0, 0): 2}, {(1, 1): 2, (0, 0): 1}, 0, 3, 1))   # a + b = 0, scale by q
+def test_trusted_results_equal_the_validating_constructor(case):
+    # every result the package builds without validation: add, sub, scale,
+    # with_cap, shift_vars, expand, mul and the cofactors of a division
+    q, nvars, ta, tb, slack, c, offset = case
+    field = Field(q)
+    a = MultiPoly(field, nvars, ta, max((sum(e) for e in ta), default=0) + slack)
+    b = MultiPoly(field, nvars, tb, max((sum(e) for e in tb), default=0))
+    union = set(a.terms) | set(b.terms)
+    cap = max(a.cap, b.cap)
+    expected = {
+        "add": MultiPoly(field, nvars, {e: a.terms.get(e, 0) + b.terms.get(e, 0)
+                                        for e in union}, cap),
+        "sub": MultiPoly(field, nvars, {e: a.terms.get(e, 0) - b.terms.get(e, 0)
+                                        for e in union}, cap),
+        "sub self": MultiPoly.zero(field, nvars, b.cap),
+        "scale": MultiPoly(field, nvars, {e: x * c for e, x in a.terms.items()}, a.cap),
+        "with_cap": MultiPoly(field, nvars, a.terms, a.degree() + slack),
+        "shift_vars": MultiPoly(field, nvars + 2, {(0,) * offset + e + (0,) * (2 - offset): x
+                                                   for e, x in a.terms.items()}, a.cap),
+    }
+    product = MultiPoly(field, nvars, _product_ref([a.terms, b.terms], nvars, q), a.cap + b.cap)
+    got = {
+        "add": a.add(b),
+        "sub": a.sub(b),
+        "sub self": b.sub(b),
+        "scale": a.scale(c),
+        "with_cap": a.with_cap(a.degree() + slack),
+        "shift_vars": a.shift_vars(nvars + 2, offset),
+        "mul": a.mul(b),
+        "expand": FactoredPoly.product([a, b]).expand(),
+        # a·b - b·a: every term cancels in the sum of the products
+        "expand cancelled": FactoredPoly(field, nvars, [[a, b], [b.scale(-1), a]],
+                                         a.cap + b.cap).expand(),
+    }
+    expected.update({"mul": product, "expand": product,
+                     "expand cancelled": MultiPoly.zero(field, nvars, a.cap + b.cap)})
+    # a single divisor is a Gröbner basis and a·b leaves no remainder, so
+    # the one cofactor is a, capped at its degree
+    (got["cofactor"],) = vanishing_certificate(got["mul"], [b])
+    expected["cofactor"] = (MultiPoly(field, nvars, a.terms, a.degree()) if not b.is_zero()
+                            else MultiPoly.zero(field, nvars))
+    for name, p in got.items():
+        assert p.terms == _validated(p), name
+        assert (p, p.cap) == (expected[name], expected[name].cap), name
+    if a.degree() > 0:
+        with pytest.raises(DegreeCapError):
+            a.with_cap(a.degree() - 1)
+
+
+def test_cofactor_terms_cancelled_in_their_accumulator_are_dropped():
+    # dividing this P by the variety's reduced Gröbner basis sums two
+    # contributions to one cofactor term that cancel to 0; the cofactors keep
+    # only nonzero residues, and each cap is its degree
+    field = Field(3)
+    v = Variety(field, [(1, 1), (0, 1), (2, 2), (0, 2)])
+    p = MultiPoly(field, 2, {(1, 0): 1, (1, 2): 2}, 3)
+    cofactors = vanishing_certificate(p, v)
+    total = MultiPoly.zero(field, 2)
+    for h, g in zip(cofactors, v.gens):
+        assert h.terms == _validated(h)
+        assert h.cap == h.degree()
+        total = total.add(h.mul(g))
+    assert total == p
 
 
 def test_unipoly_shape_and_resize():

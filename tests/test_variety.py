@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcplab.field import Field
-from pcplab.poly import MultiPoly, monomials_upto, random_poly
+from pcplab.poly import FactoredPoly, MultiPoly, monomials_upto, random_poly
 from pcplab.variety import (
     NoCertificateError,
     SpecError,
@@ -562,6 +562,85 @@ def test_tampered_combination_fails_the_residual_check():
     v.grobner_basis = ((r, ((gi, c.scale(2)), *others)),) + v.grobner_basis[1:]
     with pytest.raises(AssertionError, match="certificate residual check failed"):
         vanishing_certificate(r, v)
+
+
+def _perturb_first_cofactor(monkeypatch):
+    """Make the division's output wrong: double one coefficient of the first
+    nonzero cofactor it builds (cofactors are built by ``MultiPoly._trusted``).
+    Returns the list that the perturbed exponent is appended to."""
+    trusted = MultiPoly._trusted.__func__
+    hit = []
+
+    def perturbed(cls, field, nvars, terms, cap):
+        if terms and not hit:
+            e = next(iter(terms))
+            terms = {**terms, e: terms[e] * 2 % field.q}
+            hit.append(e)
+        return trusted(cls, field, nvars, terms, cap)
+
+    monkeypatch.setattr(MultiPoly, "_trusted", classmethod(perturbed))
+    return hit
+
+
+def _residual_cases():
+    """{name: (P as MultiPoly, P as FactoredPoly, ideal, cofactors or None)}.
+
+    ``square``: Σ r_g·g over the square {0,1}^2 over F_5.  ``cap``: (x2 + 2)·g
+    by the bare generator g = x1^2 - x1 declared with cap 6, so the residual's
+    cap 1 + 6 needs wider packed fields than P and g (4 bits, not 3).
+    ``syzygy``: (x1 + 1)·g1 over the square, whose basis element g1 carries
+    the combination (1 + x1^3·g2)·g1 - x1^3·g1·g2, true but not
+    degree-respecting: each h_g·g has degree 8 > cap P = 3 and the two
+    cancel, so the residual is multiplied out on 5-bit fields where the
+    division packed 4.
+    """
+    rng = random.Random(7)
+    v = make_variety(F5, "cube:H=0,1;m=2")
+    rs = [random_poly(F5, 2, 1, rng) for _ in v.gens]
+    square = FactoredPoly(F5, 2, list(zip(rs, v.gens)), 3)
+
+    g = poly5(2, {(2, 0): 1, (1, 0): 4}, 6)
+    h = poly5(2, {(0, 1): 1, (0, 0): 2}, 1)
+    cap = FactoredPoly.product([h, g.with_cap(2)])
+
+    tampered = make_variety(F5, "cube:H=0,1;m=2")
+    g1, g2 = tampered.gens
+    s = poly5(2, {(3, 0): 1}, 3)
+    (r, _), rest = tampered.grobner_basis[0], tampered.grobner_basis[1:]
+    tampered.grobner_basis = ((r, ((0, s.mul(g2).add_constant(1)), (1, s.mul(g1).scale(-1)))),
+                              *rest)
+    syzygy = FactoredPoly.product([poly5(2, {(1, 0): 1, (0, 0): 1}, 1), g1])
+    return {"square": (square.expand(), square, v, None),
+            "cap": (cap.expand(), cap, [g], (h,)),
+            "syzygy": (syzygy.expand(), syzygy, tampered, None)}
+
+
+@pytest.mark.parametrize("case", ["square", "cap", "syzygy"])
+@pytest.mark.parametrize("form", ["MultiPoly", "FactoredPoly"])
+def test_residual_check_is_exact_on_either_input(case, form):
+    expanded, factored, ideal, cofactors = _residual_cases()[case]
+    poly = expanded if form == "MultiPoly" else factored
+    got = vanishing_certificate(poly, ideal)
+    if cofactors is not None:
+        assert got == cofactors
+    gens = ideal.gens if isinstance(ideal, Variety) else ideal
+    total = MultiPoly.zero(F5, expanded.nvars)
+    for h, g in zip(got, gens):
+        total = total.add(h.mul(g))
+        assert case != "syzygy" or h.mul(g).degree() == 8
+    assert total == expanded
+    assert [h.text() for h in got] == [h.text() for h in vanishing_certificate(expanded, ideal)]
+
+
+@pytest.mark.parametrize("case", ["square", "cap", "syzygy"])
+@pytest.mark.parametrize("form", ["MultiPoly", "FactoredPoly"])
+def test_perturbed_cofactor_fails_the_residual_check(case, form, monkeypatch):
+    expanded, factored, ideal, _ = _residual_cases()[case]
+    poly = expanded if form == "MultiPoly" else factored
+    hit = _perturb_first_cofactor(monkeypatch)
+    with pytest.raises(AssertionError, match="certificate residual check failed"):
+        vanishing_certificate(poly, ideal)
+    assert hit
 
 
 def test_certificate_poly_structure():
