@@ -11,17 +11,21 @@ exponent vectors) and shared by every polynomial with that support.  ``eval``
 runs it over Z at the point and reduces mod q once;
 ``restrict`` runs it at the Kronecker-packed point x_i = a_i + b_i 2^W, whose
 base-2^W digits are the coefficients in t of P(a + t b) (W bounds every
-coefficient, so no digit carries).  ``FactoredPoly`` is a sum of products of
+coefficient, so no digit carries).  A line is packed and its digits are read
+one way, by the two straight-line functions of ``_line_codec``, generated
+once per line shape (q, W, number of digits, arity) and shared by every
+polynomial of that shape.  ``FactoredPoly`` is a sum of products of
 ``MultiPoly`` factors that evaluates and restricts without multiplying out:
-its restriction runs every factor's function at one packed point and reads
-the digits once, and it keeps that work: a factor whose packed inputs repeat
-on the next restriction reuses its last value, and the next point read on
-the restricted line is answered from the entry.  A lines entry, as every
-restriction returns it and every lines table hands it out, is a plain tuple
-of exactly cap+1 residues in [0, q) (index = power of t, trailing zeros
-kept, so the width is fixed); ``eval_entry`` reads it at a point t.  Both
-classes' ``eval`` and ``restrict`` are exact on any integer coordinates
-(unreduced, negative or in a list), so an oracle hands them a query as given.
+its restriction runs every factor's function at one point packed by the same
+codec and reads the digits once, and it keeps that work: a factor whose
+packed inputs repeat on the next restriction reuses its last value, and the
+next point read on the restricted line is answered from the entry.  A lines
+entry, as every restriction returns it and every lines table hands it out,
+is a plain tuple of exactly cap+1 residues in [0, q) (index = power of t,
+trailing zeros kept, so the width is fixed); ``eval_entry`` reads it at a
+point t.  Both classes' ``eval`` and ``restrict`` are exact on any integer
+coordinates (unreduced, negative or in a list), so an oracle hands them a
+query as given.
 
 Multiplying out runs on packed monomials (``_packing``): each exponent
 vector is one integer with a guarded bit field per variable, so a monomial
@@ -180,15 +184,32 @@ def _packing(nvars: int, degree: int):
     return pack, unpack, total, guard, width * nvars
 
 
-def _digits(q: int, v: int, width: int, ndigits: int) -> tuple[int, ...]:
-    """The low ``ndigits`` base-2^width digits of ``v``, each reduced mod q,
-    as the coefficients of t^0..t^(ndigits-1)."""
+@functools.lru_cache(maxsize=256)
+def _line_codec(q: int, width: int, ndigits: int, nvars: int):
+    """(pack, read): the Kronecker packing of a line in ``nvars`` variables
+    at digit width ``width``, and the read of ``ndigits`` digits mod q.
+
+    ``pack(a, b)`` is the tuple of x_i = a_i % q + (b_i % q << width), and
+    ``read(v)`` is the tuple of the low ``ndigits`` base-2^width digits of
+    ``v``, each masked (the top one too) and reduced mod q: the coefficients
+    of t^0..t^(ndigits-1).  Both are straight-line code, one expression per
+    coordinate or digit with q, the width and the mask as literals, compiled
+    once per line shape and shared by every polynomial with it.
+    """
     mask = (1 << width) - 1
-    coeffs = []
-    for _ in range(ndigits):
-        coeffs.append((v & mask) % q)
-        v >>= width
-    return tuple(coeffs)
+    a = [f"a{i}" for i in range(nvars)]
+    b = [f"b{i}" for i in range(nvars)]
+    lines = ["def pack(a, b):"]
+    if nvars:
+        lines += [f"    {', '.join(a)}, = a", f"    {', '.join(b)}, = b"]
+    coords = "".join(f"{x} % {q} + ({y} % {q} << {width}), " for x, y in zip(a, b))
+    lines += [f"    return ({coords})", "def read(v):"]
+    shifts = [f"v >> {j * width}" if j else "v" for j in range(ndigits)]
+    digits = "".join(f"({v} & {mask}) % {q}, " for v in shifts)
+    lines.append(f"    return ({digits})")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", "<line codec>", "exec"), namespace)
+    return namespace["pack"], namespace["read"]
 
 
 def eval_entry(entry: Sequence[int], t: int, q: int) -> int:
@@ -216,7 +237,7 @@ class MultiPoly:
     computed once, on first use, and kept.
     """
 
-    __slots__ = ("field", "nvars", "cap", "terms", "_degree", "_horner")
+    __slots__ = ("field", "nvars", "cap", "terms", "_degree", "_horner", "_codec")
 
     def __init__(self, field: Field, nvars: int, terms: dict[tuple[int, ...], int], cap: int):
         q = field.q
@@ -236,6 +257,7 @@ class MultiPoly:
         self.terms = clean
         self._degree = None
         self._horner = None
+        self._codec = None
 
     # -- constructors -------------------------------------------------------
 
@@ -253,6 +275,7 @@ class MultiPoly:
         p.terms = terms
         p._degree = None
         p._horner = None
+        p._codec = None
         return p
 
     @classmethod
@@ -361,7 +384,8 @@ class MultiPoly:
         for T terms of degree at most D: with a_i, b_i in [0, q), P(a + t b)
         over Z has nonnegative coefficients, each at most its value at t = 1,
         which is at most that bound, so packed at t = 2^W its base-2^W digits
-        never carry.
+        never carry.  W, with q, cap+1 and nvars, is the line shape whose
+        ``_line_codec`` ``restrict`` packs and reads with.
         """
         if self._horner is None:
             terms = self.terms or {(0,) * self.nvars: 0}
@@ -388,13 +412,19 @@ class MultiPoly:
         q, are the coefficients of P(a + t b).  Arithmetic over Z followed by
         reduction is the formal composition, so the result is exact in F_q[t]
         even when the cap is >= q.  Returns exactly cap+1 residues.
+
+        The packing and the digit read are the ``_line_codec`` of this line
+        shape (q, W, cap+1, nvars), fetched on the first restriction and kept,
+        so a polynomial that is only evaluated never builds one.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
-        q = self.field.q
         fn, coeffs, width, _ = self._layout()
-        packed = [ai % q + (bi % q << width) for ai, bi in zip(a, b)]
-        return _digits(q, fn(coeffs, packed), width, self.cap + 1)
+        codec = self._codec
+        if codec is None:
+            codec = self._codec = _line_codec(self.field.q, width, self.cap + 1, self.nvars)
+        pack, read = codec
+        return read(fn(coeffs, pack(a, b)))
 
     # -- text form ----------------------------------------------------------
 
@@ -428,14 +458,17 @@ class FactoredPoly:
     small factors is never multiplied out.  ``restrict`` is one Kronecker
     pass: every factor runs over Z at the same packed point a + b 2^W_F, the
     integers are multiplied and summed, and the cap+1 base-2^W_F digits are
-    read once.  W_F = bit_length(Σ_i Π_j T_ij(q-1)(2q-2)^D_ij) for factors
-    of T_ij terms and degree D_ij: each f_ij(a + t b) over Z has nonnegative
-    coefficients and is at most T_ij(q-1)(2q-2)^D_ij at t = 1, so every
-    coefficient of the sum of products is at most that sum and no digit
-    carries.  Arithmetic over Z followed by reduction is the formal
-    composition, so the restriction has exactly the coefficients of the
-    expanded polynomial's, also when the cap is >= q.  ``cap`` is the
-    declared degree bound, as for ``MultiPoly``.
+    read once; the point is packed and the digits read by the ``_line_codec``
+    of the shape (q, W_F, cap+1, nvars), the one a ``MultiPoly`` of that
+    shape uses, fetched on the first restriction and kept.
+    W_F = bit_length(Σ_i Π_j T_ij(q-1)(2q-2)^D_ij) for factors of T_ij terms
+    and degree D_ij: each f_ij(a + t b) over Z has nonnegative coefficients
+    and is at most T_ij(q-1)(2q-2)^D_ij at t = 1, so every coefficient of the
+    sum of products is at most that sum and no digit carries.  Arithmetic
+    over Z followed by reduction is the formal composition, so the
+    restriction has exactly the coefficients of the expanded polynomial's,
+    also when the cap is >= q.  ``cap`` is the declared degree bound, as for
+    ``MultiPoly``.
 
     The work of the last restriction is kept twice over.  Each factor whose
     function reads only some of the variables keeps the (key, value) of its
@@ -453,7 +486,7 @@ class FactoredPoly:
     it, and the kept line is tested modulo q.
     """
 
-    __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_line")
+    __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_codec", "_line")
 
     def __init__(self, field: Field, nvars: int,
                  products: Iterable[Sequence[MultiPoly]], cap: int):
@@ -462,6 +495,7 @@ class FactoredPoly:
         self.cap = cap
         self.products = tuple(tuple(factors) for factors in products)
         self._compiled = None
+        self._codec = None
         self._line = None
         for factors in self.products:
             if not factors:
@@ -604,11 +638,14 @@ class FactoredPoly:
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
-        q = self.field.q
         products, width = self._layout()
+        codec = self._codec
+        if codec is None:
+            codec = self._codec = _line_codec(self.field.q, width, self.cap + 1, self.nvars)
+        pack, read = codec
         a = tuple(a)
         b = tuple(b)
-        packed = [x % q + (y % q << width) for x, y in zip(a, b)]
+        packed = pack(a, b)
         total = 0
         for factors in products:
             v = 1
@@ -625,7 +662,7 @@ class FactoredPoly:
                     memo[0] = (key, value)
                     v *= value
             total += v
-        entry = _digits(q, total, width, self.cap + 1)
+        entry = read(total)
         self._line = (a, b, entry)
         return entry
 

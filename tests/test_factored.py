@@ -12,6 +12,7 @@ certificate check are counted.
 """
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -312,6 +313,57 @@ def _count_runs(p):
         tuple((counted(fn), coeffs, key, memo) for fn, coeffs, key, memo in factors)
         for factors in products), width
     return runs
+
+
+def _line_ref(products, cap, a, b, q):
+    """Σ_i Π_j f_ij(a + t b) mod q for products of term dicts, term by term:
+    each (a_k + b_k t)^e is expanded by convolution mod q, with no packing."""
+    def mul(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                out[i + j] = (out[i + j] + x * y) % q
+        return out
+
+    entry = [0] * (cap + 1)
+    for factors in products:
+        prod = [1]
+        for terms in factors:
+            f = [0]
+            for exps, c in terms.items():
+                term = [c % q]
+                for ak, bk, e in zip(a, b, exps):
+                    for _ in range(e):
+                        term = mul(term, [ak % q, bk % q])
+                f = [(x + y) % q for x, y in itertools.zip_longest(f, term, fillvalue=0)]
+            prod = mul(prod, f)
+        for j, c in enumerate(prod):
+            entry[j] = (entry[j] + c) % q
+    return tuple(entry)
+
+
+def test_restrict_matches_the_line_reference_through_memo_and_kept_line():
+    # lines in every input form, consecutive ones sharing their x-part so the
+    # x-only factor's memo is hit, each followed by a point on the line that
+    # is read off the kept entry: every entry equals the term-by-term
+    # reference and every point the reference entry at its t
+    field = Field(7)
+    p = _memo_products(field)["with-x-only"]
+    products = [[f.terms for f in fs] for fs in p.products]
+    runs = _count_runs(p)
+    lines = [((1, 2), (3, 4)), ([1, 5], [3, 6]), ([8, -5], [10, 4]),
+             ((-13, 9), (-4, -1)), ((6, 2), (0, 4)), ([-1, 2], [7, 4])]
+    expected_runs = [2, 1, 1, 1, 2, 1]
+    for (a, b), spent in zip(lines, expected_runs):
+        before = runs[0]
+        entry = p.restrict(a, b)
+        assert runs[0] - before == spent, (a, b)
+        assert entry == _line_ref(products, p.cap, a, b, 7), (a, b)
+        t = 3
+        point = [x + t * y - 7 for x, y in zip(a, b)]
+        before = runs[0]
+        assert p.eval(point) == sum(c * t ** j for j, c in enumerate(entry)) % 7
+        assert runs[0] == before, (a, b, point)
 
 
 @pytest.mark.parametrize("on_old_line", [True, False])

@@ -14,6 +14,7 @@ from pcplab.poly import (
     DegreeCapError,
     FactoredPoly,
     MultiPoly,
+    _line_codec,
     distance,
     eval_entry,
     monomials_exact,
@@ -297,6 +298,80 @@ def test_zero_and_constant_polynomials():
     assert zero.eval((4, 5)) == 0 and const.eval((4, 5)) == 3
     assert zero.restrict((1, 2), (3, 4)) == (0, 0, 0)
     assert const.restrict((1, 2), (3, 4)) == (3, 0, 0)
+
+
+def _line_forms(a, b, q):
+    """The line (a, b) as tuples, as lists, shifted by multiples of q, and
+    negative: every form must give the same entry."""
+    return [(tuple(a), tuple(b)), (list(a), list(b)),
+            ([x + 2 * q for x in a], [y + q for y in b]),
+            (tuple(x - 3 * q for x in a), [y - q for y in b])]
+
+
+_SHAPES = {   # name: (q, nvars, terms, cap)
+    "cap 0": (5, 2, {(0, 0): 3}, 0),
+    "cap = degree": (7, 3, {(2, 1, 0): 3, (0, 1, 1): 6, (0, 0, 1): 1, (0, 0, 0): 2}, 3),
+    "cap >= q": (3, 2, {(3, 1): 2, (1, 0): 1, (0, 0): 1}, 5),
+    "cap above degree": (257, 2, {(1, 1): 256, (0, 1): 1}, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPES))
+def test_restrict_matches_the_reference_on_every_input_form(name):
+    q, nvars, terms, cap = _SHAPES[name]
+    p = MultiPoly(Field(q), nvars, terms, cap)
+    rng = random.Random(name)
+    for _ in range(20):
+        a = [rng.randrange(q) for _ in range(nvars)]
+        b = [rng.randrange(q) for _ in range(nvars)]
+        want = _restrict_ref(terms, cap, a, b, q)
+        for fa, fb in _line_forms(a, b, q):
+            assert p.restrict(fa, fb) == want, (name, fa, fb)
+
+
+def test_zero_and_constant_in_one_to_four_variables():
+    # the zero polynomial has digit width 0 and a constant a nonzero one, at
+    # the same q, cap and arity, and each arity 1-4 repeats the same q, width
+    # and cap: a codec keyed without the width or the arity hands one of
+    # them another's.  q = 13 is used by no other test, so these shapes are
+    # built here first
+    field = Field(13)
+    for nvars in range(1, 5):
+        for cap in (0, 2):
+            for c in (0, 4):
+                p = MultiPoly.constant(field, nvars, c, cap)
+                a, b = list(range(1, nvars + 1)), [5] * nvars
+                want = _restrict_ref(p.terms, cap, a, b, 13)
+                assert want == (c,) + (0,) * cap
+                for fa, fb in _line_forms(a, b, 13):
+                    assert p.restrict(fa, fb) == want, (nvars, cap, c, fa, fb)
+
+
+def test_read_masks_every_digit():
+    # read takes the low ndigits digits of any integer, each masked (the top
+    # one too) and reduced mod q; bits above the top digit are ignored
+    pack, read = _line_codec(13, 4, 3, 2)
+    assert read(2 | 14 << 4 | 5 << 8 | 0b1011 << 12 | 1 << 40) == (2, 1, 5)
+    assert read(0) == (0, 0, 0)
+    assert pack((1, -1), [27, 14]) == (1 + (1 << 4), 12 + (1 << 4))
+
+
+def test_line_codec_is_shared_bounded_and_built_on_first_restrict():
+    # two polynomials of one line shape (q, digit width, cap + 1, arity)
+    # share one codec; a polynomial that is only evaluated builds none
+    p = MultiPoly(F7, 2, {(2, 1): 3, (0, 1): 1, (0, 0): 4}, 4)
+    r = MultiPoly(F7, 2, {(1, 2): 5, (1, 0): 2, (0, 0): 1}, 4)
+    width = p._layout()[2]
+    assert r._layout()[2] == width
+    f = FactoredPoly.product([p, r])
+    for poly in (p, r, f):
+        poly.eval((1, 2))
+        assert poly._codec is None
+    for poly in (p, r, f):
+        poly.restrict((1, 2), (3, 4))
+    assert p._codec is r._codec is _line_codec(7, width, 5, 2)
+    assert f._codec is _line_codec(7, f._layout()[1], 9, 2)
+    assert _line_codec.cache_info().maxsize is not None
 
 
 def _product_ref(factors, nvars, q):
