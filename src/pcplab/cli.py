@@ -2,8 +2,8 @@
 
 Exit codes: 0 on pass, 1 when a run's pass condition fails (a completeness
 run that saw rejections, or a soundness run below --min-reject-rate), 2 on
-configuration errors, among them an --out whose directory does not exist
-(found before the run starts).
+configuration errors, among them an --out that is a directory or whose
+directory does not exist (found before the run starts).
 """
 
 from __future__ import annotations
@@ -78,9 +78,10 @@ def _cmd_run(args, experiment: str) -> int:
         experiment = "lc"
     cfg = _config_from(args, experiment)
     # checked before the run, which may take minutes, rather than after it
-    if args.out and not (parent := Path(args.out).parent).is_dir():
-        print(f"error: cannot write --out {args.out}: {parent} is not a directory",
-              file=sys.stderr)
+    out = Path(args.out)
+    if args.out and (out.is_dir() or not out.parent.is_dir()):
+        problem = "it is a directory" if out.is_dir() else f"{out.parent} is not a directory"
+        print(f"error: cannot write --out {args.out}: {problem}", file=sys.stderr)
         return 2
     exp = build_experiment(cfg)
     est, _ = execute(exp, out=args.out or None)

@@ -743,26 +743,11 @@ def sweep_to_csv(reports: Iterable[dict], path: str | Path) -> None:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for rep in reports:
-            cfg = rep["config"]
-            writer.writerow({
-                "experiment": rep["experiment"],
-                "mode": cfg["mode"],
-                "adversary": cfg["adversary"],
-                "delta": cfg["delta"],
-                "q": cfg["q"],
-                "variety": cfg["variety"],
-                "graph": cfg["graph"],
-                "degree": cfg["degree"],
-                "trials": rep["trials"],
-                "accepts": rep["accepts"],
-                "rejects": rep["rejects"],
-                "rate": rep["rate"],
-                "ci99_lo": rep["ci99"][0],
-                "ci99_hi": rep["ci99"][1],
-                "queries_per_trial": rep["queries_per_trial"],
-                "randomness_bits_per_trial": rep["randomness_bits_per_trial"],
-                "seed": rep["seed"],
-            })
+            # a report's own field first (its trials are the ones run), then
+            # the config's
+            row = {k: rep.get(k, rep["config"].get(k)) for k in fields}
+            row["ci99_lo"], row["ci99_hi"] = rep["ci99"]
+            writer.writerow(row)
 
 
 # -- presets -----------------------------------------------------------------

@@ -6,12 +6,13 @@ sweep in ``variety`` has a few nonzeros among one column per monomial met so
 far.  There is one elimination kernel, ``IncrementalRank``.  It reduces each
 incoming row by the pivot rows held so far (each normalised to a leading 1
 at its least column) and keeps the remainder as a new pivot row when it is
-nonzero; ``reduce`` alone returns the remainder without keeping it.  Every
-vector ``linalg`` returns comes from the kernel's one back-substitution:
-given the non-pivot coordinates of a vector, it sets each pivot coordinate
-so that its pivot row vanishes on the vector.  ``Matrix.kernel_basis``
-back-substitutes once per free column and ``Matrix.solve`` once, on the
-system augmented by its right-hand side.
+nonzero; ``reduce`` alone returns the remainder without keeping it, which is
+all that interpolating through the sweep's echelon takes.  Every vector
+``Matrix`` returns comes from the kernel's one back-substitution: given the
+non-pivot coordinates of a vector, it sets each pivot coordinate so that its
+pivot row vanishes on the vector.  ``Matrix.kernel_basis`` back-substitutes
+once per free column and ``Matrix.solve`` once, on the system augmented by
+its right-hand side; no code in the package calls either.
 
 The pivot rows span the row space, so a back-substituted vector is the one
 vector of the kernel with the given free coordinates.  The pivot columns, the
@@ -39,8 +40,9 @@ class IncrementalRank:
     The elimination kernel of this module.  ``Matrix`` inserts its rows and
     then calls ``back_substitute``; the Buchberger-Möller sweep of
     ``variety`` reduces each monomial's row and keeps it only when a point
-    entry is left.  Insertion order never changes the rank or the vectors
-    back-substitution returns.
+    entry is left, and interpolation reduces a value row by the rows kept.
+    Insertion order never changes the rank or the vectors back-substitution
+    returns.
     """
 
     __slots__ = ("field", "_pivots")

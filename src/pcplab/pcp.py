@@ -196,15 +196,12 @@ class PcpInstance:
 
 
 def _edge_extension(variety2: Variety, variety: Variety, graph: Graph) -> MultiPoly:
-    """Low-degree extension over V×V of the symmetric 0/1 edge indicator."""
-    m = variety.m
-    values = []
-    for pp in variety2.points:
-        i = variety.index_of(pp[:m])
-        j = variety.index_of(pp[m:])
-        inside = i < graph.n and j < graph.n
-        values.append(1 if inside and graph.has_edge(i, j) else 0)
-    return variety2.low_degree_extension(values)
+    """Low-degree extension over V×V of the symmetric 0/1 edge indicator;
+    V×V's points are V-major, so value i·n + j is at the pair (i, j)."""
+    n = len(variety.points)
+    return variety2.low_degree_extension(
+        [1 if i < graph.n and j < graph.n and graph.has_edge(i, j) else 0
+         for i in range(n) for j in range(n)])
 
 
 CONFLICT_OFFSETS = (1, -1, 2, -2)

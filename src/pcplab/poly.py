@@ -49,6 +49,7 @@ degree, and within a degree block ordered by descending exponent tuple.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -98,7 +99,8 @@ def _compile_horner(support: frozenset, nvars: int):
     by x_var once.  A coefficient that is itself a polynomial is computed
     first into the next level's local and then folded in, so the code never
     nests.  Coefficients enter only through C, so the function is compiled
-    once per support and shared by every polynomial with that support.
+    once per support, under a filename holding the support's digest (profiles
+    keep supports apart), and shared by every polynomial with that support.
     """
     order: list[tuple[int, ...]] = []
     body: list[str] = []
@@ -139,7 +141,8 @@ def _compile_horner(support: frozenset, nvars: int):
         head.append("    " + ", ".join(f"x{i}" if i in used else "_" for i in range(nvars)) + ", = X")
     source = "\n".join(head + ["    " + line for line in body] + ["    return v0"]) + "\n"
     namespace: dict = {}
-    exec(compile(source, "<horner>", "exec"), namespace)
+    name = f"<horner {hashlib.sha256(repr(sorted(support)).encode()).hexdigest()[:16]}>"
+    exec(compile(source, name, "exec"), namespace)
     return namespace["f"], tuple(order), tuple(sorted(used))
 
 
@@ -194,7 +197,7 @@ def _line_codec(q: int, width: int, ndigits: int, nvars: int):
     ``v``, each masked (the top one too) and reduced mod q: the coefficients
     of t^0..t^(ndigits-1).  Both are straight-line code, one expression per
     coordinate or digit with q, the width and the mask as literals, compiled
-    once per line shape and shared by every polynomial with it.
+    once per line shape (the filename names it) and shared by every polynomial.
     """
     mask = (1 << width) - 1
     a = [f"a{i}" for i in range(nvars)]
@@ -208,7 +211,8 @@ def _line_codec(q: int, width: int, ndigits: int, nvars: int):
     digits = "".join(f"({v} & {mask}) % {q}, " for v in shifts)
     lines.append(f"    return ({digits})")
     namespace: dict = {}
-    exec(compile("\n".join(lines) + "\n", "<line codec>", "exec"), namespace)
+    shape = f"<line codec q={q} width={width} digits={ndigits} vars={nvars}>"
+    exec(compile("\n".join(lines) + "\n", shape, "exec"), namespace)
     return namespace["pack"], namespace["read"]
 
 

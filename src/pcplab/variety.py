@@ -20,10 +20,11 @@ at the monomial and 0 at every other non-standard monomial that vanishes on
 the points.  A degree-i relation becomes a generator when it is independent of
 the relations of lower degree and their single-variable multiples.  The
 low-degree extension of a function is its one interpolant over the standard
-monomials, an n x n solve.  A product V1 × V2 (cubes H^m, powers such as the
-ball products ({0,1}^n_{<=1})^c, and the PCP's V × V) runs no elimination at
-all: its generating set is the union of the factors' (variable-shifted) sets
-and its standard monomials the pairwise products of theirs.
+monomials: the sweep's echelon of their rows reduces its value row to minus
+its coefficients.  A product V1 × V2 (cubes H^m, powers of balls, the PCP's
+V × V) runs no elimination at all: its generating set is the union of the
+factors' (variable-shifted) sets, its standard monomials the pairwise
+products of theirs, and it interpolates factor by factor.
 
 Certificates Σ h_g·g = P come from multivariate division by the reduced
 Gröbner basis under the sweep's graded order: each step cancels P's leading
@@ -54,7 +55,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .field import Field
-from .linalg import IncrementalRank, Matrix
+from .linalg import IncrementalRank
 from .poly import FactoredPoly, MultiPoly, _packing, monomials_exact
 
 # Σ c_g·g as the pairs (generator index, c_g), and a Gröbner basis element
@@ -89,12 +90,6 @@ def read_int_rows(path: str | Path) -> list[tuple[tuple[int, ...], str]]:
     return rows
 
 
-def _monomial_values(points: Sequence[tuple[int, ...]], exps: tuple[int, ...],
-                     q: int) -> list[int]:
-    """The monomial x^exps at each point."""
-    return [math.prod(pow(x, e, q) for x, e in zip(p, exps)) % q for p in points]
-
-
 class Variety:
     """Ordered point set in F_q^m with a generating set of its vanishing ideal.
 
@@ -103,16 +98,18 @@ class Variety:
     ``grobner_basis`` is the reduced Gröbner basis that certificates divide
     by, each element with its combination of ``gens``.  ``standard`` holds
     the n standard monomials in graded order; the extension degree is the
-    degree of the last.  All three come from one run of
-    ``grobner_generating_set``; a product variety takes them from its factors
-    (``product``).
+    degree of the last.  All three, and the echelon that interpolates
+    (``_echelon``), come from one run of ``grobner_generating_set``; a
+    product variety takes them from its two ``_factors`` (``product``).
     """
 
-    __slots__ = ("field", "m", "points", "gens", "grobner_basis", "standard", "_index")
+    __slots__ = ("field", "m", "points", "gens", "grobner_basis", "standard",
+                 "_echelon", "_factors")
 
     def __init__(self, field: Field, points: Sequence[Sequence[int]]):
         self._set_points(field, points)
-        self.gens, self.grobner_basis, self.standard = grobner_generating_set(self)
+        self._factors = None
+        self.gens, self.grobner_basis, self.standard, self._echelon = grobner_generating_set(self)
 
     def _set_points(self, field: Field, points: Sequence[Sequence[int]]) -> None:
         q = field.q
@@ -127,7 +124,6 @@ class Variety:
         self.field = field
         self.m = m
         self.points = tuple(sorted(pts))
-        self._index = {p: i for i, p in enumerate(self.points)}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -148,24 +144,34 @@ class Variety:
         """Generator-evaluation embedding z ↦ (g(z) : g ∈ 𝔊)."""
         return tuple(g.eval(z) for g in self.gens)
 
-    def index_of(self, point: Sequence[int]) -> int:
-        return self._index[tuple(x % self.field.q for x in point)]
-
     def low_degree_extension(self, values: Sequence[int]) -> MultiPoly:
         """The canonical degree-<=d polynomial agreeing with ``values`` on V.
 
         ``values`` follows the point enumeration order.  The result is the one
-        interpolant supported on the standard monomials (an n x n
-        ``Matrix.solve``): of all degree-<=d interpolants, the one with every
-        coefficient off the standard monomials zero.
+        interpolant supported on the standard monomials: of all degree-<=d
+        interpolants, the one with every coefficient off the standard
+        monomials zero, its terms in the order of ``standard``.
         """
         if len(values) != len(self.points):
             raise ValueError(f"need {len(self.points)} values, got {len(values)}")
+        terms = self._interpolate(values)
+        return MultiPoly._trusted(self.field, self.m,
+                                  {e: terms[e] for e in self.standard if e in terms},
+                                  self.extension_degree)
+
+    def _interpolate(self, values: Sequence[int]) -> dict[tuple[int, ...], int]:
+        """{standard monomial: nonzero coefficient} of the interpolant."""
         q = self.field.q
-        columns = [_monomial_values(self.points, e, q) for e in self.standard]
-        coeffs = Matrix(self.field, zip(*columns)).solve(values)
-        return MultiPoly(self.field, self.m, dict(zip(self.standard, coeffs)),
-                         self.extension_degree)
+        if self._factors:   # value i·n2 + j is at (p_i, r_j): over V2 per p_i, then V1 per t
+            v1, v2 = self._factors
+            n2 = len(v2.points)
+            inner = [v2._interpolate(values[i:i + n2]) for i in range(0, len(values), n2)]
+            return {s + t: c for t in v2.standard
+                    for s, c in v1._interpolate([f.get(t, 0) for f in inner]).items()}
+        rows, monos = self._echelon   # every point column is a pivot: -coefficients are left
+        n = len(self.points)
+        rest = rows.reduce({i: y % q for i, y in enumerate(values) if y % q})
+        return {monos[c - n]: -x % q for c, x in rest.items()}
 
 
 def vanishes_on(poly: MultiPoly | FactoredPoly, variety: Variety) -> bool:
@@ -175,10 +181,11 @@ def vanishes_on(poly: MultiPoly | FactoredPoly, variety: Variety) -> bool:
 
 
 def grobner_generating_set(variety: Variety) -> tuple[
-        tuple[MultiPoly, ...], tuple[BasisElement, ...], tuple[tuple[int, ...], ...]]:
-    """Minimal-size generating set, reduced Gröbner basis and standard
-    monomials, from one Buchberger–Möller sweep over the monomials in graded
-    order.
+        tuple[MultiPoly, ...], tuple[BasisElement, ...], tuple[tuple[int, ...], ...],
+        tuple[IncrementalRank, list[tuple[int, ...]]]]:
+    """Minimal-size generating set, reduced Gröbner basis, standard
+    monomials and the standard monomials' echelon, from one Buchberger–Möller
+    sweep over the monomials in graded order.
 
     Monomial u's row is its values at the n points (columns 0..n-1) and a 1
     in u's own column.  Reduced by the standard monomials' rows, it keeps a
@@ -195,7 +202,8 @@ def grobner_generating_set(variety: Variety) -> tuple[
     not a new generator reduces to its combination (negated) and no solve is
     needed.  The relations of the minimal non-standard monomials, those whose
     every divisor x_j^{-1}·u is standard, are the reduced Gröbner basis, each
-    kept with its combination; all of them have degree <= d+1.
+    kept with its combination; all of them have degree <= d+1.  The echelon
+    comes with ``monos``, whose j-th monomial has column n + j.
     """
     field = variety.field
     q = field.q
@@ -234,7 +242,8 @@ def grobner_generating_set(variety: Variety) -> tuple[
         below = set(standard)            # the standard monomials of lower degree
         relations = []
         for u in monomials_exact(m, degree):
-            row = {c: v for c, v in enumerate(_monomial_values(points, u, q)) if v}
+            row = {c: v for c, p in enumerate(points)
+                   if (v := math.prod(pow(x, e, q) for x, e in zip(p, u)) % q)}
             row[n + len(monos)] = 1
             monos.append(u)
             rows.reduce(row)
@@ -258,7 +267,7 @@ def grobner_generating_set(variety: Variety) -> tuple[
                    for j in range(m)):
                 basis.append((MultiPoly(field, m, rel, degree), _combination(field, m, combo)))
         if full:
-            return tuple(gens), tuple(basis), tuple(standard)
+            return tuple(gens), tuple(basis), tuple(standard), (rows, monos)
         for rel, combo in relations:
             for j in range(m):
                 rest = reachable.reduce(keyed(
@@ -287,12 +296,14 @@ def product(v1: Variety, v2: Variety) -> Variety:
     I(V2) have their leading monomials in disjoint variables, so their union
     is a Gröbner basis of I(V1) + I(V2) = I(V1 × V2): the standard monomials
     of V1 × V2 are the products of the factors', and their top degrees add.
+    The points are V1-major (p + r for p in V1, then r in V2; already sorted).
     """
     if v1.field != v2.field:
         raise ValueError("mixed fields")
     m = v1.m + v2.m
     variety = object.__new__(Variety)
     variety._set_points(v1.field, [p + r for p in v1.points for r in v2.points])
+    variety._factors = (v1, v2)
     variety.gens = tuple(
         [g.shift_vars(m, 0) for g in v1.gens] + [g.shift_vars(m, v1.m) for g in v2.gens]
     )

@@ -215,6 +215,17 @@ def test_out_to_a_missing_directory_exits_2_before_the_run(capsys, tmp_path):
     assert not out.parent.exists()
 
 
+def test_out_to_an_existing_directory_exits_2_before_the_run(capsys, tmp_path):
+    started = time.perf_counter()
+    code, stdout, err = run(capsys, "ldt", "run", "--q", "7", "--nvars", "2", "--degree", "2",
+                            "--trials", "1000000", "--out", str(tmp_path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert stdout == ""
+    assert str(tmp_path) in err and err.startswith("error: ") and "is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 K12_FLAGS = ["--q", "5", "--variety", "ball1:n=12", "--graph", "complete:12"]
 NOT_COLORABLE = "config error: graph is not 3-colorable; completeness mode needs a proper coloring\n"
 

@@ -1,6 +1,8 @@
 """MultiPoly arithmetic, line restriction and its entries, distance."""
 
+import cProfile
 import itertools
+import pstats
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from pcplab.poly import (
     DegreeCapError,
     FactoredPoly,
     MultiPoly,
+    _compile_horner,
     _line_codec,
     distance,
     eval_entry,
@@ -372,6 +375,29 @@ def test_line_codec_is_shared_bounded_and_built_on_first_restrict():
     assert p._codec is r._codec is _line_codec(7, width, 5, 2)
     assert f._codec is _line_codec(7, f._layout()[1], 9, 2)
     assert _line_codec.cache_info().maxsize is not None
+
+
+def test_generated_functions_profile_as_separate_entries():
+    # pstats keys a function by (filename, line, name), and every generated
+    # function is ``f``, ``pack`` or ``read`` at a fixed line of its source:
+    # two line shapes and two supports must compile under filenames of their
+    # own, or each pair merges into one entry that counts both calls
+    codecs = [_line_codec(7, 5, 3, 2), _line_codec(11, 6, 4, 2)]
+    horners = [_compile_horner(frozenset({(1, 0), (0, 1)}), 2)[0],
+               _compile_horner(frozenset({(2, 0), (0, 0)}), 2)[0]]
+
+    def work():
+        for pack, read in codecs:
+            read(sum(pack((1, 2), (3, 4))))
+        for f in horners:
+            f((1, 1), (2, 3))
+
+    profile = cProfile.Profile()
+    profile.runcall(work)
+    generated = {key: stat for key, stat in pstats.Stats(profile).stats.items()
+                 if key[0].startswith("<")}
+    assert sorted(name for _, _, name in generated) == ["f", "f", "pack", "pack", "read", "read"]
+    assert all(stat[0] == 1 for stat in generated.values())
 
 
 def _product_ref(factors, nvars, q):

@@ -152,8 +152,10 @@ def test_variety_validation():
 def test_points_are_canonicalized_and_indexed():
     v = Variety(F5, [(6, -1), (0, 0)])
     assert v.points == ((0, 0), (1, 4))
-    assert v.index_of((6, 9)) == 1
     assert len(v) == 2
+    # a product's points are V1-major: point i·n2 + j is (p_i, r_j)
+    w = product(v, Variety(F5, [(2,), (0,)]))
+    assert w.points == tuple(p + r for p in v.points for r in ((0,), (2,)))
 
 
 # -- low-degree extension ----------------------------------------------------
@@ -192,13 +194,44 @@ def test_lde_value_count_checked():
         v.low_degree_extension([1, 2, 3])
 
 
-@settings(max_examples=100, deadline=None)
-@given(_point_sets())
+@st.composite
+def _lde_cases(draw):
+    """(q, factor point lists, power, values): one random point set, a
+    product of two random sets, or a square or cube of one, with random
+    integers, not all reduced mod q, as values on the product's points."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+
+    def points(max_m, max_n):
+        space = list(itertools.product(range(q), repeat=rng.randint(1, max_m)))
+        return rng.sample(space, rng.randint(1, min(len(space), max_n)))
+
+    kind = draw(st.sampled_from(["set", "product", "power"]))
+    if kind == "set":
+        factors, power = [points(3, 8)], 1
+    elif kind == "product":
+        factors, power = [points(2, 4), points(2, 4)], 1
+    else:
+        factors = [points(2, 3)]
+        power = 2 if len(factors[0][0]) == 2 else rng.randint(2, 3)
+    n = math.prod(len(f) for f in factors) * len(factors[0]) ** (power - 1)
+    return q, factors, power, [rng.randrange(-q, 2 * q) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lde_cases())
 def test_lde_matches_dense_right_inverse(case):
-    q, points, values = case
+    # a swept variety reads its interpolant off the sweep's echelon, and a
+    # product or power through its factors; each must equal the dense right
+    # inverse over the sorted points, term for term and in the same order
+    q, factors, power, values = case
     field = Field(q)
-    v = Variety(field, points)
-    ordered = sorted(points)        # the variety's enumeration order
+    if power == 1:
+        v = functools.reduce(product, [Variety(field, pts) for pts in factors])
+    else:
+        v = power_variety(Variety(field, factors[0]), power)
+    ordered = sorted(sum(ps, ()) for ps in itertools.product(*factors * power))
+    assert v.points == tuple(ordered)     # the variety's enumeration order
     n = len(ordered)
     d = 0
     while True:                     # least d at which E_d has full row rank
@@ -217,6 +250,7 @@ def test_lde_matches_dense_right_inverse(case):
     got = v.low_degree_extension(values)
     want = MultiPoly(field, v.m, dict(zip(monos, coeffs)), d)
     assert got == want and list(got.terms) == list(want.terms)
+    assert got.cap == d
 
 
 # -- generating sets ---------------------------------------------------------
