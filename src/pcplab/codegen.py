@@ -1,0 +1,178 @@
+"""Straight-line Python generated for evaluating polynomials over Z.
+
+``_horner`` is the one nested-Horner emitter.  ``_compile_horner`` compiles
+it for one support (a ``MultiPoly``'s terms, or one part of a
+``FactoredPoly``), and ``_compile_factored`` compiles a whole sum of
+products of one shape around it; both are cached, so polynomials of one
+shape share their function and pass their coefficients in.  The generator
+is a module of its own because compiling a module's source takes memory in
+proportion to its size: inside ``poly`` it would make that module's compile
+the package's largest and raise the peak memory of every run.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+from typing import Sequence
+
+
+def _horner(support: frozenset, nvars: int, tag: str = ""):
+    """(statements, order, used) of nested Horner over a nonempty support.
+
+    The statements leave in ``v<tag>0`` the polynomial over Z with the
+    coefficient of ``order[i]`` in ``c<tag><i>``, reading the variable x_i
+    from ``x<i>`` for i in ``used`` only.  The terms are grouped by their
+    power of the first variable some of them use (x_var^e's coefficient is a
+    polynomial in the later variables), so variables no term uses are never
+    read, and each Horner step is one statement multiplying by x_var once.
+    A coefficient that is itself a polynomial is computed first into the
+    next level's local (``v<tag><level>``) and then folded in, so the code
+    never nests.  ``tag`` keeps the locals of several supports apart in one
+    function.
+    """
+    order: list[tuple[int, ...]] = []
+    body: list[str] = []
+    used: set[int] = set()
+
+    def emit(exps: list, start: int, level: int) -> str:
+        """Append the statements for the terms ``exps`` in the variables from
+        ``start`` on; return the name holding their value: ``c<tag><i>`` for
+        a lone term with no variable left, else ``v<tag><level>``."""
+        for var in range(start, nvars):
+            if any(e[var] for e in exps):
+                break
+        else:
+            order.append(exps[0])
+            return f"c{tag}{len(order) - 1}"
+        used.add(var)
+        groups: dict[int, list] = {}
+        for e in exps:
+            groups.setdefault(e[var], []).append(e)
+        v = f"v{tag}{level}"
+        top = max(groups)
+        lead = emit(groups[top], var + 1, level)
+        if lead != v:
+            body.append(f"{v} = {lead}")
+        for power in range(top - 1, -1, -1):
+            if power in groups:
+                inner = emit(groups[power], var + 1, level + 1)
+                body.append(f"{v} = {v}*x{var} + {inner}")
+            else:
+                body.append(f"{v} *= x{var}")
+        return v
+
+    lead = emit(list(support), 0, 0)
+    if lead != f"v{tag}0":
+        body.append(f"v{tag}0 = {lead}")
+    return body, order, used
+
+
+def _unpack(names: Sequence[str], source: str) -> str:
+    """One statement unpacking ``source`` into ``names``."""
+    return ", ".join(names) + f", = {source}"
+
+
+def _function(args: str, body: list[str], kind: str, shape, namespace: dict):
+    """``def f(<args>)`` with the statements ``body``, compiled in
+    ``namespace`` under a filename holding ``kind`` and the digest of
+    ``shape`` (profiles key generated functions by it)."""
+    source = f"def f({args}):\n" + "".join(f"    {line}\n" for line in body)
+    name = f"<{kind} {hashlib.sha256(repr(shape).encode()).hexdigest()[:16]}>"
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["f"]
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_horner(support: frozenset, nvars: int):
+    """(f, order) for a nonempty support (set of exponent vectors).
+
+    ``f(C, X)`` is the polynomial over Z at the point X, with C[i] the
+    coefficient of ``order[i]``: straight-line nested Horner (``_horner``),
+    reading no variable that no term uses.  Coefficients enter only through
+    C, so the function is compiled once per support, under a filename
+    holding the support's digest (profiles keep supports apart), and shared
+    by every polynomial with that support.
+    """
+    body, order, used = _horner(support, nvars)
+    head = [_unpack([f"c{i}" for i in range(len(order))], "C")]
+    if used:
+        head.append(_unpack([f"x{i}" if i in used else "_" for i in range(nvars)], "X"))
+    f = _function("C, X", head + body + ["return v0"], "horner", sorted(support), {})
+    return f, tuple(order)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_factored(parts: tuple, products: tuple, nvars: int):
+    """(f, orders, memos) for a sum of products of factors of one shape.
+
+    ``parts`` are the distinct non-constant parts of the factors, as
+    supports (nonempty sets of nonzero exponent vectors); each factor of
+    ``products`` is (part index or None, whether it has a constant term),
+    so its value is the part's, plus its constant when it has one, or the
+    constant alone (a zero factor is the constant 0).  The coefficient tuple
+    C holds, for each part k, the tuple of its coefficients in ``orders[k]``,
+    then the factors' constants in product and factor order.
+
+    ``f(C, X, M)`` is the sum of products over Z at the point X:
+    straight-line code that runs each part once, so factors that differ
+    only in their constant (χ̂, χ̂-1, χ̂+1) share it, then multiplies each
+    product and sums them one statement at a time, so nothing nests.  A
+    part that reads every variable runs inline as ``_horner`` statements.
+    A part that reads only some keeps in the list M (two slots per such
+    part, ``memos`` parts in all) the coordinates it read and its value,
+    reuses the value while they repeat (it depends on nothing else), and
+    otherwise calls the ``_compile_horner`` function of its support.  Such
+    a part runs only when its coordinates change, so the call costs little
+    beside the run, and the largest parts (a certificate's cofactors) are
+    compiled one at a time: compiling them into one function would raise
+    the peak memory of the compile to their sum.  Compiled once per shape,
+    under a filename holding its digest.
+    """
+    names: list[str] = []
+    orders = []
+    used_all: set[int] = set()
+    body: list[str] = []
+    namespace: dict = {}
+    memos = 0
+    for k, support in enumerate(parts):
+        names.append(f"P{k}")
+        used = {i for e in support for i in range(nvars) if e[i]}
+        used_all |= used
+        v = f"v{k}_0"
+        if len(used) == nvars:
+            steps, order, _ = _horner(support, nvars, f"{k}_")
+            body.append(_unpack([f"c{k}_{i}" for i in range(len(order))], f"P{k}"))
+            body += steps
+        else:
+            namespace[f"h{k}"], order = _compile_horner(support, nvars)
+            key, value = f"M[{2 * memos}]", f"M[{2 * memos + 1}]"
+            body += [f"m = {', '.join(f'x{i}' for i in sorted(used))}",
+                     f"if m == {key}:", f"    {v} = {value}", "else:",
+                     f"    {v} = h{k}(P{k}, X)", f"    {key} = m", f"    {value} = {v}"]
+            memos += 1
+        orders.append(tuple(order))
+    if not products:
+        body.append("s = 0")
+    consts = 0
+    for i, factors in enumerate(products):
+        values = []
+        for part, const in factors:
+            value = [f"v{part}_0"] if part is not None else []
+            if const:
+                value.append(f"k{consts}")
+                consts += 1
+            values.append(" + ".join(value))
+        if not i:
+            body += [f"s = {values[0]}"] + [f"s *= {v}" for v in values[1:]]
+        elif len(values) == 1:
+            body.append(f"s += {values[0]}")
+        else:
+            body += [f"p = {values[0]}"] + [f"p *= {v}" for v in values[1:]] + ["s += p"]
+    names += [f"k{i}" for i in range(consts)]
+    head = [_unpack(names, "C")] if names else []
+    if used_all:
+        head.append(_unpack([f"x{i}" if i in used_all else "_" for i in range(nvars)], "X"))
+    shape = ([sorted(support) for support in parts], products)
+    f = _function("C, X, M", head + body + ["return s"], "factored", shape, namespace)
+    return f, tuple(orders), memos

@@ -315,24 +315,32 @@ def load_graph(spec: str, points: int | None = None) -> Graph:
     return graph
 
 
-def _pcp_instance(cfg: ExperimentConfig) -> tuple[PcpInstance, list[int] | None]:
-    """The instance and the graph's proper coloring, which completeness mode
-    needs; soundness mode needs a graph with none, within the search cap, and
-    gets None.  Only allowance 0 of the coloring search decides this."""
+def _pcp_instance(cfg: ExperimentConfig, for_proof: bool = False
+                  ) -> tuple[PcpInstance, list[int] | None]:
+    """The instance and the coloring its proof is built from.
+
+    Completeness mode needs a proper coloring and gets it.  Soundness mode
+    needs a graph with none, within the search cap: validation alone
+    (``for_proof`` False) decides that at allowance 0 of the coloring search
+    and gets None; a proof build runs the whole fewest-conflicts search once,
+    refuses a graph whose result has no conflict, and gets that coloring.
+    """
     variety = _variety_for(cfg)
     try:
         graph = load_graph(cfg.graph, len(variety.points))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad graph {cfg.graph!r}: {exc}") from exc
+    soundness = cfg.mode == "soundness"
     try:
-        colors = fewest_conflicts_coloring(graph, variety.field, proper_only=True)
+        colors = fewest_conflicts_coloring(graph, variety.field,
+                                           proper_only=not (soundness and for_proof))
     except ValueError as exc:        # no proper coloring, above the search cap
-        if cfg.mode == "soundness":
+        if soundness:
             raise ConfigError(str(exc)) from exc
         colors = None
-    if cfg.mode == "completeness" and colors is None:
+    if not soundness and colors is None:
         raise ConfigError("graph is not 3-colorable; completeness mode needs a proper coloring")
-    if cfg.mode == "soundness" and colors is not None:
+    if soundness and colors is not None and not graph.conflicts(colors, variety.field.q):
         raise ConfigError(
             "graph is 3-colorable, so the improper-coloring adversaries would "
             "build an honest proof; soundness mode needs a graph with no proper "
@@ -617,9 +625,7 @@ def _zerotest(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
 
 
 def _pcp(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
-    inst, colors = _pcp_instance(cfg)
-    if colors is None:               # soundness: the fewest-conflicts coloring
-        colors = fewest_conflicts_coloring(inst.graph, inst.field)
+    inst, colors = _pcp_instance(cfg, for_proof=True)
     # called through this module's binding, the one the benchmark's span
     # tracer wraps
     proof = pcp_prove(inst, colors)

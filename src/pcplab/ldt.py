@@ -7,28 +7,28 @@ oracle queries.  The corrector additionally returns the entry's value at t=0,
 i.e. the (corrected) value at the line's base point, when the check passes.
 
 ``ldt_check`` allocates nothing: it returns one of the two module-level
-frozen verdicts ``ACCEPT`` and ``REJECT``, shared by every call.  The point
-a + t·b is handed to the point oracle reduced, as a tuple of residues, so a
-table-backed oracle answers it with one lookup; a lazy oracle hands it to its
-answer function as it is, which is exact on any integer coordinates.  The
-line (a, b) goes to the lines oracle as given.
+verdicts ``ACCEPT`` and ``REJECT``, shared by every call (a ``Verdict`` is an
+immutable named tuple).  The point a + t·b is handed to the point oracle
+reduced, as a tuple of residues, so a table-backed oracle answers it with one
+lookup; a lazy oracle hands it to its answer function as it is, which is
+exact on any integer coordinates.  The line (a, b) goes to the lines oracle
+as given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .oracles import LinesOracle, PointOracle
 from .poly import eval_entry
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     accepted: bool
     value: int | None = None  # corrected value; present iff the corrector accepted
 
     def __bool__(self) -> bool:
+        """``accepted``, not the tuple's length."""
         return self.accepted
 
 

@@ -10,11 +10,11 @@ behind them:
 
 - honest ones (``honest_oracles``) are the polynomial's own ``eval`` and
   ``restrict`` and stay lazy — materializing a lines table over F_q^{2s} is
-  hopeless even at desk scale.  A ``FactoredPoly`` runs its factors'
-  compiled functions and combines the values (a lines query in one
-  Kronecker pass, a point query on the line just queried read off its
-  entry), so a product such as the PCP's conflict polynomial or a sum such
-  as a zero-on-variety certificate is never multiplied out to be queried;
+  hopeless even at desk scale.  A ``FactoredPoly`` runs one compiled
+  function over its factors (a lines query in one Kronecker pass, a point
+  query on the line just queried read off its entry), so a product such as
+  the PCP's conflict polynomial or a sum such as a zero-on-variety
+  certificate is never multiplied out to be queried;
 - table lookups (``materialize``), for exhaustive work on small domains;
 - keyed corruption (``corrupt``), which flips a keyed pseudorandom δ-fraction
   of entries by adding a nonzero offset, so the corrupted set is exactly the
@@ -172,13 +172,20 @@ class CorruptionSpec:
             raise ValueError("delta must be in [0, 1]")
 
 
-def _digest(key: int, payload: tuple[int, ...], q: int) -> bytes:
-    """Keyed hash of residues mod q, each packed little-endian in
-    max(4, ceil(bits(q-1)/8)) bytes (so 4 bytes, uint32, for every q <= 2^32)."""
+def _digester(key: int, q: int):
+    """The keyed hash of residues mod q, each packed little-endian in
+    max(4, ceil(bits(q-1)/8)) bytes (so 4 bytes, uint32, for every q <= 2^32):
+    a function of the payload tuple.  The keyed BLAKE2b state is built once
+    and copied per payload."""
     width = max(4, ((q - 1).bit_length() + 7) // 8)
-    h = hashlib.blake2b(digest_size=16, key=key.to_bytes(8, "little", signed=False))
-    h.update(b"".join(x.to_bytes(width, "little") for x in payload))
-    return h.digest()
+    keyed = hashlib.blake2b(digest_size=16, key=key.to_bytes(8, "little", signed=False))
+
+    def digest(payload: tuple[int, ...]) -> bytes:
+        h = keyed.copy()
+        h.update(b"".join([x.to_bytes(width, "little") for x in payload]))
+        return h.digest()
+
+    return digest
 
 
 def _hit(digest: bytes, delta: float) -> bool:
@@ -196,11 +203,12 @@ def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
     field = base.field
     q = field.q
     answer = base.answer
+    digest = _digester(spec.key, q)
     if isinstance(base, PointOracle):
         def corrupted_point(point):
             point = tuple([x % q for x in point])
             value = answer(point)
-            d = _digest(spec.key, point, q)
+            d = digest(point)
             if _hit(d, spec.delta):
                 offset = 1 + int.from_bytes(d[8:16], "little") % (q - 1)
                 value = (value + offset) % q
@@ -213,7 +221,7 @@ def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
         a = tuple([x % q for x in a])
         b = tuple([y % q for y in b])
         entry = answer(a, b)
-        d = _digest(spec.key, a + b, q)
+        d = digest(a + b)
         if _hit(d, spec.delta):
             raw = int.from_bytes(d[8:16], "little")
             idx = raw % width

@@ -17,10 +17,11 @@ A, B, and zero-on-variety certificate pairs for A on V and for B on V×V.
 ``fewest_conflicts_coloring`` is the one coloring search: it finds the proper
 coloring a completeness run proves and the best improper one a soundness run
 proves.  ``pcp_prove`` builds every proof, honest or not.  A and B are kept as
-their factors and the certificates as their products h_g(x)·y_g, so the
-honest oracles answer factor by factor; A and B are multiplied out only for
-the certificates' divisions.  An improper coloring has no certificate for B, so
-its proof carries the all-zero one and the conflict zero test rejects.
+their factors and the certificates as their products h_g(x)·y_g, so each
+honest oracle answers through one compiled function over those factors; A
+and B are multiplied out only for the certificates' divisions.  An improper
+coloring has no certificate for B, so its proof carries the all-zero one and
+the conflict zero test rejects.
 
 The verifier spends 24 queries: 4 direct reads, 3 low-degree tests (6), and
 two 7-query zero tests, plus two local identity checks that cost no extra
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import Field
-from .ldt import ldt_check, Verdict
+from .ldt import ACCEPT, REJECT, ldt_check, Verdict
 from .oracles import honest_oracles, LinesOracle, PointOracle
 from .poly import FactoredPoly, MultiPoly
 from .variety import NoCertificateError, Variety, product, read_int_rows
@@ -234,8 +235,7 @@ class PcpProof:
         return out
 
 
-@dataclass(frozen=True)
-class PcpRandomness:
+class PcpRandomness(NamedTuple):
     a: tuple[int, ...]       # F_q^m
     b: tuple[int, ...]       # F_q^m
     alpha: tuple[int, ...]   # F_q^{2m}
@@ -349,7 +349,7 @@ def pcp_verify(inst: PcpInstance, proof: PcpProof, r: PcpRandomness) -> Verdict:
         and validity_ok and conflict_ok
         and z_validity.accepted and z_conflict.accepted
     )
-    return Verdict(ok)
+    return ACCEPT if ok else REJECT
 
 
 def implied_proof_size(proof: PcpProof) -> dict[str, int]:

@@ -7,25 +7,27 @@ nested-Horner form over the variables they use (x_i^e's coefficient is a
 polynomial in the later variables, and each step multiplies by x_i once):
 straight-line Python code, one statement per Horner step, with the
 coefficients passed in as a tuple, so it is cached by support (the set of
-exponent vectors) and shared by every polynomial with that support.  ``eval``
-runs it over Z at the point and reduces mod q once;
-``restrict`` runs it at the Kronecker-packed point x_i = a_i + b_i 2^W, whose
-base-2^W digits are the coefficients in t of P(a + t b) (W bounds every
-coefficient, so no digit carries).  A line is packed and its digits are read
+exponent vectors) and shared by every polynomial with that support (the
+generators live in ``codegen``).  ``eval`` runs it over Z at the point and
+reduces mod q once; ``restrict`` runs it at the Kronecker-packed point
+x_i = a_i + b_i 2^W, whose base-2^W digits are the coefficients in t of
+P(a + t b) (W bounds every coefficient, so no digit carries).  A line is packed and its digits are read
 one way, by the two straight-line functions of ``_line_codec``, generated
 once per line shape (q, W, number of digits, arity) and shared by every
 polynomial of that shape.  ``FactoredPoly`` is a sum of products of
-``MultiPoly`` factors that evaluates and restricts without multiplying out:
-its restriction runs every factor's function at one point packed by the same
-codec and reads the digits once, and it keeps that work: a factor whose
-packed inputs repeat on the next restriction reuses its last value, and the
-next point read on the restricted line is answered from the entry.  A lines
-entry, as every restriction returns it and every lines table hands it out,
-is a plain tuple of exactly cap+1 residues in [0, q) (index = power of t,
-trailing zeros kept, so the width is fixed); ``eval_entry`` reads it at a
-point t.  Both classes' ``eval`` and ``restrict`` are exact on any integer
-coordinates (unreduced, negative or in a list), so an oracle hands them a
-query as given.
+``MultiPoly`` factors that evaluates and restricts without multiplying out,
+through one straight-line function per shape built on the same Horner
+emitter: it runs each distinct non-constant part of its factors once (χ̂,
+χ̂-1 and χ̂+1 share one Horner pass), multiplies and sums, and restricts at
+one point packed by the same codec, reading the digits once.  It keeps that
+work: a part that reads only some variables reuses its last value while the
+coordinates it reads repeat, and the next point read on the restricted line
+is answered from the entry.  A lines entry, as every restriction returns it
+and every lines table hands it out, is a plain tuple of exactly cap+1
+residues in [0, q) (index = power of t, trailing zeros kept, so the width is
+fixed); ``eval_entry`` reads it at a point t.  Both classes' ``eval`` and
+``restrict`` are exact on any integer coordinates (unreduced, negative or in
+a list), so an oracle hands them a query as given.
 
 Multiplying out runs on packed monomials (``_packing``): each exponent
 vector is one integer with a guarded bit field per variable, so a monomial
@@ -49,13 +51,12 @@ degree, and within a degree block ordered by descending exponent tuple.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .codegen import _compile_factored, _compile_horner
 from .field import Field
 
 
@@ -84,66 +85,6 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 class DegreeCapError(ValueError):
     """A term exceeds the polynomial's declared degree cap."""
-
-
-@functools.lru_cache(maxsize=256)
-def _compile_horner(support: frozenset, nvars: int):
-    """(f, order, used) for a nonempty support (set of exponent vectors).
-
-    ``f(C, X)`` is the polynomial over Z at the point X, with C[i] the
-    coefficient of ``order[i]``; it reads from X only the variables in
-    ``used``.  Its source is straight-line nested Horner: the terms are
-    grouped by their power of the first variable some of them use (x_var^e's
-    coefficient is a polynomial in the later variables), so variables no term
-    uses are never read, and each Horner step is one statement multiplying
-    by x_var once.  A coefficient that is itself a polynomial is computed
-    first into the next level's local and then folded in, so the code never
-    nests.  Coefficients enter only through C, so the function is compiled
-    once per support, under a filename holding the support's digest (profiles
-    keep supports apart), and shared by every polynomial with that support.
-    """
-    order: list[tuple[int, ...]] = []
-    body: list[str] = []
-    used: set[int] = set()
-
-    def emit(exps: list, start: int, level: int) -> str:
-        """Append the statements for the terms ``exps`` in the variables from
-        ``start`` on; return the name holding their value: ``c<i>`` for a lone
-        term with no variable left, else ``v<level>``."""
-        for var in range(start, nvars):
-            if any(e[var] for e in exps):
-                break
-        else:
-            order.append(exps[0])
-            return f"c{len(order) - 1}"
-        used.add(var)
-        groups: dict[int, list] = {}
-        for e in exps:
-            groups.setdefault(e[var], []).append(e)
-        v = f"v{level}"
-        top = max(groups)
-        lead = emit(groups[top], var + 1, level)
-        if lead != v:
-            body.append(f"{v} = {lead}")
-        for power in range(top - 1, -1, -1):
-            if power in groups:
-                inner = emit(groups[power], var + 1, level + 1)
-                body.append(f"{v} = {v}*x{var} + {inner}")
-            else:
-                body.append(f"{v} *= x{var}")
-        return v
-
-    lead = emit(list(support), 0, 0)
-    if lead != "v0":
-        body.append(f"v0 = {lead}")
-    head = ["def f(C, X):", "    " + ", ".join(f"c{i}" for i in range(len(order))) + ", = C"]
-    if used:
-        head.append("    " + ", ".join(f"x{i}" if i in used else "_" for i in range(nvars)) + ", = X")
-    source = "\n".join(head + ["    " + line for line in body] + ["    return v0"]) + "\n"
-    namespace: dict = {}
-    name = f"<horner {hashlib.sha256(repr(sorted(support)).encode()).hexdigest()[:16]}>"
-    exec(compile(source, name, "exec"), namespace)
-    return namespace["f"], tuple(order), tuple(sorted(used))
 
 
 @functools.lru_cache(maxsize=256)
@@ -377,14 +318,12 @@ class MultiPoly:
     # -- evaluation and restriction ----------------------------------------
 
     def _layout(self):
-        """(compiled Horner function, coefficient tuple, Kronecker digit width W,
-        indices of the variables the function reads).
+        """(compiled Horner function, coefficient tuple, Kronecker digit width W).
 
         The function ``fn(coeffs, point)`` is ``_compile_horner``'s for the
         terms' support, compiled once per support and shared by every
         polynomial with it (the zero polynomial takes the constant's, with
-        coefficient 0); it computes P(point) over Z and reads no coordinate of
-        the point outside the used variables.  W = bit_length(T(q-1)(2q-2)^D)
+        coefficient 0); it computes P(point) over Z.  W = bit_length(T(q-1)(2q-2)^D)
         for T terms of degree at most D: with a_i, b_i in [0, q), P(a + t b)
         over Z has nonnegative coefficients, each at most its value at t = 1,
         which is at most that bound, so packed at t = 2^W its base-2^W digits
@@ -393,17 +332,17 @@ class MultiPoly:
         """
         if self._horner is None:
             terms = self.terms or {(0,) * self.nvars: 0}
-            fn, order, used = _compile_horner(frozenset(terms), self.nvars)
+            fn, order = _compile_horner(frozenset(terms), self.nvars)
             q = self.field.q
             width = (len(self.terms) * (q - 1) * (2 * q - 2) ** self.degree()).bit_length()
-            self._horner = fn, tuple(map(terms.__getitem__, order)), width, used
+            self._horner = fn, tuple(map(terms.__getitem__, order)), width
         return self._horner
 
     def eval(self, point: Sequence[int]) -> int:
         """P(point): the compiled function over Z, reduced mod q once."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        fn, coeffs, _, _ = self._layout()
+        fn, coeffs, _ = self._layout()
         return fn(coeffs, point) % self.field.q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -423,7 +362,7 @@ class MultiPoly:
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
-        fn, coeffs, width, _ = self._layout()
+        fn, coeffs, width = self._layout()
         codec = self._codec
         if codec is None:
             codec = self._codec = _line_codec(self.field.q, width, self.cap + 1, self.nvars)
@@ -457,36 +396,46 @@ class MultiPoly:
 class FactoredPoly:
     """Σ_i Π_j f_ij over F_q[x_1..x_m], kept as its ``MultiPoly`` factors.
 
-    ``eval`` and ``restrict`` run each factor's compiled Horner function (see
-    ``MultiPoly._layout``) and combine the values, so a product of a few
-    small factors is never multiplied out.  ``restrict`` is one Kronecker
-    pass: every factor runs over Z at the same packed point a + b 2^W_F, the
-    integers are multiplied and summed, and the cap+1 base-2^W_F digits are
-    read once; the point is packed and the digits read by the ``_line_codec``
-    of the shape (q, W_F, cap+1, nvars), the one a ``MultiPoly`` of that
-    shape uses, fetched on the first restriction and kept.
-    W_F = bit_length(Σ_i Π_j T_ij(q-1)(2q-2)^D_ij) for factors of T_ij terms
-    and degree D_ij: each f_ij(a + t b) over Z has nonnegative coefficients
-    and is at most T_ij(q-1)(2q-2)^D_ij at t = 1, so every coefficient of the
-    sum of products is at most that sum and no digit carries.  Arithmetic
-    over Z followed by reduction is the formal composition, so the
-    restriction has exactly the coefficients of the expanded polynomial's,
-    also when the cap is >= q.  ``cap`` is the declared degree bound, as for
-    ``MultiPoly``.
+    ``eval`` and ``restrict`` run one compiled function for the whole sum of
+    products (``_compile_factored``), so a product of a few small factors is
+    never multiplied out.  The function is generated once per shape: the
+    distinct non-constant parts of the factors (a factor's terms other than
+    its constant) as supports, and for each factor its part and whether it
+    has a constant.  It runs each part once, so factors that differ only in
+    their constant term (χ̂, χ̂-1 and χ̂+1 of the validity claim, the four
+    Δ-c of the conflict claim) share one Horner pass and each is its part's
+    value plus its constant, the integer the factor's own
+    polynomial takes over Z.  Coefficients enter as one tuple, so
+    polynomials of one shape share the function, however their coefficients
+    differ.
 
-    The work of the last restriction is kept twice over.  Each factor whose
-    function reads only some of the variables keeps the (key, value) of its
-    last run, keyed by the packed coordinates it reads, so a factor whose
-    projection of the line is unchanged (a cofactor h_g(x) inside M(x, y) on
-    the two corrected reads along one x-line) is not run again; a factor that
-    reads every variable sees a new key on every new line, so it runs
-    directly, with no key and no compare.  And the restricted line with its
-    entry is kept for one ``eval``, which answers a point on that line from
-    the entry.
+    ``restrict`` is one Kronecker pass: the function runs over Z at the
+    packed point a + b 2^W_F, multiplies and sums, and the cap+1 base-2^W_F
+    digits are read once; the point is packed and the digits read by the
+    ``_line_codec`` of the shape (q, W_F, cap+1, nvars), the one a
+    ``MultiPoly`` of that shape uses, fetched on the first restriction and
+    kept.  W_F = bit_length(Σ_i Π_j T_ij(q-1)(2q-2)^D_ij) for factors of
+    T_ij terms and degree D_ij: each f_ij(a + t b) over Z has nonnegative
+    coefficients and is at most T_ij(q-1)(2q-2)^D_ij at t = 1, so every
+    coefficient of the sum of products is at most that sum and no digit
+    carries.  Arithmetic over Z followed by reduction is the formal
+    composition, so the restriction has exactly the coefficients of the
+    expanded polynomial's, also when the cap is >= q.  ``cap`` is the
+    declared degree bound, as for ``MultiPoly``.
+
+    The work of the last restriction is kept twice over.  A part that reads
+    only some of the variables keeps, in its two slots of the memo list
+    handed to the function, the coordinates it last read and its value, so
+    a part whose projection of the line is unchanged (a cofactor h_g(x)
+    inside M(x, y) on the two corrected reads along one x-line) is not run
+    again; a part that reads every variable sees new coordinates on every
+    new line, so it runs inline, with no key and no compare.  And the
+    restricted line with its entry is kept for one ``eval``, which answers a
+    point on that line from the entry.
 
     Like ``MultiPoly``'s, both methods are exact on any integer coordinates
-    (unreduced, negative, or in a list): ``eval`` runs the functions over Z
-    and reduces the value, ``restrict`` reduces each coordinate as it packs
+    (unreduced, negative, or in a list): ``eval`` runs the function over Z
+    and reduces its value, ``restrict`` reduces each coordinate as it packs
     it, and the kept line is tested modulo q.
     """
 
@@ -561,37 +510,50 @@ class FactoredPoly:
         return {k: r for k, c in total.items() if (r := c % q)}
 
     def _layout(self):
-        """(per product, its factors' (compiled function, coefficients, key,
-        memo) quadruples; the digit width W_F), built on first use.
+        """(compiled function, coefficient tuple, digit width W_F, memo list),
+        built on first use.
 
-        For a factor whose function reads only some of the variables,
-        ``key(packed)`` picks the packed coordinates it reads (``()`` for a
-        constant factor) and ``memo`` is a one-item list holding the (key,
-        value) of the factor's last run in ``restrict``; a factor that reads
-        every variable has key and memo None.
+        The function is ``_compile_factored``'s for this sum's shape: each
+        factor's terms are split into its constant and its non-constant
+        part, and equal non-constant parts (equal terms, not only equal
+        supports) are one part.  The memo list starts with ``None`` keys,
+        which no coordinates match.
         """
         if self._compiled is None:
             q = self.field.q
+            zero = (0,) * self.nvars
+            index: dict[frozenset, int] = {}
+            parts: list[dict] = []
+            shape = []
+            consts = []
             bound = 0
-            products = []
             for factors in self.products:
                 size = 1
-                compiled = []
+                row = []
                 for f in factors:
                     size *= len(f.terms) * (q - 1) * (2 * q - 2) ** f.degree()
-                    fn, coeffs, _, used = f._layout()
-                    if len(used) == self.nvars:
-                        compiled.append((fn, coeffs, None, None))
-                        continue
-                    key = operator.itemgetter(*used) if used else _no_key
-                    compiled.append((fn, coeffs, key, [(None, 0)]))
+                    rest = {e: c for e, c in f.terms.items() if e != zero}
+                    part = None
+                    if rest:
+                        part = index.setdefault(frozenset(rest.items()), len(parts))
+                        if part == len(parts):
+                            parts.append(rest)
+                    has_const = zero in f.terms or not rest   # a zero factor: 0
+                    if has_const:
+                        consts.append(f.terms.get(zero, 0))
+                    row.append((part, has_const))
                 bound += size
-                products.append(tuple(compiled))
-            self._compiled = tuple(products), bound.bit_length()
+                shape.append(tuple(row))
+            fn, orders, memos = _compile_factored(
+                tuple(frozenset(p) for p in parts), tuple(shape), self.nvars)
+            coeffs = [tuple(map(p.__getitem__, order)) for p, order in zip(parts, orders)]
+            self._compiled = fn, tuple(coeffs + consts), bound.bit_length(), [None, 0] * memos
         return self._compiled
 
     def eval(self, point: Sequence[int]) -> int:
-        """Σ_i Π_j f_ij(point), the factors' values multiplied mod q.
+        """Σ_i Π_j f_ij(point): the compiled function over Z at the point,
+        reduced mod q once.  It shares its memo with ``restrict``: a part's
+        value depends only on the coordinates it reads, whoever read them.
 
         A point on the line of the last ``restrict`` is answered from its
         entry instead: with b_i the first direction coordinate nonzero mod q,
@@ -622,58 +584,30 @@ class FactoredPoly:
                     break
             else:
                 return eval_entry(entry, t, q)
-        total = 0
-        for factors in self._layout()[0]:
-            v = 1
-            for fn, coeffs, _, _ in factors:
-                v = v * fn(coeffs, point) % q
-            total += v
-        return total % q
+        fn, coeffs, _, memo = self._layout()
+        return fn(coeffs, point, memo) % q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at digit width W_F.
         Returns exactly cap+1 residues.
 
-        A memoized factor whose key (the packed coordinates it reads) equals
-        that of its last run reuses that run's integer: the function reads
-        nothing else and W_F is fixed, so the integer is the same.  A factor
-        that reads every variable just runs.  The line, as tuples of the
+        A memoized part whose packed coordinates equal those of its last run
+        reuses that run's integer: the part reads nothing else, so the
+        integer is the same.  The line, as tuples of the
         coordinates as queried, and the entry are kept for the next ``eval``.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
-        products, width = self._layout()
+        fn, coeffs, width, memo = self._layout()
         codec = self._codec
         if codec is None:
             codec = self._codec = _line_codec(self.field.q, width, self.cap + 1, self.nvars)
         pack, read = codec
         a = tuple(a)
         b = tuple(b)
-        packed = pack(a, b)
-        total = 0
-        for factors in products:
-            v = 1
-            for fn, coeffs, key_of, memo in factors:
-                if key_of is None:
-                    v *= fn(coeffs, packed)
-                    continue
-                key = key_of(packed)
-                last = memo[0]
-                if last[0] == key:
-                    v *= last[1]
-                else:
-                    value = fn(coeffs, packed)
-                    memo[0] = (key, value)
-                    v *= value
-            total += v
-        entry = read(total)
+        entry = read(fn(coeffs, pack(a, b), memo))
         self._line = (a, b, entry)
         return entry
-
-
-def _no_key(packed: Sequence[int]) -> tuple:
-    """The memo key of a constant factor, whose function reads no coordinate."""
-    return ()
 
 
 def random_poly(field: Field, nvars: int, degree: int, rng: random.Random) -> MultiPoly:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .ldt import ldt_check, local_correct, Verdict
+from .ldt import ACCEPT, REJECT, ldt_check, local_correct, Verdict
 from .oracles import honest_oracles, LinesOracle, PointOracle
 from .poly import FactoredPoly, MultiPoly
 from .variety import (
@@ -40,8 +41,7 @@ class ZeroProof:
     lines: LinesOracle
 
 
-@dataclass(frozen=True)
-class ZeroRandomness:
+class ZeroRandomness(NamedTuple):
     """One verifier coin toss: a, b ∈ F_q^{m+k}, alpha ∈ F_q^m, t ∈ F_q^×."""
 
     a: tuple[int, ...]
@@ -67,10 +67,10 @@ def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) ->
     Checks vanishing on ``poly`` as given, hands it as given to
     ``vanishing_certificate`` (which multiplies a ``FactoredPoly`` out on
     its own packed monomials, so the claim is never built as a
-    ``MultiPoly``), and exposes lazy honest oracles that answer M factor by
-    factor.  ``vanishing_certificate`` checks the identity Σ h_g·g = P,
-    which is M(x, φ(x)) = P, term for term on packed monomials; M(x, 0) = 0
-    holds by construction.
+    ``MultiPoly``), and exposes lazy honest oracles that answer M through
+    its products, never multiplied out.  ``vanishing_certificate`` checks
+    the identity Σ h_g·g = P, which is M(x, φ(x)) = P, term for term on
+    packed monomials; M(x, 0) = 0 holds by construction.
     """
     if poly.nvars != variety.m:
         raise ValueError("polynomial/variety dimension mismatch")
@@ -118,7 +118,7 @@ def zero_verify(variety: Variety, degree: int, f: PointOracle,
         and at_zero.accepted and at_zero.value == 0
         and at_phi.accepted and at_phi.value == f_value
     )
-    return Verdict(ok)
+    return ACCEPT if ok else REJECT
 
 
 def randomness_space_size(variety: Variety) -> int:

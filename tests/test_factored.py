@@ -1,14 +1,14 @@
 """Factored honest oracles against independently expanded polynomials.
 
 The PCP's conflict polynomial B, its validity polynomial A and the two
-zero-test certificates M_A, M_B are answered factor by factor.  Here each is
-rebuilt as one expanded ``MultiPoly`` by a different route (B as
-Ê·((Δ²-1)(Δ²-4)), A as χ̂³-χ̂, M from the cofactor terms directly) and the
-factored oracles must give the same values and the same lines entries,
-width included.  A ``FactoredPoly`` reuses its last restriction (a factor's
-last value, the last line's entry for a point on it); interleaved reads are
-checked against the expanded polynomial, and the factor runs of one
-certificate check are counted.
+zero-test certificates M_A, M_B are answered by one fused function each.
+Here each is rebuilt as one expanded ``MultiPoly`` by a different route (B
+as Ê·((Δ²-1)(Δ²-4)), A as χ̂³-χ̂, M from the cofactor terms directly) and
+the factored oracles must give the same values and the same lines entries,
+width included.  A ``FactoredPoly`` reuses its last restriction (a memoized
+part's last value, the last line's entry for a point on it); interleaved
+reads are checked against the expanded polynomial and against the factors
+read one by one, and the part runs of one certificate check are counted.
 """
 
 import functools
@@ -286,9 +286,8 @@ def test_memo_only_on_factors_that_skip_a_variable(name):
     field = Field(7)
     p = _memo_products(field)[name]
     expanded = p.expand()
-    memos = [memo for fn, coeffs, key, memo in p._layout()[0][0]]
-    assert memos[0] is None
-    assert (memos[1] is None) == (name == "full")
+    memo = p._layout()[3]      # two slots (coordinates, value) per memoized part
+    assert len(memo) == (0 if name == "full" else 2)
     lines = [((1, 2), (3, 4))] * 2
     lines += [((1, 2), (3, 4)), ((1, 5), (3, 6))] * 2
     lines += [((1, 2), (3, 4)), ((6, 2), (0, 4))] * 2
@@ -297,22 +296,40 @@ def test_memo_only_on_factors_that_skip_a_variable(name):
         assert p.restrict(a, b) == expanded.restrict(a, b), (name, a, b)
 
 
-def _count_runs(p):
-    """Wrap every compiled factor function of ``p`` to count its runs; the
-    count is the returned one-item list."""
-    runs = [0]
+class _Runs(list):
+    """A memo list that counts, per memoized part, the writes of its value
+    slot: one per run of that part."""
 
-    def counted(fn):
-        def run(coeffs, point):
-            runs[0] += 1
-            return fn(coeffs, point)
-        return run
+    def __init__(self, memo):
+        super().__init__(memo)
+        self.runs = [0] * (len(memo) // 2)
 
-    products, width = p._layout()
-    p._compiled = tuple(
-        tuple((counted(fn), coeffs, key, memo) for fn, coeffs, key, memo in factors)
-        for factors in products), width
-    return runs
+    def __setitem__(self, i, value):
+        if i % 2:
+            self.runs[i // 2] += 1
+        super().__setitem__(i, value)
+
+
+def _count_runs(p, parts):
+    """Count the part runs of ``p``'s fused function, which has ``parts``
+    non-constant parts: each call (a restriction or a fresh point) runs
+    every part that keeps no memo, and a memoized part runs when it writes
+    its memo value slot.  Returns (a function giving the total so far, the
+    counting memo, a one-item list counting the calls)."""
+    fn, coeffs, width, memo = p._layout()
+    memo = _Runs(memo)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    p._compiled = counted, coeffs, width, memo
+    unmemoized = parts - len(memo.runs)
+
+    def runs():
+        return calls[0] * unmemoized + sum(memo.runs)
+    return runs, memo, calls
 
 
 def _line_ref(products, cap, a, b, q):
@@ -350,20 +367,20 @@ def test_restrict_matches_the_line_reference_through_memo_and_kept_line():
     field = Field(7)
     p = _memo_products(field)["with-x-only"]
     products = [[f.terms for f in fs] for fs in p.products]
-    runs = _count_runs(p)
+    runs, _, _ = _count_runs(p, 2)
     lines = [((1, 2), (3, 4)), ([1, 5], [3, 6]), ([8, -5], [10, 4]),
              ((-13, 9), (-4, -1)), ((6, 2), (0, 4)), ([-1, 2], [7, 4])]
     expected_runs = [2, 1, 1, 1, 2, 1]
     for (a, b), spent in zip(lines, expected_runs):
-        before = runs[0]
+        before = runs()
         entry = p.restrict(a, b)
-        assert runs[0] - before == spent, (a, b)
+        assert runs() - before == spent, (a, b)
         assert entry == _line_ref(products, p.cap, a, b, 7), (a, b)
         t = 3
         point = [x + t * y - 7 for x, y in zip(a, b)]
-        before = runs[0]
+        before = runs()
         assert p.eval(point) == sum(c * t ** j for j, c in enumerate(entry)) % 7
-        assert runs[0] == before, (a, b, point)
+        assert runs() == before, (a, b, point)
 
 
 @pytest.mark.parametrize("on_old_line", [True, False])
@@ -375,16 +392,16 @@ def test_kept_line_is_the_line_as_queried(on_old_line):
     field = Field(7)
     p = _memo_products(field)["with-x-only"]
     expanded = p.expand()
-    runs = _count_runs(p)
+    runs, _, _ = _count_runs(p, 2)
     a, b = [1, 2], [3, 4]
     p.restrict(a, b)
     old = [x + 3 * y for x, y in zip(a, b)]
     a[0], b[1] = 6, 5
     new = [x + 3 * y for x, y in zip(a, b)]      # (1, 3) mod 7: off the old line
     point = old if on_old_line else new
-    before = runs[0]
+    before = runs()
     assert p.eval(point) == expanded.eval(point)
-    assert runs[0] - before == (0 if on_old_line else 2)
+    assert runs() - before == (0 if on_old_line else 2)
 
 
 def test_point_on_the_kept_line_in_any_integer_form():
@@ -394,7 +411,7 @@ def test_point_on_the_kept_line_in_any_integer_form():
     field = Field(7)
     p = _memo_products(field)["full"]
     expanded = p.expand()
-    runs = _count_runs(p)
+    runs, _, _ = _count_runs(p, 2)
     for a, b in (((1, 2), (3, 4)), ((1, 2), (0, 4)), ((5, 6), (0, 0))):
         forms = ((a, b), ([x + 7 for x in a], [y + 7 for y in b]),
                  (tuple(x - 14 for x in a), tuple(y - 7 for y in b)))
@@ -405,9 +422,9 @@ def test_point_on_the_kept_line_in_any_integer_form():
                     point = [x + k for x, k in zip(on, shift)]
                     entry = p.restrict(la, lb)
                     assert entry == expanded.restrict(a, b)
-                    before = runs[0]
+                    before = runs()
                     assert p.eval(point) == expanded.eval(point), (la, lb, point)
-                    assert runs[0] == before, (la, lb, point)
+                    assert runs() == before, (la, lb, point)
 
 
 def test_certificate_reads_run_each_cofactor_twice():
@@ -433,28 +450,17 @@ def test_certificate_reads_run_each_cofactor_twice():
     k = v2.complexity
     assert (v2.m, k, len(poly.products)) == (2, 2, 2)
 
-    runs = {}
-
-    def counted(fn, name):
-        runs[name] = 0
-
-        def run(coeffs, point):
-            runs[name] += 1
-            return fn(coeffs, point)
-        return run
-
-    products, width = poly._layout()
-    poly._compiled = tuple(
-        tuple((counted(fn, (g, j)), coeffs, key, memo)
-              for j, (fn, coeffs, key, memo) in enumerate(factors))
-        for g, factors in enumerate(products)), width
+    # every part of M reads only some variables, so each keeps a memo, in
+    # part order h_1, y_1, h_2, y_2, and runs exactly when it writes it
+    total, memo, calls = _count_runs(poly, 4)
+    assert len(memo.runs) == 4
     point_runs = []
     answer = cert.point.answer
 
     def read(p):
-        before = sum(runs.values())
+        before = total()
         value = answer(p)
-        point_runs.append(sum(runs.values()) - before)
+        point_runs.append(total() - before)
         return value
 
     cert.point.answer = read
@@ -463,4 +469,135 @@ def test_certificate_reads_run_each_cofactor_twice():
     r = ZeroRandomness(a=(1, 2, 3, 4), b=(5, 6, 1, 2), alpha=alpha, t=2)
     assert zero_verify(v2, 6 * inst.d, proof.conflict, cert, r).accepted
     assert point_runs == [0, 0, 0]
+    assert calls == [3]                              # the three restrictions
+    runs = {(g, j): memo.runs[2 * g + j] for g in range(2) for j in range(2)}
     assert runs == {(0, 0): 2, (1, 0): 2, (0, 1): 3, (1, 1): 3}
+
+
+# -- the fused function against a factor-by-factor reference -----------------
+
+@st.composite
+def _fused_cases(draw):
+    """(q, nvars, products of term dicts, cap slack, ops).
+
+    Factors are drawn from a few non-constant parts, each over a drawn
+    nonempty subset of the variables (a strict subset keeps a memo): a part
+    alone, a part plus a nonzero constant (so factors that differ only in
+    their constant share a part), a constant, or zero.  An op is ("line", a,
+    b) or ("eval", p); a point lies on the last line or anywhere, and every
+    coordinate comes as a residue, unreduced or negative, in a tuple or a
+    list.
+    """
+    q = draw(st.sampled_from([3, 5, 7, 257, 4294967311]))
+    nvars = draw(st.integers(1, 3))
+    residue = st.integers(0, q - 1)
+    nonzero = st.integers(1, q - 1)
+
+    def part():
+        used = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=nvars))
+        exps = st.tuples(*(st.integers(0, 3) if i in used else st.just(0)
+                           for i in range(nvars))).filter(any)
+        return draw(st.dictionaries(exps, nonzero, min_size=1, max_size=4))
+
+    parts = [part() for _ in range(draw(st.integers(1, 3)))]
+
+    def factor():
+        kind = draw(st.sampled_from(["part", "part+const", "const", "zero"]))
+        if kind == "zero":
+            return {}
+        if kind == "const":
+            return {(0,) * nvars: draw(nonzero)}
+        terms = dict(draw(st.sampled_from(parts)))
+        if kind == "part+const":
+            terms[(0,) * nvars] = draw(nonzero)
+        return terms
+
+    products = [[factor() for _ in range(draw(st.integers(1, 4)))]
+                for _ in range(draw(st.integers(0, 3)))]
+    vec = st.lists(residue, min_size=nvars, max_size=nvars)
+
+    def form(v):
+        shifted = [x + k * q for x, k in zip(v, draw(st.lists(
+            st.integers(-2, 2), min_size=nvars, max_size=nvars)))]
+        return shifted if draw(st.booleans()) else tuple(shifted)
+
+    ops = []
+    a, b = draw(vec), draw(vec)
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["line", "on", "off"]))
+        if kind == "line":
+            a, b = draw(vec), draw(vec)
+            ops.append(("line", form(a), form(b)))
+        else:
+            t = draw(residue)
+            p = [x + t * y for x, y in zip(a, b)] if kind == "on" else draw(vec)
+            ops.append(("eval", form(p)))
+    return q, nvars, products, draw(st.integers(0, 4)), ops
+
+
+def _convolve(u, v, q):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] = (out[i + j] + x * y) % q
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fused_cases())
+@example((3, 1, [[{(3,): 2, (0,): 1}, {(3,): 2}, {(3,): 2, (0,): 2}, {(0,): 2}]], 1,
+          [("line", [4], (-3,)), ("eval", (-2,)), ("eval", [2])]))    # cap 10 >= q
+@example((7, 2, [[{(1, 0): 3, (0, 0): 1}, {(0, 2): 1}], [{(1, 0): 3}, {}]], 0,
+          [("line", (1, 2), (3, 4)), ("line", (1, 5), (3, 4)), ("eval", (4, 6))]))
+def test_fused_matches_factor_by_factor(case):
+    # every restriction equals Σ_i Π_j of the factors' own restrictions,
+    # convolved mod q, and every value Σ_i Π_j of their own values, through
+    # the fused function's shared parts, memo and kept line
+    q, nvars, products, slack, ops = case
+    field = Field(q)
+    factors = [[MultiPoly(field, nvars, terms, max((sum(e) for e in terms), default=0))
+                for terms in fs] for fs in products]
+    cap = max((sum(f.cap for f in fs) for fs in factors), default=0) + slack
+    p = FactoredPoly(field, nvars, factors, cap)
+    for op in ops:
+        if op[0] == "line":
+            _, a, b = op
+            want = [0] * (cap + 1)
+            for fs in factors:
+                prod = [1]
+                for f in fs:
+                    prod = _convolve(prod, f.restrict(a, b), q)
+                for j, c in enumerate(prod):
+                    want[j] = (want[j] + c) % q
+            assert p.restrict(a, b) == tuple(want), op
+        else:
+            want = 0
+            for fs in factors:
+                value = 1
+                for f in fs:
+                    value = value * f.eval(op[1]) % q
+                want += value
+            assert p.eval(op[1]) == want % q, op
+
+
+def test_same_supports_share_one_fused_function():
+    # two validity claims chi(chi-1)(chi+1) from different chi of one support
+    # share one compiled function and differ only in their
+    # coefficients; chi's non-constant part enters the coefficients once, so
+    # it is run once for the three factors
+    field = Field(257)
+    rng = random.Random(5)
+
+    def claim():
+        chi = MultiPoly(field, 2, {e: rng.randrange(2, 256) for e in monomials_upto(2, 2)}, 2)
+        return FactoredPoly.product([chi, chi.add_constant(-1), chi.add_constant(1)])
+
+    p, r = claim(), claim()
+    assert p._layout()[0] is r._layout()[0]
+    assert p._layout()[1] != r._layout()[1]
+    coeffs = p._layout()[1]                    # one part of 5 terms, 3 constants
+    assert len(coeffs) == 1 + 3 and len(coeffs[0]) == 5
+    for poly in (p, r):
+        expanded = poly.expand()
+        assert poly.restrict((1, 2), (3, 4)) == expanded.restrict((1, 2), (3, 4))
+        assert poly.eval((5, 6)) == expanded.eval((5, 6))

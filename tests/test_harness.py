@@ -236,6 +236,38 @@ def test_pcp_soundness_improper_graph():
     assert est.rejects > 0
 
 
+@pytest.mark.parametrize("mode, graph", [("completeness", "complete:3"),
+                                         ("soundness", "complete:4")])
+def test_pcp_build_runs_the_coloring_search_once(monkeypatch, mode, graph):
+    # a proof build searches once: completeness at allowance 0 only, soundness
+    # the whole fewest-conflicts search, whose coloring the proof is built
+    # from; the budget alone stops at allowance 0 in both modes
+    from pcplab import harness, pcp
+
+    calls = []
+
+    def search(graph, field, proper_only=False):
+        calls.append(proper_only)
+        return pcp.fewest_conflicts_coloring(graph, field, proper_only)
+
+    monkeypatch.setattr(harness, "fewest_conflicts_coloring", search)
+    cfg = ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2,3;m=1",
+                           graph=graph, mode=mode, trials=5, seed=9,
+                           adversary=None if mode == "completeness" else "corrupt-color",
+                           delta=0.0 if mode == "completeness" else 0.05)
+    exp = build_experiment(cfg)
+    assert calls == [mode == "completeness"]
+    inst = pcp.PcpInstance(make_variety(Field(17), cfg.variety), load_graph(graph))
+    honest = pcp.pcp_prove(inst, pcp.fewest_conflicts_coloring(inst.graph, inst.field))
+    rng = random.Random(3)
+    for _ in range(20):      # corrupt-color leaves B honest
+        x = tuple(rng.randrange(17) for _ in range(2))
+        assert exp.proof.conflict.query(x) == honest.conflict.query(x)
+    calls.clear()
+    randomness_budget(cfg)
+    assert calls == [True]
+
+
 def test_pcp_exhaustive_is_rejected():
     cfg = ExperimentConfig(experiment="pcp", q=17, variety="cube:H=0,1,2;m=1",
                            graph="complete:3", sampling="exhaustive")

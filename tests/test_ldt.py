@@ -1,6 +1,5 @@
 """Point-vs-line consistency test and the two-query local corrector."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -178,9 +177,12 @@ def test_corrector_silent_miscorrection_with_bad_lines():
 
 
 def test_verdict_truthiness():
+    # a Verdict is a 2-tuple, so its truth must come from accepted, not len
     assert not REJECT
+    assert not Verdict(False, 3)
     assert REJECT.value is None
     assert Verdict(True, 3)
+    assert Verdict(True) == (True, None)
 
 
 def test_ldt_check_returns_the_shared_frozen_verdicts():
@@ -191,7 +193,7 @@ def test_ldt_check_returns_the_shared_frozen_verdicts():
     assert ldt_check(2, bad, lines, (1, 2), (3, 4), 2) is REJECT
     assert ACCEPT.value is None
     # every call shares these objects, so none of them may change
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ACCEPT.accepted = False
 
 

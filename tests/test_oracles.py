@@ -327,12 +327,14 @@ def test_corruption_digest_wide_field():
 
 
 def test_corruption_digest_bytes_unchanged_up_to_2_32():
-    from pcplab.oracles import _digest
+    from pcplab.oracles import _digester
 
     for q, payload in ((5, (0, 4, 3)), (257, (256, 1)), (4294967291, (4294967290, 7))):
         packed = struct.pack(f"<{len(payload)}I", *payload)
         want = hashlib.blake2b(packed, digest_size=16, key=(99).to_bytes(8, "little")).digest()
-        assert _digest(99, payload, q) == want
+        digest = _digester(99, q)
+        assert digest(payload) == want
+        assert digest(payload) == want         # the keyed state is copied, not spent
 
 
 def test_corruption_commutes_with_materialization():

@@ -15,6 +15,7 @@ from pcplab.harness import (
     load_graph,
     run_experiment,
 )
+from pcplab.ldt import ACCEPT, REJECT
 from pcplab.pcp import (
     CONFLICT_OFFSETS,
     Graph,
@@ -248,6 +249,24 @@ def test_prover_raises_for_a_vanishing_claim_without_certificate():
     inst.variety2.grobner_basis = inst.variety2.grobner_basis[:len(inst.variety.grobner_basis)]
     with pytest.raises(NoCertificateError):
         pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
+
+
+def test_pcp_verify_returns_the_shared_verdicts():
+    # every trial returns ACCEPT or REJECT itself, and its randomness is a
+    # named tuple whose fields keep the draw order
+    inst = k3_instance()
+    honest = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
+    improper = pcp_prove(inst, [1, 1, 0])
+    rng = random.Random(4)
+    rejected = 0
+    for _ in range(50):
+        r = PcpRandomness.sample(inst, rng)
+        assert pcp_verify(inst, honest, r) is ACCEPT
+        verdict = pcp_verify(inst, improper, r)
+        assert verdict is ACCEPT or verdict is REJECT
+        rejected += verdict is REJECT
+    assert rejected > 0
+    assert r._fields == ("a", "b", "alpha", "beta", "gamma1", "gamma2", "mu1", "mu2", "t")
 
 
 def test_single_vertex_graph():

@@ -373,7 +373,7 @@ def test_line_codec_is_shared_bounded_and_built_on_first_restrict():
     for poly in (p, r, f):
         poly.restrict((1, 2), (3, 4))
     assert p._codec is r._codec is _line_codec(7, width, 5, 2)
-    assert f._codec is _line_codec(7, f._layout()[1], 9, 2)
+    assert f._codec is _line_codec(7, f._layout()[2], 9, 2)
     assert _line_codec.cache_info().maxsize is not None
 
 

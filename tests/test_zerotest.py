@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pcplab.field import Field
+from pcplab.ldt import ACCEPT, REJECT
 from pcplab.oracles import honest_oracles
 from pcplab.poly import MultiPoly, random_poly
 from pcplab.variety import (
@@ -40,7 +41,7 @@ def test_zero_polynomial_proof_accepts_everywhere():
     assert all(proof.point.query(x) == 0 for x in every_point(proof.point))
     f = honest_oracles(p, 2)[0]
     for r in enumerate_randomness(v):
-        assert zero_verify(v, 2, f, proof, r)
+        assert zero_verify(v, 2, f, proof, r) is ACCEPT
 
 
 def test_certificate_poly_is_y_slot_for_generator():
@@ -97,7 +98,7 @@ def test_seven_queries_never_short_circuits():
     # the query count stays the same
     f_bad = honest_oracles(MultiPoly.constant(F5, 1, 3, cap=2), 2)[0]
     r = next(enumerate_randomness(v))
-    assert not zero_verify(v, 2, f_bad, proof, r)
+    assert zero_verify(v, 2, f_bad, proof, r) is REJECT
     assert f_bad.queries == 1
     assert proof.point.queries == 3   # one per ldt/correct step
     assert proof.lines.queries == 3
