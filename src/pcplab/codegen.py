@@ -1,13 +1,16 @@
-"""Straight-line Python generated for evaluating polynomials over Z.
+"""Straight-line Python generated for evaluating polynomials and their lines.
 
 ``_horner`` is the one nested-Horner emitter.  ``_compile_horner`` compiles
 it for one support (a ``MultiPoly``'s terms, or one part of a
 ``FactoredPoly``), and ``_compile_factored`` compiles a whole sum of
 products of one shape around it; both are cached, so polynomials of one
-shape share their function and pass their coefficients in.  The generator
-is a module of its own because compiling a module's source takes memory in
-proportion to its size: inside ``poly`` it would make that module's compile
-the package's largest and raise the peak memory of every run.
+shape share their function and pass their coefficients in.
+``_line_codec`` packs a line and reads a restriction's digits, and
+``_line_reader`` reads a point off a kept line's entry; both are cached per
+line shape.  Every generator sits in this module of its own because
+compiling a module's source takes memory in proportion to its size: inside
+``poly`` they would make that module's compile the package's largest and
+raise the peak memory of every run.
 """
 
 from __future__ import annotations
@@ -176,3 +179,65 @@ def _compile_factored(parts: tuple, products: tuple, nvars: int):
     shape = ([sorted(support) for support in parts], products)
     f = _function("C, X, M", head + body + ["return s"], "factored", shape, namespace)
     return f, tuple(orders), memos
+
+
+@functools.lru_cache(maxsize=256)
+def _line_codec(q: int, width: int, ndigits: int, nvars: int):
+    """(pack, read): the Kronecker packing of a line in ``nvars`` variables
+    at digit width ``width``, and the read of ``ndigits`` digits mod q.
+
+    ``pack(a, b)`` is the tuple of x_i = a_i % q + (b_i % q << width), and
+    ``read(v)`` is the tuple of the low ``ndigits`` base-2^width digits of
+    ``v``, each masked (the top one too) and reduced mod q: the coefficients
+    of t^0..t^(ndigits-1).  Both are straight-line code, one expression per
+    coordinate or digit with q, the width and the mask as literals, compiled
+    once per line shape (the filename names it) and shared by every polynomial.
+    """
+    mask = (1 << width) - 1
+    a = [f"a{i}" for i in range(nvars)]
+    b = [f"b{i}" for i in range(nvars)]
+    lines = ["def pack(a, b):"]
+    if nvars:
+        lines += [f"    {', '.join(a)}, = a", f"    {', '.join(b)}, = b"]
+    coords = "".join(f"{x} % {q} + ({y} % {q} << {width}), " for x, y in zip(a, b))
+    lines += [f"    return ({coords})", "def read(v):"]
+    shifts = [f"v >> {j * width}" if j else "v" for j in range(ndigits)]
+    digits = "".join(f"({v} & {mask}) % {q}, " for v in shifts)
+    lines.append(f"    return ({digits})")
+    namespace: dict = {}
+    shape = f"<line codec q={q} width={width} digits={ndigits} vars={nvars}>"
+    exec(compile("\n".join(lines) + "\n", shape, "exec"), namespace)
+    return namespace["pack"], namespace["read"]
+
+
+@functools.lru_cache(maxsize=256)
+def _line_reader(q: int, ncoeffs: int, nvars: int):
+    """``read(L, X)``: the value at the point X of a kept line
+    L = (a, b, entry), the entry's ``ncoeffs`` coefficients of t^0, t^1, ...
+    read at the t with X = a + t b, or None when X is off the line.
+
+    t comes from the first direction coordinate b_i nonzero mod q, as
+    (x_i - a_i)/b_i (at b = 0, t = 0), and X is on the line when
+    (a_j + t b_j - x_j) mod q is 0 in every coordinate, so the line and the
+    point may be given in any integer form.  The entry is read by Horner over
+    Z, one statement per step, and reduced mod q once.  Straight-line code
+    with q as a literal, compiled once per (q, ncoeffs, nvars) and shared by
+    every polynomial of that shape.
+    """
+    e = [f"e{j}" for j in range(ncoeffs)]
+    if nvars:
+        a = "".join(f"a{i}, " for i in range(nvars))
+        b = "".join(f"b{i}, " for i in range(nvars))
+        body = [f"({a}), ({b}), ({', '.join(e)},) = L",
+                _unpack([f"x{i}" for i in range(nvars)], "X")]
+        for i in range(nvars):
+            body += [f"{'el' if i else ''}if b{i} % {q}:",
+                     f"    t = (x{i} - a{i}) * pow(b{i}, -1, {q}) % {q}"]
+        body += ["else:", "    t = 0",
+                 "if " + " or ".join(f"(a{i} + t * b{i} - x{i}) % {q}" for i in range(nvars)) + ":",
+                 "    return None"]
+    else:
+        body = [f"_, _, ({', '.join(e)},) = L", "t = 0"]
+    body.append(f"v = {e[-1]}")
+    body += [f"v = v * t + {c}" for c in reversed(e[:-1])]
+    return _function("L, X", body + [f"return v % {q}"], "line reader", (q, ncoeffs, nvars), {})

@@ -18,11 +18,12 @@ a verifier Reject, except for the local-correction soundness experiment where
 the event is a silent miscorrection (Accept with a value different from the
 true P(alpha); Rejects there are the benign outcome the bound permits).
 
-Randomness accounting: CountingRng charges ceil(log2 size) bits per draw, and
-the loop asserts after every sampled trial that the bits actually drawn
-equal the closed-form budget, computed once per run from the dimensions of
-the instance the run built (randomness_budget gives the same number for a
-bare config).
+Randomness accounting: CountingRng charges ceil(log2 size) bits per draw; a
+trial draws each run of same-size coins in one call, billed in one add.  The
+loop asserts after every sampled trial that the bits actually drawn equal
+the closed-form budget, computed once per run from the dimensions of the
+instance the run built (randomness_budget gives the same number for a bare
+config).
 
 Query accounting: the loop asserts that every trial spent exactly the
 queries its verifier promises, from one tally of the counted oracles per
@@ -101,9 +102,11 @@ def wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
 class CountingRng:
     """random.Random facade that bills ceil(log2 size) bits per draw.
 
-    ``randrange`` draws as CPython's ``Random.randrange`` does, by rejection
-    on ``getrandbits(size.bit_length())`` (``_randbelow_with_getrandbits``),
-    so the stream is the same as ``random.Random(seed)``'s.
+    ``draw(size, n)`` makes n draws as CPython's ``Random.randrange(size)``
+    does, by rejection on ``getrandbits(size.bit_length())``
+    (``_randbelow_with_getrandbits``), so the stream is the same as
+    ``random.Random(seed)``'s, and bills the n draws in one add;
+    ``randrange`` is one such draw.
     """
 
     __slots__ = ("_rng", "_getrandbits", "bits")
@@ -113,20 +116,24 @@ class CountingRng:
         self._getrandbits = self._rng.getrandbits
         self.bits = 0
 
-    def randrange(self, start: int, stop: int | None = None) -> int:
-        if stop is None:
-            start, size = 0, start
-        else:
-            size = stop - start
+    def draw(self, size: int, n: int) -> list[int]:
         if size < 1:
             raise ValueError("empty randrange")
-        self.bits += (size - 1).bit_length()
+        self.bits += n * (size - 1).bit_length()
         getrandbits = self._getrandbits
         k = size.bit_length()
-        r = getrandbits(k)
-        while r >= size:
+        out = []
+        for _ in range(n):
             r = getrandbits(k)
-        return start + r
+            while r >= size:
+                r = getrandbits(k)
+            out.append(r)
+        return out
+
+    def randrange(self, start: int, stop: int | None = None) -> int:
+        if stop is None:
+            return self.draw(start, 1)[0]
+        return start + self.draw(stop - start, 1)[0]
 
 
 def _derive_seed(master: int, label: bytes) -> int:
@@ -578,10 +585,12 @@ def _ldt_lc(cfg: ExperimentConfig, adversary, started: float) -> Experiment:
         # alpha is the location being corrected — an input, not a coin — so
         # it is fixed (soundness) or comes from the uncounted stream
         if not lc:
-            first = field.sample_point(rng, m)
+            coords = rng.draw(q, 2 * m)
+            first, b = tuple(coords[:m]), tuple(coords[m:])
         else:
             first = fixed_alpha if soundness else field.sample_point(rng._rng, m)
-        return first, field.sample_point(rng, m), field.sample(rng, nonzero=True)
+            b = tuple(rng.draw(q, m))
+        return first, b, 1 + rng.draw(q - 1, 1)[0]
 
     # the last alpha checked and P(alpha): soundness fixes alpha and an
     # exhaustive run enumerates it outermost, so each distinct alpha is

@@ -5,7 +5,7 @@ oracle maps a pair (a, b) to its entry, the d+1 coefficients of the
 restriction along the line a + t b as a tuple of residues in [0, q) (index =
 power of t; ``poly.eval_entry`` reads it at t).  ``PointOracle`` and
 ``LinesOracle`` are the only two classes; each answers its queries through
-the function it was built with, and three kinds of answer function sit
+the function it was built with, and four kinds of answer function sit
 behind them:
 
 - honest ones (``honest_oracles``) are the polynomial's own ``eval`` and
@@ -19,7 +19,9 @@ behind them:
 - keyed corruption (``corrupt``), which flips a keyed pseudorandom δ-fraction
   of entries by adding a nonzero offset, so the corrupted set is exactly the
   disagreement set and is a pure function of (key, input mod q), independent
-  of query order.
+  of query order;
+- constants (``zerotest.zero_certificate``): the all-zero certificate
+  answers 0 and the all-zero entry with no polynomial behind it.
 
 Every oracle counts its queries (one increment per query);
 the verifiers' per-invocation totals are checked against these counters.

@@ -31,6 +31,7 @@ per invocation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -248,20 +249,16 @@ class PcpRandomness(NamedTuple):
 
     @classmethod
     def sample(cls, inst: PcpInstance, rng) -> "PcpRandomness":
-        """Fixed draw order (a, b, alpha, beta, gamma1, gamma2, mu1, mu2, t)."""
-        field = inst.field
-        m = inst.m
-
-        def point(s: int) -> tuple[int, ...]:
-            return field.sample_point(rng, s)
-
-        return cls(
-            a=point(m), b=point(m),
-            alpha=point(2 * m), beta=point(2 * m),
-            gamma1=point(m + inst.k), gamma2=point(m + inst.k),
-            mu1=point(2 * m + inst.kprime), mu2=point(2 * m + inst.kprime),
-            t=field.sample(rng, nonzero=True),
-        )
+        """Fixed draw order (a, b, alpha, beta, gamma1, gamma2, mu1, mu2, t):
+        one ``CountingRng.draw`` for every point coordinate, sliced in that
+        order, then one for t."""
+        q, m = inst.field.q, inst.m
+        g, mu = m + inst.k, 2 * m + inst.kprime
+        sizes = (m, m, 2 * m, 2 * m, g, g, mu, mu)
+        coords = rng.draw(q, sum(sizes))
+        ends = itertools.accumulate(sizes)
+        return cls(*[tuple(coords[e - s:e]) for s, e in zip(sizes, ends)],
+                   1 + rng.draw(q - 1, 1)[0])
 
 
 def claim_polynomials(

@@ -22,12 +22,13 @@ emitter: it runs each distinct non-constant part of its factors once (χ̂,
 one point packed by the same codec, reading the digits once.  It keeps that
 work: a part that reads only some variables reuses its last value while the
 coordinates it reads repeat, and the next point read on the restricted line
-is answered from the entry.  A lines entry, as every restriction returns it
-and every lines table hands it out, is a plain tuple of exactly cap+1
-residues in [0, q) (index = power of t, trailing zeros kept, so the width is
-fixed); ``eval_entry`` reads it at a point t.  Both classes' ``eval`` and
-``restrict`` are exact on any integer coordinates (unreduced, negative or in
-a list), so an oracle hands them a query as given.
+is answered from the entry by a reader generated per shape.  A lines entry,
+as every restriction returns it and every lines table hands it out, is a
+plain tuple of exactly cap+1 residues in [0, q) (index = power of t,
+trailing zeros kept, so the width is fixed); ``eval_entry`` reads it at a
+point t.  Both classes' ``eval`` and ``restrict`` are exact on any integer
+coordinates (unreduced, negative or in a list), so an oracle hands them a
+query as given.
 
 Multiplying out runs on packed monomials (``_packing``): each exponent
 vector is one integer with a guarded bit field per variable, so a monomial
@@ -56,7 +57,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codegen import _compile_factored, _compile_horner
+from .codegen import _compile_factored, _compile_horner, _line_codec, _line_reader
 from .field import Field
 
 
@@ -128,42 +129,13 @@ def _packing(nvars: int, degree: int):
     return pack, unpack, total, guard, width * nvars
 
 
-@functools.lru_cache(maxsize=256)
-def _line_codec(q: int, width: int, ndigits: int, nvars: int):
-    """(pack, read): the Kronecker packing of a line in ``nvars`` variables
-    at digit width ``width``, and the read of ``ndigits`` digits mod q.
-
-    ``pack(a, b)`` is the tuple of x_i = a_i % q + (b_i % q << width), and
-    ``read(v)`` is the tuple of the low ``ndigits`` base-2^width digits of
-    ``v``, each masked (the top one too) and reduced mod q: the coefficients
-    of t^0..t^(ndigits-1).  Both are straight-line code, one expression per
-    coordinate or digit with q, the width and the mask as literals, compiled
-    once per line shape (the filename names it) and shared by every polynomial.
-    """
-    mask = (1 << width) - 1
-    a = [f"a{i}" for i in range(nvars)]
-    b = [f"b{i}" for i in range(nvars)]
-    lines = ["def pack(a, b):"]
-    if nvars:
-        lines += [f"    {', '.join(a)}, = a", f"    {', '.join(b)}, = b"]
-    coords = "".join(f"{x} % {q} + ({y} % {q} << {width}), " for x, y in zip(a, b))
-    lines += [f"    return ({coords})", "def read(v):"]
-    shifts = [f"v >> {j * width}" if j else "v" for j in range(ndigits)]
-    digits = "".join(f"({v} & {mask}) % {q}, " for v in shifts)
-    lines.append(f"    return ({digits})")
-    namespace: dict = {}
-    shape = f"<line codec q={q} width={width} digits={ndigits} vars={nvars}>"
-    exec(compile("\n".join(lines) + "\n", shape, "exec"), namespace)
-    return namespace["pack"], namespace["read"]
-
-
 def eval_entry(entry: Sequence[int], t: int, q: int) -> int:
-    """A lines entry (the coefficients of t^0, t^1, ...) at t, mod q."""
-    t %= q
+    """A lines entry (the coefficients of t^0, t^1, ...) at t, mod q: Horner
+    over Z, exact for any integer t, reduced once."""
     acc = 0
     for c in reversed(entry):
-        acc = (acc * t + c) % q
-    return acc
+        acc = acc * t + c
+    return acc % q
 
 
 class MultiPoly:
@@ -439,7 +411,7 @@ class FactoredPoly:
     it, and the kept line is tested modulo q.
     """
 
-    __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_codec", "_line")
+    __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_codec", "_reader", "_line")
 
     def __init__(self, field: Field, nvars: int,
                  products: Iterable[Sequence[MultiPoly]], cap: int):
@@ -449,6 +421,7 @@ class FactoredPoly:
         self.products = tuple(tuple(factors) for factors in products)
         self._compiled = None
         self._codec = None
+        self._reader = None
         self._line = None
         for factors in self.products:
             if not factors:
@@ -556,36 +529,24 @@ class FactoredPoly:
         value depends only on the coordinates it reads, whoever read them.
 
         A point on the line of the last ``restrict`` is answered from its
-        entry instead: with b_i the first direction coordinate nonzero mod q,
-        t = (p_i - a_i)/b_i, and if p = a + t b mod q in every coordinate the
-        value is the entry at t (at b = 0, t = 0 and p must be a).  The line
-        is kept as queried, so the test is one modular pass over
-        (a_i + t b_i - p_i) mod q, exact for unreduced or negative
-        coordinates on either side.  The entry is the
-        formal composition P(a + t b), so this is exact for every cap.  The
-        line is kept for one read only: a verifier reads its point right
-        after the line, and a stale line would cost a failed check on every
-        later read.
+        entry instead, by the ``_line_reader`` of the shape (q, cap+1,
+        nvars): t from the first direction coordinate nonzero mod q, the
+        on-line test modulo q (so the line and the point may be unreduced or
+        negative), and the entry at t.  The entry is the formal composition
+        P(a + t b), so this is exact for every cap.  The line is kept for one
+        read only: a verifier reads its point right after the line, and a
+        stale line would cost a failed test on every later read.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        q = self.field.q
         line = self._line
         if line is not None:
             self._line = None
-            a, b, entry = line
-            t = 0
-            for i, bi in enumerate(b):
-                if bi % q:
-                    t = (point[i] - a[i]) * pow(bi, -1, q) % q
-                    break
-            for x, y, p in zip(a, b, point):
-                if (x + t * y - p) % q:
-                    break
-            else:
-                return eval_entry(entry, t, q)
+            value = self._reader(line, point)
+            if value is not None:
+                return value
         fn, coeffs, _, memo = self._layout()
-        return fn(coeffs, point, memo) % q
+        return fn(coeffs, point, memo) % self.field.q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at digit width W_F.
@@ -594,14 +555,18 @@ class FactoredPoly:
         A memoized part whose packed coordinates equal those of its last run
         reuses that run's integer: the part reads nothing else, so the
         integer is the same.  The line, as tuples of the
-        coordinates as queried, and the entry are kept for the next ``eval``.
+        coordinates as queried, and the entry are kept for the next ``eval``;
+        the codec and the reader of the kept line are fetched on the first
+        restriction.
         """
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
         fn, coeffs, width, memo = self._layout()
         codec = self._codec
         if codec is None:
-            codec = self._codec = _line_codec(self.field.q, width, self.cap + 1, self.nvars)
+            q, ncoeffs = self.field.q, self.cap + 1
+            codec = self._codec = _line_codec(q, width, ncoeffs, self.nvars)
+            self._reader = _line_reader(q, ncoeffs, self.nvars)
         pack, read = codec
         a = tuple(a)
         b = tuple(b)

@@ -10,9 +10,10 @@ zero, and a corrected read at (α, φ(α)) which must match f(α).
 The verifier never short-circuits: all seven queries are issued regardless of
 which check fails, keeping the query count constant per invocation.
 
-``zero_certificate`` builds the all-zero M.  It is the certificate a prover
-publishes for a claim that has none: it passes the low-degree and at-zero
-checks, so the f[alpha] comparison carries the rejection.
+``zero_certificate`` builds the all-zero M, answered without a polynomial.
+It is the certificate a prover publishes for a claim that has none: it
+passes the low-degree and at-zero checks, so the f[alpha] comparison carries
+the rejection.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ class ZeroRandomness(NamedTuple):
 
     @classmethod
     def sample(cls, variety: Variety, rng) -> "ZeroRandomness":
-        """Draw order is fixed (a, b, alpha, t); budget accounting relies on it."""
-        field = variety.field
-        m = variety.m
-        s = m + variety.complexity
-        a = field.sample_point(rng, s)
-        b = field.sample_point(rng, s)
-        alpha = field.sample_point(rng, m)
-        return cls(a, b, alpha, field.sample(rng, nonzero=True))
+        """Draw order is fixed (a, b, alpha, t); budget accounting relies on
+        it.  One ``CountingRng.draw`` for every coordinate, sliced in that
+        order, then one for t."""
+        q = variety.field.q
+        s = variety.m + variety.complexity
+        coords = rng.draw(q, 2 * s + variety.m)
+        return cls(tuple(coords[:s]), tuple(coords[s:2 * s]), tuple(coords[2 * s:]),
+                   1 + rng.draw(q - 1, 1)[0])
 
 
 def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) -> ZeroProof:
@@ -85,9 +86,14 @@ def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) ->
 
 
 def zero_certificate(variety: Variety, degree: int) -> ZeroProof:
-    """The all-zero M over F_q^{m+k} with its lines table, at degree tag ``degree``."""
-    s = variety.m + variety.complexity
-    return ZeroProof(*honest_oracles(MultiPoly.zero(variety.field, s, cap=degree), degree))
+    """The all-zero M over F_q^{m+k} with its lines table, at degree tag
+    ``degree``.  No polynomial stands behind it: the point oracle answers 0
+    and the lines oracle the (degree+1)-tuple of zeros, and the oracle
+    classes still check arity and width and count every query."""
+    field, s = variety.field, variety.m + variety.complexity
+    zeros = (0,) * (degree + 1)
+    return ZeroProof(PointOracle(field, s, degree, lambda point: 0),
+                     LinesOracle(field, s, degree, lambda a, b: zeros))
 
 
 def zero_verify(variety: Variety, degree: int, f: PointOracle,

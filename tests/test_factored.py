@@ -407,12 +407,15 @@ def test_kept_line_is_the_line_as_queried(on_old_line):
 def test_point_on_the_kept_line_in_any_integer_form():
     # the line and the point given unreduced, negative or as lists: a point
     # on the kept line is read off the entry, exactly, and runs no factor.
-    # b = (7, 11) is (0, 4) mod 7, so t must come from the second coordinate
+    # b = (7, 11) is (0, 4) mod 7, so t must come from the second coordinate;
+    # b = (14, -7) is 0 mod 7, so the line is its base point.  A point off
+    # the kept line (its first coordinate moved, which leaves each of these
+    # lines) falls back to the fused function, which runs both parts
     field = Field(7)
     p = _memo_products(field)["full"]
     expanded = p.expand()
     runs, _, _ = _count_runs(p, 2)
-    for a, b in (((1, 2), (3, 4)), ((1, 2), (0, 4)), ((5, 6), (0, 0))):
+    for a, b in (((1, 2), (3, 4)), ((1, 2), (0, 4)), ((5, 6), (0, 0)), ((-2, 9), (14, -7))):
         forms = ((a, b), ([x + 7 for x in a], [y + 7 for y in b]),
                  (tuple(x - 14 for x in a), tuple(y - 7 for y in b)))
         for la, lb in forms:
@@ -425,6 +428,11 @@ def test_point_on_the_kept_line_in_any_integer_form():
                     before = runs()
                     assert p.eval(point) == expanded.eval(point), (la, lb, point)
                     assert runs() == before, (la, lb, point)
+                    off = (point[0] + 1 + shift[1], point[1])
+                    p.restrict(la, lb)
+                    before = runs()
+                    assert p.eval(off) == expanded.eval(off), (la, lb, off)
+                    assert runs() - before == 2, (la, lb, off)
 
 
 def test_certificate_reads_run_each_cofactor_twice():

@@ -31,7 +31,9 @@ from pcplab.harness import (
     trial_seed,
     wilson,
 )
+from pcplab.pcp import PcpInstance, PcpRandomness
 from pcplab.variety import make_variety, vanishes_on
+from pcplab.zerotest import ZeroRandomness
 
 
 # -- Wilson intervals ---------------------------------------------------------
@@ -92,7 +94,8 @@ def test_counting_rng_matches_plain_random():
 def test_counting_rng_is_random_randrange_in_both_call_forms():
     # CountingRng draws by its own rejection loop on getrandbits; the stream
     # must stay random.Random(seed).randrange's, from size 1 (no choice) to
-    # sizes just past a power of two (most rejections) and past 2^32
+    # sizes just past a power of two (most rejections) and past 2^32, one
+    # draw at a time or a run of n in one call (n = 0 draws nothing)
     sizes = (1, 2, 3, 256, 257, 2 ** 32, 4294967311)
     for seed in range(200):
         counted, plain = CountingRng(seed), random.Random(seed)
@@ -101,7 +104,66 @@ def test_counting_rng_is_random_randrange_in_both_call_forms():
             start = seed - 100
             assert (counted.randrange(start, start + size)
                     == plain.randrange(start, start + size)), (seed, size)
-        assert counted.bits == 2 * sum((size - 1).bit_length() for size in sizes)
+            for n in (0, 1, 40):
+                assert (counted.draw(size, n)
+                        == [plain.randrange(size) for _ in range(n)]), (seed, size, n)
+        assert counted.bits == (2 + 0 + 1 + 40) * sum((size - 1).bit_length() for size in sizes)
+        assert counted._rng.getstate() == plain.getstate()
+    with pytest.raises(ValueError):
+        CountingRng(0).draw(0, 3)
+
+
+def _old_draws(seed: int, q: int, sizes) -> tuple[list, int]:
+    """One random.Random(seed).randrange(q) per coordinate of points of the
+    given sizes, in order, then t = 1 + randrange(q - 1)."""
+    plain = random.Random(seed)
+    points = [tuple(plain.randrange(q) for _ in range(s)) for s in sizes]
+    return points, 1 + plain.randrange(q - 1)
+
+
+def test_each_sample_draws_the_old_per_coordinate_stream():
+    # every sample draws its same-size coins in one call and slices them:
+    # the values are those of one randrange per coordinate in the fixed
+    # draw order, and the bits are the closed-form budget
+    pcp_cfg = ExperimentConfig(experiment="pcp", q=257, variety="cube:H=0,1,2,3;m=1",
+                               graph="complete:4", mode="soundness",
+                               adversary="corrupt-color", delta=0.1, seed=902)
+    zt_cfg = ExperimentConfig(experiment="zerotest", q=101, variety="ball1:n=2", degree=4)
+    pcp_exp, zt_exp = build_experiment(pcp_cfg), build_experiment(zt_cfg)
+    inst = PcpInstance(make_variety(Field(257), pcp_cfg.variety), load_graph("complete:4"))
+    m, k, kp = inst.m, inst.k, inst.kprime
+    pcp_sizes = (m, m, 2 * m, 2 * m, m + k, m + k, 2 * m + kp, 2 * m + kp)
+    variety = make_variety(Field(101), "ball1:n=2")
+    zt_sizes = (2 + variety.complexity,) * 2 + (2,)
+    line_cfg = ExperimentConfig(experiment="ldt", q=7, nvars=2, degree=2)
+    lines = {"ldt": build_experiment(line_cfg),
+             "lc completeness": build_experiment(replace(line_cfg, experiment="lc")),
+             "lc soundness": build_experiment(replace(
+                 line_cfg, experiment="lc", mode="soundness", adversary="corrupt-point",
+                 delta=0.1))}
+    for seed in range(200):
+        points, t = _old_draws(seed, 257, pcp_sizes)
+        for exp in (pcp_exp, None):
+            rng = CountingRng(seed)
+            r = exp.sample(rng) if exp else PcpRandomness.sample(inst, rng)
+            assert r == PcpRandomness(*points, t)
+            assert rng.bits == pcp_exp.bits
+        points, t = _old_draws(seed, 101, zt_sizes)
+        for exp in (zt_exp, None):
+            rng = CountingRng(seed)
+            r = exp.sample(rng) if exp else ZeroRandomness.sample(variety, rng)
+            assert r == ZeroRandomness(*points, t)
+            assert rng.bits == zt_exp.bits
+        for kind, exp in lines.items():
+            rng = CountingRng(seed)
+            r = exp.sample(rng)
+            if kind == "lc soundness":
+                (b,), t = _old_draws(seed, 7, (2,))
+                assert r[1:] == (b, t)
+            else:           # lc draws alpha from the same stream, unbilled
+                (a, b), t = _old_draws(seed, 7, (2, 2))
+                assert r == (a, b, t)
+            assert rng.bits == exp.bits
 
 
 def test_trial_seed_is_pure_and_spread():

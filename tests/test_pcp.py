@@ -10,6 +10,7 @@ import pytest
 from pcplab.field import Field
 from pcplab.harness import (
     ConfigError,
+    CountingRng,
     ExperimentConfig,
     _bits_per_element,
     load_graph,
@@ -233,7 +234,7 @@ def test_improper_coloring_proof_is_rejected():
     # verifier must catch the clash
     inst = k3_instance()
     proof = pcp_prove(inst, [1, 1, 0])
-    rng = random.Random(4)
+    rng = CountingRng(4)
     rejected = sum(
         not pcp_verify(inst, proof, PcpRandomness.sample(inst, rng)) for _ in range(300)
     )
@@ -257,7 +258,7 @@ def test_pcp_verify_returns_the_shared_verdicts():
     inst = k3_instance()
     honest = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
     improper = pcp_prove(inst, [1, 1, 0])
-    rng = random.Random(4)
+    rng = CountingRng(4)
     rejected = 0
     for _ in range(50):
         r = PcpRandomness.sample(inst, rng)
@@ -274,7 +275,7 @@ def test_single_vertex_graph():
     inst = PcpInstance(variety, Graph.from_edges(1, []))
     assert inst.d == 0
     proof = pcp_prove(inst, [1])
-    r = PcpRandomness.sample(inst, random.Random(0))
+    r = PcpRandomness.sample(inst, CountingRng(0))
     assert pcp_verify(inst, proof, r)
 
 
@@ -296,7 +297,7 @@ def test_proof_oracle_tags():
 def test_honest_proof_accepts_sampled_randomness():
     inst = k3_instance()
     proof = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
-    rng = random.Random(7)
+    rng = CountingRng(7)
     for _ in range(200):
         r = PcpRandomness.sample(inst, rng)
         assert pcp_verify(inst, proof, r)
@@ -305,7 +306,7 @@ def test_honest_proof_accepts_sampled_randomness():
 def test_verifier_spends_exactly_24_queries():
     inst = k3_instance()
     proof = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
-    r = PcpRandomness.sample(inst, random.Random(1))
+    r = PcpRandomness.sample(inst, CountingRng(1))
     pcp_verify(inst, proof, r)
     per_oracle = [
         proof.color.queries, proof.color_lines.queries,
@@ -330,7 +331,7 @@ def test_zeroed_certificates_rejected_somewhere():
     proof = pcp_prove(inst, colors)
     zero_a = MultiPoly.zero(F17, 1 + inst.k, cap=3 * inst.d)
     bad = replace(proof, validity_cert=ZeroProof(*honest_oracles(zero_a, 3 * inst.d)))
-    rng = random.Random(3)
+    rng = CountingRng(3)
     rejected = sum(
         not pcp_verify(inst, bad, PcpRandomness.sample(inst, rng)) for _ in range(300)
     )

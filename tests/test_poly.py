@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pcplab.codegen import _line_codec, _line_reader
 from pcplab.field import Field
 from pcplab.oracles import LinesOracle, honest_oracles
 from pcplab.pcp import Graph, PcpInstance, fewest_conflicts_coloring, pcp_prove
@@ -17,7 +18,6 @@ from pcplab.poly import (
     FactoredPoly,
     MultiPoly,
     _compile_horner,
-    _line_codec,
     distance,
     eval_entry,
     monomials_exact,
@@ -255,9 +255,9 @@ def test_restrict_every_factor_of_the_k3_q7_proof():
 @pytest.mark.parametrize("q", [7, 257])
 def test_long_compiled_code_stays_exact(q):
     # a degree-300 univariate layout is 300 Horner steps (sparse, to keep the
-    # reference expansion quick), and a product of 260 factors multiplies 260
-    # compiled values: neither may recurse or nest past the interpreter's
-    # limits
+    # reference expansion quick), a product of 260 factors multiplies 260
+    # compiled values, and its kept line is read at 261 coefficients: none
+    # may recurse or nest past the interpreter's limits
     field = Field(q)
     rng = random.Random(q)
     terms = {(e,): rng.randrange(1, q) for e in range(0, 301, 12)}
@@ -277,6 +277,18 @@ def test_long_compiled_code_stays_exact(q):
     for f in factors:
         value *= _eval_ref(f, x, q)
     assert product.eval(x) == value % q
+
+    # a point on the kept line is read through the generated reader of 261
+    # coefficients: 260 Horner steps, one statement each
+    t = rng.randrange(1, q)
+    on = [a[0] + t * b[0]]
+    product.restrict(a, b)
+    assert product._reader is _line_reader(q, 261, 1)
+    value = 1
+    for f in factors:
+        value *= _eval_ref(f, on, q)
+    assert product._reader(product._line, on) == value % q
+    assert product.eval(on) == value % q
 
 
 def test_same_support_shares_one_compiled_function():
@@ -380,23 +392,27 @@ def test_line_codec_is_shared_bounded_and_built_on_first_restrict():
 def test_generated_functions_profile_as_separate_entries():
     # pstats keys a function by (filename, line, name), and every generated
     # function is ``f``, ``pack`` or ``read`` at a fixed line of its source:
-    # two line shapes and two supports must compile under filenames of their
-    # own, or each pair merges into one entry that counts both calls
+    # two line shapes, two kept-line readers and two supports must compile
+    # under filenames of their own, or each pair merges into one entry that
+    # counts both calls
     codecs = [_line_codec(7, 5, 3, 2), _line_codec(11, 6, 4, 2)]
     horners = [_compile_horner(frozenset({(1, 0), (0, 1)}), 2)[0],
                _compile_horner(frozenset({(2, 0), (0, 0)}), 2)[0]]
+    readers = [_line_reader(7, 3, 2), _line_reader(11, 3, 2)]
 
     def work():
         for pack, read in codecs:
             read(sum(pack((1, 2), (3, 4))))
         for f in horners:
             f((1, 1), (2, 3))
+        for read in readers:
+            read(((1, 2), (3, 4), (5, 6, 0)), (4, 6))
 
     profile = cProfile.Profile()
     profile.runcall(work)
     generated = {key: stat for key, stat in pstats.Stats(profile).stats.items()
                  if key[0].startswith("<")}
-    assert sorted(name for _, _, name in generated) == ["f", "f", "pack", "pack", "read", "read"]
+    assert sorted(name for _, _, name in generated) == ["f"] * 4 + ["pack", "pack", "read", "read"]
     assert all(stat[0] == 1 for stat in generated.values())
 
 

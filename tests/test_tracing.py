@@ -52,15 +52,15 @@ def test_tracer_labels_every_query_and_counts_the_verifiers():
     # built, so one built before install would bypass these wrappers; the
     # counts are pinned (the ldt ones are the 5 + 25 materialized entries).
     # A FactoredPoly runs its factors' compiled code without calling these
-    # methods, so the pcp counts are the direct MultiPoly calls of 20 trials:
-    # 4 restricts per trial (1 chi-hat lines query, 3 lines queries of the
-    # all-zero conflict certificate, since K4 has no proper coloring) and 10
-    # evals per trial (3 chi-hat reads behind the corrupted color table, 3
-    # point queries of the zero certificate, 1 edge-polynomial check in
-    # pcp_verify, and 3 generator values for phi: 1 on V, 2 on V x V)
+    # methods, and the all-zero conflict certificate (K4 has no proper
+    # coloring) answers without a polynomial, so the pcp counts are the
+    # direct MultiPoly calls of 20 trials: 1 restrict per trial (the chi-hat
+    # lines query) and 7 evals per trial (3 chi-hat reads behind the
+    # corrupted color table, 1 edge-polynomial check in pcp_verify, and 3
+    # generator values for phi: 1 on V, 2 on V x V)
     poly_calls = [(st["poly.restrict"]["calls"], st["poly.eval"]["calls"])
                   for st in (stats[0], stats[1])]
-    assert poly_calls == [(80, 200), (25, 5)]
+    assert poly_calls == [(20, 140), (25, 5)]
 
 
 def test_tracer_role_names_are_the_proof_roles():

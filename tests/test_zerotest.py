@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pcplab.field import Field
+from pcplab.harness import CountingRng
 from pcplab.ldt import ACCEPT, REJECT
 from pcplab.oracles import honest_oracles
 from pcplab.poly import MultiPoly, random_poly
@@ -19,6 +20,7 @@ from pcplab.zerotest import (
     ZeroRandomness,
     enumerate_randomness,
     randomness_space_size,
+    zero_certificate,
     zero_prove,
     zero_verify,
 )
@@ -121,6 +123,31 @@ def test_all_zero_certificate_adversary_exact_rate():
     assert rejected == 7500
 
 
+def test_zero_certificate_answers_zeros_and_counts_every_query():
+    # no polynomial stands behind the all-zero certificate: the point oracle
+    # answers 0 and the lines oracle degree+1 zeros, over F_q^{m+k}, and the
+    # oracle classes still count each query and check each arity
+    v = ball1_variety(F5, 2)
+    s = v.m + v.complexity
+    for degree in (0, 2, 7):
+        proof = zero_certificate(v, degree)
+        assert proof.point.s == proof.lines.s == s
+        assert proof.point.degree == proof.lines.degree == degree
+        for x in ((0,) * s, tuple(range(s)), [-9, 13, 4, 5, 6]):
+            assert proof.point.query(x) == 0
+            assert proof.lines.query(x, list(reversed(x))) == (0,) * (degree + 1)
+        assert proof.point.queries == proof.lines.queries == 3
+        with pytest.raises(ValueError):
+            proof.point.query((0,) * (s - 1))
+        with pytest.raises(ValueError):
+            proof.lines.query((0,) * s, (0,) * (s + 1))
+        assert proof.point.queries == proof.lines.queries == 3
+    f = honest_oracles(MultiPoly.constant(F5, 2, 1, cap=2), 2)[0]
+    proof = zero_certificate(v, 2)
+    assert zero_verify(v, 2, f, proof, next(enumerate_randomness(v))) is REJECT
+    assert (proof.point.queries, proof.lines.queries) == (3, 3)
+
+
 def test_non_vanishing_polynomial_has_no_proof():
     v = line_variety()
     p = MultiPoly(F5, 1, {(1,): 1}, cap=1)  # x does not vanish at 1, 2
@@ -154,7 +181,7 @@ def test_verify_validates_randomness_dimensions():
 
 def test_randomness_sampling_matches_space():
     v = ball1_variety(F5, 2)
-    rng = random.Random(9)
+    rng = CountingRng(9)
     seen = set()
     for _ in range(200):
         r = ZeroRandomness.sample(v, rng)
@@ -170,7 +197,7 @@ def test_sampled_verification_of_product_variety_member():
     from pcplab.variety import cube_variety
 
     v = cube_variety(F5, [0, 1], 2)
-    rng = random.Random(4)
+    rng = CountingRng(4)
     p = MultiPoly.zero(F5, 2)
     for g in v.gens:
         p = p.add(random_poly(F5, 2, 1, rng).mul(g))
