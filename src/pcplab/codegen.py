@@ -7,8 +7,11 @@ products of one shape around it; both are cached, so polynomials of one
 shape share their function and pass their coefficients in.
 ``_line_codec`` packs a line and reads a restriction's digits, and
 ``_line_reader`` reads a point off a kept line's entry; both are cached per
-line shape.  Every generator sits in this module of its own because
-compiling a module's source takes memory in proportion to its size: inside
+line shape.  ``_line_test`` is the verifiers' line-point test, cached per
+(q, arity, degree); it reads the entry at t with the same Horner statements
+as the reader (``_read_entry``).  Every generator sits in this module of
+its own because compiling a module's source takes memory in proportion to
+its size: inside
 ``poly`` they would make that module's compile the package's largest and
 raise the peak memory of every run.
 """
@@ -238,6 +241,40 @@ def _line_reader(q: int, ncoeffs: int, nvars: int):
                  "    return None"]
     else:
         body = [f"_, _, ({', '.join(e)},) = L", "t = 0"]
-    body.append(f"v = {e[-1]}")
-    body += [f"v = v * t + {c}" for c in reversed(e[:-1])]
+    body += _read_entry(ncoeffs)
     return _function("L, X", body + [f"return v % {q}"], "line reader", (q, ncoeffs, nvars), {})
+
+
+def _read_entry(ncoeffs: int) -> list[str]:
+    """The statements leaving in ``v`` the entry e0 + e1·t + ... over Z, from
+    its ``ncoeffs`` coefficients in ``e<j>``: Horner, one statement a step."""
+    return [f"v = e{ncoeffs - 1}"] + [f"v = v * t + e{j}" for j in range(ncoeffs - 2, -1, -1)]
+
+
+@functools.lru_cache(maxsize=256)
+def _line_test(q: int, nvars: int, degree: int):
+    """``test(point, lines, a, b, t)``: the lines entry for (a, b) if, read
+    at t, it equals the point oracle's value at a + t·b, else None, for
+    oracles in ``nvars`` variables tagged ``degree``.
+
+    In order: reduce t and raise ValueError at t ≡ 0; raise ValueError unless
+    both tags are ``degree`` (so a failing call counts no query); query the
+    lines oracle with (a, b) as given, then the point oracle with a + t·b as
+    a tuple of residues; read the entry by Horner over Z, reduced once.
+    ``query`` is looked up at every call, never kept, since a tracer may
+    patch it.  Straight-line code with q and the degree as literals,
+    compiled once per (q, nvars, degree).
+    """
+    body = [f"t %= {q}", "if not t:",
+            "    raise ValueError('t must be a nonzero field element')",
+            f"if lines.degree != {degree} or point.degree != {degree}:",
+            "    raise ValueError('oracle degree tags disagree with the test degree')",
+            "entry = lines.query(a, b)"]
+    if nvars:
+        body += [_unpack([f"a{i}" for i in range(nvars)], "a"),
+                 _unpack([f"b{i}" for i in range(nvars)], "b")]
+    coords = "".join(f"(a{i} + t * b{i}) % {q}, " for i in range(nvars))
+    body += [f"value = point.query(({coords}))",
+             _unpack([f"e{j}" for j in range(degree + 1)], "entry")]
+    body += _read_entry(degree + 1) + [f"return entry if v % {q} == value else None"]
+    return _function("point, lines, a, b, t", body, "line test", (q, nvars, degree), {})

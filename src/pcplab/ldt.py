@@ -6,21 +6,26 @@ against the point value at one position on that line.  Each makes exactly two
 oracle queries.  The corrector additionally returns the entry's value at t=0,
 i.e. the (corrected) value at the line's base point, when the check passes.
 
-``ldt_check`` allocates nothing: it returns one of the two module-level
-verdicts ``ACCEPT`` and ``REJECT``, shared by every call (a ``Verdict`` is an
-immutable named tuple).  The point a + t·b is handed to the point oracle
-reduced, as a tuple of residues, so a table-backed oracle answers it with one
-lookup; a lazy oracle hands it to its answer function as it is, which is
-exact on any integer coordinates.  The line (a, b) goes to the lines oracle
-as given.
+Both run the line test generated for their (q, arity, degree)
+(``codegen._line_test``): t and the degree tags are checked before any
+query, and the lines oracle is queried first, because a ``FactoredPoly``
+answers the point from the line it has just restricted.  The point a + t·b
+is handed to the point oracle reduced, as a tuple of residues, so a
+table-backed oracle answers it with one lookup; a lazy oracle hands it to
+its answer function as it is, which is exact on any integer coordinates.
+The line (a, b) goes to the lines oracle as given.
+
+``ldt_check`` allocates no verdict: it returns one of the two module-level
+verdicts ``ACCEPT`` and ``REJECT``, shared by every call (a ``Verdict`` is
+an immutable named tuple).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .codegen import _line_test
 from .oracles import LinesOracle, PointOracle
-from .poly import eval_entry
 
 
 class Verdict(NamedTuple):
@@ -36,21 +41,6 @@ ACCEPT = Verdict(True)
 REJECT = Verdict(False)
 
 
-def _consistent_entry(degree: int, f: PointOracle, flines: LinesOracle,
-                      a: Sequence[int], b: Sequence[int], t: int) -> tuple[int, ...] | None:
-    """The lines entry for (a, b) if it matches f(a+tb) at t, else None: one
-    lines query, then one point query."""
-    q = f.field.q
-    t %= q
-    if t == 0:
-        raise ValueError("t must be a nonzero field element")
-    if flines.degree != degree or f.degree != degree:
-        raise ValueError("oracle degree tags disagree with the test degree")
-    entry = flines.query(a, b)
-    value = f.query(tuple([(x + t * y) % q for x, y in zip(a, b)]))
-    return entry if eval_entry(entry, t, q) == value else None
-
-
 def ldt_check(degree: int, f: PointOracle, flines: LinesOracle,
               a: Sequence[int], b: Sequence[int], t: int) -> Verdict:
     """Accept iff the lines entry for (a,b), evaluated at t, matches f(a+tb).
@@ -58,7 +48,7 @@ def ldt_check(degree: int, f: PointOracle, flines: LinesOracle,
     t must be nonzero; b = 0 is fine (a constant line, trivially consistent
     for honest tables).
     """
-    return REJECT if _consistent_entry(degree, f, flines, a, b, t) is None else ACCEPT
+    return REJECT if _line_test(f.field.q, len(a), degree)(f, flines, a, b, t) is None else ACCEPT
 
 
 def local_correct(degree: int, f: PointOracle, flines: LinesOracle,
@@ -68,5 +58,5 @@ def local_correct(degree: int, f: PointOracle, flines: LinesOracle,
     Checks the lines entry against f at position t; on agreement returns the
     entry's constant coefficient (its value at t=0, i.e. at alpha itself).
     """
-    entry = _consistent_entry(degree, f, flines, alpha, b, t)
+    entry = _line_test(f.field.q, len(alpha), degree)(f, flines, alpha, b, t)
     return REJECT if entry is None else Verdict(True, entry[0])

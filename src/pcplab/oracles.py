@@ -3,10 +3,10 @@
 Verifiers only ever see oracles: a point oracle maps F_q^s -> F_q and a lines
 oracle maps a pair (a, b) to its entry, the d+1 coefficients of the
 restriction along the line a + t b as a tuple of residues in [0, q) (index =
-power of t; ``poly.eval_entry`` reads it at t).  ``PointOracle`` and
-``LinesOracle`` are the only two classes; each answers its queries through
-the function it was built with, and four kinds of answer function sit
-behind them:
+power of t; the line test, ``codegen._line_test``, reads it at t).
+``PointOracle`` and ``LinesOracle`` are the only two classes; each answers
+its queries through the function it was built with, and four kinds of
+answer function sit behind them:
 
 - honest ones (``honest_oracles``) are the polynomial's own ``eval`` and
   ``restrict`` and stay lazy — materializing a lines table over F_q^{2s} is

@@ -25,20 +25,23 @@ coordinates it reads repeat, and the next point read on the restricted line
 is answered from the entry by a reader generated per shape.  A lines entry,
 as every restriction returns it and every lines table hands it out, is a
 plain tuple of exactly cap+1 residues in [0, q) (index = power of t,
-trailing zeros kept, so the width is fixed); ``eval_entry`` reads it at a
-point t.  Both classes' ``eval`` and ``restrict`` are exact on any integer
-coordinates (unreduced, negative or in a list), so an oracle hands them a
-query as given.
+trailing zeros kept, so the width is fixed); the line test and the
+kept-line reader, both generated in ``codegen``, read it at t.  Both
+classes' ``eval`` and ``restrict`` are exact on any integer coordinates
+(unreduced, negative or in a list), so an oracle hands them a query as
+given.
 
 Multiplying out runs on packed monomials (``_packing``): each exponent
 vector is one integer with a guarded bit field per variable, so a monomial
 product is one integer addition and a divisibility test one subtraction.
-``FactoredPoly._expand_packed`` is the one multiplication routine: it
-multiplies each product in one pass over packed keys and returns
-{packed monomial: nonzero residue} on the caller's packing, so the
-certificate's division takes a claim straight from its factors.
-``FactoredPoly.expand`` is that at the cap plus one unpack, and
-``MultiPoly.mul`` is the expansion of a two-factor product.
+``_multiply_packed`` is the one multiplication routine: it multiplies
+each product of already-packed factor terms in one pass and returns
+{packed monomial: nonzero residue}.  ``FactoredPoly._expand_packed`` feeds
+it its factors' terms packed on the caller's packing, so the certificate's
+division takes a claim straight from its factors, and the certificate's
+residual check feeds it the division's own packed cofactors.
+``FactoredPoly.expand`` is ``_expand_packed`` at the cap plus one unpack,
+and ``MultiPoly.mul`` is the expansion of a two-factor product.
 
 ``MultiPoly(...)`` validates its terms; the package's own results, whose
 terms are right by construction, are built by ``MultiPoly._trusted``, which
@@ -129,13 +132,29 @@ def _packing(nvars: int, degree: int):
     return pack, unpack, total, guard, width * nvars
 
 
-def eval_entry(entry: Sequence[int], t: int, q: int) -> int:
-    """A lines entry (the coefficients of t^0, t^1, ...) at t, mod q: Horner
-    over Z, exact for any integer t, reduced once."""
-    acc = 0
-    for c in reversed(entry):
-        acc = acc * t + c
-    return acc % q
+def _multiply_packed(products: Iterable[Iterable[list]], q: int) -> dict[int, int]:
+    """Σ of products as {packed monomial: nonzero residue}, each factor given
+    as its list of (packed monomial, coefficient) pairs on one packing whose
+    fields hold every exponent of every partial product.
+
+    Each product is multiplied out in one pass over packed monomials (a
+    monomial product is one integer addition), its running product reduced
+    mod q after each factor; the products are summed on the packed keys, and
+    the sums reduced, once.  This is the one multiplication routine.
+    """
+    total: dict[int, int] = {}
+    for factors in products:
+        acc = {0: 1}
+        for terms in factors:
+            out: dict[int, int] = {}
+            for k1, c1 in acc.items():
+                for k2, c2 in terms:
+                    k = k1 + k2
+                    out[k] = out.get(k, 0) + c1 * c2
+            acc = {k: r for k, c in out.items() if (r := c % q)}
+        for k, c in acc.items():
+            total[k] = total.get(k, 0) + c
+    return {k: r for k, c in total.items() if (r := c % q)}
 
 
 class MultiPoly:
@@ -458,29 +477,11 @@ class FactoredPoly:
     def _expand_packed(self, pack) -> dict[int, int]:
         """The multiplied-out polynomial as {packed monomial: nonzero residue},
         on the packing ``pack`` of a ``_packing`` whose degree is at least
-        ``degree()``, which bounds every exponent of every partial product.
-
-        Each product is multiplied out in one pass over packed monomials (a
-        monomial product is one integer addition), its running product
-        reduced mod q after each factor; the products are summed on the
-        packed keys, and the sums reduced, once.  This is the one
-        multiplication routine.
-        """
-        q = self.field.q
-        total: dict[int, int] = {}
-        for factors in self.products:
-            acc = {0: 1}
-            for f in factors:
-                terms = [(pack(e), c) for e, c in f.terms.items()]
-                out: dict[int, int] = {}
-                for k1, c1 in acc.items():
-                    for k2, c2 in terms:
-                        k = k1 + k2
-                        out[k] = out.get(k, 0) + c1 * c2
-                acc = {k: r for k, c in out.items() if (r := c % q)}
-            for k, c in acc.items():
-                total[k] = total.get(k, 0) + c
-        return {k: r for k, c in total.items() if (r := c % q)}
+        ``degree()``, which bounds every exponent of every partial product:
+        ``_multiply_packed`` over its factors' packed terms."""
+        return _multiply_packed(
+            (([(pack(e), c) for e, c in f.terms.items()] for f in factors)
+             for factors in self.products), self.field.q)
 
     def _layout(self):
         """(compiled function, coefficient tuple, digit width W_F, memo list),

@@ -56,7 +56,7 @@ from typing import Sequence
 
 from .field import Field
 from .linalg import IncrementalRank
-from .poly import FactoredPoly, MultiPoly, _packing, monomials_exact
+from .poly import FactoredPoly, MultiPoly, _multiply_packed, _packing, monomials_exact
 
 # Σ c_g·g as the pairs (generator index, c_g), and a Gröbner basis element
 # with that combination of the generators
@@ -426,11 +426,13 @@ def vanishing_certificate(poly: MultiPoly | FactoredPoly, ideal: Variety | Seque
     k - l, and the heap pops ((top - deg k) << span) | k, smallest first:
     descending degree, then ascending exponent tuple, the graded order's
     leading term first.  The residual Σ h_g·g must equal P term for term.
-    It is multiplied out on fields that hold both top and its cap
-    max(cap h_g + cap g), which can exceed top (a generator declared with a
-    larger cap than its degree, or a combination that is not
-    degree-respecting, whose products h_g·g cancel above deg P); P's packed
-    terms are repacked onto those fields when they are wider.
+    ``_multiply_packed`` multiplies it out from the division's own packed
+    cofactor terms and the packed generators, on fields that hold both top
+    and the residual's cap max(cap h_g + cap g), which can exceed top (a
+    generator declared with a larger cap than its degree, or a combination
+    that is not degree-respecting, whose products h_g·g cancel above
+    deg P); P's and the cofactors' packed terms are repacked onto those
+    fields only when they are wider.
     """
     field = poly.field
     m = poly.nvars
@@ -502,20 +504,20 @@ def vanishing_certificate(poly: MultiPoly | FactoredPoly, ideal: Variety | Seque
                 e = mu + t
                 h[e] = (h.get(e, 0) + f * x) % q
     # an accumulator term can cancel to 0; a cofactor keeps only the others
-    cofactors = []
-    for packed in cof_terms:
-        live = [(t, x) for t, x in packed.items() if x]
-        cofactors.append(MultiPoly._trusted(
-            field, m, {unpack(t): x for t, x in live}, max((total(t) for t, _ in live), default=0)))
+    lives = [[(t, x) for t, x in packed.items() if x] for packed in cof_terms]
+    cofactors = tuple(MultiPoly._trusted(field, m, {unpack(t): x for t, x in live},
+                                         max((total(t) for t, _ in live), default=0))
+                      for live in lives)
 
-    cap = max(h.cap + g.cap for h, g in zip(cofactors, gens))
-    wide = max(cap, top)
+    wide = max([top] + [h.cap + g.cap for h, g in zip(cofactors, gens)])
     if wide.bit_length() != top.bit_length():
         pack = _packing(m, wide)[0]
         terms = {pack(unpack(k)): c for k, c in terms.items()}
-    if FactoredPoly(field, m, zip(cofactors, gens), cap)._expand_packed(pack) != terms:
+        lives = [[(pack(unpack(t)), x) for t, x in live] for live in lives]
+    products = ((live, [(pack(e), c) for e, c in g.terms.items()]) for live, g in zip(lives, gens))
+    if _multiply_packed(products, q) != terms:
         raise AssertionError("certificate residual check failed")
-    return tuple(cofactors)
+    return cofactors
 
 
 def _graded(e: tuple[int, ...]) -> tuple[int, list[int]]:

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcplab.codegen import _line_codec, _line_reader
+from pcplab.codegen import _line_codec, _line_reader, _line_test
 from pcplab.field import Field
-from pcplab.oracles import LinesOracle, honest_oracles
+from pcplab.oracles import LinesOracle, PointOracle, honest_oracles
 from pcplab.pcp import Graph, PcpInstance, fewest_conflicts_coloring, pcp_prove
 from pcplab.poly import (
     DegreeCapError,
@@ -19,7 +19,6 @@ from pcplab.poly import (
     MultiPoly,
     _compile_horner,
     distance,
-    eval_entry,
     monomials_exact,
     monomials_upto,
     random_poly,
@@ -29,6 +28,14 @@ from pcplab.variety import Variety, make_variety, vanishing_certificate
 F5 = Field(5)
 F7 = Field(7)
 F11 = Field(11)
+
+
+def _at(entry, t, q):
+    """A lines entry (the coefficients of t^0, t^1, ...) at t, mod q."""
+    acc = 0
+    for c in reversed(entry):
+        acc = acc * t + c
+    return acc % q
 
 
 def test_graded_lex_order():
@@ -113,7 +120,7 @@ def test_restrict_agrees_with_eval_on_whole_line(q, m, d, seed):
     assert len(entry) == p.cap + 1
     for t in range(q):
         pt = tuple((ai + t * bi) % q for ai, bi in zip(a, b))
-        assert eval_entry(entry, t, q) == p.eval(pt)
+        assert _at(entry, t, q) == p.eval(pt)
 
 
 def test_restrict_exact_above_field_size():
@@ -122,20 +129,7 @@ def test_restrict_exact_above_field_size():
     entry = p.restrict((1,), (3,))
     assert len(entry) == 7
     for t in range(5):
-        assert eval_entry(entry, t, 5) == p.eval(((1 + 3 * t) % 5,))
-
-
-@pytest.mark.parametrize("q", [3, 5, 257])
-def test_eval_entry_matches_horner_for_any_t(q):
-    # t >= q and t < 0 reduce mod q; the reference runs Horner over Z
-    rng = random.Random(q)
-    for width in (1, 2, q + 2):
-        entry = tuple(rng.randrange(q) for _ in range(width))
-        for t in [*range(-2 * q, 3 * q, max(1, q // 7)), -1, q, q ** 3 + 2, -q ** 3 - 1]:
-            acc = 0
-            for c in reversed(entry):
-                acc = acc * t + c
-            assert eval_entry(entry, t, q) == acc % q
+        assert _at(entry, t, 5) == p.eval(((1 + 3 * t) % 5,))
 
 
 def test_restrict_degree_bounded_by_total_degree():
@@ -392,13 +386,15 @@ def test_line_codec_is_shared_bounded_and_built_on_first_restrict():
 def test_generated_functions_profile_as_separate_entries():
     # pstats keys a function by (filename, line, name), and every generated
     # function is ``f``, ``pack`` or ``read`` at a fixed line of its source:
-    # two line shapes, two kept-line readers and two supports must compile
-    # under filenames of their own, or each pair merges into one entry that
-    # counts both calls
+    # two line shapes, two kept-line readers, two line tests and two supports
+    # must compile under filenames of their own, or each pair merges into one
+    # entry that counts both calls
     codecs = [_line_codec(7, 5, 3, 2), _line_codec(11, 6, 4, 2)]
     horners = [_compile_horner(frozenset({(1, 0), (0, 1)}), 2)[0],
                _compile_horner(frozenset({(2, 0), (0, 0)}), 2)[0]]
     readers = [_line_reader(7, 3, 2), _line_reader(11, 3, 2)]
+    tests = [(_line_test(q, 2, 2), PointOracle(Field(q), 2, 2, lambda x: 0),
+              LinesOracle(Field(q), 2, 2, lambda a, b: (0, 0, 0))) for q in (7, 11)]
 
     def work():
         for pack, read in codecs:
@@ -407,12 +403,14 @@ def test_generated_functions_profile_as_separate_entries():
             f((1, 1), (2, 3))
         for read in readers:
             read(((1, 2), (3, 4), (5, 6, 0)), (4, 6))
+        for test, point, lines in tests:
+            test(point, lines, (1, 2), (3, 4), 1)
 
     profile = cProfile.Profile()
     profile.runcall(work)
     generated = {key: stat for key, stat in pstats.Stats(profile).stats.items()
                  if key[0].startswith("<")}
-    assert sorted(name for _, _, name in generated) == ["f"] * 4 + ["pack", "pack", "read", "read"]
+    assert sorted(name for _, _, name in generated) == ["f"] * 6 + ["pack", "pack", "read", "read"]
     assert all(stat[0] == 1 for stat in generated.values())
 
 

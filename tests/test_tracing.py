@@ -21,6 +21,8 @@ CONFIGS = [
                      delta=0.1, trials=20, seed=3),
     ExperimentConfig(experiment="ldt", q=5, nvars=1, degree=2,
                      sampling="exhaustive", seed=4),
+    ExperimentConfig(experiment="lc", q=5, nvars=1, degree=2,
+                     sampling="exhaustive", seed=4),
 ]
 
 
@@ -43,14 +45,19 @@ def test_tracer_labels_every_query_and_counts_the_verifiers():
         labelled, unlabelled = spans.query_calls(stats[run_id])
         assert unlabelled == 0
         assert labelled == est.trials * est.queries_per_trial
-    pcp_est, ldt_est = estimates
+    pcp_est, ldt_est, lc_est = estimates
     assert pcp_est.trials == 20 and pcp_est.queries_per_trial == 24
     assert stats[0]["pcp.pcp_verify"]["calls"] == pcp_est.trials
     assert ldt_est.trials == 5 * 5 * 4
     assert stats[1]["ldt.ldt_check"]["calls"] == ldt_est.trials
+    # the corrector's call site in the harness is wrapped too
+    assert lc_est.trials == 5 * 5 * 4
+    assert stats[2]["ldt.local_correct"]["calls"] == lc_est.trials
+    assert "ldt.ldt_check" not in stats[2]
     # oracles hold the polynomial's eval and restrict from the moment they are
     # built, so one built before install would bypass these wrappers; the
-    # counts are pinned (the ldt ones are the 5 + 25 materialized entries).
+    # counts are pinned (the ldt ones are the 5 + 25 materialized entries;
+    # lc adds one P(alpha) per distinct alpha, 5 in the exhaustive space).
     # A FactoredPoly runs its factors' compiled code without calling these
     # methods, and the all-zero conflict certificate (K4 has no proper
     # coloring) answers without a polynomial, so the pcp counts are the
@@ -59,8 +66,8 @@ def test_tracer_labels_every_query_and_counts_the_verifiers():
     # corrupted color table, 1 edge-polynomial check in pcp_verify, and 3
     # generator values for phi: 1 on V, 2 on V x V)
     poly_calls = [(st["poly.restrict"]["calls"], st["poly.eval"]["calls"])
-                  for st in (stats[0], stats[1])]
-    assert poly_calls == [(20, 140), (25, 5)]
+                  for st in (stats[0], stats[1], stats[2])]
+    assert poly_calls == [(20, 140), (25, 5), (25, 10)]
 
 
 def test_tracer_role_names_are_the_proof_roles():

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcplab import variety
 from pcplab.field import Field
 from pcplab.poly import FactoredPoly, MultiPoly, monomials_upto, random_poly
 from pcplab.variety import (
@@ -599,20 +600,23 @@ def test_tampered_combination_fails_the_residual_check():
 
 
 def _perturb_first_cofactor(monkeypatch):
-    """Make the division's output wrong: double one coefficient of the first
-    nonzero cofactor it builds (cofactors are built by ``MultiPoly._trusted``).
-    Returns the list that the perturbed exponent is appended to."""
-    trusted = MultiPoly._trusted.__func__
+    """Make the residual check see a wrong cofactor: double one coefficient
+    of the first nonzero cofactor the division hands to the residual's
+    multiplication (its packed terms, read by ``variety._multiply_packed``).
+    Returns the list that the perturbed packed monomial is appended to."""
+    multiply = variety._multiply_packed
     hit = []
 
-    def perturbed(cls, field, nvars, terms, cap):
-        if terms and not hit:
-            e = next(iter(terms))
-            terms = {**terms, e: terms[e] * 2 % field.q}
-            hit.append(e)
-        return trusted(cls, field, nvars, terms, cap)
+    def perturbed(products, q):
+        products = list(products)
+        for i, (live, gen) in enumerate(products):
+            if live and not hit:
+                (k, c), *rest = live
+                products[i] = ([(k, c * 2 % q)] + rest, gen)
+                hit.append(k)
+        return multiply(products, q)
 
-    monkeypatch.setattr(MultiPoly, "_trusted", classmethod(perturbed))
+    monkeypatch.setattr(variety, "_multiply_packed", perturbed)
     return hit
 
 
