@@ -1,19 +1,20 @@
 """Straight-line Python generated for evaluating polynomials and their lines.
 
-``_horner`` is the one nested-Horner emitter.  ``_compile_horner`` compiles
-it for one support (a ``MultiPoly``'s terms, or one part of a
-``FactoredPoly``), and ``_compile_factored`` compiles a whole sum of
-products of one shape around it; both are cached, so polynomials of one
-shape share their function and pass their coefficients in.
+``_compile_factored`` is the one compile path for a whole polynomial: it
+compiles a sum of products of one shape (a ``MultiPoly`` is its one-product,
+one-factor shape) into one function, emitting each part inline with
+``_horner``, the one nested-Horner emitter, or calling a memoized part's
+``_compile_horner`` function.  Both compilers are cached, so polynomials of
+one shape share their function and pass their coefficients in.
 ``_line_codec`` packs a line and reads a restriction's digits, and
 ``_line_reader`` reads a point off a kept line's entry; both are cached per
 line shape.  ``_line_test`` is the verifiers' line-point test, cached per
 (q, arity, degree); it reads the entry at t with the same Horner statements
-as the reader (``_read_entry``).  Every generator sits in this module of
-its own because compiling a module's source takes memory in proportion to
-its size: inside
-``poly`` they would make that module's compile the package's largest and
-raise the peak memory of every run.
+as the reader (``_read_entry``).
+Every generator sits in this module of its own because compiling a
+module's source takes memory in proportion to its size: inside ``poly``
+they would make that module's compile the package's largest and raise the
+peak memory of every run.
 """
 
 from __future__ import annotations
@@ -91,14 +92,14 @@ def _function(args: str, body: list[str], kind: str, shape, namespace: dict):
 
 @functools.lru_cache(maxsize=256)
 def _compile_horner(support: frozenset, nvars: int):
-    """(f, order) for a nonempty support (set of exponent vectors).
+    """(f, order) for a memoized part of ``_compile_factored``'s function:
+    a nonempty support (set of exponent vectors).
 
-    ``f(C, X)`` is the polynomial over Z at the point X, with C[i] the
-    coefficient of ``order[i]``: straight-line nested Horner (``_horner``),
-    reading no variable that no term uses.  Coefficients enter only through
-    C, so the function is compiled once per support, under a filename
+    ``f(C, X)`` is the part over Z at the point X, with C[i] the coefficient
+    of ``order[i]``: straight-line nested Horner (``_horner``), reading no
+    variable that no term uses.  Compiled once per support, under a filename
     holding the support's digest (profiles keep supports apart), and shared
-    by every polynomial with that support.
+    by every part with that support.
     """
     body, order, used = _horner(support, nvars)
     head = [_unpack([f"c{i}" for i in range(len(order))], "C")]

@@ -85,10 +85,8 @@ class Field:
         # Fermat: x^(q-2) is the inverse in a prime field.
         return pow(x, self.q - 2, self.q)
 
-    def sample(self, rng: random.Random, nonzero: bool = False) -> int:
-        """Uniform residue from the given generator; F_q^x when ``nonzero``."""
-        if nonzero:
-            return 1 + rng.randrange(self.q - 1)
+    def sample(self, rng: random.Random) -> int:
+        """Uniform residue from the given generator."""
         return rng.randrange(self.q)
 
     def sample_point(self, rng: random.Random, s: int) -> tuple[int, ...]:

@@ -100,13 +100,14 @@ def wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
 
 
 class CountingRng:
-    """random.Random facade that bills ceil(log2 size) bits per draw.
+    """A trial's coins, billed at ceil(log2 size) bits per draw.
 
-    ``draw(size, n)`` makes n draws as CPython's ``Random.randrange(size)``
-    does, by rejection on ``getrandbits(size.bit_length())``
-    (``_randbelow_with_getrandbits``), so the stream is the same as
-    ``random.Random(seed)``'s, and bills the n draws in one add;
-    ``randrange`` is one such draw.
+    ``draw(size, n)`` makes n draws in [0, size) as CPython's
+    ``Random.randrange(size)`` does, by rejection on
+    ``getrandbits(size.bit_length())`` (``_randbelow_with_getrandbits``), so
+    the stream is the same as ``random.Random(seed)``'s, and bills the n
+    draws in one add.  It is the only way to draw a counted coin; an input
+    that is not a coin (lc's alpha) comes from the uncounted ``_rng``.
     """
 
     __slots__ = ("_rng", "_getrandbits", "bits")
@@ -118,7 +119,7 @@ class CountingRng:
 
     def draw(self, size: int, n: int) -> list[int]:
         if size < 1:
-            raise ValueError("empty randrange")
+            raise ValueError("empty range")
         self.bits += n * (size - 1).bit_length()
         getrandbits = self._getrandbits
         k = size.bit_length()
@@ -129,11 +130,6 @@ class CountingRng:
                 r = getrandbits(k)
             out.append(r)
         return out
-
-    def randrange(self, start: int, stop: int | None = None) -> int:
-        if stop is None:
-            return self.draw(start, 1)[0]
-        return start + self.draw(stop - start, 1)[0]
 
 
 def _derive_seed(master: int, label: bytes) -> int:

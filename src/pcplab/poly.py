@@ -1,33 +1,20 @@
 """Sparse multivariate polynomials over a prime field, and their lines entries.
 
 ``MultiPoly`` keeps a sparse map from exponent vectors to nonzero residues
-plus a declared degree cap.  It evaluates and restricts to lines through one
-compiled integer function, generated on first use straight from its terms in
-nested-Horner form over the variables they use (x_i^e's coefficient is a
-polynomial in the later variables, and each step multiplies by x_i once):
-straight-line Python code, one statement per Horner step, with the
-coefficients passed in as a tuple, so it is cached by support (the set of
-exponent vectors) and shared by every polynomial with that support (the
-generators live in ``codegen``).  ``eval`` runs it over Z at the point and
-reduces mod q once; ``restrict`` runs it at the Kronecker-packed point
-x_i = a_i + b_i 2^W, whose base-2^W digits are the coefficients in t of
-P(a + t b) (W bounds every coefficient, so no digit carries).  A line is packed and its digits are read
-one way, by the two straight-line functions of ``_line_codec``, generated
-once per line shape (q, W, number of digits, arity) and shared by every
-polynomial of that shape.  ``FactoredPoly`` is a sum of products of
-``MultiPoly`` factors that evaluates and restricts without multiplying out,
-through one straight-line function per shape built on the same Horner
-emitter: it runs each distinct non-constant part of its factors once (χ̂,
-χ̂-1 and χ̂+1 share one Horner pass), multiplies and sums, and restricts at
-one point packed by the same codec, reading the digits once.  It keeps that
-work: a part that reads only some variables reuses its last value while the
-coordinates it reads repeat, and the next point read on the restricted line
-is answered from the entry by a reader generated per shape.  A lines entry,
-as every restriction returns it and every lines table hands it out, is a
-plain tuple of exactly cap+1 residues in [0, q) (index = power of t,
-trailing zeros kept, so the width is fixed); the line test and the
-kept-line reader, both generated in ``codegen``, read it at t.  Both
-classes' ``eval`` and ``restrict`` are exact on any integer coordinates
+plus a declared degree cap; ``FactoredPoly`` is a sum of products of
+``MultiPoly`` factors, never multiplied out to evaluate.  Both evaluate and
+restrict to lines through one pipeline: ``_compile_sum`` lays a sum of
+products out as the straight-line integer function ``codegen`` generates
+once per shape, its coefficient tuple, a Kronecker digit width W and a memo
+list, and a ``MultiPoly`` is laid out as its own one-factor product.
+``eval`` runs the function over Z at the point and reduces mod q once;
+``restrict`` runs it at the packed point x_i = a_i + b_i 2^W, whose
+base-2^W digits are the coefficients in t of P(a + t b) (W bounds every
+coefficient, so no digit carries), packed and read by the ``_line_codec``
+of the line shape (q, W, number of digits, arity).  A lines entry, as every
+restriction returns it and every lines table hands it out, is a plain tuple
+of exactly cap+1 residues in [0, q) (index = power of t, trailing zeros
+kept, so the width is fixed).  Both are exact on any integer coordinates
 (unreduced, negative or in a list), so an oracle hands them a query as
 given.
 
@@ -60,7 +47,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codegen import _compile_factored, _compile_horner, _line_codec, _line_reader
+from .codegen import _compile_factored, _line_codec, _line_reader
 from .field import Field
 
 
@@ -157,6 +144,50 @@ def _multiply_packed(products: Iterable[Iterable[list]], q: int) -> dict[int, in
     return {k: r for k, c in total.items() if (r := c % q)}
 
 
+def _compile_sum(field: Field, nvars: int, products) -> tuple:
+    """(compiled function, coefficient tuple, digit width W, memo list) of
+    Σ_i Π_j f_ij over the ``MultiPoly`` factors f_ij of ``products``.
+
+    The function is ``_compile_factored``'s for the sum's shape: each
+    factor's terms are split into its constant and its non-constant part,
+    and equal non-constant parts (equal terms, not only equal supports) are
+    one part.  W = bit_length(Σ_i Π_j T_ij(q-1)(2q-2)^D_ij) for factors of
+    T_ij terms and degree D_ij: with a_i, b_i in [0, q), each f_ij(a + t b)
+    over Z has nonnegative coefficients and is at most T_ij(q-1)(2q-2)^D_ij
+    at t = 1, so every coefficient of the sum of products is at most that
+    sum, and packed at t = 2^W its base-2^W digits never carry.  The memo
+    list starts with ``None`` keys, which no coordinates match.
+    """
+    q = field.q
+    zero = (0,) * nvars
+    index: dict[frozenset, int] = {}
+    parts: list[dict] = []
+    shape = []
+    consts = []
+    bound = 0
+    for factors in products:
+        size = 1
+        row = []
+        for f in factors:
+            size *= len(f.terms) * (q - 1) * (2 * q - 2) ** f.degree()
+            rest = {e: c for e, c in f.terms.items() if e != zero}
+            part = None
+            if rest:
+                part = index.setdefault(frozenset(rest.items()), len(parts))
+                if part == len(parts):
+                    parts.append(rest)
+            has_const = zero in f.terms or not rest   # a zero factor: 0
+            if has_const:
+                consts.append(f.terms.get(zero, 0))
+            row.append((part, has_const))
+        bound += size
+        shape.append(tuple(row))
+    fn, orders, memos = _compile_factored(
+        tuple(frozenset(p) for p in parts), tuple(shape), nvars)
+    coeffs = [tuple(map(p.__getitem__, order)) for p, order in zip(parts, orders)]
+    return fn, tuple(coeffs + consts), bound.bit_length(), [None, 0] * memos
+
+
 class MultiPoly:
     """Polynomial in F_q[x_1..x_m] with a declared degree cap.
 
@@ -168,12 +199,17 @@ class MultiPoly:
     ``_trusted``, which checks nothing: their terms are nonzero residues of
     the right arity within the cap by construction.
 
+    ``eval`` and ``restrict`` run the sum-of-products pipeline on the
+    polynomial as its own one-factor product, so ``p`` and
+    ``FactoredPoly.product([p])`` share one compiled function, digit width
+    and codec; unlike a ``FactoredPoly``, it keeps no line between calls.
+
     Nothing in pcplab mutates ``terms`` after construction: every operation
     returns a new polynomial.  So the degree and the compiled layout are
     computed once, on first use, and kept.
     """
 
-    __slots__ = ("field", "nvars", "cap", "terms", "_degree", "_horner", "_codec")
+    __slots__ = ("field", "nvars", "cap", "terms", "_degree", "_compiled", "_codec")
 
     def __init__(self, field: Field, nvars: int, terms: dict[tuple[int, ...], int], cap: int):
         q = field.q
@@ -192,7 +228,7 @@ class MultiPoly:
         self.cap = cap
         self.terms = clean
         self._degree = None
-        self._horner = None
+        self._compiled = None
         self._codec = None
 
     # -- constructors -------------------------------------------------------
@@ -210,7 +246,7 @@ class MultiPoly:
         p.cap = cap
         p.terms = terms
         p._degree = None
-        p._horner = None
+        p._compiled = None
         p._codec = None
         return p
 
@@ -309,56 +345,34 @@ class MultiPoly:
     # -- evaluation and restriction ----------------------------------------
 
     def _layout(self):
-        """(compiled Horner function, coefficient tuple, Kronecker digit width W).
-
-        The function ``fn(coeffs, point)`` is ``_compile_horner``'s for the
-        terms' support, compiled once per support and shared by every
-        polynomial with it (the zero polynomial takes the constant's, with
-        coefficient 0); it computes P(point) over Z.  W = bit_length(T(q-1)(2q-2)^D)
-        for T terms of degree at most D: with a_i, b_i in [0, q), P(a + t b)
-        over Z has nonnegative coefficients, each at most its value at t = 1,
-        which is at most that bound, so packed at t = 2^W its base-2^W digits
-        never carry.  W, with q, cap+1 and nvars, is the line shape whose
-        ``_line_codec`` ``restrict`` packs and reads with.
-        """
-        if self._horner is None:
-            terms = self.terms or {(0,) * self.nvars: 0}
-            fn, order = _compile_horner(frozenset(terms), self.nvars)
-            q = self.field.q
-            width = (len(self.terms) * (q - 1) * (2 * q - 2) ** self.degree()).bit_length()
-            self._horner = fn, tuple(map(terms.__getitem__, order)), width
-        return self._horner
+        """``_compile_sum`` of this polynomial as a one-factor product, built
+        on first use and kept."""
+        if self._compiled is None:
+            self._compiled = _compile_sum(self.field, self.nvars, ((self,),))
+        return self._compiled
 
     def eval(self, point: Sequence[int]) -> int:
         """P(point): the compiled function over Z, reduced mod q once."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        fn, coeffs, _ = self._layout()
-        return fn(coeffs, point) % self.field.q
+        fn, coeffs, _, memo = self._layout()
+        return fn(coeffs, point, memo) % self.field.q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """Formal composition P(a + t b), expanded in t, by Kronecker
-        substitution.
-
-        The compiled function runs over Z at x_i = a_i + b_i 2^W (a_i, b_i
-        reduced mod q, W the layout's digit width), so each Horner step is one
-        integer multiply-add; the base-2^W digits of the result, reduced mod
-        q, are the coefficients of P(a + t b).  Arithmetic over Z followed by
-        reduction is the formal composition, so the result is exact in F_q[t]
-        even when the cap is >= q.  Returns exactly cap+1 residues.
-
-        The packing and the digit read are the ``_line_codec`` of this line
-        shape (q, W, cap+1, nvars), fetched on the first restriction and kept,
-        so a polynomial that is only evaluated never builds one.
-        """
+        """Formal composition P(a + t b), expanded in t: the compiled
+        function over Z at the packed point, its cap+1 digits read mod q by
+        the ``_line_codec`` of the shape (q, W, cap+1, nvars), fetched on the
+        first restriction and kept.  Arithmetic over Z followed by reduction
+        is the formal composition, so the exactly cap+1 residues are exact
+        also when the cap is >= q."""
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
-        fn, coeffs, width = self._layout()
+        fn, coeffs, width, memo = self._layout()
         codec = self._codec
         if codec is None:
             codec = self._codec = _line_codec(self.field.q, width, self.cap + 1, self.nvars)
         pack, read = codec
-        return read(fn(coeffs, pack(a, b)))
+        return read(fn(coeffs, pack(a, b), memo))
 
     # -- text form ----------------------------------------------------------
 
@@ -388,46 +402,23 @@ class FactoredPoly:
     """Σ_i Π_j f_ij over F_q[x_1..x_m], kept as its ``MultiPoly`` factors.
 
     ``eval`` and ``restrict`` run one compiled function for the whole sum of
-    products (``_compile_factored``), so a product of a few small factors is
-    never multiplied out.  The function is generated once per shape: the
-    distinct non-constant parts of the factors (a factor's terms other than
-    its constant) as supports, and for each factor its part and whether it
-    has a constant.  It runs each part once, so factors that differ only in
-    their constant term (χ̂, χ̂-1 and χ̂+1 of the validity claim, the four
-    Δ-c of the conflict claim) share one Horner pass and each is its part's
-    value plus its constant, the integer the factor's own
-    polynomial takes over Z.  Coefficients enter as one tuple, so
-    polynomials of one shape share the function, however their coefficients
-    differ.
-
-    ``restrict`` is one Kronecker pass: the function runs over Z at the
-    packed point a + b 2^W_F, multiplies and sums, and the cap+1 base-2^W_F
-    digits are read once; the point is packed and the digits read by the
-    ``_line_codec`` of the shape (q, W_F, cap+1, nvars), the one a
-    ``MultiPoly`` of that shape uses, fetched on the first restriction and
-    kept.  W_F = bit_length(Σ_i Π_j T_ij(q-1)(2q-2)^D_ij) for factors of
-    T_ij terms and degree D_ij: each f_ij(a + t b) over Z has nonnegative
-    coefficients and is at most T_ij(q-1)(2q-2)^D_ij at t = 1, so every
-    coefficient of the sum of products is at most that sum and no digit
-    carries.  Arithmetic over Z followed by reduction is the formal
-    composition, so the restriction has exactly the coefficients of the
-    expanded polynomial's, also when the cap is >= q.  ``cap`` is the
-    declared degree bound, as for ``MultiPoly``.
+    products (``_compile_sum``), so a product of a few small factors is
+    never multiplied out.  The function runs each distinct non-constant
+    part of the factors once, so factors that differ only in their constant
+    term (χ̂, χ̂-1 and χ̂+1 of the validity claim, the four Δ-c of the
+    conflict claim) share one Horner pass, and restricts in one Kronecker
+    pass at the sum's digit width.  ``cap`` is the declared degree bound, as
+    for ``MultiPoly``.
 
     The work of the last restriction is kept twice over.  A part that reads
     only some of the variables keeps, in its two slots of the memo list
     handed to the function, the coordinates it last read and its value, so
     a part whose projection of the line is unchanged (a cofactor h_g(x)
     inside M(x, y) on the two corrected reads along one x-line) is not run
-    again; a part that reads every variable sees new coordinates on every
-    new line, so it runs inline, with no key and no compare.  And the
-    restricted line with its entry is kept for one ``eval``, which answers a
-    point on that line from the entry.
-
-    Like ``MultiPoly``'s, both methods are exact on any integer coordinates
-    (unreduced, negative, or in a list): ``eval`` runs the function over Z
-    and reduces its value, ``restrict`` reduces each coordinate as it packs
-    it, and the kept line is tested modulo q.
+    again.  And the restricted line with its entry is kept for one
+    ``eval``, which answers a point on that line from the entry.  Both
+    methods are exact on any integer coordinates; the kept line is tested
+    modulo q.
     """
 
     __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_codec", "_reader", "_line")
@@ -484,44 +475,10 @@ class FactoredPoly:
              for factors in self.products), self.field.q)
 
     def _layout(self):
-        """(compiled function, coefficient tuple, digit width W_F, memo list),
-        built on first use.
-
-        The function is ``_compile_factored``'s for this sum's shape: each
-        factor's terms are split into its constant and its non-constant
-        part, and equal non-constant parts (equal terms, not only equal
-        supports) are one part.  The memo list starts with ``None`` keys,
-        which no coordinates match.
-        """
+        """``_compile_sum`` of this sum's products, built on first use and
+        kept."""
         if self._compiled is None:
-            q = self.field.q
-            zero = (0,) * self.nvars
-            index: dict[frozenset, int] = {}
-            parts: list[dict] = []
-            shape = []
-            consts = []
-            bound = 0
-            for factors in self.products:
-                size = 1
-                row = []
-                for f in factors:
-                    size *= len(f.terms) * (q - 1) * (2 * q - 2) ** f.degree()
-                    rest = {e: c for e, c in f.terms.items() if e != zero}
-                    part = None
-                    if rest:
-                        part = index.setdefault(frozenset(rest.items()), len(parts))
-                        if part == len(parts):
-                            parts.append(rest)
-                    has_const = zero in f.terms or not rest   # a zero factor: 0
-                    if has_const:
-                        consts.append(f.terms.get(zero, 0))
-                    row.append((part, has_const))
-                bound += size
-                shape.append(tuple(row))
-            fn, orders, memos = _compile_factored(
-                tuple(frozenset(p) for p in parts), tuple(shape), self.nvars)
-            coeffs = [tuple(map(p.__getitem__, order)) for p, order in zip(parts, orders)]
-            self._compiled = fn, tuple(coeffs + consts), bound.bit_length(), [None, 0] * memos
+            self._compiled = _compile_sum(self.field, self.nvars, self.products)
         return self._compiled
 
     def eval(self, point: Sequence[int]) -> int:
@@ -550,8 +507,8 @@ class FactoredPoly:
         return fn(coeffs, point, memo) % self.field.q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at digit width W_F.
-        Returns exactly cap+1 residues.
+        """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at the sum's digit
+        width.  Returns exactly cap+1 residues.
 
         A memoized part whose packed coordinates equal those of its last run
         reuses that run's integer: the part reads nothing else, so the

@@ -322,9 +322,9 @@ def test_criterion_10_randomness_budgets():
         rng = CountingRng(0)
         if cfg.experiment in ("ldt", "lc"):
             if cfg.experiment == "ldt":
-                field.sample_point(rng, cfg.nvars)
-            field.sample_point(rng, cfg.nvars)
-            field.sample(rng, nonzero=True)
+                rng.draw(cfg.q, cfg.nvars)
+            rng.draw(cfg.q, cfg.nvars)
+            rng.draw(cfg.q - 1, 1)
         elif cfg.experiment == "zerotest":
             ZeroRandomness.sample(make_variety(field, cfg.variety), rng)
         else:

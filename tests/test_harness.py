@@ -77,21 +77,21 @@ def test_wilson_validation():
 
 def test_counting_rng_bills_by_range_size():
     rng = CountingRng(0)
-    rng.randrange(5)          # sizes 5 -> 3 bits
+    rng.draw(5, 1)            # size 5 -> 3 bits
     assert rng.bits == 3
-    rng.randrange(1, 5)       # size 4 -> 2 bits
-    assert rng.bits == 5
+    rng.draw(4, 2)            # size 4 -> 2 bits a draw
+    assert rng.bits == 7
     with pytest.raises(ValueError):
-        rng.randrange(0)
+        rng.draw(0, 1)
 
 
 def test_counting_rng_matches_plain_random():
     a = CountingRng(1234)
     b = random.Random(1234)
-    assert [a.randrange(17) for _ in range(20)] == [b.randrange(17) for _ in range(20)]
+    assert [a.draw(17, 1)[0] for _ in range(20)] == [b.randrange(17) for _ in range(20)]
 
 
-def test_counting_rng_is_random_randrange_in_both_call_forms():
+def test_counting_rng_draw_is_random_randrange():
     # CountingRng draws by its own rejection loop on getrandbits; the stream
     # must stay random.Random(seed).randrange's, from size 1 (no choice) to
     # sizes just past a power of two (most rejections) and past 2^32, one
@@ -100,14 +100,10 @@ def test_counting_rng_is_random_randrange_in_both_call_forms():
     for seed in range(200):
         counted, plain = CountingRng(seed), random.Random(seed)
         for size in sizes:
-            assert counted.randrange(size) == plain.randrange(size), (seed, size)
-            start = seed - 100
-            assert (counted.randrange(start, start + size)
-                    == plain.randrange(start, start + size)), (seed, size)
             for n in (0, 1, 40):
                 assert (counted.draw(size, n)
                         == [plain.randrange(size) for _ in range(n)]), (seed, size, n)
-        assert counted.bits == (2 + 0 + 1 + 40) * sum((size - 1).bit_length() for size in sizes)
+        assert counted.bits == (0 + 1 + 40) * sum((size - 1).bit_length() for size in sizes)
         assert counted._rng.getstate() == plain.getstate()
     with pytest.raises(ValueError):
         CountingRng(0).draw(0, 3)
@@ -377,7 +373,7 @@ def test_randomness_drift_is_caught():
         return False
 
     with pytest.raises(AssertionError, match="randomness accounting drift: drew 2 bits"):
-        execute(_fake_experiment(check, sample=lambda rng: rng.randrange(4), bits=1))
+        execute(_fake_experiment(check, sample=lambda rng: rng.draw(4, 1), bits=1))
 
 
 # -- config validation --------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcplab.codegen import _line_codec, _line_reader, _line_test
+from pcplab.codegen import _compile_horner, _line_codec, _line_reader, _line_test
 from pcplab.field import Field
 from pcplab.oracles import LinesOracle, PointOracle, honest_oracles
 from pcplab.pcp import Graph, PcpInstance, fewest_conflicts_coloring, pcp_prove
@@ -17,7 +17,6 @@ from pcplab.poly import (
     DegreeCapError,
     FactoredPoly,
     MultiPoly,
-    _compile_horner,
     distance,
     monomials_exact,
     monomials_upto,
@@ -298,6 +297,38 @@ def test_same_support_shares_one_compiled_function():
             assert poly.eval(x) == _eval_ref(poly.terms, x, 7)
         assert poly.restrict((1, 2), (3, 4)) == _restrict_ref(
             poly.terms, 3, (1, 2), (3, 4), 7)
+
+
+_ONE_FACTOR = {   # name: (terms, cap) in 2 variables over F_7
+    "full support": ({(2, 1): 3, (1, 1): 5, (0, 2): 1, (1, 0): 6, (0, 0): 2}, 3),
+    "partial support": ({(3, 0): 1, (1, 0): 6}, 3),   # x1^3 - x1: its part reads x1 only
+    "zero": ({}, 2),
+    "constant": ({(0, 0): 4}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_FACTOR))
+def test_multipoly_is_the_one_factor_sum_of_products(name):
+    # a MultiPoly compiles as the one-product, one-factor shape of the
+    # sum-of-products function: it shares the function and the digit width
+    # of its own one-factor FactoredPoly.  A part that reads x1 only keeps
+    # x1 and its value in the memo: plain after an eval, packed after a
+    # restrict, and the line with b1 = 7 packs x1 = 3, the plain x1 of the
+    # points around it.  Repeated points and alternating calls must still
+    # give the term-by-term reference on every input form
+    terms, cap = _ONE_FACTOR[name]
+    p = MultiPoly(F7, 2, terms, cap)
+    fn, _, width, memo = p._layout()
+    factored = FactoredPoly.product([p])._layout()
+    assert factored[0] is fn and factored[2] == width
+    assert len(memo) == (2 if name == "partial support" else 0)
+    points = [(3, 4), (3, 4), [10, -3], (-4, 18), (3, 5), [3, 4]]
+    lines = [((1, 2), (3, 4)), ((3, 1), (7, 2)), ([8, -5], (-4, 11)),
+             ((1, 2), [3, 4]), ((3, 1), (-7, 9)), ((1, 9), (10, 4))]
+    for x, (a, b) in zip(points, lines):
+        assert p.eval(x) == _eval_ref(terms, x, 7), (name, x)
+        assert p.restrict(a, b) == _restrict_ref(terms, cap, a, b, 7), (name, a, b)
+        assert p.eval(x) == _eval_ref(terms, x, 7), (name, x)
 
 
 def test_zero_and_constant_polynomials():
