@@ -16,8 +16,11 @@ from pathlib import Path
 from .field import Field
 from .harness import (
     ConfigError,
+    EXPERIMENTS,
     ExperimentConfig,
+    MODES,
     PRESETS,
+    SAMPLINGS,
     build_experiment,
     execute,
     randomness_budget,
@@ -27,26 +30,27 @@ from .variety import make_variety
 
 
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
+    """The run flags, one per ``ExperimentConfig`` field but ``experiment``,
+    each defaulting to its field's default."""
     sp.add_argument("--q", type=int, required=True, help="odd prime field size")
-    sp.add_argument("--degree", type=int, default=0, help="verifier degree tag")
-    sp.add_argument("--nvars", type=int, default=0, help="ambient dimension (ldt/lc)")
-    sp.add_argument("--variety", default="", help="variety spec, e.g. ball1:n=2")
-    sp.add_argument("--graph", default="", help="complete:<n> or an edge-list file")
-    sp.add_argument("--mode", choices=("completeness", "soundness"),
-                    default="completeness")
-    sp.add_argument("--sampling", choices=("sampled", "exhaustive"),
-                    default="sampled")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--adversary", default="")
-    sp.add_argument("--delta", type=float, default=0.0,
-                    help="corruption rate for corrupt-* adversaries")
-    sp.add_argument("--reps", type=int, default=1)
-    sp.add_argument("--enum-budget", dest="budget", type=int, default=10 ** 6,
+    sp.add_argument("--degree", type=int, help="verifier degree tag")
+    sp.add_argument("--nvars", type=int, help="ambient dimension (ldt/lc)")
+    sp.add_argument("--variety", help="variety spec, e.g. ball1:n=2")
+    sp.add_argument("--graph", help="complete:<n> or an edge-list file")
+    sp.add_argument("--mode", choices=MODES)
+    sp.add_argument("--sampling", choices=SAMPLINGS)
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--adversary")
+    sp.add_argument("--delta", type=float, help="corruption rate for corrupt-* adversaries")
+    sp.add_argument("--reps", type=int)
+    sp.add_argument("--enum-budget", dest="budget", type=int,
                     help="cap on exhaustive spaces and materialized tables")
     sp.add_argument("--out", default="", help="write the JSON report here")
     sp.add_argument("--min-reject-rate", type=float, default=None,
                     help="soundness pass condition on the measured rate")
+    sp.set_defaults(**{f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                       if f.default is not dataclasses.MISSING})
 
 
 def _config_from(args, experiment: str) -> ExperimentConfig:
@@ -145,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=lambda a, _n=name: _cmd_run(a, _n))
 
     sp = sub.add_parser("budget", help="closed-form randomness bits per trial")
-    sp.add_argument("experiment", choices=("ldt", "lc", "zerotest", "pcp"))
+    sp.add_argument("experiment", choices=EXPERIMENTS)
     _add_run_flags(sp)
     sp.set_defaults(func=_cmd_budget)
 

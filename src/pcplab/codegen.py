@@ -1,20 +1,18 @@
 """Straight-line Python generated for evaluating polynomials and their lines.
 
-``_compile_factored`` is the one compile path for a whole polynomial: it
-compiles a sum of products of one shape (a ``MultiPoly`` is its one-product,
-one-factor shape) into one function, emitting each part inline with
-``_horner``, the one nested-Horner emitter, or calling a memoized part's
-``_compile_horner`` function.  Both compilers are cached, so polynomials of
-one shape share their function and pass their coefficients in.
-``_line_codec`` packs a line and reads a restriction's digits, and
-``_line_reader`` reads a point off a kept line's entry; both are cached per
-line shape.  ``_line_test`` is the verifiers' line-point test, cached per
-(q, arity, degree); it reads the entry at t with the same Horner statements
-as the reader (``_read_entry``).
-Every generator sits in this module of its own because compiling a
-module's source takes memory in proportion to its size: inside ``poly``
-they would make that module's compile the package's largest and raise the
-peak memory of every run.
+``_compile_factored`` compiles a sum of products of one shape into one
+function and decides which of its parts are memoized: a part runs inline
+(``_horner``, the one nested-Horner emitter) unless another part reads a
+variable that it does not, and then runs through its support's
+``_compile_horner`` function only when its coordinates change.
+``_line_codec`` packs a line and reads a restriction's digits,
+``_line_reader`` reads a point off a kept line, and ``_line_test``, the
+verifiers' line-point test, reads the entry at t with the reader's Horner
+statements (``_read_entry``).  Each compiler is cached per shape and
+compiles through ``_function``, under a filename holding the shape's
+digest.  They sit in a module of their own because compiling a module's
+source takes memory in proportion to its size: inside ``poly`` they would
+make that compile the package's largest and raise every run's peak memory.
 """
 
 from __future__ import annotations
@@ -125,36 +123,34 @@ def _compile_factored(parts: tuple, products: tuple, nvars: int):
     straight-line code that runs each part once, so factors that differ
     only in their constant (χ̂, χ̂-1, χ̂+1) share it, then multiplies each
     product and sums them one statement at a time, so nothing nests.  A
-    part that reads every variable runs inline as ``_horner`` statements.
-    A part that reads only some keeps in the list M (two slots per such
-    part, ``memos`` parts in all) the coordinates it read and its value,
-    reuses the value while they repeat (it depends on nothing else), and
-    otherwise calls the ``_compile_horner`` function of its support.  Such
-    a part runs only when its coordinates change, so the call costs little
-    beside the run, and the largest parts (a certificate's cofactors) are
-    compiled one at a time: compiling them into one function would raise
-    the peak memory of the compile to their sum.  Compiled once per shape,
-    under a filename holding its digest.
+    part runs inline as ``_horner`` statements unless another part reads a
+    variable that it does not: only then can its coordinates repeat while
+    the point changes, so only then is it memoized.  A memoized part keeps
+    in the list M (two slots per such part, ``memos`` parts in all) the
+    coordinates it read and its value, reuses the value while they repeat,
+    and otherwise calls the ``_compile_horner`` function of its support;
+    so the largest parts (a certificate's cofactors) are compiled one at a
+    time, which keeps the peak memory of the compile below their sum.
+    Compiled once per shape, under a filename holding its digest.
     """
     names: list[str] = []
     orders = []
-    used_all: set[int] = set()
+    used = [{i for e in support for i in range(nvars) if e[i]} for support in parts]
+    used_all = set().union(*used)
     body: list[str] = []
     namespace: dict = {}
     memos = 0
     for k, support in enumerate(parts):
         names.append(f"P{k}")
-        used = {i for e in support for i in range(nvars) if e[i]}
-        used_all |= used
         v = f"v{k}_0"
-        if len(used) == nvars:
+        if used[k] == used_all:
             steps, order, _ = _horner(support, nvars, f"{k}_")
             body.append(_unpack([f"c{k}_{i}" for i in range(len(order))], f"P{k}"))
             body += steps
         else:
             namespace[f"h{k}"], order = _compile_horner(support, nvars)
             key, value = f"M[{2 * memos}]", f"M[{2 * memos + 1}]"
-            body += [f"m = {', '.join(f'x{i}' for i in sorted(used))}",
+            body += [f"m = {', '.join(f'x{i}' for i in sorted(used[k]))}",
                      f"if m == {key}:", f"    {v} = {value}", "else:",
                      f"    {v} = h{k}(P{k}, X)", f"    {key} = m", f"    {value} = {v}"]
             memos += 1
@@ -195,23 +191,19 @@ def _line_codec(q: int, width: int, ndigits: int, nvars: int):
     ``v``, each masked (the top one too) and reduced mod q: the coefficients
     of t^0..t^(ndigits-1).  Both are straight-line code, one expression per
     coordinate or digit with q, the width and the mask as literals, compiled
-    once per line shape (the filename names it) and shared by every polynomial.
+    once per line shape and shared by every polynomial.
     """
     mask = (1 << width) - 1
-    a = [f"a{i}" for i in range(nvars)]
-    b = [f"b{i}" for i in range(nvars)]
-    lines = ["def pack(a, b):"]
+    shape = (q, width, ndigits, nvars)
+    body = []
     if nvars:
-        lines += [f"    {', '.join(a)}, = a", f"    {', '.join(b)}, = b"]
-    coords = "".join(f"{x} % {q} + ({y} % {q} << {width}), " for x, y in zip(a, b))
-    lines += [f"    return ({coords})", "def read(v):"]
+        body = [_unpack([f"a{i}" for i in range(nvars)], "a"),
+                _unpack([f"b{i}" for i in range(nvars)], "b")]
+    coords = "".join(f"a{i} % {q} + (b{i} % {q} << {width}), " for i in range(nvars))
+    pack = _function("a, b", body + [f"return ({coords})"], "line pack", shape, {})
     shifts = [f"v >> {j * width}" if j else "v" for j in range(ndigits)]
     digits = "".join(f"({v} & {mask}) % {q}, " for v in shifts)
-    lines.append(f"    return ({digits})")
-    namespace: dict = {}
-    shape = f"<line codec q={q} width={width} digits={ndigits} vars={nvars}>"
-    exec(compile("\n".join(lines) + "\n", shape, "exec"), namespace)
-    return namespace["pack"], namespace["read"]
+    return pack, _function("v", [f"return ({digits})"], "line read", shape, {})
 
 
 @functools.lru_cache(maxsize=256)

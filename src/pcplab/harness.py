@@ -712,20 +712,8 @@ def execute(exp: Experiment, out: str | Path | None = None
         randomness_bits_per_trial=exp.bits,
         elapsed_ms=elapsed_ms,
     )
-    report = {
-        "experiment": cfg.experiment,
-        "config": asdict(cfg),
-        "trials": est.trials,
-        "accepts": est.accepts,
-        "rejects": est.rejects,
-        "rate": est.rate,
-        "ci95": list(est.ci95),
-        "ci99": list(est.ci99),
-        "queries_per_trial": est.queries_per_trial,
-        "randomness_bits_per_trial": est.randomness_bits_per_trial,
-        "seed": cfg.seed,
-        "elapsed_ms": est.elapsed_ms,
-    }
+    report = {"experiment": cfg.experiment, "config": asdict(cfg), "seed": cfg.seed,
+              "accepts": est.accepts, **asdict(est)}
     if out is not None:
         Path(out).write_bytes(report_bytes(report, include_elapsed=True))
     return est, report

@@ -2,21 +2,18 @@
 
 ``MultiPoly`` keeps a sparse map from exponent vectors to nonzero residues
 plus a declared degree cap; ``FactoredPoly`` is a sum of products of
-``MultiPoly`` factors, never multiplied out to evaluate.  Both evaluate and
-restrict to lines through one pipeline: ``_compile_sum`` lays a sum of
-products out as the straight-line integer function ``codegen`` generates
-once per shape, its coefficient tuple, a Kronecker digit width W and a memo
-list, and a ``MultiPoly`` is laid out as its own one-factor product.
-``eval`` runs the function over Z at the point and reduces mod q once;
-``restrict`` runs it at the packed point x_i = a_i + b_i 2^W, whose
-base-2^W digits are the coefficients in t of P(a + t b) (W bounds every
-coefficient, so no digit carries), packed and read by the ``_line_codec``
-of the line shape (q, W, number of digits, arity).  A lines entry, as every
-restriction returns it and every lines table hands it out, is a plain tuple
-of exactly cap+1 residues in [0, q) (index = power of t, trailing zeros
-kept, so the width is fixed).  Both are exact on any integer coordinates
-(unreduced, negative or in a list), so an oracle hands them a query as
-given.
+``MultiPoly`` factors.  Both share one ``eval`` and one ``restrict`` and
+supply only their products (a ``MultiPoly`` is its own one-factor product),
+which ``_compile_sum`` lays out as the function ``codegen`` generates per
+shape, a coefficient tuple, a Kronecker digit width W and a memo list.
+``eval`` runs the function over Z and reduces mod q once; ``restrict`` runs
+it at x_i = a_i + b_i 2^W, whose base-2^W digits are the coefficients in t
+of P(a + t b).  The layout decides what is reused between calls: a part is
+memoized only when another part reads a variable that it does not, and only
+a layout that memoizes a part keeps its last line for one ``eval``.  A
+lines entry is a plain tuple of exactly cap+1 residues in [0, q), index =
+power of t.  Both methods are exact on any integer coordinates (unreduced,
+negative or in a list), so an oracle hands them a query as given.
 
 Multiplying out runs on packed monomials (``_packing``): each exponent
 vector is one integer with a guarded bit field per variable, so a monomial
@@ -188,7 +185,63 @@ def _compile_sum(field: Field, nvars: int, products) -> tuple:
     return fn, tuple(coeffs + consts), bound.bit_length(), [None, 0] * memos
 
 
-class MultiPoly:
+class _SumOfProducts:
+    """The one ``eval`` and ``restrict`` of ``MultiPoly`` and ``FactoredPoly``,
+    each of which supplies only its ``products``.
+
+    A polynomial whose layout memoizes a part keeps its last restricted
+    line (the coordinates as queried, as tuples, with the entry) for one
+    ``eval``, which answers a point on it by ``codegen._line_reader`` (t and
+    the on-line test taken mod q) and evaluates any other point afresh.
+    Only such a layout gains by it: there a fresh eval at plain coordinates
+    misses the memo that the restriction filled with packed ones.
+    """
+
+    __slots__ = ("field", "nvars", "cap", "_compiled", "_codec", "_line")
+
+    def _layout(self):
+        """(function, coefficients, digit width W, memo list) of
+        ``_compile_sum`` over ``products``, built on first use and kept."""
+        if self._compiled is None:
+            self._compiled = _compile_sum(self.field, self.nvars, self.products)
+        return self._compiled
+
+    def eval(self, point: Sequence[int]) -> int:
+        """The value at ``point``: off the kept line, the compiled function
+        over Z reduced mod q once."""
+        if len(point) != self.nvars:
+            raise ValueError(f"point arity {len(point)} != {self.nvars}")
+        line = self._line
+        if line is not None:
+            self._line = None
+            value = self._codec[2](line, point)
+            if value is not None:
+                return value
+        fn, coeffs, _, memo = self._layout()
+        return fn(coeffs, point, memo) % self.field.q
+
+    def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        """The formal composition P(a + t b), expanded in t: the compiled
+        function over Z at the packed point, its cap+1 digits read mod q, so
+        the cap+1 residues are exact also when the cap is >= q.  The codec of
+        the shape (q, W, cap+1, nvars) and, for a layout that memoizes, the
+        reader are fetched on the first restriction and kept."""
+        if len(a) != self.nvars or len(b) != self.nvars:
+            raise ValueError("line arity mismatch")
+        fn, coeffs, width, memo = self._layout()
+        codec = self._codec
+        if codec is None:
+            q, ncoeffs = self.field.q, self.cap + 1
+            codec = self._codec = (*_line_codec(q, width, ncoeffs, self.nvars),
+                                   _line_reader(q, ncoeffs, self.nvars) if memo else None)
+        pack, read, _ = codec
+        entry = read(fn(coeffs, pack(a, b), memo))
+        if memo:
+            self._line = (tuple(a), tuple(b), entry)
+        return entry
+
+
+class MultiPoly(_SumOfProducts):
     """Polynomial in F_q[x_1..x_m] with a declared degree cap.
 
     ``MultiPoly(field, nvars, terms, cap)`` validates: it reduces every
@@ -199,17 +252,16 @@ class MultiPoly:
     ``_trusted``, which checks nothing: their terms are nonzero residues of
     the right arity within the cap by construction.
 
-    ``eval`` and ``restrict`` run the sum-of-products pipeline on the
-    polynomial as its own one-factor product, so ``p`` and
-    ``FactoredPoly.product([p])`` share one compiled function, digit width
-    and codec; unlike a ``FactoredPoly``, it keeps no line between calls.
+    It is laid out as its own one-factor product, so it shares its compiled
+    function and digit width with ``FactoredPoly.product([p])``; its one
+    part is never memoized, so it keeps no line.
 
     Nothing in pcplab mutates ``terms`` after construction: every operation
     returns a new polynomial.  So the degree and the compiled layout are
     computed once, on first use, and kept.
     """
 
-    __slots__ = ("field", "nvars", "cap", "terms", "_degree", "_compiled", "_codec")
+    __slots__ = ("terms", "_degree")
 
     def __init__(self, field: Field, nvars: int, terms: dict[tuple[int, ...], int], cap: int):
         q = field.q
@@ -223,13 +275,15 @@ class MultiPoly:
             if sum(exps) > cap:
                 raise DegreeCapError(f"term {exps} exceeds degree cap {cap}")
             clean[tuple(exps)] = c
+        self._set(field, nvars, clean, cap)
+
+    def _set(self, field: Field, nvars: int, terms: dict, cap: int) -> None:
+        """Fill every slot, each cache empty."""
         self.field = field
         self.nvars = nvars
         self.cap = cap
-        self.terms = clean
-        self._degree = None
-        self._compiled = None
-        self._codec = None
+        self.terms = terms
+        self._degree = self._compiled = self._codec = self._line = None
 
     # -- constructors -------------------------------------------------------
 
@@ -241,13 +295,7 @@ class MultiPoly:
         <= ``cap``; nothing is checked or copied.  For the package's own
         results only."""
         p = object.__new__(cls)
-        p.field = field
-        p.nvars = nvars
-        p.cap = cap
-        p.terms = terms
-        p._degree = None
-        p._compiled = None
-        p._codec = None
+        p._set(field, nvars, terms, cap)
         return p
 
     @classmethod
@@ -342,37 +390,10 @@ class MultiPoly:
         ``FactoredPoly.expand``, the one multiplication routine."""
         return FactoredPoly.product([self, other]).expand()
 
-    # -- evaluation and restriction ----------------------------------------
-
-    def _layout(self):
-        """``_compile_sum`` of this polynomial as a one-factor product, built
-        on first use and kept."""
-        if self._compiled is None:
-            self._compiled = _compile_sum(self.field, self.nvars, ((self,),))
-        return self._compiled
-
-    def eval(self, point: Sequence[int]) -> int:
-        """P(point): the compiled function over Z, reduced mod q once."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        fn, coeffs, _, memo = self._layout()
-        return fn(coeffs, point, memo) % self.field.q
-
-    def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """Formal composition P(a + t b), expanded in t: the compiled
-        function over Z at the packed point, its cap+1 digits read mod q by
-        the ``_line_codec`` of the shape (q, W, cap+1, nvars), fetched on the
-        first restriction and kept.  Arithmetic over Z followed by reduction
-        is the formal composition, so the exactly cap+1 residues are exact
-        also when the cap is >= q."""
-        if len(a) != self.nvars or len(b) != self.nvars:
-            raise ValueError("line arity mismatch")
-        fn, coeffs, width, memo = self._layout()
-        codec = self._codec
-        if codec is None:
-            codec = self._codec = _line_codec(self.field.q, width, self.cap + 1, self.nvars)
-        pack, read = codec
-        return read(fn(coeffs, pack(a, b), memo))
+    @property
+    def products(self) -> tuple:
+        """The polynomial as its own one-factor product."""
+        return ((self,),)
 
     # -- text form ----------------------------------------------------------
 
@@ -398,30 +419,19 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-class FactoredPoly:
-    """Σ_i Π_j f_ij over F_q[x_1..x_m], kept as its ``MultiPoly`` factors.
+class FactoredPoly(_SumOfProducts):
+    """Σ_i Π_j f_ij over F_q[x_1..x_m], kept as its ``MultiPoly`` factors
+    and never multiplied out to evaluate.  ``cap`` is the declared degree
+    bound, as for ``MultiPoly``.
 
-    ``eval`` and ``restrict`` run one compiled function for the whole sum of
-    products (``_compile_sum``), so a product of a few small factors is
-    never multiplied out.  The function runs each distinct non-constant
-    part of the factors once, so factors that differ only in their constant
-    term (χ̂, χ̂-1 and χ̂+1 of the validity claim, the four Δ-c of the
-    conflict claim) share one Horner pass, and restricts in one Kronecker
-    pass at the sum's digit width.  ``cap`` is the declared degree bound, as
-    for ``MultiPoly``.
-
-    The work of the last restriction is kept twice over.  A part that reads
-    only some of the variables keeps, in its two slots of the memo list
-    handed to the function, the coordinates it last read and its value, so
-    a part whose projection of the line is unchanged (a cofactor h_g(x)
-    inside M(x, y) on the two corrected reads along one x-line) is not run
-    again.  And the restricted line with its entry is kept for one
-    ``eval``, which answers a point on that line from the entry.  Both
-    methods are exact on any integer coordinates; the kept line is tested
-    modulo q.
+    Its layout runs each distinct non-constant part of the factors once, so
+    factors that differ only in their constant term (χ̂, χ̂-1 and χ̂+1 of
+    the validity claim, the four Δ-c of the conflict claim) share one Horner
+    pass.  A certificate M(x, y) = Σ h_g(x)·y_g memoizes its parts, since
+    each skips a variable another reads, and so keeps its last line.
     """
 
-    __slots__ = ("field", "nvars", "cap", "products", "_compiled", "_codec", "_reader", "_line")
+    __slots__ = ("products",)
 
     def __init__(self, field: Field, nvars: int,
                  products: Iterable[Sequence[MultiPoly]], cap: int):
@@ -429,10 +439,7 @@ class FactoredPoly:
         self.nvars = nvars
         self.cap = cap
         self.products = tuple(tuple(factors) for factors in products)
-        self._compiled = None
-        self._codec = None
-        self._reader = None
-        self._line = None
+        self._compiled = self._codec = self._line = None
         for factors in self.products:
             if not factors:
                 raise ValueError("empty product")
@@ -473,64 +480,6 @@ class FactoredPoly:
         return _multiply_packed(
             (([(pack(e), c) for e, c in f.terms.items()] for f in factors)
              for factors in self.products), self.field.q)
-
-    def _layout(self):
-        """``_compile_sum`` of this sum's products, built on first use and
-        kept."""
-        if self._compiled is None:
-            self._compiled = _compile_sum(self.field, self.nvars, self.products)
-        return self._compiled
-
-    def eval(self, point: Sequence[int]) -> int:
-        """Σ_i Π_j f_ij(point): the compiled function over Z at the point,
-        reduced mod q once.  It shares its memo with ``restrict``: a part's
-        value depends only on the coordinates it reads, whoever read them.
-
-        A point on the line of the last ``restrict`` is answered from its
-        entry instead, by the ``_line_reader`` of the shape (q, cap+1,
-        nvars): t from the first direction coordinate nonzero mod q, the
-        on-line test modulo q (so the line and the point may be unreduced or
-        negative), and the entry at t.  The entry is the formal composition
-        P(a + t b), so this is exact for every cap.  The line is kept for one
-        read only: a verifier reads its point right after the line, and a
-        stale line would cost a failed test on every later read.
-        """
-        if len(point) != self.nvars:
-            raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        line = self._line
-        if line is not None:
-            self._line = None
-            value = self._reader(line, point)
-            if value is not None:
-                return value
-        fn, coeffs, _, memo = self._layout()
-        return fn(coeffs, point, memo) % self.field.q
-
-    def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """Σ_i Π_j f_ij(a + t b) in one Kronecker pass at the sum's digit
-        width.  Returns exactly cap+1 residues.
-
-        A memoized part whose packed coordinates equal those of its last run
-        reuses that run's integer: the part reads nothing else, so the
-        integer is the same.  The line, as tuples of the
-        coordinates as queried, and the entry are kept for the next ``eval``;
-        the codec and the reader of the kept line are fetched on the first
-        restriction.
-        """
-        if len(a) != self.nvars or len(b) != self.nvars:
-            raise ValueError("line arity mismatch")
-        fn, coeffs, width, memo = self._layout()
-        codec = self._codec
-        if codec is None:
-            q, ncoeffs = self.field.q, self.cap + 1
-            codec = self._codec = _line_codec(q, width, ncoeffs, self.nvars)
-            self._reader = _line_reader(q, ncoeffs, self.nvars)
-        pack, read = codec
-        a = tuple(a)
-        b = tuple(b)
-        entry = read(fn(coeffs, pack(a, b), memo))
-        self._line = (a, b, entry)
-        return entry
 
 
 def random_poly(field: Field, nvars: int, degree: int, rng: random.Random) -> MultiPoly:

@@ -1,12 +1,14 @@
 """CLI surface: subcommands, exit codes, printed summaries."""
 
+import dataclasses
 import json
 import signal
 import time
 
 import pytest
 
-from pcplab.cli import main
+from pcplab.cli import _config_from, build_parser, main
+from pcplab.harness import ExperimentConfig
 
 
 def run(capsys, *argv):
@@ -287,6 +289,16 @@ def test_budget_subcommand(capsys):
                        "--variety", "cube:H=0,1,2;m=1", "--graph", "complete:3")
     assert code == 0
     assert out.strip() == "94"
+
+
+@pytest.mark.parametrize("argv", [["ldt", "run", "--q", "5"], ["budget", "ldt", "--q", "5"]])
+def test_run_flags_default_to_the_config_defaults(argv):
+    args = build_parser().parse_args(argv)
+    cfg = _config_from(args, "ldt")
+    want = ExperimentConfig(experiment="ldt", q=5)
+    for field in dataclasses.fields(ExperimentConfig):
+        assert getattr(cfg, field.name) == getattr(want, field.name), field.name
+    assert cfg == want
 
 
 def test_preset_list(capsys):

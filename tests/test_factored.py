@@ -5,10 +5,11 @@ zero-test certificates M_A, M_B are answered by one fused function each.
 Here each is rebuilt as one expanded ``MultiPoly`` by a different route (B
 as Ê·((Δ²-1)(Δ²-4)), A as χ̂³-χ̂, M from the cofactor terms directly) and
 the factored oracles must give the same values and the same lines entries,
-width included.  A ``FactoredPoly`` reuses its last restriction (a memoized
-part's last value, the last line's entry for a point on it); interleaved
-reads are checked against the expanded polynomial and against the factors
-read one by one, and the part runs of one certificate check are counted.
+width included.  A ``FactoredPoly`` whose layout memoizes a part reuses its
+last restriction (that part's last value, the last line's entry for a point
+on it); interleaved reads are checked against the expanded polynomial and
+against the factors read one by one, and the part runs of one certificate
+check are counted.
 """
 
 import functools
@@ -410,9 +411,10 @@ def test_point_on_the_kept_line_in_any_integer_form():
     # b = (7, 11) is (0, 4) mod 7, so t must come from the second coordinate;
     # b = (14, -7) is 0 mod 7, so the line is its base point.  A point off
     # the kept line (its first coordinate moved, which leaves each of these
-    # lines) falls back to the fused function, which runs both parts
+    # lines) falls back to the fused function, which runs both parts: the
+    # x-only part too, since its memo holds the packed x of the line
     field = Field(7)
-    p = _memo_products(field)["full"]
+    p = _memo_products(field)["with-x-only"]
     expanded = p.expand()
     runs, _, _ = _count_runs(p, 2)
     for a, b in (((1, 2), (3, 4)), ((1, 2), (0, 4)), ((5, 6), (0, 0)), ((-2, 9), (14, -7))):
@@ -433,6 +435,52 @@ def test_point_on_the_kept_line_in_any_integer_form():
                     before = runs()
                     assert p.eval(off) == expanded.eval(off), (la, lb, off)
                     assert runs() - before == 2, (la, lb, off)
+
+
+@functools.lru_cache(maxsize=None)
+def _k3_shapes():
+    """name -> polynomial behind each production shape of the honest K3
+    proof over cube:H=0,1;m=2, q = 257 (the pcp-complete-k3 benchmark)."""
+    field = Field(257)
+    variety = make_variety(field, "cube:H=0,1;m=2")
+    graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    proof = pcp_prove(PcpInstance(variety, graph), fewest_conflicts_coloring(graph, field))
+    polys = {name: getattr(proof, name).answer.__self__ for name in
+             ("color_lines", "validity_lines", "conflict_lines")}
+    polys["validity_cert"] = proof.validity_cert.lines.answer.__self__
+    polys["conflict_cert"] = proof.conflict_cert.lines.answer.__self__
+    return {"generator": variety.gens[0], "chi": polys["color_lines"],
+            "A": polys["validity_lines"], "B": polys["conflict_lines"],
+            "M_A": polys["validity_cert"], "M_B": polys["conflict_cert"]}
+
+
+# name: (parts, memoized parts).  A part is memoized only when another part
+# of its layout reads a variable that it does not: the generator x1^2 - x1
+# reads x1 only but is alone; Ê and Δ of B both read every variable; each
+# h_g(x) and y_g of a certificate skips a variable the other reads
+_K3_LAYOUTS = {"generator": (1, 0), "chi": (1, 0), "A": (1, 0), "B": (2, 0),
+               "M_A": (4, 4), "M_B": (8, 8)}
+
+
+@pytest.mark.parametrize("name", sorted(_K3_LAYOUTS))
+def test_production_layouts_memoize_and_keep_lines_by_the_two_rules(name):
+    # only a layout that memoizes a part keeps its last line, for one eval;
+    # the point read off it equals the fresh evaluation that follows
+    p = _k3_shapes()[name]
+    parts = {frozenset((e, c) for e, c in f.terms.items() if any(e))
+             for factors in p.products for f in factors} - {frozenset()}
+    memo = p._layout()[3]
+    assert (len(parts), len(memo) // 2) == _K3_LAYOUTS[name]
+    keeps = name in ("M_A", "M_B")
+    assert bool(memo) == keeps
+    a = tuple(range(1, p.nvars + 1))
+    b = tuple(range(2, 2 * p.nvars + 2, 2))
+    entry = p.restrict(a, b)
+    assert p._line == ((a, b, entry) if keeps else None)
+    point = tuple(x + 5 * y for x, y in zip(a, b))
+    value = p.eval(point)
+    assert p._line is None
+    assert value == p.eval(point) == sum(c * 5 ** j for j, c in enumerate(entry)) % 257
 
 
 def test_certificate_reads_run_each_cofactor_twice():

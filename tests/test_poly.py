@@ -271,16 +271,17 @@ def test_long_compiled_code_stays_exact(q):
         value *= _eval_ref(f, x, q)
     assert product.eval(x) == value % q
 
-    # a point on the kept line is read through the generated reader of 261
-    # coefficients: 260 Horner steps, one statement each
+    # its 260 factors share one part, which is not memoized, so it keeps no
+    # line; a point on its line, read through the generated reader of 261
+    # coefficients, is 260 Horner steps, one statement each
     t = rng.randrange(1, q)
     on = [a[0] + t * b[0]]
-    product.restrict(a, b)
-    assert product._reader is _line_reader(q, 261, 1)
+    entry = product.restrict(a, b)
+    assert product._line is None and not product._layout()[3]
     value = 1
     for f in factors:
         value *= _eval_ref(f, on, q)
-    assert product._reader(product._line, on) == value % q
+    assert _line_reader(q, 261, 1)((tuple(a), tuple(b), entry), on) == value % q
     assert product.eval(on) == value % q
 
 
@@ -311,23 +312,23 @@ _ONE_FACTOR = {   # name: (terms, cap) in 2 variables over F_7
 def test_multipoly_is_the_one_factor_sum_of_products(name):
     # a MultiPoly compiles as the one-product, one-factor shape of the
     # sum-of-products function: it shares the function and the digit width
-    # of its own one-factor FactoredPoly.  A part that reads x1 only keeps
-    # x1 and its value in the memo: plain after an eval, packed after a
-    # restrict, and the line with b1 = 7 packs x1 = 3, the plain x1 of the
-    # points around it.  Repeated points and alternating calls must still
-    # give the term-by-term reference on every input form
+    # of its own one-factor FactoredPoly.  Its one part is never memoized,
+    # not even x1^3 - x1, which reads x1 only, so it keeps no line.
+    # Repeated points and alternating calls must still give the term-by-term
+    # reference on every input form
     terms, cap = _ONE_FACTOR[name]
     p = MultiPoly(F7, 2, terms, cap)
     fn, _, width, memo = p._layout()
     factored = FactoredPoly.product([p])._layout()
     assert factored[0] is fn and factored[2] == width
-    assert len(memo) == (2 if name == "partial support" else 0)
+    assert memo == []
     points = [(3, 4), (3, 4), [10, -3], (-4, 18), (3, 5), [3, 4]]
     lines = [((1, 2), (3, 4)), ((3, 1), (7, 2)), ([8, -5], (-4, 11)),
              ((1, 2), [3, 4]), ((3, 1), (-7, 9)), ((1, 9), (10, 4))]
     for x, (a, b) in zip(points, lines):
         assert p.eval(x) == _eval_ref(terms, x, 7), (name, x)
         assert p.restrict(a, b) == _restrict_ref(terms, cap, a, b, 7), (name, a, b)
+        assert p._line is None
         assert p.eval(x) == _eval_ref(terms, x, 7), (name, x)
 
 
@@ -398,7 +399,8 @@ def test_read_masks_every_digit():
 
 def test_line_codec_is_shared_bounded_and_built_on_first_restrict():
     # two polynomials of one line shape (q, digit width, cap + 1, arity)
-    # share one codec; a polynomial that is only evaluated builds none
+    # share one codec; a polynomial that is only evaluated fetches none, and
+    # a layout that memoizes no part fetches no kept-line reader
     p = MultiPoly(F7, 2, {(2, 1): 3, (0, 1): 1, (0, 0): 4}, 4)
     r = MultiPoly(F7, 2, {(1, 2): 5, (1, 0): 2, (0, 0): 1}, 4)
     width = p._layout()[2]
@@ -409,17 +411,17 @@ def test_line_codec_is_shared_bounded_and_built_on_first_restrict():
         assert poly._codec is None
     for poly in (p, r, f):
         poly.restrict((1, 2), (3, 4))
-    assert p._codec is r._codec is _line_codec(7, width, 5, 2)
-    assert f._codec is _line_codec(7, f._layout()[2], 9, 2)
+    assert p._codec == r._codec == (*_line_codec(7, width, 5, 2), None)
+    assert f._codec == (*_line_codec(7, f._layout()[2], 9, 2), None)
     assert _line_codec.cache_info().maxsize is not None
 
 
 def test_generated_functions_profile_as_separate_entries():
     # pstats keys a function by (filename, line, name), and every generated
-    # function is ``f``, ``pack`` or ``read`` at a fixed line of its source:
-    # two line shapes, two kept-line readers, two line tests and two supports
-    # must compile under filenames of their own, or each pair merges into one
-    # entry that counts both calls
+    # function is ``f`` at a fixed line of its source: the pack and the read
+    # of two line shapes, two kept-line readers, two line tests and two
+    # supports must compile under filenames of their own, or functions merge
+    # into one entry that counts several calls
     codecs = [_line_codec(7, 5, 3, 2), _line_codec(11, 6, 4, 2)]
     horners = [_compile_horner(frozenset({(1, 0), (0, 1)}), 2)[0],
                _compile_horner(frozenset({(2, 0), (0, 0)}), 2)[0]]
@@ -441,7 +443,7 @@ def test_generated_functions_profile_as_separate_entries():
     profile.runcall(work)
     generated = {key: stat for key, stat in pstats.Stats(profile).stats.items()
                  if key[0].startswith("<")}
-    assert sorted(name for _, _, name in generated) == ["f"] * 6 + ["pack", "pack", "read", "read"]
+    assert [name for _, _, name in generated] == ["f"] * 10
     assert all(stat[0] == 1 for stat in generated.values())
 
 
@@ -691,3 +693,8 @@ def test_shift_vars_embedding():
     assert shifted.nvars == 3
     assert shifted.terms == {(0, 2, 0): 3}
     assert shifted.eval((9, 2, 9)) == p.eval((2,))
+
+
+def test_both_classes_share_one_eval_and_restrict():
+    for name in ("_layout", "eval", "restrict"):
+        assert getattr(MultiPoly, name) is getattr(FactoredPoly, name), name
