@@ -148,12 +148,17 @@ def _compile_sum(field: Field, nvars: int, products) -> tuple:
     The function is ``_compile_factored``'s for the sum's shape: each
     factor's terms are split into its constant and its non-constant part,
     and equal non-constant parts (equal terms, not only equal supports) are
-    one part.  W = bit_length(Σ_i Π_j T_ij(q-1)(2q-2)^D_ij) for factors of
-    T_ij terms and degree D_ij: with a_i, b_i in [0, q), each f_ij(a + t b)
-    over Z has nonnegative coefficients and is at most T_ij(q-1)(2q-2)^D_ij
-    at t = 1, so every coefficient of the sum of products is at most that
-    sum, and packed at t = 2^W its base-2^W digits never carry.  The memo
-    list starts with ``None`` keys, which no coordinates match.
+    one part.  W = bit_length(Σ_i Π_j Σ_{e in f_ij} c_e (2q-2)^|e|) over the
+    stored residues c_e of each factor's terms, summed in one pass over the
+    terms with a table of powers: with a_i, b_i in [0, q), each f_ij(a + t b)
+    over Z has nonnegative coefficients, whose sum (its value at t = 1) is
+    f_ij(a + b) <= Σ_e c_e (2q-2)^|e|.  Coefficient sums multiply under
+    products and add under sums, so the coefficients of the sum of products
+    sum to at most that bound, each is below 2^W, and packed at t = 2^W its
+    base-2^W digits never carry; only that final integer is read, so
+    intermediate values need no bound.  The width thus depends on the
+    coefficient values, not only on the shape.  The memo list starts with
+    ``None`` keys, which no coordinates match.
     """
     q = field.q
     zero = (0,) * nvars
@@ -162,12 +167,21 @@ def _compile_sum(field: Field, nvars: int, products) -> tuple:
     shape = []
     consts = []
     bound = 0
+    powers = [1]
     for factors in products:
         size = 1
         row = []
         for f in factors:
-            size *= len(f.terms) * (q - 1) * (2 * q - 2) ** f.degree()
-            rest = {e: c for e, c in f.terms.items() if e != zero}
+            while len(powers) <= f.degree():
+                powers.append(powers[-1] * (2 * q - 2))
+            sums = 0
+            rest = {}
+            for e, c in f.terms.items():
+                d = sum(e)
+                sums += c * powers[d]
+                if d:
+                    rest[e] = c
+            size *= sums
             part = None
             if rest:
                 part = index.setdefault(frozenset(rest.items()), len(parts))

@@ -4,12 +4,13 @@ import cProfile
 import itertools
 import pstats
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcplab.codegen import _compile_horner, _line_codec, _line_reader, _line_test
+from pcplab.codegen import _compile_horner, _horner, _line_codec, _line_reader, _line_test
 from pcplab.field import Field
 from pcplab.oracles import LinesOracle, PointOracle, honest_oracles
 from pcplab.pcp import Graph, PcpInstance, fewest_conflicts_coloring, pcp_prove
@@ -22,7 +23,7 @@ from pcplab.poly import (
     monomials_upto,
     random_poly,
 )
-from pcplab.variety import Variety, make_variety, vanishing_certificate
+from pcplab.variety import Variety, certificate_factors, make_variety, vanishing_certificate
 
 F5 = Field(5)
 F7 = Field(7)
@@ -146,17 +147,27 @@ def _convolve_ref(u, v):
     return out
 
 
-def _restrict_ref(terms, cap, a, b, q):
-    """Σ c·Π (a_i + b_i t)^{e_i}, each power expanded by plain convolution."""
-    acc = [0] * (cap + 1)
+def _add_ref(u, v):
+    return [x + y for x, y in itertools.zip_longest(u, v, fillvalue=0)]
+
+
+def _line_ref(terms, a, b):
+    """Σ c·Π (a_i + b_i t)^{e_i} over Z, unreduced, as its coefficients of
+    t^0, t^1, ...: each power expanded by plain convolution."""
+    acc = [0]
     for exps, c in terms.items():
         prod = [c]
         for ai, bi, e in zip(a, b, exps):
             for _ in range(e):
                 prod = _convolve_ref(prod, [ai, bi])
-        for j, v in enumerate(prod):
-            acc[j] += v
-    return tuple(v % q for v in acc)
+        acc = _add_ref(acc, prod)
+    return acc
+
+
+def _restrict_ref(terms, cap, a, b, q):
+    """``_line_ref`` reduced mod q, as cap+1 residues."""
+    acc = _line_ref(terms, a, b)
+    return tuple(v % q for v in acc) + (0,) * (cap + 1 - len(acc))
 
 
 def _eval_ref(terms, x, q):
@@ -210,14 +221,149 @@ def test_restrict_and_eval_match_reference_expansion(case):
     (4294967311, 2, 12), (2 ** 61 - 1, 2, 10),
 ])
 def test_restrict_at_the_digit_width_bound(q, nvars, degree):
-    # every coefficient and every line coordinate is q-1, so each Kronecker
-    # digit reaches T(q-1)(2q-2)^D-scale values: a digit width without the
-    # term count T (or any smaller bound) lets digits carry into each other
+    # every coefficient and every line coordinate is q-1, so the entry's
+    # coefficients over Z sum to exactly the bound the digit width is taken
+    # from, Σ_e c_e (2q-2)^|e|, and each Kronecker digit reaches
+    # T(q-1)(2q-2)^D-scale values: a width without the term count T lets
+    # digits carry into each other
     terms = {e: q - 1 for e in monomials_upto(nvars, degree)}
     cap = degree + 2
     line = [q - 1] * nvars
     p = MultiPoly(Field(q), nvars, terms, cap)
     assert p.restrict(line, line) == _restrict_ref(terms, cap, line, line, q)
+
+
+def _sum_of_products_ref(products, a, b):
+    """Σ_i Π_j f_ij(a + t b) over Z, unreduced, each factor a terms dict:
+    ``_line_ref`` per factor, the products multiplied out by convolution."""
+    total = [0]
+    for factors in products:
+        acc = [1]
+        for terms in factors:
+            acc = _convolve_ref(acc, _line_ref(terms, a, b))
+        total = _add_ref(total, acc)
+    return total
+
+
+def _check_worst_case_line(poly):
+    # at a = b = (q-1, ...) every factor over Z sums its coefficients to
+    # exactly Σ_e c_e (2q-2)^|e|, so the entry's coefficients over Z sum to
+    # exactly the bound the digit width is taken from: its largest case
+    q = poly.field.q
+    products = [[f.terms for f in factors] for factors in poly.products]
+    bound = 0
+    for factors in products:
+        size = 1
+        for terms in factors:
+            size *= sum(c * (2 * q - 2) ** sum(e) for e, c in terms.items())
+        bound += size
+    line = [q - 1] * poly.nvars
+    z = _sum_of_products_ref(products, line, line)
+    assert sum(z) == bound
+    assert poly._layout()[2] == bound.bit_length()
+    want = tuple(c % q for c in z) + (0,) * (poly.cap + 1 - len(z))
+    assert poly.restrict(line, line) == want
+
+
+@pytest.mark.parametrize("q, m, degree, extra", [
+    (3, 2, 4, 2), (5, 1, 6, 1), (257, 2, 3, 0), (65537, 2, 4, 1),
+    (2 ** 61 - 1, 2, 3, 2), (2 ** 61 - 1, 3, 2, 0),
+])
+def test_certificate_restricts_at_the_digit_width_bound(q, m, degree, extra):
+    # M(x, y) = Σ h_g(x)·y_g with every cofactor coefficient q-1, on two
+    # generators; the cap is the certificate's degree plus ``extra``, so
+    # (3, 2, 4, 2) and (5, 1, 6, 1) have cap >= q
+    field = Field(q)
+    full = {e: q - 1 for e in monomials_upto(m, degree)}
+    cofactors = [MultiPoly(field, m, full, degree),
+                 MultiPoly(field, m, {e: q - 1 for e in monomials_exact(m, degree)}, degree)]
+    gens = [MultiPoly.variable(field, m, i % m) for i in range(2)]
+    _check_worst_case_line(certificate_factors(cofactors, gens, degree + 1 + extra))
+
+
+@st.composite
+def _worst_sums_of_products(draw):
+    """(q, nvars, products of terms dicts, extra cap) with coefficients q-1
+    or drawn, up to 3 products of up to 3 factors in up to 3 variables."""
+    q = draw(st.sampled_from([3, 5, 7, 257, 65537, 2 ** 31 - 1, 2 ** 61 - 1]))
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.one_of(st.just(q - 1), st.integers(0, q - 1))
+    factor = st.dictionaries(exps, coeff, max_size=4)
+    products = draw(st.lists(st.lists(factor, min_size=1, max_size=3), min_size=1, max_size=3))
+    return q, nvars, products, draw(st.integers(0, 3))
+
+
+def _mixed(q, extra):
+    """A fixed case: factors of degrees 0-4 with and without constants, a
+    factor repeated, two factors sharing a part and a zero factor, every
+    coefficient q-1, at cap 8 + ``extra``."""
+    f, g, k = [(0, 0), (1, 0), (0, 2), (1, 1)], [(2, 2), (0, 1)], [(0, 0)]
+    h = g + k                                           # g's part with a constant
+    products = [[f, g], [h, h, k], [f, f, f], [g, []], [k]]
+    return q, 2, [[{e: q - 1 for e in terms} for terms in fs] for fs in products], extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(_worst_sums_of_products())
+@example(_mixed(3, 0))                                  # cap 8 >= q
+@example(_mixed(7, 3))                                  # cap 11 >= q
+@example(_mixed(2 ** 61 - 1, 1))
+@example((2 ** 61 - 1, 3, [[{(2, 2, 2): 2 ** 61 - 2, (1, 0, 0): 1}] * 3], 1))
+def test_sums_of_products_restrict_at_the_digit_width_bound(case):
+    q, nvars, products, extra = case
+    field = Field(q)
+    factors = [[MultiPoly(field, nvars, terms, 2 * nvars) for terms in fs] for fs in products]
+    degree = max(sum(f.degree() for f in fs) for fs in factors)
+    _check_worst_case_line(FactoredPoly(field, nvars, factors, degree + extra))
+
+
+def _nesting(body):
+    """The variables of ``_horner``'s statements, outermost first: a
+    variable's Horner steps fold in polynomials in the variables nested
+    inside it, so its last step comes after theirs."""
+    last = {}
+    for pos, line in enumerate(body):
+        step = re.fullmatch(r"v\d+ (?:= v\d+\*x(\d+) \+ \w+|\*= x(\d+))", line)
+        if step:
+            last[int(step[1] or step[2])] = pos
+    return sorted(last, key=last.get, reverse=True)
+
+
+@pytest.mark.parametrize("tops, nesting", [
+    ((1, 3, 2), (1, 2, 0)),      # by descending highest exponent
+    ((2, 1, 2), (0, 2, 1)),      # a tie falls back to index order
+    ((1, 1, 1), (0, 1, 2)),
+])
+def test_horner_nests_variables_by_descending_highest_exponent(tops, nesting):
+    # over the full box of exponents up to ``tops``; the coefficient order
+    # follows the nesting too (descending exponents, outermost first)
+    support = frozenset(itertools.product(*[range(t + 1) for t in tops]))
+    body, order, used = _horner(support, 3)
+    assert _nesting(body) == list(nesting)
+    assert order == sorted(support, key=lambda e: [e[i] for i in nesting], reverse=True)
+    assert used == {0, 1, 2}
+
+
+def test_eval_and_restrict_match_the_reference_under_every_variable_order():
+    # a sparse support with highest exponents (1, 3, 2), its variables
+    # permuted every way: the outermost variable is always the one of
+    # exponent 3, and every form must match the term-by-term reference
+    base = [(0, 3, 0), (1, 2, 1), (0, 1, 2), (1, 0, 0), (0, 0, 1), (0, 0, 0), (1, 1, 0)]
+    rng = random.Random(312)
+    for perm in itertools.permutations(range(3)):
+        terms = {tuple(e[perm[i]] for i in range(3)): rng.randrange(1, 257) for e in base}
+        p = MultiPoly(Field(257), 3, terms, 5)
+        body, _, _ = _horner(frozenset(terms), 3)
+        assert _nesting(body)[0] == perm.index(1), perm
+        product = FactoredPoly.product([p, MultiPoly.variable(Field(257), 3, perm[0])])
+        for _ in range(10):
+            a, b, x = ([rng.randrange(-257, 514) for _ in range(3)] for _ in range(3))
+            assert p.eval(x) == _eval_ref(terms, x, 257), perm
+            assert p.restrict(a, b) == _restrict_ref(terms, 5, a, b, 257), perm
+            assert product.eval(x) == _eval_ref(terms, x, 257) * x[perm[0]] % 257, perm
+            want = _convolve_ref(list(_restrict_ref(terms, 5, a, b, 257)), [a[perm[0]], b[perm[0]]])
+            assert product.restrict(a, b) == tuple(c % 257 for c in want), perm
 
 
 def test_restrict_every_factor_of_the_k3_q7_proof():
@@ -400,9 +546,11 @@ def test_read_masks_every_digit():
 def test_line_codec_is_shared_bounded_and_built_on_first_restrict():
     # two polynomials of one line shape (q, digit width, cap + 1, arity)
     # share one codec; a polynomial that is only evaluated fetches none, and
-    # a layout that memoizes no part fetches no kept-line reader
+    # a layout that memoizes no part fetches no kept-line reader.  The width
+    # follows the coefficients: 3·12^3 + 12 + 4 and 3·12^3 + 2·12 + 1 both
+    # have 13 bits
     p = MultiPoly(F7, 2, {(2, 1): 3, (0, 1): 1, (0, 0): 4}, 4)
-    r = MultiPoly(F7, 2, {(1, 2): 5, (1, 0): 2, (0, 0): 1}, 4)
+    r = MultiPoly(F7, 2, {(1, 2): 3, (1, 0): 2, (0, 0): 1}, 4)
     width = p._layout()[2]
     assert r._layout()[2] == width
     f = FactoredPoly.product([p, r])
