@@ -6,14 +6,16 @@ function and decides which of its parts are memoized: a part runs inline
 descending highest exponent, ties by index) unless another part reads a
 variable that it does not, and then runs through its support's
 ``_compile_horner`` function only when its coordinates change.
-``_line_codec`` packs a line and reads a restriction's digits,
-``_line_reader`` reads a point off a kept line, and ``_line_test``, the
-verifiers' line-point test, reads the entry at t with the reader's Horner
-statements (``_read_entry``).  Each compiler is cached per shape and
-compiles through ``_function``, under a filename holding the shape's
-digest.  They sit in a module of their own because compiling a module's
-source takes memory in proportion to its size: inside ``poly`` they would
-make that compile the package's largest and raise every run's peak memory.
+``_compile_phi`` evaluates a variety's generators at one point (the zero
+test's φ) in one function of ``_horner`` statements.  ``_line_codec``
+packs a line and reads a restriction's digits, ``_line_reader`` reads a
+point off a kept line, and ``_line_test``, the verifiers' line-point test,
+reads the entry at t with the reader's Horner statements (``_read_entry``).
+Each compiler is cached per shape and compiles through ``_function``, under
+a filename holding the shape's digest.  They sit in a module of their own
+because compiling a module's source takes memory in proportion to its size:
+inside ``poly`` they would make that compile the package's largest and
+raise every run's peak memory.
 """
 
 from __future__ import annotations
@@ -113,6 +115,33 @@ def _compile_horner(support: frozenset, nvars: int):
         head.append(_unpack([f"x{i}" if i in used else "_" for i in range(nvars)], "X"))
     f = _function("C, X", head + body + ["return v0"], "horner", sorted(support), {})
     return f, tuple(order)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_phi(supports: tuple, nvars: int, q: int):
+    """(f, orders) for a variety's embedding φ: the values of its generators,
+    given by their nonempty ``supports``, at one point.
+
+    ``f(C, X)`` is the tuple of every generator's value at the point X, each
+    reduced mod q once, with C the coefficients of generator k in
+    ``orders[k]``, generator after generator, in one flat tuple: straight-line
+    nested Horner (``_horner``, its locals tagged per generator), exact on any
+    integer coordinates.  X is unpacked whole, so a point of the wrong arity
+    raises ValueError.  Compiled once per (supports, nvars, q).
+    """
+    body: list[str] = []
+    names: list[str] = []
+    orders = []
+    for k, support in enumerate(supports):
+        steps, order, _ = _horner(support, nvars, f"{k}_")
+        names += [f"c{k}_{i}" for i in range(len(order))]
+        body += steps
+        orders.append(tuple(order))
+    head = [_unpack(names, "C"), _unpack([f"x{i}" for i in range(nvars)], "X")]
+    values = "".join(f"v{k}_0 % {q}, " for k in range(len(supports)))
+    shape = ([sorted(support) for support in supports], nvars, q)
+    f = _function("C, X", head + body + [f"return ({values})"], "phi", shape, {})
+    return f, tuple(orders)
 
 
 @functools.lru_cache(maxsize=256)

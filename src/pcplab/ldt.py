@@ -17,7 +17,10 @@ The line (a, b) goes to the lines oracle as given.
 
 ``ldt_check`` allocates no verdict: it returns one of the two module-level
 verdicts ``ACCEPT`` and ``REJECT``, shared by every call (a ``Verdict`` is
-an immutable named tuple).
+an immutable named tuple).  ``local_correct`` shares ``REJECT`` too, and
+builds an accepting verdict, which carries its value, with
+``tuple.__new__(Verdict, ...)``: the same class and fields as
+``Verdict(True, value)``, without the Python-level constructor.
 """
 
 from __future__ import annotations
@@ -59,4 +62,4 @@ def local_correct(degree: int, f: PointOracle, flines: LinesOracle,
     entry's constant coefficient (its value at t=0, i.e. at alpha itself).
     """
     entry = _line_test(f.field.q, len(alpha), degree)(f, flines, alpha, b, t)
-    return REJECT if entry is None else Verdict(True, entry[0])
+    return REJECT if entry is None else tuple.__new__(Verdict, (True, entry[0]))

@@ -61,6 +61,8 @@ class _Oracle:
     """Domain, degree tag, answer function, query counter, and the table a
     ``materialize``d oracle answers from (None for a lazy one)."""
 
+    __slots__ = ("field", "s", "degree", "answer", "table", "queries")
+
     def __init__(self, field: Field, s: int, degree: int, answer: Callable):
         self.field = field
         self.s = s
@@ -75,6 +77,8 @@ class PointOracle(_Oracle):
     ``answer(point)`` on the point as queried.  A table-backed one answers a
     point held as a key of ``table`` from it directly and reduces any other
     point mod q to its key."""
+
+    __slots__ = ()
 
     def query(self, point: Sequence[int]) -> int:
         if len(point) != self.s:
@@ -97,6 +101,8 @@ class LinesOracle(_Oracle):
     directly (``materialize`` checked the width of every entry there) and
     reduces any other line mod q to its key.  Every entry not read from the
     table has its width checked."""
+
+    __slots__ = ()
 
     def query(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         if len(a) != self.s or len(b) != self.s:

@@ -257,8 +257,8 @@ class PcpRandomness(NamedTuple):
         sizes = (m, m, 2 * m, 2 * m, g, g, mu, mu)
         coords = rng.draw(q, sum(sizes))
         ends = itertools.accumulate(sizes)
-        return cls(*[tuple(coords[e - s:e]) for s, e in zip(sizes, ends)],
-                   1 + rng.draw(q - 1, 1)[0])
+        points = [tuple(coords[e - s:e]) for s, e in zip(sizes, ends)]
+        return tuple.__new__(cls, (*points, 1 + rng.draw(q - 1, 1)[0]))
 
 
 def claim_polynomials(
@@ -337,9 +337,9 @@ def pcp_verify(inst: PcpInstance, proof: PcpProof, r: PcpRandomness) -> Verdict:
 
     # zero tests (7 queries each)
     z_validity = zero_verify(inst.variety, 3 * d, proof.validity, proof.validity_cert,
-                             ZeroRandomness(r.gamma1, r.gamma2, r.a, r.t))
+                             tuple.__new__(ZeroRandomness, (r.gamma1, r.gamma2, r.a, r.t)))
     z_conflict = zero_verify(inst.variety2, 6 * d, proof.conflict, proof.conflict_cert,
-                             ZeroRandomness(r.mu1, r.mu2, r.alpha, r.t))
+                             tuple.__new__(ZeroRandomness, (r.mu1, r.mu2, r.alpha, r.t)))
 
     ok = (
         ldt_color.accepted and ldt_validity.accepted and ldt_conflict.accepted

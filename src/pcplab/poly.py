@@ -231,7 +231,7 @@ class _SumOfProducts:
             value = self._codec[2](line, point)
             if value is not None:
                 return value
-        fn, coeffs, _, memo = self._layout()
+        fn, coeffs, _, memo = self._compiled or self._layout()
         return fn(coeffs, point, memo) % self.field.q
 
     def restrict(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -242,7 +242,7 @@ class _SumOfProducts:
         reader are fetched on the first restriction and kept."""
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ValueError("line arity mismatch")
-        fn, coeffs, width, memo = self._layout()
+        fn, coeffs, width, memo = self._compiled or self._layout()
         codec = self._codec
         if codec is None:
             q, ncoeffs = self.field.q, self.cap + 1

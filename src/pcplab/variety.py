@@ -54,6 +54,7 @@ from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Sequence
 
+from .codegen import _compile_phi
 from .field import Field
 from .linalg import IncrementalRank
 from .poly import FactoredPoly, MultiPoly, _multiply_packed, _packing, monomials_exact
@@ -104,11 +105,12 @@ class Variety:
     """
 
     __slots__ = ("field", "m", "points", "gens", "grobner_basis", "standard",
-                 "_echelon", "_factors")
+                 "_echelon", "_factors", "_phi")
 
     def __init__(self, field: Field, points: Sequence[Sequence[int]]):
         self._set_points(field, points)
         self._factors = None
+        self._phi = None
         self.gens, self.grobner_basis, self.standard, self._echelon = grobner_generating_set(self)
 
     def _set_points(self, field: Field, points: Sequence[Sequence[int]]) -> None:
@@ -141,8 +143,23 @@ class Variety:
         return len(self.gens)
 
     def phi(self, z: Sequence[int]) -> tuple[int, ...]:
-        """Generator-evaluation embedding z ↦ (g(z) : g ∈ 𝔊)."""
-        return tuple(g.eval(z) for g in self.gens)
+        """Generator-evaluation embedding z ↦ (g(z) : g ∈ 𝔊), the residues
+        in generator order.
+
+        One function generated for the generators' supports
+        (``codegen._compile_phi``) evaluates them all at z over Z and reduces
+        each value once, so z may have any integer coordinates; a z of the
+        wrong arity raises ValueError.  The function and the generators'
+        coefficients are built on the first call and kept, so ``gens`` must
+        not be reassigned after it."""
+        phi = self._phi
+        if phi is None:
+            gens = self.gens
+            fn, orders = _compile_phi(tuple(frozenset(g.terms) for g in gens),
+                                      self.m, self.field.q)
+            phi = self._phi = (fn, tuple(g.terms[e] for g, order in zip(gens, orders)
+                                         for e in order))
+        return phi[0](phi[1], z)
 
     def low_degree_extension(self, values: Sequence[int]) -> MultiPoly:
         """The canonical degree-<=d polynomial agreeing with ``values`` on V.
@@ -304,6 +321,7 @@ def product(v1: Variety, v2: Variety) -> Variety:
     variety = object.__new__(Variety)
     variety._set_points(v1.field, [p + r for p in v1.points for r in v2.points])
     variety._factors = (v1, v2)
+    variety._phi = None
     variety.gens = tuple(
         [g.shift_vars(m, 0) for g in v1.gens] + [g.shift_vars(m, v1.m) for g in v2.gens]
     )

@@ -58,8 +58,8 @@ class ZeroRandomness(NamedTuple):
         q = variety.field.q
         s = variety.m + variety.complexity
         coords = rng.draw(q, 2 * s + variety.m)
-        return cls(tuple(coords[:s]), tuple(coords[s:2 * s]), tuple(coords[2 * s:]),
-                   1 + rng.draw(q - 1, 1)[0])
+        return tuple.__new__(cls, (tuple(coords[:s]), tuple(coords[s:2 * s]),
+                                   tuple(coords[2 * s:]), 1 + rng.draw(q - 1, 1)[0]))
 
 
 def zero_prove(poly: MultiPoly | FactoredPoly, variety: Variety, degree: int) -> ZeroProof:

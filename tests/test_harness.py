@@ -142,13 +142,13 @@ def test_each_sample_draws_the_old_per_coordinate_stream():
         for exp in (pcp_exp, None):
             rng = CountingRng(seed)
             r = exp.sample(rng) if exp else PcpRandomness.sample(inst, rng)
-            assert r == PcpRandomness(*points, t)
+            assert type(r) is PcpRandomness and r == PcpRandomness(*points, t)
             assert rng.bits == pcp_exp.bits
         points, t = _old_draws(seed, 101, zt_sizes)
         for exp in (zt_exp, None):
             rng = CountingRng(seed)
             r = exp.sample(rng) if exp else ZeroRandomness.sample(variety, rng)
-            assert r == ZeroRandomness(*points, t)
+            assert type(r) is ZeroRandomness and r == ZeroRandomness(*points, t)
             assert rng.bits == zt_exp.bits
         for kind, exp in lines.items():
             rng = CountingRng(seed)

@@ -189,6 +189,17 @@ def test_verdict_truthiness():
     assert Verdict(True) == (True, None)
 
 
+def test_accepting_corrector_verdict_is_a_verdict():
+    # local_correct builds its accepting verdict with tuple.__new__, skipping
+    # the named tuple's constructor: the class and fields must not change
+    p = random_poly(F5, 2, 2, random.Random(14))
+    f, lines = honest_oracles(p, 2)
+    v = local_correct(2, f, lines, (1, 3), (2, 4), 3)
+    assert type(v) is Verdict
+    assert v == Verdict(True, v.value) and v.value == p.eval((1, 3))
+    assert v.accepted is True and v and v._fields == ("accepted", "value")
+
+
 def test_ldt_check_returns_the_shared_frozen_verdicts():
     p = random_poly(F5, 2, 2, random.Random(13))
     f, lines = honest_oracles(p, 2)

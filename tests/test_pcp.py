@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from pcplab import pcp
 from pcplab.field import Field
 from pcplab.harness import (
     ConfigError,
@@ -39,7 +40,7 @@ from pcplab.variety import (
     vanishes_on,
 )
 from pcplab.poly import FactoredPoly
-from pcplab.zerotest import zero_prove
+from pcplab.zerotest import ZeroRandomness, zero_prove
 
 F5 = Field(5)
 F17 = Field(17)
@@ -268,6 +269,21 @@ def test_pcp_verify_returns_the_shared_verdicts():
         rejected += verdict is REJECT
     assert rejected > 0
     assert r._fields == ("a", "b", "alpha", "beta", "gamma1", "gamma2", "mu1", "mu2", "t")
+
+
+def test_pcp_verify_hands_the_zero_tests_their_randomness(monkeypatch):
+    # the two ZeroRandomness records are built with tuple.__new__: they must
+    # be exact instances holding (gamma1, gamma2, a, t) and (mu1, mu2, alpha, t)
+    inst = k3_instance()
+    proof = pcp_prove(inst, fewest_conflicts_coloring(inst.graph, F17))
+    seen = []
+    verify = pcp.zero_verify
+    monkeypatch.setattr(pcp, "zero_verify", lambda *args: seen.append(args[-1]) or verify(*args))
+    r = PcpRandomness.sample(inst, CountingRng(2))
+    assert pcp_verify(inst, proof, r) is ACCEPT
+    assert [type(z) for z in seen] == [ZeroRandomness, ZeroRandomness]
+    assert seen == [ZeroRandomness(r.gamma1, r.gamma2, r.a, r.t),
+                    ZeroRandomness(r.mu1, r.mu2, r.alpha, r.t)]
 
 
 def test_single_vertex_graph():

@@ -62,12 +62,13 @@ def test_tracer_labels_every_query_and_counts_the_verifiers():
     # methods, and the all-zero conflict certificate (K4 has no proper
     # coloring) answers without a polynomial, so the pcp counts are the
     # direct MultiPoly calls of 20 trials: 1 restrict per trial (the chi-hat
-    # lines query) and 7 evals per trial (3 chi-hat reads behind the
-    # corrupted color table, 1 edge-polynomial check in pcp_verify, and 3
-    # generator values for phi: 1 on V, 2 on V x V)
+    # lines query) and 4 evals per trial (3 chi-hat reads behind the
+    # corrupted color table and 1 edge-polynomial check in pcp_verify).  phi's
+    # 3 generator values per trial (1 on V, 2 on V x V) come from each
+    # variety's generated function (Variety.phi), not from MultiPoly.eval
     poly_calls = [(st["poly.restrict"]["calls"], st["poly.eval"]["calls"])
                   for st in (stats[0], stats[1], stats[2])]
-    assert poly_calls == [(20, 140), (25, 5), (25, 10)]
+    assert poly_calls == [(20, 80), (25, 5), (25, 10)]
 
 
 def test_tracer_role_names_are_the_proof_roles():

@@ -739,6 +739,36 @@ def test_phi_vanishes_on_variety_points():
     assert v.phi((0, 0)) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("q", [5, 257])
+@pytest.mark.parametrize("spec", ["cube:H=0,1;m=2", "ball1:n=3", "pow:(ball1:n=2)^2", "points"])
+def test_generated_phi_is_the_generators_values(q, spec, tmp_path):
+    # phi runs one function generated per variety; it must equal the
+    # generators' own evals, on F_5^m at every point and on F_257^m at
+    # every point of the plane and 2000 random points otherwise
+    if spec == "points":           # generators with constant terms
+        f = tmp_path / "pts.txt"
+        f.write_text("1 2\n3 4\n2 2\n4 0\n")
+        spec = f"points:{f}"
+    v = make_variety(Field(q), spec)
+    if spec.startswith("points:"):
+        assert any((0,) * v.m in g.terms for g in v.gens)
+    rng = random.Random(q)
+    if q ** v.m <= 257 ** 2:
+        zs = list(itertools.product(range(q), repeat=v.m))
+    else:
+        zs = [tuple(rng.randrange(q) for _ in range(v.m)) for _ in range(2000)]
+    for z in zs:
+        assert v.phi(z) == tuple(g.eval(z) for g in v.gens), z
+    for z in zs[:200]:
+        # exact on unreduced, negative and list coordinates
+        shifts = [rng.randrange(-3, 4) * q for _ in z]
+        assert v.phi([x + s for x, s in zip(z, shifts)]) == v.phi(z)
+        assert v.phi(tuple(x - q for x in z)) == v.phi(z)
+    for arity in (v.m - 1, v.m + 1):
+        with pytest.raises(ValueError):
+            v.phi((1,) * arity)
+
+
 # -- products and families ---------------------------------------------------
 
 def test_product_of_singletons():
