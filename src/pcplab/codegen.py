@@ -4,8 +4,11 @@
 function and decides which of its parts are memoized: a part runs inline
 (``_horner``, the one nested-Horner emitter, which nests the variables by
 descending highest exponent, ties by index) unless another part reads a
-variable that it does not, and then runs through its support's
-``_compile_horner`` function only when its coordinates change.
+variable that it does not and it has more than ``_MEMO_TERMS`` terms, and
+then runs through its support's ``_compile_horner`` function only when its
+coordinates change.  Below that bar a memo's lookup costs more than the
+Horner pass a hit skips, and a layout that memoizes nothing keeps no line,
+so it answers a point by a short inline pass rather than the line reader.
 ``_compile_phi`` evaluates a variety's generators at one point (the zero
 test's φ) in one function of ``_horner`` statements.  ``_line_codec``
 packs a line and reads a restriction's digits, ``_line_reader`` reads a
@@ -81,6 +84,14 @@ def _horner(support: frozenset, nvars: int, tag: str = ""):
     if lead != f"v{tag}0":
         body.append(f"v{tag}0 = {lead}")
     return body, order, used
+
+
+# The size bar of ``_compile_factored``'s memo rule: a part of at most this
+# many terms runs inline even where its coordinates can repeat.  It is the
+# largest measured part size at which the zero test's reads of a
+# certificate ran faster in most runs with the part inline than memoized
+# (the crossover recorded in BENCH_answer-overhead.json).
+_MEMO_TERMS = 16
 
 
 def _unpack(names: Sequence[str], source: str) -> str:
@@ -161,8 +172,10 @@ def _compile_factored(parts: tuple, products: tuple, nvars: int):
     only in their constant (χ̂, χ̂-1, χ̂+1) share it, then multiplies each
     product and sums them one statement at a time, so nothing nests.  A
     part runs inline as ``_horner`` statements unless another part reads a
-    variable that it does not: only then can its coordinates repeat while
-    the point changes, so only then is it memoized.  A memoized part keeps
+    variable that it does not (only then can its coordinates repeat while
+    the point changes) and it has more than ``_MEMO_TERMS`` terms (only
+    then does a hit save more than the lookup costs): only then is it
+    memoized.  A memoized part keeps
     in the list M (two slots per such part, ``memos`` parts in all) the
     coordinates it read and its value, reuses the value while they repeat,
     and otherwise calls the ``_compile_horner`` function of its support;
@@ -180,7 +193,7 @@ def _compile_factored(parts: tuple, products: tuple, nvars: int):
     for k, support in enumerate(parts):
         names.append(f"P{k}")
         v = f"v{k}_0"
-        if used[k] == used_all:
+        if used[k] == used_all or len(support) <= _MEMO_TERMS:
             steps, order, _ = _horner(support, nvars, f"{k}_")
             body.append(_unpack([f"c{k}_{i}" for i in range(len(order))], f"P{k}"))
             body += steps

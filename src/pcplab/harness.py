@@ -554,10 +554,7 @@ def _lines_space_size(q: int, m: int) -> int:
 def _lines_space(q: int, m: int):
     """Every (a | alpha, b, t) of the ldt and lc verifiers, in lexicographic order."""
     pts = list(itertools.product(range(q), repeat=m))
-    for a in pts:
-        for b in pts:
-            for t in range(1, q):
-                yield a, b, t
+    return itertools.product(pts, pts, range(1, q))
 
 
 def _ldt_lc(cfg: ExperimentConfig, adversary, started: float) -> Experiment:

@@ -19,7 +19,11 @@ answer function sit behind them:
 - keyed corruption (``corrupt``), which flips a keyed pseudorandom δ-fraction
   of entries by adding a nonzero offset, so the corrupted set is exactly the
   disagreement set and is a pure function of (key, input mod q), independent
-  of query order;
+  of query order.  Each query makes one keyed hash of its residues, read as
+  one integer: its low 64 bits against an integer threshold decide the hit
+  (the same set as the float rule bits / 2^64 < δ, bit for bit, δ = 1
+  included, where the top 1024 values stay unhit), and its high bits give
+  the offset;
 - constants (``zerotest.zero_certificate``): the all-zero certificate
   answers 0 and the all-zero entry with no polynomial behind it.
 
@@ -46,6 +50,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -180,25 +186,22 @@ class CorruptionSpec:
             raise ValueError("delta must be in [0, 1]")
 
 
-def _digester(key: int, q: int):
-    """The keyed hash of residues mod q, each packed little-endian in
-    max(4, ceil(bits(q-1)/8)) bytes (so 4 bytes, uint32, for every q <= 2^32):
-    a function of the payload tuple.  The keyed BLAKE2b state is built once
-    and copied per payload."""
-    width = max(4, ((q - 1).bit_length() + 7) // 8)
-    keyed = hashlib.blake2b(digest_size=16, key=key.to_bytes(8, "little", signed=False))
+def _threshold(delta: float) -> int:
+    """The least integer T with T / 2**64 >= delta, so that for every x in
+    [0, 2^64) the integer test x < T equals the float test x / 2**64 < delta.
 
-    def digest(payload: tuple[int, ...]) -> bytes:
-        h = keyed.copy()
-        h.update(b"".join([x.to_bytes(width, "little") for x in payload]))
-        return h.digest()
+    x / 2**64 is x rounded to a double (half to even), scaled exactly, so
+    it reaches delta from the midpoint m between delta·2^64 and the double
+    below it on: T is ceil(m), or one more when m is an integer that
+    rounds down.  At delta = 1 that leaves the top 1024 values unhit, since
+    the doubles near 2^64 are 2^11 apart."""
+    n, d = delta.as_integer_ratio()
+    pn, pd = math.nextafter(delta, 0.0).as_integer_ratio()
+    t = -(-((n * pd + pn * d) << 63) // (d * pd))
+    return t + (t / 2 ** 64 < delta)
 
-    return digest
 
-
-def _hit(digest: bytes, delta: float) -> bool:
-    u = int.from_bytes(digest[:8], "little") / 2 ** 64
-    return u < delta
+_LOW = 2 ** 64 - 1
 
 
 def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
@@ -207,32 +210,52 @@ def corrupt(base: PointOracle | LinesOracle, spec: CorruptionSpec):
     coefficient of a new entry tuple on a Bernoulli(δ) subset of lines.  Each
     answer function reduces its input mod q once, so the hash (and the base
     oracle's answer function) sees residues and the corrupted set is the
-    same for every form of a query."""
+    same for every form of a query.
+
+    Each read hashes once: the residues, each little-endian in
+    max(4, ceil(bits(q-1)/8)) bytes (so 4 bytes, uint32, for every
+    q <= 2^32) and packed as one integer's bytes, go through a copy of the
+    BLAKE2b state keyed once per call, and the 16-byte digest is read as
+    one little-endian integer d.  The input is hit when d's low 64 bits are
+    below ``_threshold(δ)``, which marks the same set as the float rule
+    (low 64 bits) / 2^64 < δ, δ = 1 included; the offset, and for a line
+    the index of its coefficient, come from d >> 64."""
     field = base.field
     q = field.q
     answer = base.answer
-    digest = _digester(spec.key, q)
+    width = max(4, ((q - 1).bit_length() + 7) // 8)
+    keyed = hashlib.blake2b(digest_size=16, key=spec.key.to_bytes(8, "little", signed=False))
+    threshold = _threshold(spec.delta)
+    lshift = operator.lshift
     if isinstance(base, PointOracle):
+        nbytes = width * base.s
+        shifts = tuple(range(0, 8 * nbytes, 8 * width))
+
         def corrupted_point(point):
             point = tuple([x % q for x in point])
             value = answer(point)
-            d = digest(point)
-            if _hit(d, spec.delta):
-                offset = 1 + int.from_bytes(d[8:16], "little") % (q - 1)
-                value = (value + offset) % q
+            h = keyed.copy()
+            h.update(sum(map(lshift, point, shifts)).to_bytes(nbytes, "little"))
+            d = int.from_bytes(h.digest(), "little")
+            if d & _LOW < threshold:
+                value = (value + 1 + (d >> 64) % (q - 1)) % q
             return value
 
         return PointOracle(field, base.s, base.degree, corrupted_point)
-    width = base.degree + 1
+    ncoeffs = base.degree + 1
+    nbytes = 2 * width * base.s
+    shifts = tuple(range(0, 8 * nbytes, 8 * width))
 
     def corrupted_line(a, b):
         a = tuple([x % q for x in a])
         b = tuple([y % q for y in b])
         entry = answer(a, b)
-        d = digest(a + b)
-        if _hit(d, spec.delta):
-            raw = int.from_bytes(d[8:16], "little")
-            idx = raw % width
+        h = keyed.copy()
+        h.update(sum(map(lshift, a + b, shifts)).to_bytes(nbytes, "little"))
+        d = int.from_bytes(h.digest(), "little")
+        if d & _LOW < threshold:
+            raw = d >> 64
+            idx = raw % ncoeffs
             offset = 1 + (raw >> 32) % (q - 1)
             entry = entry[:idx] + ((entry[idx] + offset) % q,) + entry[idx + 1:]
         return entry

@@ -9,11 +9,13 @@ shape, a coefficient tuple, a Kronecker digit width W and a memo list.
 ``eval`` runs the function over Z and reduces mod q once; ``restrict`` runs
 it at x_i = a_i + b_i 2^W, whose base-2^W digits are the coefficients in t
 of P(a + t b).  The layout decides what is reused between calls: a part is
-memoized only when another part reads a variable that it does not, and only
-a layout that memoizes a part keeps its last line for one ``eval``.  A
-lines entry is a plain tuple of exactly cap+1 residues in [0, q), index =
-power of t.  Both methods are exact on any integer coordinates (unreduced,
-negative or in a list), so an oracle hands them a query as given.
+memoized only when another part reads a variable that it does not and it has
+more than ``codegen._MEMO_TERMS`` terms (a smaller part runs inline faster
+than a memo lookup), and only a layout that memoizes a part keeps its last
+line for one ``eval``.  A lines entry is a plain tuple of exactly cap+1
+residues in [0, q), index = power of t.  Both methods are exact on any
+integer coordinates (unreduced, negative or in a list), so an oracle hands
+them a query as given.
 
 Multiplying out runs on packed monomials (``_packing``): each exponent
 vector is one integer with a guarded bit field per variable, so a monomial
@@ -441,8 +443,9 @@ class FactoredPoly(_SumOfProducts):
     Its layout runs each distinct non-constant part of the factors once, so
     factors that differ only in their constant term (χ̂, χ̂-1 and χ̂+1 of
     the validity claim, the four Δ-c of the conflict claim) share one Horner
-    pass.  A certificate M(x, y) = Σ h_g(x)·y_g memoizes its parts, since
-    each skips a variable another reads, and so keeps its last line.
+    pass.  A certificate M(x, y) = Σ h_g(x)·y_g memoizes those of its
+    cofactors h_g that are above the size bar (each skips the y that the
+    y_g read), and then keeps its last line; its one-term y_g run inline.
     """
 
     __slots__ = ("products",)

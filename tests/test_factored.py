@@ -19,6 +19,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pcplab.codegen import _MEMO_TERMS
 from pcplab.field import Field
 from pcplab.harness import PCP_ADVERSARIES
 from pcplab.pcp import (
@@ -267,28 +268,34 @@ def test_reuse_matches_expanded(case):
 
 
 def _memo_products(field):
-    """Two products in x, y over ``field``: one whose factors all read both
-    variables, and one that also has an x-only factor."""
+    """Three products in x, y over ``field``: one whose factors all read both
+    variables, one that also has an x-only factor whose non-constant part
+    has _MEMO_TERMS + 1 terms, so it is memoized, and one whose x-only part
+    has _MEMO_TERMS terms, at the bar, so it runs inline."""
     def poly(terms):
         return MultiPoly(field, 2, terms, max(sum(e) for e in terms))
 
     full = [poly({(1, 1): 3, (1, 0): 1, (0, 1): 2}), poly({(2, 1): 1, (0, 0): 4})]
-    x_only = poly({(2, 0): 5, (1, 0): 1, (0, 0): 2})
+    x_only = poly({(i, 0): i % 6 + 1 for i in range(_MEMO_TERMS + 2)})
+    at_bar = poly({(i, 0): i % 6 + 1 for i in range(_MEMO_TERMS + 1)})
     return {"full": FactoredPoly.product(full),
-            "with-x-only": FactoredPoly.product(full[:1] + [x_only])}
+            "with-x-only": FactoredPoly.product(full[:1] + [x_only]),
+            "with-x-only-at-bar": FactoredPoly.product(full[:1] + [at_bar])}
 
 
-@pytest.mark.parametrize("name", ["full", "with-x-only"])
+@pytest.mark.parametrize("name", ["full", "with-x-only", "with-x-only-at-bar"])
 def test_memo_only_on_factors_that_skip_a_variable(name):
-    # a factor that reads every variable keeps no memo and just runs; an
-    # x-only factor keeps its last run.  The same line twice in a row, then
-    # two lines in turn that share their x-part (so the x-only factor's key
-    # repeats) and two that do not: every entry equals the expanded one
+    # a factor that reads every variable keeps no memo and just runs, and
+    # so does an x-only factor at the size bar; one above it keeps its last
+    # run.  The same line
+    # twice in a row, then two lines in turn that share their x-part (so the
+    # x-only factor's key repeats) and two that do not: every entry equals
+    # the expanded one
     field = Field(7)
     p = _memo_products(field)[name]
     expanded = p.expand()
     memo = p._layout()[3]      # two slots (coordinates, value) per memoized part
-    assert len(memo) == (0 if name == "full" else 2)
+    assert len(memo) == (2 if name == "with-x-only" else 0)
     lines = [((1, 2), (3, 4))] * 2
     lines += [((1, 2), (3, 4)), ((1, 5), (3, 6))] * 2
     lines += [((1, 2), (3, 4)), ((6, 2), (0, 4))] * 2
@@ -437,41 +444,60 @@ def test_point_on_the_kept_line_in_any_integer_form():
                     assert runs() - before == 2, (la, lb, off)
 
 
-@functools.lru_cache(maxsize=None)
-def _k3_shapes():
-    """name -> polynomial behind each production shape of the honest K3
-    proof over cube:H=0,1;m=2, q = 257 (the pcp-complete-k3 benchmark)."""
+def _proof(n):
+    """(instance, proof) of the K_n proof over cube:H=0,1;m=2, q = 257, on
+    the fewest-conflicts coloring: honest for K3 (the pcp-complete-k3
+    benchmark), improper for K4 (pcp-sound-k4)."""
     field = Field(257)
     variety = make_variety(field, "cube:H=0,1;m=2")
-    graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    proof = pcp_prove(PcpInstance(variety, graph), fewest_conflicts_coloring(graph, field))
-    polys = {name: getattr(proof, name).answer.__self__ for name in
-             ("color_lines", "validity_lines", "conflict_lines")}
-    polys["validity_cert"] = proof.validity_cert.lines.answer.__self__
-    polys["conflict_cert"] = proof.conflict_cert.lines.answer.__self__
-    return {"generator": variety.gens[0], "chi": polys["color_lines"],
-            "A": polys["validity_lines"], "B": polys["conflict_lines"],
-            "M_A": polys["validity_cert"], "M_B": polys["conflict_cert"]}
+    graph = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+    inst = PcpInstance(variety, graph)
+    return inst, pcp_prove(inst, fewest_conflicts_coloring(graph, field))
+
+
+@functools.lru_cache(maxsize=None)
+def _shapes(n):
+    """name -> polynomial behind each production shape of ``_proof(n)``
+    (K4's conflict certificate is the all-zero one, which has none)."""
+    inst, proof = _proof(n)
+    oracles = {"chi": proof.color_lines, "A": proof.validity_lines,
+               "B": proof.conflict_lines, "M_A": proof.validity_cert.lines,
+               "M_B": proof.conflict_cert.lines}
+    shapes = {name: oracle.answer.__self__ for name, oracle in oracles.items()
+              if hasattr(oracle.answer, "__self__")}
+    return {"generator": inst.variety.gens[0], **shapes}
+
+
+def _parts(p):
+    """The distinct non-constant parts of ``p``'s factors, as sets of
+    (exponents, coefficient), in layout order (by first appearance)."""
+    parts: dict = {}
+    for factors in p.products:
+        for f in factors:
+            part = frozenset((e, c) for e, c in f.terms.items() if any(e))
+            if part:
+                parts.setdefault(part, len(parts))
+    return list(parts)
 
 
 # name: (parts, memoized parts).  A part is memoized only when another part
-# of its layout reads a variable that it does not: the generator x1^2 - x1
-# reads x1 only but is alone; Ê and Δ of B both read every variable; each
-# h_g(x) and y_g of a certificate skips a variable the other reads
+# of its layout reads a variable that it does not, and it has more than
+# _MEMO_TERMS terms: the generator x1^2 - x1 reads x1 only but is alone; Ê
+# and Δ of B both read every variable; each h_g(x) and y_g of a certificate
+# skips a variable the other reads, but only M_B's cofactors (30 to 249
+# terms) are above the bar, not M_A's (7 and 3) nor any one-term y_g
 _K3_LAYOUTS = {"generator": (1, 0), "chi": (1, 0), "A": (1, 0), "B": (2, 0),
-               "M_A": (4, 4), "M_B": (8, 8)}
+               "M_A": (4, 0), "M_B": (8, 4)}
 
 
 @pytest.mark.parametrize("name", sorted(_K3_LAYOUTS))
 def test_production_layouts_memoize_and_keep_lines_by_the_two_rules(name):
     # only a layout that memoizes a part keeps its last line, for one eval;
     # the point read off it equals the fresh evaluation that follows
-    p = _k3_shapes()[name]
-    parts = {frozenset((e, c) for e, c in f.terms.items() if any(e))
-             for factors in p.products for f in factors} - {frozenset()}
+    p = _shapes(3)[name]
     memo = p._layout()[3]
-    assert (len(parts), len(memo) // 2) == _K3_LAYOUTS[name]
-    keeps = name in ("M_A", "M_B")
+    assert (len(_parts(p)), len(memo) // 2) == _K3_LAYOUTS[name]
+    keeps = name == "M_B"
     assert bool(memo) == keeps
     a = tuple(range(1, p.nvars + 1))
     b = tuple(range(2, 2 * p.nvars + 2, 2))
@@ -484,31 +510,27 @@ def test_production_layouts_memoize_and_keep_lines_by_the_two_rules(name):
 
 
 def test_certificate_reads_run_each_cofactor_twice():
-    # zero_verify on M_B(x, y) = h_1(x) y_1 + h_2(x) y_2 over V x V (m = 2,
-    # k = 2) makes three lines queries, each followed by a point read on its
-    # line: (a, b) for the line test, then (alpha, 0) + t a and
-    # (alpha, phi(alpha)) + t a for the corrected reads.  The last two share
-    # their x-part alpha + t a_x, which is all h_g reads, so h_g runs twice:
-    # on a_x + t b_x and on alpha + t a_x.  y_g reads only its own
-    # coordinate, on a different line each time here (base 0, then
-    # g(alpha) != 0), so it runs three times.  The point reads run no factor.
-    # Read afresh, M would run 2 factors per product for each of the 3 lines
-    # and 3 points: 12 runs per product instead of 2 + 3.
-    field = Field(7)
-    variety = make_variety(field, "cube:H=0,1,2;m=1")
-    graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    inst = PcpInstance(variety, graph)
-    proof = pcp_prove(inst, fewest_conflicts_coloring(graph, field))
+    # zero_verify on M_B(x, y) = h_1(x) y_1 + ... + h_4(x) y_4 of the honest
+    # K3 proof over V x V (m = 4, k = 4) makes three lines queries, each
+    # followed by a point read on its line: (a, b) for the line test, then
+    # (alpha, 0) + t a and (alpha, phi(alpha)) + t a for the corrected
+    # reads.  The last two share their x-part alpha + t a_x, which is all
+    # h_g reads, so each h_g (30 to 249 terms, so memoized) runs twice: on
+    # a_x + t b_x and on alpha + t a_x.  Each y_g has one term, so it runs
+    # inline on every call: three times.  The point reads run no part.
+    # Read afresh, M would run its 8 parts for each of the 3 lines and 3
+    # points: 48 runs instead of 4·2 + 4·3.
+    inst, proof = _proof(3)
     cert = proof.conflict_cert
     poly = cert.lines.answer.__self__
     assert cert.point.answer.__self__ is poly
     v2 = inst.variety2
     k = v2.complexity
-    assert (v2.m, k, len(poly.products)) == (2, 2, 2)
+    assert (v2.m, k, len(poly.products)) == (4, 4, 4)
 
-    # every part of M reads only some variables, so each keeps a memo, in
-    # part order h_1, y_1, h_2, y_2, and runs exactly when it writes it
-    total, memo, calls = _count_runs(poly, 4)
+    # the cofactors h_g are memoized, in part order, and each runs exactly
+    # when it writes its memo; the y_g run inline
+    total, memo, calls = _count_runs(poly, 8)
     assert len(memo.runs) == 4
     point_runs = []
     answer = cert.point.answer
@@ -520,24 +542,51 @@ def test_certificate_reads_run_each_cofactor_twice():
         return value
 
     cert.point.answer = read
-    alpha = (3, 4)
+    alpha = (3, 4, 5, 6)
     assert all(g.eval(alpha) for g in v2.gens)       # phi(alpha) has no zero
-    r = ZeroRandomness(a=(1, 2, 3, 4), b=(5, 6, 1, 2), alpha=alpha, t=2)
+    r = ZeroRandomness(a=(1, 2, 3, 4, 5, 6, 7, 8), b=(9, 10, 11, 12, 1, 2, 3, 4),
+                       alpha=alpha, t=2)
     assert zero_verify(v2, 6 * inst.d, proof.conflict, cert, r).accepted
     assert point_runs == [0, 0, 0]
     assert calls == [3]                              # the three restrictions
-    runs = {(g, j): memo.runs[2 * g + j] for g in range(2) for j in range(2)}
-    assert runs == {(0, 0): 2, (1, 0): 2, (0, 1): 3, (1, 1): 3}
+    assert memo.runs == [2] * 4                      # h_1 .. h_4
+    assert total() == 4 * 2 + 4 * 3                  # and y_1 .. y_4 inline
+
+
+def _memoized(p):
+    """Indices of the memoized parts of ``p``'s layout: those whose
+    ``_compile_horner`` function the fused function calls, as ``h<k>``."""
+    namespace = p._layout()[0].__globals__
+    return {k for k in range(len(_parts(p))) if f"h{k}" in namespace}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_no_production_layout_memoizes_a_part_at_or_below_the_bar(n):
+    # on both benchmark instances a part is memoized exactly when another
+    # part reads a variable that it does not and it has more than
+    # _MEMO_TERMS terms; so no part of _MEMO_TERMS terms or fewer is
+    for name, p in _shapes(n).items():
+        parts = _parts(p)
+        used = [{i for e, _ in part for i in range(p.nvars) if e[i]} for part in parts]
+        memoized = _memoized(p)
+        assert len(memoized) == len(p._layout()[3]) // 2, name
+        for k, part in enumerate(parts):
+            skips = used[k] != set().union(*used)
+            assert (k in memoized) == (skips and len(part) > _MEMO_TERMS), (name, k)
+    assert n == 4 or _memoized(_shapes(n)["M_B"])
 
 
 # -- the fused function against a factor-by-factor reference -----------------
 
 @st.composite
-def _fused_cases(draw):
+def _fused_cases(draw, wide=False):
     """(q, nvars, products of term dicts, cap slack, ops).
 
     Factors are drawn from a few non-constant parts, each over a drawn
-    nonempty subset of the variables (a strict subset keeps a memo): a part
+    nonempty subset of the variables, of 1 to 4 terms.  With ``wide`` each
+    part has _MEMO_TERMS + 1 to _MEMO_TERMS + 4 terms, the first is over a
+    strict subset and the second over every variable, and the first product
+    holds every part, so the first part keeps a memo.  A factor is a part
     alone, a part plus a nonzero constant (so factors that differ only in
     their constant share a part), a constant, or zero.  An op is ("line", a,
     b) or ("eval", p); a point lies on the last line or anywhere, and every
@@ -545,31 +594,45 @@ def _fused_cases(draw):
     list.
     """
     q = draw(st.sampled_from([3, 5, 7, 257, 4294967311]))
-    nvars = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1 + wide, 3))
     residue = st.integers(0, q - 1)
     nonzero = st.integers(1, q - 1)
 
-    def part():
-        used = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=nvars))
-        exps = st.tuples(*(st.integers(0, 3) if i in used else st.just(0)
-                           for i in range(nvars))).filter(any)
-        return draw(st.dictionaries(exps, nonzero, min_size=1, max_size=4))
+    def part(k):
+        if wide and k < 2:
+            used = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=nvars - 1))
+            used = used if k == 0 else set(range(nvars))
+        else:
+            used = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=nvars))
+        if not wide:
+            exps = st.tuples(*(st.integers(0, 3) if i in used else st.just(0)
+                               for i in range(nvars))).filter(any)
+            return draw(st.dictionaries(exps, nonzero, min_size=1, max_size=4))
+        top = {1: 24, 2: 5, 3: 3}[len(used)]     # >= _MEMO_TERMS + 4 monomials
+        exps = [e for e in itertools.product(*(range(top) if i in used else (0,)
+                                               for i in range(nvars))) if any(e)]
+        size = draw(st.integers(_MEMO_TERMS + 1, _MEMO_TERMS + 4))
+        return dict(zip(draw(st.permutations(exps))[:size], draw(
+            st.lists(nonzero, min_size=size, max_size=size))))
 
-    parts = [part() for _ in range(draw(st.integers(1, 3)))]
+    parts = [part(k) for k in range(draw(st.integers(1 + wide, 3)))]
 
-    def factor():
-        kind = draw(st.sampled_from(["part", "part+const", "const", "zero"]))
+    def factor(terms=None):
+        kinds = ["part", "part+const"] + ["const", "zero"] * (terms is None)
+        kind = draw(st.sampled_from(kinds))
         if kind == "zero":
             return {}
         if kind == "const":
             return {(0,) * nvars: draw(nonzero)}
-        terms = dict(draw(st.sampled_from(parts)))
+        terms = dict(draw(st.sampled_from(parts)) if terms is None else terms)
         if kind == "part+const":
             terms[(0,) * nvars] = draw(nonzero)
         return terms
 
     products = [[factor() for _ in range(draw(st.integers(1, 4)))]
                 for _ in range(draw(st.integers(0, 3)))]
+    if wide:
+        products.insert(0, [factor(terms) for terms in parts])
     vec = st.lists(residue, min_size=nvars, max_size=nvars)
 
     def form(v):
@@ -606,6 +669,19 @@ def _convolve(u, v, q):
 @example((7, 2, [[{(1, 0): 3, (0, 0): 1}, {(0, 2): 1}], [{(1, 0): 3}, {}]], 0,
           [("line", (1, 2), (3, 4)), ("line", (1, 5), (3, 4)), ("eval", (4, 6))]))
 def test_fused_matches_factor_by_factor(case):
+    _check_fused(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fused_cases(wide=True))
+def test_fused_matches_factor_by_factor_through_memos(case):
+    # as above, with every part above the size bar, so that each part over
+    # a strict subset of the variables is memoized and the layout keeps its
+    # line
+    _check_fused(case)
+
+
+def _check_fused(case):
     # every restriction equals Σ_i Π_j of the factors' own restrictions,
     # convolved mod q, and every value Σ_i Π_j of their own values, through
     # the fused function's shared parts, memo and kept line

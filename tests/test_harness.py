@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -20,6 +21,8 @@ from pcplab.harness import (
     Z95,
     Z99,
     ZEROTEST_ADVERSARIES,
+    _lines_space,
+    _lines_space_size,
     build_experiment,
     execute,
     load_graph,
@@ -685,3 +688,14 @@ def test_pinned_report_bytes():
     for cfg, pin in PINNED_REPORTS:
         _, report = run_experiment(ExperimentConfig(**cfg))
         assert hashlib.sha256(report_bytes(report)).hexdigest() == pin, cfg
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (3, 2), (5, 1), (3, 3)])
+def test_lines_space_is_every_tuple_in_lexicographic_order(q, m):
+    # the exhaustive ldt/lc space against nested loops: every (a, b, t) with
+    # t nonzero, in the same order, as many as the closed-form size
+    pts = [tuple(p) for p in itertools.product(range(q), repeat=m)]
+    want = [(a, b, t) for a in pts for b in pts for t in range(1, q)]
+    got = list(_lines_space(q, m))
+    assert got == want
+    assert len(got) == _lines_space_size(q, m)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import struct
 
@@ -13,6 +14,7 @@ from pcplab.oracles import (
     LinesOracle,
     OracleBudgetError,
     PointOracle,
+    _threshold,
     corrupt,
     honest_oracles,
     materialize,
@@ -334,15 +336,106 @@ def test_corruption_digest_wide_field():
     assert len(corrupt(lines, spec).query((2 ** 32 + 3,), (field.q - 1,))) == 2
 
 
-def test_corruption_digest_bytes_unchanged_up_to_2_32():
-    from pcplab.oracles import _digester
+def _reference_corruption(key, q, delta):
+    """The corrupted reads as first defined, kept here as the reference:
+    the keyed BLAKE2b of the join of each residue's little-endian bytes, a
+    hit when the digest's first 8 bytes over 2^64 fall below delta as a
+    float, the offset (and a line's coefficient index) from bytes 8..16.
+    Returns (point, line): functions of the base value or entry and the
+    input as residues."""
+    width = max(4, ((q - 1).bit_length() + 7) // 8)
 
-    for q, payload in ((5, (0, 4, 3)), (257, (256, 1)), (4294967291, (4294967290, 7))):
-        packed = struct.pack(f"<{len(payload)}I", *payload)
-        want = hashlib.blake2b(packed, digest_size=16, key=(99).to_bytes(8, "little")).digest()
-        digest = _digester(99, q)
-        assert digest(payload) == want
-        assert digest(payload) == want         # the keyed state is copied, not spent
+    def digest(payload):
+        h = hashlib.blake2b(digest_size=16, key=key.to_bytes(8, "little"))
+        h.update(b"".join([x.to_bytes(width, "little") for x in payload]))
+        return h.digest()
+
+    def hit(d):
+        return int.from_bytes(d[:8], "little") / 2 ** 64 < delta
+
+    def point(value, x):
+        d = digest(x)
+        if hit(d):
+            value = (value + 1 + int.from_bytes(d[8:16], "little") % (q - 1)) % q
+        return value
+
+    def line(entry, a, b):
+        d = digest(a + b)
+        if hit(d):
+            raw = int.from_bytes(d[8:16], "little")
+            idx = raw % len(entry)
+            entry = entry[:idx] + ((entry[idx] + 1 + (raw >> 32) % (q - 1)) % q,) + entry[idx + 1:]
+        return entry
+
+    return point, line
+
+
+_DELTAS = [0.0, 0.05, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("q", [3, 257, 4294967311])
+@pytest.mark.parametrize("delta", _DELTAS + [math.nextafter(d, 0.0) for d in _DELTAS[1:]])
+def test_corruption_equals_the_reference_read(q, delta):
+    # every point value and lines entry of ``corrupt``, on inputs given as
+    # residues, unreduced or in lists, equals the reference read of its
+    # residues: the same corrupted set, offsets and coefficient indices
+    field = Field(q)
+    rng = random.Random(q)
+    p = random_poly(field, 2, 2, rng)
+    f, lines = honest_oracles(p, 2)
+    key = 2024 + q
+    spec = CorruptionSpec(delta=delta, key=key)
+    g, g_lines = corrupt(f, spec), corrupt(lines, spec)
+    ref_point, ref_line = _reference_corruption(key, q, delta)
+    if q == 3:
+        points = list(itertools.product(range(q), repeat=2))
+    else:
+        points = [field.sample_point(rng, 2) for _ in range(60)]
+    hits = 0
+    for x in points:
+        want = ref_point(p.eval(x), x)
+        hits += want != p.eval(x)
+        for form in (x, [c + q for c in x], tuple(c - 2 * q for c in x)):
+            assert g.query(form) == want, (x, form)
+        for b in points[:20]:
+            want = ref_line(p.restrict(x, b), x, b)
+            hits += want != p.restrict(x, b)
+            assert g_lines.query(x, b) == want, (x, b)
+            assert g_lines.query([c - q for c in x], [c + 3 * q for c in b]) == want, (x, b)
+    assert (hits > 0) == (delta > 0.01)
+
+
+@pytest.mark.parametrize("delta", _DELTAS + [math.nextafter(d, 0.0) for d in _DELTAS[1:]]
+                         + [2 ** -64, 3 * 2 ** -66, 5e-324, math.nextafter(0.5, 1.0)])
+def test_threshold_is_the_float_rule(delta):
+    # the integer test x < T marks exactly the x with x / 2**64 < delta: at
+    # both ends of the hash range and on either side of T.  At delta = 1 the
+    # float rule leaves the top 1024 values unhit
+    t = _threshold(delta)
+    assert 0 <= t <= 2 ** 64
+    for x in {0, t - 1, t, t + 1, 2 ** 64 - 1}:
+        if 0 <= x < 2 ** 64:
+            assert (x < t) == (x / 2 ** 64 < delta), (delta, x, t)
+    if delta == 1.0:
+        assert t == 2 ** 64 - 1024
+
+
+def test_corrupted_set_is_exact_at_the_threshold():
+    # a key whose digest of the point (1, 2) has low 64 bits x < 2^53, so
+    # that x / 2**64 is exact: at delta = x / 2**64 the threshold is x itself
+    # and the point is not hit (x / 2**64 < delta fails), at the next double
+    # up it is
+    f, _ = honest_oracles(MultiPoly.zero(Field(257), 2, cap=1), 1)
+    for key in itertools.count():
+        digest = hashlib.blake2b(struct.pack("<2I", 1, 2), digest_size=16,
+                                 key=key.to_bytes(8, "little")).digest()
+        x = int.from_bytes(digest[:8], "little")
+        if x < 2 ** 53:
+            break
+    delta = x / 2 ** 64
+    assert _threshold(delta) == x
+    assert corrupt(f, CorruptionSpec(delta=delta, key=key)).query((1, 2)) == 0
+    assert corrupt(f, CorruptionSpec(delta=math.nextafter(delta, 1.0), key=key)).query((1, 2)) != 0
 
 
 def test_corruption_commutes_with_materialization():
